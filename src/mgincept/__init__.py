@@ -24,7 +24,6 @@ from .stage import (
     attacker_br_lp,
     nf_attacker_best_response,
     victim_br_lp,
-    victim_br_vertices,
 )
 from .solver import (
     BRSolveReport,
@@ -48,6 +47,7 @@ from .oracle import (
     enumerate_deterministic_policies,
     grid_attacker_value,
     grid_victim_value,
+    victim_br_vertices,
 )
 from .rollout import RolloutStats, simulate
 

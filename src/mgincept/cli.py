@@ -18,10 +18,11 @@ from . import gamefile
 from .gamefile import GameFormatError
 from .inception import InceptionConfig, check_iota_dominance, design_dominant_rewards, policy_inception
 from .model import BeliefSet, InvalidGameError, stage_mix_matrix, validate_game
-from .oracle import GridSpec, brute_force_inception, grid_attacker_value, grid_victim_value, random_game
+from .oracle import (GridSpec, brute_force_inception, grid_attacker_value, grid_victim_value,
+                     random_game, victim_br_vertices)
 from .rollout import simulate
 from .solver import markov_attacker_best_response, secure_belief
-from .stage import StageSolveError, victim_br_vertices
+from .stage import StageSolveError
 
 GRID_SLACK = 1e-6
 ENUM_TOL = 1e-8

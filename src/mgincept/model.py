@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_TOL = 1e-12
-MEMBERSHIP_TOL = 1e-9
 
 
 class InvalidGameError(ValueError):
@@ -372,7 +371,7 @@ def stage_mix_matrix(b: BeliefSet, h: int, s: int) -> np.ndarray:
 def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     """True iff pi2 is a per-stage convex mixture of the belief's base policies.
 
-    Each (h, s) is checked by a small feasibility LP at tolerance 1e-9.
+    Each (h, s) is checked by a small feasibility LP at tolerance lp.FEAS_TOL.
     """
     from . import lp
 
@@ -381,17 +380,15 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     K = b.size
     for h in range(b.horizon):
         for s in range(b.num_states):
-            rows = stage_mix_matrix(b, h, s)
-            target = pi2.entries[h, s]
-            eq = [(rows[:, j], float(target[j])) for j in range(b.num_actions)]
-            eq.append((np.ones(K), 1.0))
+            # weights lambda >= 0 with sum 1 and lambda' rows = pi2(h, s)
             prog = lp.LinearProgram(
-                num_vars=K,
                 objective=np.zeros(K),
-                ineq=[],
-                eq=eq,
-                lower_bounds=np.zeros(K),
+                a_ub=np.empty((0, K)),
+                b_ub=np.empty(0),
+                a_eq=np.vstack([stage_mix_matrix(b, h, s).T, np.ones(K)]),
+                b_eq=np.append(pi2.entries[h, s], 1.0),
+                free=np.zeros(K, dtype=bool),
             )
-            if lp.feasible_point(prog, feas_tol=MEMBERSHIP_TOL) is None:
+            if lp.feasible_point(prog) is None:
                 return False
     return True

@@ -15,9 +15,12 @@ import numpy as np
 
 from .inception import exploit_fixed_fake
 from .model import MarkovGame, MarkovPolicy
-from .stage import victim_br_vertices
+from .stage import StageSolveError, _as_finite_matrix
 
 ENUM_GUARD = 4096
+VERTEX_MAX_DIM = 6
+VERTEX_INCLUDE_TOL = 1e-9
+VERTEX_DEDUP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,41 @@ def grid_victim_value(a_prime, spec: GridSpec) -> float:
         raise ValueError(f"grid oracle gated to n <= {spec.max_dim}, got {n}")
     grid = simplex_grid(n, spec.resolution)
     return float((grid @ a_prime).min(axis=1).max())
+
+
+def victim_br_vertices(a_prime, z_star: float) -> list:
+    """All vertices of the victim's best-response polytope, deduplicated.
+
+    The polytope is {x in simplex(n) | x'A'e_j >= z* for all j}.  Vertices
+    are enumerated by brute force over active constraint subsets; this is
+    oracle machinery and is gated to n <= VERTEX_MAX_DIM.
+    """
+    a_prime = _as_finite_matrix(a_prime, "a_prime")
+    n, K = a_prime.shape
+    if n > VERTEX_MAX_DIM:
+        raise ValueError(f"vertex enumeration gated to n <= {VERTEX_MAX_DIM}, got n = {n}")
+    # candidate active rows: x_i = 0 (first n) and x'A'e_j = z* (next K)
+    C = np.vstack([np.eye(n), a_prime.T])
+    r = np.concatenate([np.zeros(n), np.full(K, float(z_star))])
+    found: list = []
+    for combo in itertools.combinations(range(n + K), n - 1):
+        M = np.vstack([np.ones((1, n)), C[list(combo)]])
+        rhs = np.concatenate([[1.0], r[list(combo)]])
+        if np.linalg.matrix_rank(M) < n:
+            continue
+        try:
+            x = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.any(x < -VERTEX_INCLUDE_TOL):
+            continue
+        if np.any(a_prime.T @ x < z_star - VERTEX_INCLUDE_TOL):
+            continue
+        if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in found):
+            found.append(x)
+    if not found:
+        raise StageSolveError("empty best-response polytope; z_star is not optimal")
+    return found
 
 
 def grid_attacker_value(a_prime, b, z_star: float, spec: GridSpec) -> float:

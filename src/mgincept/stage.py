@@ -8,7 +8,6 @@ two gives the per-stage solve used by the backward-induction passes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +15,6 @@ import numpy as np
 from .lp import LinearProgram, LpStatus, solve_lp
 
 MAX_BELIEF_POLICIES = 64
-VERTEX_MAX_DIM = 6
-VERTEX_INCLUDE_TOL = 1e-9
-VERTEX_DEDUP_TOL = 1e-8
 
 
 class StageSolveError(RuntimeError):
@@ -58,17 +54,14 @@ def victim_br_lp(a_prime) -> tuple:
     """
     a_prime = _as_finite_matrix(a_prime, "a_prime")
     n, K = a_prime.shape
-    ineq = []
-    for j in range(K):
-        row = np.concatenate([-a_prime[:, j], [1.0]])  # z - x'A'e_j <= 0
-        ineq.append((row, 0.0))
-    eq = [(np.concatenate([np.ones(n), [0.0]]), 1.0)]
+    # variables (x, z): z - x'A'e_j <= 0 for every j, sum(x) = 1, z free
     prog = LinearProgram(
-        num_vars=n + 1,
-        objective=np.concatenate([np.zeros(n), [1.0]]),
-        ineq=ineq,
-        eq=eq,
-        lower_bounds=np.concatenate([np.zeros(n), [-np.inf]]),
+        objective=np.append(np.zeros(n), 1.0),
+        a_ub=np.hstack([-a_prime.T, np.ones((K, 1))]),
+        b_ub=np.zeros(K),
+        a_eq=np.append(np.ones(n), 0.0)[None, :],
+        b_eq=np.ones(1),
+        free=np.arange(n + 1) == n,
     )
     sol = solve_lp(prog)
     if sol.status != LpStatus.OPTIMAL:  # the feasible region is a nonempty polytope
@@ -89,18 +82,15 @@ def attacker_br_lp(z_star: float, a_prime, b) -> StageBR:
     if b.shape[0] != n:
         raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
     m = b.shape[1]
-    # variables: y (m), w (K), alpha (free)
-    ineq = []
-    for i in range(n):
-        row = np.concatenate([-b[i, :], a_prime[i, :], [-1.0]])  # -(By)_i + (A'w)_i - alpha <= 0
-        ineq.append((row, 0.0))
-    eq = [(np.concatenate([np.ones(m), np.zeros(K), [0.0]]), 1.0)]
+    # variables (y, w, alpha): -(By)_i + (A'w)_i - alpha <= 0 for every i,
+    # sum(y) = 1, alpha free
     prog = LinearProgram(
-        num_vars=m + K + 1,
-        objective=np.concatenate([np.zeros(m), z_star * np.ones(K), [-1.0]]),
-        ineq=ineq,
-        eq=eq,
-        lower_bounds=np.concatenate([np.zeros(m + K), [-np.inf]]),
+        objective=np.concatenate([np.zeros(m), np.full(K, z_star), [-1.0]]),
+        a_ub=np.hstack([-b, a_prime, -np.ones((n, 1))]),
+        b_ub=np.zeros(n),
+        a_eq=np.append(np.ones(m), np.zeros(K + 1))[None, :],
+        b_eq=np.ones(1),
+        free=np.arange(m + K + 1) == m + K,
     )
     sol = solve_lp(prog)
     if sol.status != LpStatus.OPTIMAL:
@@ -143,38 +133,3 @@ def nf_attacker_best_response(pi_rows, a, b, *, k_cap: int = MAX_BELIEF_POLICIES
     a_prime = a @ pi_rows.T
     _, z_star = victim_br_lp(a_prime)
     return attacker_br_lp(z_star, a_prime, b)
-
-
-def victim_br_vertices(a_prime, z_star: float, *, max_dim: int = VERTEX_MAX_DIM) -> list:
-    """All vertices of the victim's best-response polytope, deduplicated.
-
-    The polytope is {x in simplex(n) | x'A'e_j >= z* for all j}.  Vertices
-    are enumerated by brute force over active constraint subsets; this is
-    oracle machinery and is gated to n <= max_dim.
-    """
-    a_prime = _as_finite_matrix(a_prime, "a_prime")
-    n, K = a_prime.shape
-    if n > max_dim:
-        raise ValueError(f"vertex enumeration gated to n <= {max_dim}, got n = {n}")
-    # candidate active rows: x_i = 0 (first n) and x'A'e_j = z* (next K)
-    C = np.vstack([np.eye(n), a_prime.T])
-    r = np.concatenate([np.zeros(n), np.full(K, float(z_star))])
-    found: list = []
-    for combo in itertools.combinations(range(n + K), n - 1):
-        M = np.vstack([np.ones((1, n)), C[list(combo)]])
-        rhs = np.concatenate([[1.0], r[list(combo)]])
-        if np.linalg.matrix_rank(M) < n:
-            continue
-        try:
-            x = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.any(x < -VERTEX_INCLUDE_TOL):
-            continue
-        if np.any(a_prime.T @ x < z_star - VERTEX_INCLUDE_TOL):
-            continue
-        if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in found):
-            found.append(x)
-    if not found:
-        raise StageSolveError("empty best-response polytope; z_star is not optimal")
-    return found

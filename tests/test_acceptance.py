@@ -21,9 +21,10 @@ from mgincept.oracle import (
     grid_victim_value,
     random_game,
     random_mix_rows,
+    victim_br_vertices,
 )
 from mgincept.rollout import simulate
-from mgincept.stage import nf_attacker_best_response, victim_br_lp, victim_br_vertices
+from mgincept.stage import nf_attacker_best_response, victim_br_lp
 
 MATCHING = [[0.0, 1.0], [1.0, 0.0]]
 DECOY = [[5.0, 0.0], [0.0, 0.0]]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,27 +11,27 @@ from mgincept.lp import (
     LinearProgram,
     LpError,
     LpStatus,
+    _standardize,
     feasible_point,
     residuals,
     solve_lp,
 )
 
 
-def simplex_max(objective, ineq=(), eq=(), free=()):
+def simplex_max(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=()):
     n = len(objective)
-    lb = np.zeros(n)
-    for i in free:
-        lb[i] = -np.inf
-    return LinearProgram(n, np.asarray(objective, float), ineq=ineq, eq=eq,
-                         lower_bounds=lb)
+    mask = np.zeros(n, dtype=bool)
+    mask[list(free)] = True
+    return LinearProgram(np.asarray(objective, float), np.reshape(a_ub, (-1, n)), b_ub,
+                         np.reshape(a_eq, (-1, n)), b_eq, mask)
 
 
 def test_pick_best_column_on_simplex():
     # max z s.t. z <= x2, x1 + x2 = 1, x >= 0  ->  value 1 at x = (0, 1)
     prog = simplex_max(
         [0.0, 0.0, 1.0],
-        ineq=[(np.array([0.0, -1.0, 1.0]), 0.0)],
-        eq=[(np.array([1.0, 1.0, 0.0]), 1.0)],
+        a_ub=[[0.0, -1.0, 1.0]], b_ub=[0.0],
+        a_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0],
         free=(2,),
     )
     sol = solve_lp(prog)
@@ -40,7 +41,7 @@ def test_pick_best_column_on_simplex():
 
 
 def test_zero_objective_over_simplex():
-    prog = simplex_max([0.0, 0.0], eq=[(np.ones(2), 1.0)])
+    prog = simplex_max([0.0, 0.0], a_eq=[np.ones(2)], b_eq=[1.0])
     sol = solve_lp(prog)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.value == 0.0
@@ -54,10 +55,7 @@ def test_unbounded_ray_detected():
 
 
 def test_infeasible_equalities():
-    prog = simplex_max(
-        [0.0],
-        eq=[(np.array([1.0]), 0.0), (np.array([1.0]), 1.0)],
-    )
+    prog = simplex_max([0.0], a_eq=[[1.0], [1.0]], b_eq=[0.0, 1.0])
     assert solve_lp(prog).status == LpStatus.INFEASIBLE
     assert feasible_point(prog) is None
 
@@ -70,14 +68,14 @@ def test_feasible_point_no_constraints():
 
 
 def _attacker_dual_program(z_star, a_prime, b):
-    """The dual best-response program, built from raw rows for the test."""
+    """The dual best-response program, built from raw arrays for the test."""
     n, K = a_prime.shape
     m = b.shape[1]
-    ineq = [(np.concatenate([-b[i], a_prime[i], [-1.0]]), 0.0) for i in range(n)]
-    eq = [(np.concatenate([np.ones(m), np.zeros(K), [0.0]]), 1.0)]
     return simplex_max(
         np.concatenate([np.zeros(m), z_star * np.ones(K), [-1.0]]),
-        ineq=ineq, eq=eq, free=(m + K,),
+        a_ub=np.hstack([-b, a_prime, -np.ones((n, 1))]), b_ub=np.zeros(n),
+        a_eq=[np.concatenate([np.ones(m), np.zeros(K), [0.0]])], b_eq=[1.0],
+        free=(m + K,),
     )
 
 
@@ -99,13 +97,9 @@ def _bounded_random_program(rng, n_vars, n_rows):
     """Feasible (origin) and bounded (box rows) by construction."""
     g_rows = rng.uniform(-1.0, 1.0, (n_rows, n_vars))
     h = rng.uniform(0.5, 1.5, n_rows)
-    ineq = [(g_rows[i], float(h[i])) for i in range(n_rows)]
-    for i in range(n_vars):
-        e = np.zeros(n_vars)
-        e[i] = 1.0
-        ineq.append((e, 2.0))
     c = rng.uniform(-1.0, 1.0, n_vars)
-    return simplex_max(c, ineq=ineq)
+    return simplex_max(c, a_ub=np.vstack([g_rows, np.eye(n_vars)]),
+                       b_ub=np.append(h, np.full(n_vars, 2.0)))
 
 
 def _vertex_oracle_value(prog):
@@ -114,19 +108,15 @@ def _vertex_oracle_value(prog):
     Enumerates every square subsystem of active constraints (inequalities
     treated as equalities plus variable bounds), keeps feasible solutions.
     """
-    n = prog.num_vars
-    rows = [(vec, rhs) for vec, rhs in prog.ineq]
-    for i in range(n):
-        if prog.lower_bounds[i] == 0.0:
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append((-e, 0.0))  # -x_i <= 0, active means x_i = 0
-    eq_rows = list(prog.eq)
+    n = prog.objective.size
+    # -x_i <= 0 for each bounded variable, active means x_i = 0
+    rows = np.vstack([prog.a_ub, -np.eye(n)[~prog.free]])
+    rhs_all = np.append(prog.b_ub, np.zeros(n - prog.free.sum()))
     best = None
-    need = n - len(eq_rows)
+    need = n - prog.b_eq.size
     for combo in itertools.combinations(range(len(rows)), need):
-        mat = np.array([rows[i][0] for i in combo] + [v for v, _ in eq_rows])
-        rhs = np.array([rows[i][1] for i in combo] + [f for _, f in eq_rows])
+        mat = np.vstack([rows[list(combo)], prog.a_eq])
+        rhs = np.append(rhs_all[list(combo)], prog.b_eq)
         if mat.shape[0] != n or np.linalg.matrix_rank(mat) < n:
             continue
         try:
@@ -162,13 +152,8 @@ def test_strong_duality_on_random_programs():
         n_vars = int(rng.integers(1, 4))
         n_rows = int(rng.integers(1, 4))
         prog = _bounded_random_program(rng, n_vars, n_rows)
-        g_all = np.array([vec for vec, _ in prog.ineq])
-        h_all = np.array([rhs for _, rhs in prog.ineq])
-        rows = g_all.shape[0]
-        dual = simplex_max(
-            -h_all,
-            ineq=[(-g_all[:, j], -float(prog.objective[j])) for j in range(n_vars)],
-        )
+        rows = prog.b_ub.size
+        dual = simplex_max(-prog.b_ub, a_ub=-prog.a_ub.T, b_ub=-prog.objective)
         psol = solve_lp(prog)
         dsol = solve_lp(dual)
         assert psol.status == LpStatus.OPTIMAL and dsol.status == LpStatus.OPTIMAL
@@ -182,15 +167,46 @@ def test_value_invariant_under_row_permutation(seed):
     rng = np.random.default_rng(seed)
     prog = _bounded_random_program(rng, int(rng.integers(1, 4)), int(rng.integers(2, 6)))
     base = solve_lp(prog)
-    order = rng.permutation(len(prog.ineq))
-    shuffled = LinearProgram(
-        prog.num_vars, prog.objective,
-        ineq=[prog.ineq[i] for i in order],
-        eq=prog.eq, lower_bounds=prog.lower_bounds,
-    )
+    order = rng.permutation(prog.b_ub.size)
+    shuffled = dataclasses.replace(prog, a_ub=prog.a_ub[order], b_ub=prog.b_ub[order])
     again = solve_lp(shuffled)
     assert again.status == base.status == LpStatus.OPTIMAL
     assert again.value == pytest.approx(base.value, abs=1e-9)
+
+
+def _elementwise_standard_form(prog):
+    """Reference for _standardize: the same (A, b, c) built one entry at a time."""
+    cols = []
+    for i, free in enumerate(prog.free):
+        cols += [(i, 1.0), (i, -1.0)] if free else [(i, 1.0)]
+    r = prog.b_ub.size
+    M = np.vstack([prog.a_ub, prog.a_eq])
+    b = np.append(prog.b_ub, prog.b_eq)
+    A = np.zeros((b.size, len(cols) + r))
+    c = np.zeros(len(cols) + r)
+    for j, (i, sign) in enumerate(cols):
+        c[j] = sign * prog.objective[i]
+        for k in range(b.size):
+            A[k, j] = sign * M[k, i]
+    for k in range(r):
+        A[k, len(cols) + k] = 1.0
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    return A, b, c
+
+
+def test_standard_form_is_bit_identical_to_elementwise_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n, r, e = int(rng.integers(1, 5)), int(rng.integers(0, 4)), int(rng.integers(0, 3))
+        # rounded entries put exact zeros (and so signed zeros) in the tableau
+        prog = simplex_max(rng.uniform(-1, 1, n).round(), a_ub=rng.uniform(-1, 1, (r, n)).round(1),
+                           b_ub=rng.uniform(-1, 1, r), a_eq=rng.uniform(-1, 1, (e, n)).round(1),
+                           b_eq=rng.uniform(-1, 1, e), free=np.flatnonzero(rng.uniform(size=n) < 0.5))
+        got = _standardize(prog)[:3]
+        for x, y in zip(got, _elementwise_standard_form(prog)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_deterministic_repeat_solves():
@@ -206,15 +222,12 @@ def test_stuck_artificial_rows_still_constrain_phase_two():
     # all-nonpositive equality rows leave their phase-1 artificial basic at
     # zero; the row must still bound the objective (regression: this used to
     # be misreported as unbounded)
-    prog = simplex_max([1.0, 0.0], eq=[(np.array([-1.0, -1.0]), 0.0)])
+    prog = simplex_max([1.0, 0.0], a_eq=[[-1.0, -1.0]], b_eq=[0.0])
     sol = solve_lp(prog)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(sol.v, 0.0)
-    dup = simplex_max(
-        [1.0, 0.0],
-        eq=[(np.array([1.0, 1.0]), 1.0), (np.array([2.0, 2.0]), 2.0)],
-    )
+    dup = simplex_max([1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
     sol = solve_lp(dup)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.value == pytest.approx(1.0, abs=1e-9)
@@ -227,10 +240,11 @@ def test_matches_oracle_with_equality_constraints():
         prog_base = _bounded_random_program(rng, n_vars, int(rng.integers(1, 4)))
         anchor = rng.uniform(0.1, 1.0, n_vars)
         row = rng.uniform(-1.0, 1.0, n_vars)
-        eq = [(row, float(row @ anchor))]
-        ineq = [(vec, float(max(rhs, vec @ anchor + 0.1))) for vec, rhs in prog_base.ineq]
-        prog = LinearProgram(n_vars, prog_base.objective, ineq=ineq, eq=eq,
-                             lower_bounds=prog_base.lower_bounds)
+        prog = dataclasses.replace(
+            prog_base,
+            b_ub=np.maximum(prog_base.b_ub, prog_base.a_ub @ anchor + 0.1),
+            a_eq=row[None, :], b_eq=[row @ anchor],
+        )
         sol = solve_lp(prog)
         assert sol.status == LpStatus.OPTIMAL
         oracle = _vertex_oracle_value(prog)
@@ -240,11 +254,22 @@ def test_matches_oracle_with_equality_constraints():
 
 
 def test_malformed_input_rejected():
-    with pytest.raises(LpError):
-        LinearProgram(2, [1.0])
-    with pytest.raises(LpError):
-        LinearProgram(2, [1.0, 2.0], ineq=[(np.ones(3), 1.0)])
-    with pytest.raises(LpError):
-        LinearProgram(1, [np.nan])
-    with pytest.raises(LpError):
-        LinearProgram(1, [1.0], lower_bounds=[3.0])
+    good = dict(objective=[1.0, 2.0], a_ub=np.ones((1, 2)), b_ub=[1.0],
+                a_eq=np.ones((1, 2)), b_eq=[1.0], free=[False, True])
+    LinearProgram(**good)
+    for bad in (
+        dict(objective=[]),
+        dict(objective=[[1.0, 2.0]]),
+        dict(objective=[np.nan, 1.0]),
+        dict(a_ub=np.ones((1, 3))),
+        dict(a_ub=np.ones(2)),
+        dict(b_ub=[1.0, 2.0]),
+        dict(b_eq=[]),
+        dict(a_eq=[[np.nan, 0.0]]),
+        dict(a_eq=[[np.inf, 0.0]]),
+        dict(b_ub=[np.inf]),
+        dict(b_ub=[np.nan]),
+        dict(free=[True]),
+    ):
+        with pytest.raises(LpError):
+            LinearProgram(**{**good, **bad})

@@ -5,9 +5,9 @@ import pytest
 
 import mgincept as mg
 from conftest import chain_game, pure_stage_policy, random_policy
-from mgincept.oracle import GridSpec, grid_attacker_value, grid_victim_value, random_belief
+from mgincept.oracle import (GridSpec, grid_attacker_value, grid_victim_value, random_belief,
+                             victim_br_vertices)
 from mgincept.solver import q_from_v
-from mgincept.stage import victim_br_vertices
 
 
 def test_q_terminal_layer_equals_stage_rewards():

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from mgincept.oracle import GridSpec, grid_victim_value, simplex_grid
+from mgincept.oracle import GridSpec, grid_victim_value, simplex_grid, victim_br_vertices
 from mgincept.stage import (
     StageSolveError,
     attacker_br_lp,
     nf_attacker_best_response,
     victim_br_lp,
-    victim_br_vertices,
 )
 
 MATCHING = np.array([[0.0, 1.0], [1.0, 0.0]])
