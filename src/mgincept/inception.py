@@ -6,6 +6,13 @@ by backward induction, evaluating at each (step, state) every candidate fake
 action via the stage solver against the singleton belief, and keeping the
 candidate with the highest attacker value (lowest action index on ties).
 
+Against a pure fake action j the rational victim replies with the argmax
+row i* of Q1[:, j], so the stage solver returns the candidate in closed form
+as max_k Q2[i*, k], with no LP; only rows tied exactly at the maximum fall
+back to the LP chain, which gives the maximin over the tied rows.  Fake
+actions that steer the victim to the same reply row therefore have bitwise
+equal values, and np.argmax really picks the lowest index among them.
+
 The greedy backward pass is exact for single-step games; for longer horizons
 the enumeration oracle (`oracle.brute_force_inception`) certifies it on
 small instances.

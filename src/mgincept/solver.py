@@ -103,7 +103,8 @@ def markov_attacker_best_response(
 
     Backward induction over stage games: at each (h, s) build both players'
     stage payoffs from the next layer's worst-case values, then run the
-    two-LP stage solve against the belief's stage mixes.
+    stage solve against the belief's stage mixes (two LPs, or their closed
+    form for a singleton belief with one best reply row).
     """
     require_valid(g)
     if not belief.matches(g):

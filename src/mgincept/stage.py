@@ -3,7 +3,9 @@
 The victim's worst-case best response against K believed attacker mixes is a
 small LP over (x, z); the attacker's best response against the victim's
 best-response polytope is the dualized LP over (y, w, alpha).  Composing the
-two gives the per-stage solve used by the backward-induction passes.
+two gives the per-stage solve used by the backward-induction passes.  Against
+a singleton belief whose best reply is one row, both LPs have closed forms
+(max and argmax), which the composed solve uses instead.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class StageBR:
 
     y_star is one optimal attacker mix (any optimal vertex; recorded as
     returned by the deterministic solver), z_star the victim's worst-case
-    value, v2_star the attacker's worst-case value z* . sum(w*) - alpha*.
+    value, v2_star the attacker's worst-case value z* . sum(w*) - alpha*
+    (equal up to rounding when the closed form, not the LP, produced it).
     """
 
     y_star: np.ndarray
@@ -116,6 +119,14 @@ def nf_attacker_best_response(pi_rows, a, b, *, k_cap: int = MAX_BELIEF_POLICIES
     pi_rows is K x m with each row a believed attacker mix; a and b are the
     victim / attacker payoff matrices.  Chains the two LPs: stack A' = A P',
     solve the victim LP for z*, then the attacker LP.
+
+    A singleton belief (K = 1) whose column A' has exactly one row i* equal
+    to its maximum skips both LPs: the victim's only best reply is row i*,
+    so z* = max A', the attacker plays the lowest-index k* maximizing
+    b[i*, k], v2* = b[i*, k*] exactly, and (w*, alpha*) is a dual certificate
+    for attacker_br_lp's program.  Rows tied exactly (==) at the maximum
+    keep the LP chain, whose maximin over the tied rows the closed form
+    cannot give.
     """
     pi_rows = _as_finite_matrix(pi_rows, "pi_rows")
     a = _as_finite_matrix(a, "a")
@@ -131,5 +142,35 @@ def nf_attacker_best_response(pi_rows, a, b, *, k_cap: int = MAX_BELIEF_POLICIES
     if np.any(pi_rows < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
         raise ValueError("pi_rows rows must be distributions")
     a_prime = a @ pi_rows.T
+    if K == 1:
+        col = a_prime[:, 0]
+        best_rows = np.flatnonzero(col == col.max())
+        if best_rows.size == 1:
+            return _unique_reply_br(col, b, int(best_rows[0]))
     _, z_star = victim_br_lp(a_prime)
     return attacker_br_lp(z_star, a_prime, b)
+
+
+def _unique_reply_br(col: np.ndarray, b: np.ndarray, i_star: int) -> StageBR:
+    """Closed-form stage solve when row i_star is the victim's only best reply
+    to the single believed column col.
+
+    The dual weight w* is the least one that keeps every other row i feasible
+    in attacker_br_lp's program: col_i w - alpha <= b[i, k*] with
+    alpha = z* w - v2*, i.e. w >= (v2* - b[i, k*]) / (z* - col_i).
+    """
+    z_star = col[i_star]
+    k_star = int(np.argmax(b[i_star]))  # lowest index on ties
+    v2_star = b[i_star, k_star]
+    others = np.arange(col.size) != i_star
+    ratios = (v2_star - b[others, k_star]) / (z_star - col[others])
+    w = float(ratios.max(initial=0.0))
+    y = np.zeros(b.shape[1])
+    y[k_star] = 1.0
+    return StageBR(
+        y_star=y,
+        z_star=float(z_star),
+        v2_star=float(v2_star),
+        w_star=np.array([w]),
+        alpha_star=float(z_star * w - v2_star),
+    )

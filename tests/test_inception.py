@@ -219,3 +219,47 @@ def test_fake_choice_is_invariant_under_positive_scaling():
             assert np.array_equal(scaled.pi2_dagger.entries, base.pi2_dagger.entries)
             assert np.allclose(scaled.candidate_values, c * base.candidate_values,
                                atol=1e-9 * max(1.0, c))
+
+
+def test_attacker_value_ties_break_to_lowest_index():
+    # fake actions that steer the victim to the same reply row tie exactly;
+    # values within 1e-9 of the best must be bitwise equal to it and the
+    # pick must be the first of them
+    tied = 0
+    for seed in range(50):
+        result = mg.policy_inception(random_game(np.random.default_rng(seed), 3, 4, 3, 3))
+        for h in range(3):
+            for s in range(4):
+                cand = result.candidate_values[h, s]
+                near = np.flatnonzero(cand >= cand.max() - 1e-9)
+                tied += near.size > 1
+                assert np.all(cand[near] == cand.max()), (seed, h, s, cand)
+                assert result.pi2_dagger.action_at(h, s) == near[0], (seed, h, s, cand)
+    assert tied > 0
+
+
+@pytest.mark.parametrize("seed", [63, 85, 109, 132])
+def test_inception_and_exploit_agree_on_former_stage_solve_faults(seed):
+    # games whose LP-based candidate solves raised or lost ~1e-7
+    g = random_game(np.random.default_rng(seed), 5, 10, 4, 4)
+    result = mg.policy_inception(g)
+    replay = mg.exploit_fixed_fake(g, result.pi2_dagger)
+    assert replay.v2_root == pytest.approx(result.v2_root, abs=1e-9)
+
+
+def test_last_step_candidate_is_the_best_reply_row_maximum():
+    # game 63, (h=4, s=0, j=0): the victim's best reply to fake column 0 is
+    # unique by only 1.5e-6, and the candidate is that row's best payoff
+    g = random_game(np.random.default_rng(63), 5, 10, 4, 4)
+    q1, q2 = g.rewards[0, 4, 0], g.rewards[1, 4, 0]
+    i_star = int(np.argmax(q1[:, 0]))
+    candidate = mg.policy_inception(g).candidate_values[4, 0, 0]
+    assert candidate == pytest.approx(q2[i_star].max(), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_inception_completes_on_larger_random_games(seed):
+    g = random_game(np.random.default_rng(seed), 10, 20, 6, 6)
+    result = mg.policy_inception(g)
+    replay = mg.exploit_fixed_fake(g, result.pi2_dagger)
+    assert replay.v2_root == pytest.approx(result.v2_root, abs=1e-9)

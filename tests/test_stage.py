@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mgincept import stage
 from mgincept.oracle import GridSpec, grid_victim_value, simplex_grid, victim_br_vertices
 from mgincept.stage import (
     StageSolveError,
@@ -174,3 +175,46 @@ def test_attacker_beats_own_security_value():
         grid = simplex_grid(m, spec.resolution)
         security = float((grid @ b.T).min(axis=1).max())
         assert br.v2_star >= security - 1e-7
+
+
+def test_singleton_closed_form_matches_lp_chain(monkeypatch):
+    # a singleton belief with one best reply row is solved without any LP;
+    # the LP chain on the same stage is the reference
+    rng = np.random.default_rng(85)
+
+    def no_lp(*args):
+        raise AssertionError("closed-form stage ran an LP")
+
+    monkeypatch.setattr(stage, "victim_br_lp", no_lp)
+    monkeypatch.setattr(stage, "attacker_br_lp", no_lp)
+    for trial in range(200):
+        n, m = (int(rng.integers(1, 7)) for _ in range(2))
+        rows, a, b = _random_stage(rng, n, m, 1)
+        if trial % 2:
+            rows = np.eye(m)[[rng.integers(m)]]
+        br = nf_attacker_best_response(rows, a, b)
+        col = a @ rows[0]
+        _, z = victim_br_lp(col[:, None])
+        ref = attacker_br_lp(z, col[:, None], b)
+        scale = max(1.0, np.abs(a).max(), np.abs(b).max())
+        assert abs(br.z_star - z) <= 1e-9 * scale
+        assert abs(br.v2_star - ref.v2_star) <= 1e-9 * scale
+        # (y*, w*, alpha*) is feasible for attacker_br_lp's program, whose
+        # row i reads col_i w - alpha <= (b y)_i; residuals are relative to
+        # the largest term
+        y, w, alpha = br.y_star, br.w_star[0], br.alpha_star
+        assert np.array_equal(y, np.eye(m)[np.argmax(y)]) and w >= 0.0
+        terms = max(scale, np.abs(col).max() * w, abs(alpha))
+        assert np.all(col * w - alpha - b @ y <= 1e-12 * terms)
+        assert abs(br.z_star * w - alpha - br.v2_star) <= 1e-12 * terms
+
+
+def test_singleton_exact_row_tie_keeps_the_lp_maximin():
+    # rows 0 and 1 both best-reply to fake column 0; the victim may pick
+    # either, so the attacker can guarantee only the even split
+    a = np.array([[1.0, 0.0], [1.0, 0.0]])
+    b = np.array([[5.0, 0.0], [0.0, 5.0]])
+    br = nf_attacker_best_response(np.array([[1.0, 0.0]]), a, b)
+    assert br.z_star == pytest.approx(1.0, abs=1e-9)
+    assert br.v2_star == pytest.approx(2.5, abs=1e-9)
+    assert np.allclose(br.y_star, [0.5, 0.5], atol=1e-9)
