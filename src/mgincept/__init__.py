@@ -12,19 +12,12 @@ from .model import (
     MarkovPolicy,
     ValidationReport,
     ValueTables,
-    belief_membership,
     evaluate_policy,
     stage_mix_matrix,
     validate_game,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, feasible_point, solve_lp
-from .stage import (
-    StageBR,
-    StageSolveError,
-    attacker_br_lp,
-    nf_attacker_best_response,
-    victim_br_lp,
-)
+from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
+from .stage import StageBR, StageSolveError, nf_attacker_best_response
 from .solver import (
     BRSolveReport,
     QMatrices,
@@ -53,11 +46,10 @@ from .rollout import RolloutStats, simulate
 
 __all__ = [
     "BeliefSet", "InvalidGameError", "MarkovGame", "MarkovPolicy",
-    "ValidationReport", "ValueTables", "belief_membership", "evaluate_policy",
-    "stage_mix_matrix", "validate_game",
-    "LinearProgram", "LpSolution", "LpStatus", "feasible_point", "solve_lp",
-    "StageBR", "StageSolveError", "attacker_br_lp", "nf_attacker_best_response",
-    "victim_br_lp", "victim_br_vertices",
+    "ValidationReport", "ValueTables", "evaluate_policy", "stage_mix_matrix",
+    "validate_game",
+    "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
+    "StageBR", "StageSolveError", "nf_attacker_best_response", "victim_br_vertices",
     "BRSolveReport", "QMatrices", "markov_attacker_best_response", "q_from_v",
     "secure_belief",
     "InceptionConfig", "InceptionResult", "check_iota_dominance",

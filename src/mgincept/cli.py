@@ -17,7 +17,7 @@ import numpy as np
 from . import gamefile
 from .gamefile import GameFormatError
 from .inception import InceptionConfig, check_iota_dominance, design_dominant_rewards, policy_inception
-from .model import BeliefSet, InvalidGameError, stage_mix_matrix, validate_game
+from .model import BeliefSet, InvalidGameError, require_valid, stage_mix_matrix, validate_game
 from .oracle import (GridSpec, brute_force_inception, grid_attacker_value, grid_victim_value,
                      random_game, victim_br_vertices)
 from .rollout import simulate
@@ -34,9 +34,7 @@ def _fmt(x: float) -> str:
 
 def _load(path) -> gamefile.GameDocument:
     doc = gamefile.load_game(path)
-    report = validate_game(doc.game)
-    if not report.ok:
-        raise InvalidGameError(report)
+    require_valid(doc.game)
     return doc
 
 

@@ -16,11 +16,6 @@ equal values, and np.argmax really picks the lowest index among them.
 The greedy backward pass is exact for single-step games; for longer horizons
 the enumeration oracle (`oracle.brute_force_inception`) certifies it on
 small instances.
-
-Extension point (not implemented): fake reward functions with several
-equally dominant columns.  Supporting them amounts to replacing the one-hot
-stage row passed to the stage solver with the rows of an action subset and
-searching over subsets instead of single actions.
 """
 
 from __future__ import annotations
@@ -118,9 +113,7 @@ def design_dominant_rewards(
     return fake
 
 
-def check_iota_dominance(
-    g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float, *, tol: float = DOMINANCE_TOL
-) -> tuple:
+def check_iota_dominance(g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float) -> tuple:
     """Sound sufficient test that the policy is iota-strictly dominant for g's
     player-2 rewards, Markov-perfectly.
 
@@ -148,7 +141,7 @@ def check_iota_dominance(
                 for a2 in range(m):
                     if a2 == j:
                         continue
-                    if follow[a1] < deviate[s, a1, a2] + iota - tol:
+                    if follow[a1] < deviate[s, a1, a2] + iota - DOMINANCE_TOL:
                         return False, (h, s, a1, a2)
             new_low[s] = follow.min()
         low = new_low

@@ -204,18 +204,3 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     v = _extract(T, basis, pos, neg)
     return LpSolution(LpStatus.OPTIMAL, v=v, value=float(lp.objective @ v))
 
-
-def feasible_point(lp: LinearProgram) -> np.ndarray | None:
-    """A point satisfying all constraints within FEAS_TOL, or None if infeasible."""
-    A, b, _, pos, neg = _standardize(lp)
-    T, basis, _, feasible = _phase1(A, b)
-    if not feasible:
-        return None
-    return _extract(T, basis, pos, neg)
-
-
-def residuals(lp: LinearProgram, v: np.ndarray) -> float:
-    """Worst constraint violation of v (0 when strictly feasible)."""
-    return max(float(np.max(lp.a_ub @ v - lp.b_ub, initial=0.0)),
-               float(np.max(np.abs(lp.a_eq @ v - lp.b_eq), initial=0.0)),
-               float(np.max(-v[~lp.free], initial=0.0)))

@@ -367,28 +367,3 @@ def stage_mix_matrix(b: BeliefSet, h: int, s: int) -> np.ndarray:
                          f"({b.horizon}, {b.num_states})")
     return np.stack([p.entries[h, s] for p in b.base])
 
-
-def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
-    """True iff pi2 is a per-stage convex mixture of the belief's base policies.
-
-    Each (h, s) is checked by a small feasibility LP at tolerance lp.FEAS_TOL.
-    """
-    from . import lp
-
-    if pi2.player != 2 or pi2.entries.shape != b.base[0].entries.shape:
-        raise ValueError("candidate policy does not match belief dimensions")
-    K = b.size
-    for h in range(b.horizon):
-        for s in range(b.num_states):
-            # weights lambda >= 0 with sum 1 and lambda' rows = pi2(h, s)
-            prog = lp.LinearProgram(
-                objective=np.zeros(K),
-                a_ub=np.empty((0, K)),
-                b_ub=np.empty(0),
-                a_eq=np.vstack([stage_mix_matrix(b, h, s).T, np.ones(K)]),
-                b_eq=np.append(pi2.entries[h, s], 1.0),
-                free=np.zeros(K, dtype=bool),
-            )
-            if lp.feasible_point(prog) is None:
-                return False
-    return True

@@ -1,8 +1,8 @@
 """Brute-force oracles that certify solver results on small instances.
 
 Everything here is exponential or grid-based and gated behind hard size
-guards; oracles certify the algorithms on small instances, never the
-production solve path.
+guards, except belief membership (one feasibility LP per stage); oracles
+certify the algorithms on small instances, never the production solve path.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inception import exploit_fixed_fake
-from .model import MarkovGame, MarkovPolicy
+from .lp import LinearProgram, LpStatus, solve_lp
+from .model import BeliefSet, MarkovGame, MarkovPolicy, stage_mix_matrix
 from .stage import StageSolveError, _as_finite_matrix
 
 ENUM_GUARD = 4096
+GRID_MAX_DIM = 4
 VERTEX_MAX_DIM = 6
 VERTEX_INCLUDE_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-8
@@ -25,16 +27,13 @@ VERTEX_DEDUP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Simplex grid resolution (step in (0, 0.5]) and dimension guard."""
+    """Simplex grid resolution: step in (0, 0.5]."""
 
     step: float
-    max_dim: int = 4
 
     def __post_init__(self):
         if not (0.0 < self.step <= 0.5):
             raise ValueError(f"grid step must be in (0, 0.5], got {self.step!r}")
-        if self.max_dim < 1:
-            raise ValueError("max_dim must be >= 1")
 
     @property
     def resolution(self) -> int:
@@ -71,8 +70,8 @@ def grid_victim_value(a_prime, spec: GridSpec) -> float:
     """
     a_prime = np.asarray(a_prime, dtype=float)
     n = a_prime.shape[0]
-    if n > spec.max_dim:
-        raise ValueError(f"grid oracle gated to n <= {spec.max_dim}, got {n}")
+    if n > GRID_MAX_DIM:
+        raise ValueError(f"grid oracle gated to n <= {GRID_MAX_DIM}, got {n}")
     grid = simplex_grid(n, spec.resolution)
     return float((grid @ a_prime).min(axis=1).max())
 
@@ -122,12 +121,36 @@ def grid_attacker_value(a_prime, b, z_star: float, spec: GridSpec) -> float:
     a_prime = np.asarray(a_prime, dtype=float)
     b = np.asarray(b, dtype=float)
     n, m = b.shape
-    if n > spec.max_dim or m > spec.max_dim:
-        raise ValueError(f"grid oracle gated to n, m <= {spec.max_dim}")
+    if n > GRID_MAX_DIM or m > GRID_MAX_DIM:
+        raise ValueError(f"grid oracle gated to n, m <= {GRID_MAX_DIM}")
     verts = np.stack(victim_br_vertices(a_prime, z_star))
     payoff = verts @ b  # (num_vertices, m)
     grid = simplex_grid(m, spec.resolution)
     return float((grid @ payoff.T).min(axis=1).max())
+
+
+def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
+    """True iff pi2 is a per-stage convex mixture of the belief's base policies.
+
+    Each (h, s) is checked by a small feasibility LP at tolerance lp.FEAS_TOL.
+    """
+    if pi2.player != 2 or pi2.entries.shape != b.base[0].entries.shape:
+        raise ValueError("candidate policy does not match belief dimensions")
+    K = b.size
+    for h in range(b.horizon):
+        for s in range(b.num_states):
+            # weights lambda >= 0 with sum 1 and lambda' rows = pi2(h, s)
+            prog = LinearProgram(
+                objective=np.zeros(K),
+                a_ub=np.empty((0, K)),
+                b_ub=np.empty(0),
+                a_eq=np.vstack([stage_mix_matrix(b, h, s).T, np.ones(K)]),
+                b_eq=np.append(pi2.entries[h, s], 1.0),
+                free=np.zeros(K, dtype=bool),
+            )
+            if solve_lp(prog).status != LpStatus.OPTIMAL:
+                return False
+    return True
 
 
 def enumerate_deterministic_policies(g: MarkovGame, player: int = 2):
@@ -181,8 +204,6 @@ def random_mix_rows(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
 
 def random_belief(rng: np.random.Generator, g: MarkovGame, k: int):
     """A random finitely generated belief compatible with a game."""
-    from .model import BeliefSet
-
     bases = []
     for _ in range(k):
         entries = rng.uniform(0.05, 1.0, (g.horizon, g.num_states, g.m))

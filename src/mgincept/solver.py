@@ -25,7 +25,7 @@ from .model import (
 )
 from .stage import MAX_BELIEF_POLICIES, StageBR, nf_attacker_best_response
 
-DEFAULT_STAGE_BUDGET = 200_000
+STAGE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,15 @@ def clean_mix(y: np.ndarray) -> np.ndarray:
     return y / total
 
 
-def _check_budget(g: MarkovGame, k: int, budget: int) -> None:
+def _check_budget(g: MarkovGame, k: int) -> None:
     cost = g.horizon * g.num_states * max(g.n, g.m, k)
-    if cost > budget:
+    if cost > STAGE_BUDGET:
         raise ValueError(
-            f"instance size H*S*max(n,m,K) = {cost} exceeds solve budget {budget}"
+            f"instance size H*S*max(n,m,K) = {cost} exceeds solve budget {STAGE_BUDGET}"
         )
 
 
-def markov_attacker_best_response(
-    g: MarkovGame,
-    belief: BeliefSet,
-    *,
-    k_cap: int = MAX_BELIEF_POLICIES,
-    budget: int = DEFAULT_STAGE_BUDGET,
-) -> BRSolveReport:
+def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveReport:
     """Compute an attacker policy that is worst-case optimal against the belief.
 
     Backward induction over stage games: at each (h, s) build both players'
@@ -109,9 +103,9 @@ def markov_attacker_best_response(
     require_valid(g)
     if not belief.matches(g):
         raise ValueError("belief dimensions do not match game")
-    if belief.size > k_cap:
-        raise ValueError(f"belief size {belief.size} exceeds cap {k_cap}")
-    _check_budget(g, belief.size, budget)
+    if belief.size > MAX_BELIEF_POLICIES:
+        raise ValueError(f"belief size {belief.size} exceeds cap {MAX_BELIEF_POLICIES}")
+    _check_budget(g, belief.size)
 
     H, S = g.horizon, g.num_states
     values = np.zeros((2, H + 1, S))
@@ -122,8 +116,7 @@ def markov_attacker_best_response(
         qvals[1, h] = q_from_v(g, 2, h, values[1, h + 1])
         for s in range(S):
             br: StageBR = nf_attacker_best_response(
-                stage_mix_matrix(belief, h, s), qvals[0, h, s], qvals[1, h, s],
-                k_cap=k_cap,
+                stage_mix_matrix(belief, h, s), qvals[0, h, s], qvals[1, h, s]
             )
             values[0, h, s] = br.z_star
             values[1, h, s] = br.v2_star

@@ -53,9 +53,9 @@ def victim_br_lp(a_prime) -> tuple:
     """Solve the victim's best-response LP for the stacked payoff matrix.
 
     a_prime is n x K with column j the victim's payoff vector against the
-    j-th believed attacker mix.  Returns (x_star, z_star).
+    j-th believed attacker mix.  Returns (x_star, z_star).  Trusts its input:
+    nf_attacker_best_response has checked it.
     """
-    a_prime = _as_finite_matrix(a_prime, "a_prime")
     n, K = a_prime.shape
     # variables (x, z): z - x'A'e_j <= 0 for every j, sum(x) = 1, z free
     prog = LinearProgram(
@@ -77,13 +77,10 @@ def attacker_br_lp(z_star: float, a_prime, b) -> StageBR:
 
     z_star must be the optimal value of victim_br_lp on the same a_prime;
     anything else can make this LP unbounded, which is reported as an
-    internal inconsistency.
+    internal inconsistency.  Trusts its inputs (finite, b with a_prime's
+    rows): nf_attacker_best_response has checked them.
     """
-    a_prime = _as_finite_matrix(a_prime, "a_prime")
-    b = _as_finite_matrix(b, "b")
     n, K = a_prime.shape
-    if b.shape[0] != n:
-        raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
     m = b.shape[1]
     # variables (y, w, alpha): -(By)_i + (A'w)_i - alpha <= 0 for every i,
     # sum(y) = 1, alpha free
@@ -113,7 +110,7 @@ def attacker_br_lp(z_star: float, a_prime, b) -> StageBR:
     )
 
 
-def nf_attacker_best_response(pi_rows, a, b, *, k_cap: int = MAX_BELIEF_POLICIES) -> StageBR:
+def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
     """Attacker best response in one normal-form game against belief rows.
 
     pi_rows is K x m with each row a believed attacker mix; a and b are the
@@ -132,8 +129,8 @@ def nf_attacker_best_response(pi_rows, a, b, *, k_cap: int = MAX_BELIEF_POLICIES
     a = _as_finite_matrix(a, "a")
     b = _as_finite_matrix(b, "b")
     K, m = pi_rows.shape
-    if K > k_cap:
-        raise ValueError(f"belief size {K} exceeds cap {k_cap}")
+    if K > MAX_BELIEF_POLICIES:
+        raise ValueError(f"belief size {K} exceeds cap {MAX_BELIEF_POLICIES}")
     if a.shape != b.shape or a.shape[1] != m:
         raise ValueError(
             f"shape mismatch: a {a.shape}, b {b.shape}, pi_rows {pi_rows.shape}"

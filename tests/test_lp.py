@@ -12,10 +12,15 @@ from mgincept.lp import (
     LpError,
     LpStatus,
     _standardize,
-    feasible_point,
-    residuals,
     solve_lp,
 )
+
+
+def residuals(lp, v):
+    """Worst constraint violation of v (0 when strictly feasible)."""
+    return max(float(np.max(lp.a_ub @ v - lp.b_ub, initial=0.0)),
+               float(np.max(np.abs(lp.a_eq @ v - lp.b_eq), initial=0.0)),
+               float(np.max(-v[~lp.free], initial=0.0)))
 
 
 def simplex_max(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=()):
@@ -57,14 +62,12 @@ def test_unbounded_ray_detected():
 def test_infeasible_equalities():
     prog = simplex_max([0.0], a_eq=[[1.0], [1.0]], b_eq=[0.0, 1.0])
     assert solve_lp(prog).status == LpStatus.INFEASIBLE
-    assert feasible_point(prog) is None
 
 
 def test_feasible_point_no_constraints():
-    prog = simplex_max([0.0, 0.0], free=(1,))
-    point = feasible_point(prog)
-    assert point is not None
-    assert np.allclose(point, 0.0)
+    sol = solve_lp(simplex_max([0.0, 0.0], free=(1,)))
+    assert sol.status == LpStatus.OPTIMAL
+    assert np.allclose(sol.v, 0.0)
 
 
 def _attacker_dual_program(z_star, a_prime, b):
@@ -88,9 +91,10 @@ def test_feasible_point_for_dual_best_response_program(decoy_game):
     prog = _attacker_dual_program(1.0, a_prime, b)
     hand = np.concatenate([[1.0, 0.0], [0.0], [np.abs(b[:, 0]).max()]])
     assert residuals(prog, hand) <= 1e-12
-    found = feasible_point(prog)
-    assert found is not None
-    assert residuals(prog, found) <= FEAS_TOL
+    # a zero objective turns the solve into a pure feasibility query
+    found = solve_lp(dataclasses.replace(prog, objective=np.zeros_like(prog.objective)))
+    assert found.status == LpStatus.OPTIMAL
+    assert residuals(prog, found.v) <= FEAS_TOL
 
 
 def _bounded_random_program(rng, n_vars, n_rows):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import mgincept as mg
 from conftest import chain_game, pure_stage_policy, random_policy, single_step_game
+from mgincept.oracle import belief_membership
 
 
 def test_validate_accepts_well_formed_game(decoy_game):
@@ -162,9 +163,9 @@ def test_belief_membership_convex_hull_cases():
     e1 = pure_stage_policy(2, 0, 2)
     e2 = pure_stage_policy(2, 1, 2)
     uniform = mg.MarkovPolicy(2, [[[0.5, 0.5]]])
-    assert mg.belief_membership(mg.BeliefSet((e1, e2)), uniform)
-    assert not mg.belief_membership(mg.BeliefSet((e1,)), e2)
-    assert mg.belief_membership(mg.BeliefSet((uniform,)), uniform)
+    assert belief_membership(mg.BeliefSet((e1, e2)), uniform)
+    assert not belief_membership(mg.BeliefSet((e1,)), e2)
+    assert belief_membership(mg.BeliefSet((uniform,)), uniform)
 
 
 @settings(max_examples=15, deadline=None)
@@ -175,7 +176,7 @@ def test_belief_membership_holds_for_every_base_policy(seed):
     bases = tuple(random_policy(rng, 2, 2, 2, 3) for _ in range(k))
     belief = mg.BeliefSet(bases)
     for base in bases:
-        assert mg.belief_membership(belief, base)
+        assert belief_membership(belief, base)
 
 
 def test_belief_membership_detects_outside_mixtures():
@@ -184,12 +185,12 @@ def test_belief_membership_detects_outside_mixtures():
     b2 = random_policy(rng, 2, 1, 1, 3)
     belief = mg.BeliefSet((b1, b2))
     mid = mg.MarkovPolicy(2, 0.25 * b1.entries + 0.75 * b2.entries)
-    assert mg.belief_membership(belief, mid)
+    assert belief_membership(belief, mid)
     outside = np.array([1.0, 0.0, 0.0])
     hull = np.stack([b1.entries[0, 0], b2.entries[0, 0]])
     # a vertex of the simplex is outside the hull of two interior points
     assert not any(np.allclose(row, outside) for row in hull)
-    assert not mg.belief_membership(belief, mg.MarkovPolicy(2, [[outside]]))
+    assert not belief_membership(belief, mg.MarkovPolicy(2, [[outside]]))
 
 
 def test_value_tables_reject_nonzero_terminal_layer():

@@ -5,9 +5,11 @@ import pytest
 
 import mgincept as mg
 from conftest import chain_game, pure_stage_policy, random_policy
-from mgincept.oracle import (GridSpec, grid_attacker_value, grid_victim_value, random_belief,
-                             victim_br_vertices)
-from mgincept.solver import q_from_v
+from mgincept.oracle import (GridSpec, belief_membership, grid_attacker_value, grid_victim_value,
+                             random_belief, victim_br_vertices)
+from mgincept import solver
+from mgincept.solver import STAGE_BUDGET, q_from_v
+from mgincept.stage import MAX_BELIEF_POLICIES
 
 
 def test_q_terminal_layer_equals_stage_rewards():
@@ -75,7 +77,7 @@ def test_secure_belief_spans_every_policy():
         assert base.is_deterministic
         assert all(base.action_at(h, s) == j for h in range(2) for s in range(2))
     rng = np.random.default_rng(7)
-    assert mg.belief_membership(belief, random_policy(rng, 2, 2, 2, 3))
+    assert belief_membership(belief, random_policy(rng, 2, 2, 2, 3))
     single = mg.secure_belief(chain_game(seed=6, horizon=1, states=1, n=2, m=1))
     assert single.size == 1
 
@@ -174,13 +176,31 @@ def test_singleton_belief_matches_value_iteration_oracle():
 
 
 def test_budget_and_dimension_guards():
+    # H = S = m = 1 with n one past the budget: cheap to build, and a unique
+    # best row keeps even an unguarded solve in closed form
+    n = STAGE_BUDGET + 1
+    rewards = np.zeros((2, 1, 1, n, 1))
+    rewards[0, 0, 0, :, 0] = np.arange(n)
+    wide = mg.MarkovGame(1, 1, n, 1, [1.0], rewards, np.ones((1, 1, n, 1, 1)))
+    with pytest.raises(ValueError, match="solve budget"):
+        mg.markov_attacker_best_response(wide, mg.secure_belief(wide))
     g = chain_game(seed=18)
     rng = np.random.default_rng(19)
-    with pytest.raises(ValueError):
-        mg.markov_attacker_best_response(g, random_belief(rng, g, 2), budget=3)
     wrong = random_belief(rng, chain_game(seed=18, states=3), 2)
     with pytest.raises(ValueError):
         mg.markov_attacker_best_response(g, wrong)
+
+
+def test_belief_size_cap_checked_before_any_stage_solve(monkeypatch):
+    g = chain_game(seed=21)
+    belief = random_belief(np.random.default_rng(22), g, MAX_BELIEF_POLICIES + 1)
+
+    def no_stage_solve(*args):
+        raise AssertionError("stage solve reached")
+
+    monkeypatch.setattr(solver, "nf_attacker_best_response", no_stage_solve)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        mg.markov_attacker_best_response(g, belief)
 
 
 def test_invalid_game_rejected_up_front():

