@@ -2,20 +2,23 @@
 
 The attacker spreads a fake reward function whose dominant strategy pins the
 victim's belief to a single fake policy.  The engine picks the fake policy
-by backward induction, evaluating at each (step, state) every candidate fake
-action via the stage solver against the singleton belief, and keeping the
+by backward induction: at each step, every (state, candidate fake action)
+cell is one stage game against a singleton belief, and the whole layer is
+solved in one call of `stage.singleton_stage_solves`; each state keeps the
 candidate with the highest attacker value (lowest action index on ties).
 
 Against a pure fake action j the rational victim replies with the argmax
-row i* of Q1[:, j], so the stage solver returns the candidate in closed form
-as max_k Q2[i*, k], with no LP; only rows tied exactly at the maximum fall
-back to the LP chain, which gives the maximin over the tied rows.  Fake
-actions that steer the victim to the same reply row therefore have bitwise
-equal values, and np.argmax really picks the lowest index among them.
+row i* of Q1[:, j], so the candidate's value is max_k Q2[i*, k], with no LP;
+only cells whose rows tie exactly at the maximum go to
+`stage.nf_attacker_best_response`, whose LP chain gives the maximin over the
+tied rows.  Fake actions that steer the victim to the same reply row
+therefore have bitwise equal values, and np.argmax really picks the lowest
+index among them.
 
-The greedy backward pass is exact for single-step games; for longer horizons
-the enumeration oracle (`oracle.brute_force_inception`) certifies it on
-small instances.
+The dominance check, its policy recovery and the reward design are array
+expressions per layer as well.  The greedy backward pass is exact for
+single-step games; for longer horizons the enumeration oracle
+(`oracle.brute_force_inception`) certifies it on small instances.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, require_valid
 from .solver import BRSolveReport, markov_attacker_best_response, q_from_v
-from .stage import nf_attacker_best_response
+from .stage import nf_attacker_best_response, singleton_stage_solves
 
 DOMINANCE_TOL = 1e-9
 
@@ -61,24 +64,31 @@ class InceptionResult:
 def policy_inception(g: MarkovGame) -> InceptionResult:
     """Pick a deterministic fake attacker policy by backward induction."""
     require_valid(g)
-    H, S, m = g.horizon, g.num_states, g.m
+    H, S, n, m = g.horizon, g.num_states, g.n, g.m
     values = np.zeros((2, H + 1, S))
     candidates = np.zeros((H, S, m))
     actions = np.zeros((H, S), dtype=int)
+    states = np.arange(S)
     eye = np.eye(m)
     for h in range(H - 1, -1, -1):
         q1 = q_from_v(g, 1, h, values[0, h + 1])
         q2 = q_from_v(g, 2, h, values[1, h + 1])
-        for s in range(S):
-            v1_cand = np.zeros(m)
-            for j in range(m):
-                br = nf_attacker_best_response(eye[j:j + 1], q1[s], q2[s])
-                v1_cand[j] = br.z_star
-                candidates[h, s, j] = br.v2_star
-            j_star = int(np.argmax(candidates[h, s]))  # lowest index wins ties
-            actions[h, s] = j_star
-            values[0, h, s] = v1_cand[j_star]
-            values[1, h, s] = candidates[h, s, j_star]
+        # cell s * m + j: fake action j at state s, believed column q1[s][:, j]
+        cells = singleton_stage_solves(
+            q1.transpose(0, 2, 1).reshape(S * m, n), np.repeat(q2, m, axis=0)
+        )
+        v1_cand = cells.z.reshape(S, m)
+        v2_cand = cells.v2.reshape(S, m)
+        for c in np.flatnonzero(cells.tied):
+            s, j = divmod(int(c), m)
+            br = nf_attacker_best_response(eye[j:j + 1], q1[s], q2[s])
+            v1_cand[s, j] = br.z_star
+            v2_cand[s, j] = br.v2_star
+        j_star = np.argmax(v2_cand, axis=1)  # lowest index wins ties
+        candidates[h] = v2_cand
+        actions[h] = j_star
+        values[0, h] = v1_cand[states, j_star]
+        values[1, h] = v2_cand[states, j_star]
     tables = ValueTables(values)
     v1_root, v2_root = tables.root(g.mu)
     return InceptionResult(
@@ -90,6 +100,18 @@ def policy_inception(g: MarkovGame) -> InceptionResult:
     )
 
 
+def _fake_actions(pi2_dagger: MarkovPolicy, g: MarkovGame, use: str) -> np.ndarray:
+    """The (H, S) action indices of a deterministic attacker policy shaped
+    like g's attacker; raises ValueError for any other policy."""
+    if pi2_dagger.player != 2 or not pi2_dagger.is_deterministic:
+        raise ValueError(f"{use} requires a deterministic attacker policy")
+    if (pi2_dagger.horizon, pi2_dagger.num_states, pi2_dagger.num_actions) != (
+        g.horizon, g.num_states, g.m,
+    ):
+        raise ValueError("policy dimensions do not match game")
+    return np.argmax(pi2_dagger.entries, axis=2)
+
+
 def design_dominant_rewards(
     pi2_dagger: MarkovPolicy, cfg: InceptionConfig, g: MarkovGame
 ) -> np.ndarray:
@@ -99,17 +121,13 @@ def design_dominant_rewards(
     step h and zero elsewhere; the growth towards earlier steps outweighs any
     continuation advantage an alternative action could collect.
     """
-    if pi2_dagger.player != 2 or not pi2_dagger.is_deterministic:
-        raise ValueError("reward design requires a deterministic attacker policy")
-    H, S, n, m = g.horizon, g.num_states, g.n, g.m
-    if (pi2_dagger.horizon, pi2_dagger.num_states, pi2_dagger.num_actions) != (H, S, m):
-        raise ValueError("policy dimensions do not match game")
-    fake = np.zeros((H, S, n, m))
-    for h in range(H):
-        steps_left = H - h
-        coeff = cfg.iota * steps_left * (steps_left + 1) / 2.0
-        for s in range(S):
-            fake[h, s, :, pi2_dagger.action_at(h, s)] = coeff
+    actions = _fake_actions(pi2_dagger, g, "reward design")
+    H, S = g.horizon, g.num_states
+    steps_left = np.arange(H, 0, -1)
+    coeff = cfg.iota * steps_left * (steps_left + 1) / 2.0
+    hh, ss = np.indices((H, S))
+    fake = np.zeros((H, S, g.n, g.m))
+    fake[hh, ss, :, actions] = coeff[:, None, None]
     return fake
 
 
@@ -121,30 +139,26 @@ def check_iota_dominance(g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float) -
     over victim actions) against the optimistic continuation of any deviation
     (best case over all joint actions).  Returns (ok, witness) where witness
     is the first violating (h, s, a1, a2) found scanning from the last step
-    backwards, or None.
+    backwards, and within a step over (s, a1, a2) in that order, or None.
     """
-    if pi2_dagger.player != 2 or not pi2_dagger.is_deterministic:
-        raise ValueError("dominance check requires a deterministic attacker policy")
-    H, S, n, m = g.horizon, g.num_states, g.n, g.m
+    actions = _fake_actions(pi2_dagger, g, "dominance check")
+    H, S = g.horizon, g.num_states
     r2 = g.rewards[1]
+    states = np.arange(S)
     low = np.zeros(S)   # value of following the policy, worst case over victim
     high = np.zeros(S)  # upper value over all joint actions
     for h in range(H - 1, -1, -1):
         cont_low = g.transitions[h] @ low    # (S, n, m)
         cont_high = g.transitions[h] @ high
         deviate = r2[h] + cont_high          # (S, n, m)
-        new_low = np.zeros(S)
-        for s in range(S):
-            j = pi2_dagger.action_at(h, s)
-            follow = r2[h, s, :, j] + cont_low[s, :, j]  # (n,)
-            for a1 in range(n):
-                for a2 in range(m):
-                    if a2 == j:
-                        continue
-                    if follow[a1] < deviate[s, a1, a2] + iota - DOMINANCE_TOL:
-                        return False, (h, s, a1, a2)
-            new_low[s] = follow.min()
-        low = new_low
+        j = actions[h]
+        follow = r2[h][states, :, j] + cont_low[states, :, j]  # (S, n)
+        beaten = follow[:, :, None] < deviate + iota - DOMINANCE_TOL
+        beaten[states, :, j] = False  # playing the policy's own action is no deviation
+        if beaten.any():
+            s, a1, a2 = np.unravel_index(np.argmax(beaten), beaten.shape)
+            return False, (h, int(s), int(a1), int(a2))
+        low = follow.min(axis=1)
         high = deviate.max(axis=(1, 2))
     return True, None
 
@@ -155,11 +169,7 @@ def recover_dominant_policy(g: MarkovGame, iota: float) -> MarkovPolicy | None:
     The candidate maximizes the worst-case stage reward per (h, s); it is
     returned only if it passes the dominance check, else None.
     """
-    H, S = g.horizon, g.num_states
-    actions = np.zeros((H, S), dtype=int)
-    for h in range(H):
-        for s in range(S):
-            actions[h, s] = int(np.argmax(g.rewards[1, h, s].min(axis=0)))
+    actions = np.argmax(g.rewards[1].min(axis=2), axis=2)
     candidate = MarkovPolicy.deterministic(2, actions, g.m)
     ok, _ = check_iota_dominance(g, candidate, iota)
     return candidate if ok else None

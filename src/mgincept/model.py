@@ -17,6 +17,7 @@ read-only numpy arrays) and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -149,9 +150,12 @@ class MarkovPolicy:
     def num_actions(self) -> int:
         return self.entries.shape[2]
 
-    @property
+    @cached_property
     def is_deterministic(self) -> bool:
-        """True iff every stage entry is exactly one-hot."""
+        """True iff every stage entry is exactly one-hot.
+
+        Worked out on first use and kept: the entries are read-only.
+        """
         e = self.entries
         return bool(np.all((e == 0.0) | (e == 1.0)) and np.all(e.sum(axis=2) == 1.0))
 

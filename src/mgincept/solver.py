@@ -23,7 +23,12 @@ from .model import (
     require_valid,
     stage_mix_matrix,
 )
-from .stage import MAX_BELIEF_POLICIES, StageBR, nf_attacker_best_response
+from .stage import (
+    MAX_BELIEF_POLICIES,
+    StageBR,
+    nf_attacker_best_response,
+    singleton_stage_solves,
+)
 
 STAGE_BUDGET = 200_000
 
@@ -60,14 +65,21 @@ class BRSolveReport:
 
 
 def q_from_v(g: MarkovGame, player: int, h: int, v_next) -> np.ndarray:
-    """Stage payoffs at step h from the next layer's values, shape (S, n, m)."""
+    """Stage payoffs at step h from the next layer's values, shape (S, n, m).
+
+    Raises ValueError when they overflow, so the stage solves downstream can
+    trust them to be finite.
+    """
     i = _player_index(player)
     v_next = np.asarray(v_next, dtype=float)
     if v_next.shape != (g.num_states,):
         raise ValueError(f"v_next has shape {v_next.shape}, expected ({g.num_states},)")
     if not (0 <= h < g.horizon):
         raise ValueError(f"step {h} out of range for horizon {g.horizon}")
-    return g.rewards[i, h] + g.transitions[h] @ v_next
+    q = g.rewards[i, h] + g.transitions[h] @ v_next
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"player-{player} stage payoffs at step {h} overflow")
+    return q
 
 
 def clean_mix(y: np.ndarray) -> np.ndarray:
@@ -97,8 +109,11 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
 
     Backward induction over stage games: at each (h, s) build both players'
     stage payoffs from the next layer's worst-case values, then run the
-    stage solve against the belief's stage mixes (two LPs, or their closed
-    form for a singleton belief with one best reply row).
+    stage solve against the belief's stage mixes (two LPs per stage).  A
+    singleton belief solves each layer's S stages at once in closed form
+    (`stage.singleton_stage_solves` on the believed columns Q1[h, s] pi[h, s]);
+    only stages whose best reply row is tied exactly go through the per-stage
+    solve and its LP chain.
     """
     require_valid(g)
     if not belief.matches(g):
@@ -114,7 +129,15 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
     for h in range(H - 1, -1, -1):
         qvals[0, h] = q_from_v(g, 1, h, values[0, h + 1])
         qvals[1, h] = q_from_v(g, 2, h, values[1, h + 1])
-        for s in range(S):
+        stages = range(S)
+        if belief.size == 1:
+            cols = qvals[0, h] @ belief.base[0].entries[h][..., None]  # (S, n, 1)
+            cells = singleton_stage_solves(cols[..., 0], qvals[1, h])
+            values[0, h] = cells.z
+            values[1, h] = cells.v2
+            pi2[h] = np.eye(g.m)[cells.k_star]
+            stages = np.flatnonzero(cells.tied)
+        for s in stages:
             br: StageBR = nf_attacker_best_response(
                 stage_mix_matrix(belief, h, s), qvals[0, h, s], qvals[1, h, s]
             )

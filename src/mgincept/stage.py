@@ -5,12 +5,16 @@ small LP over (x, z); the attacker's best response against the victim's
 best-response polytope is the dualized LP over (y, w, alpha).  Composing the
 two gives the per-stage solve used by the backward-induction passes.  Against
 a singleton belief whose best reply is one row, both LPs have closed forms
-(max and argmax), which the composed solve uses instead.
+(max and argmax); `singleton_stage_solves` evaluates them for a whole batch
+of such stages (one backward-induction layer) in a few array operations and
+flags the cells whose best reply is tied, which the callers solve one by one
+with `nf_attacker_best_response` and its LP chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,33 +145,58 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
     a_prime = a @ pi_rows.T
     if K == 1:
         col = a_prime[:, 0]
-        best_rows = np.flatnonzero(col == col.max())
-        if best_rows.size == 1:
-            return _unique_reply_br(col, b, int(best_rows[0]))
+        cell = singleton_stage_solves(col[None], b[None])
+        if not cell.tied[0]:
+            i_star, k_star = int(cell.i_star[0]), int(cell.k_star[0])
+            z_star, v2_star = cell.z[0], cell.v2[0]
+            # w* is the least dual weight that keeps every other row i
+            # feasible in attacker_br_lp's program: col_i w - alpha <= b[i, k*]
+            # with alpha = z* w - v2*, i.e. w >= (v2* - b[i, k*]) / (z* - col_i)
+            others = np.arange(col.size) != i_star
+            ratios = (v2_star - b[others, k_star]) / (z_star - col[others])
+            w = float(ratios.max(initial=0.0))
+            return StageBR(
+                y_star=np.eye(m)[k_star],
+                z_star=float(z_star),
+                v2_star=float(v2_star),
+                w_star=np.array([w]),
+                alpha_star=float(z_star * w - v2_star),
+            )
     _, z_star = victim_br_lp(a_prime)
     return attacker_br_lp(z_star, a_prime, b)
 
 
-def _unique_reply_br(col: np.ndarray, b: np.ndarray, i_star: int) -> StageBR:
-    """Closed-form stage solve when row i_star is the victim's only best reply
-    to the single believed column col.
+class SingletonSolves(NamedTuple):
+    """Closed-form solves of C singleton stages, one entry per cell.
 
-    The dual weight w* is the least one that keeps every other row i feasible
-    in attacker_br_lp's program: col_i w - alpha <= b[i, k*] with
-    alpha = z* w - v2*, i.e. w >= (v2* - b[i, k*]) / (z* - col_i).
+    z is the victim's value (the column maximum), i_star its lowest-index
+    best reply row, k_star the attacker's lowest-index best action against
+    that row and v2 = b[i_star, k_star] the attacker's value.  tied marks the
+    cells whose maximum more than one row attains exactly (==); their v2 and
+    k_star are not the stage solution.
     """
-    z_star = col[i_star]
-    k_star = int(np.argmax(b[i_star]))  # lowest index on ties
-    v2_star = b[i_star, k_star]
-    others = np.arange(col.size) != i_star
-    ratios = (v2_star - b[others, k_star]) / (z_star - col[others])
-    w = float(ratios.max(initial=0.0))
-    y = np.zeros(b.shape[1])
-    y[k_star] = 1.0
-    return StageBR(
-        y_star=y,
-        z_star=float(z_star),
-        v2_star=float(v2_star),
-        w_star=np.array([w]),
-        alpha_star=float(z_star * w - v2_star),
-    )
+
+    z: np.ndarray
+    i_star: np.ndarray
+    k_star: np.ndarray
+    v2: np.ndarray
+    tied: np.ndarray
+
+
+def singleton_stage_solves(cols, b) -> SingletonSolves:
+    """Solve C singleton stages at once: cols is C x n, row c the victim's
+    payoffs against the one believed attacker mix of cell c, and b is
+    C x n x m, the attacker's payoffs of cell c.
+
+    A cell with a unique best reply row i* is solved by max and argmax alone.
+    A tied cell needs the maximin over its tied rows, which only the LP chain
+    of nf_attacker_best_response gives; the caller solves it there.  Trusts
+    its inputs to be finite.
+    """
+    cells = np.arange(cols.shape[0])
+    i_star = cols.argmax(axis=1)  # lowest index on ties
+    z = cols[cells, i_star]
+    tied = np.count_nonzero(cols == z[:, None], axis=1) > 1
+    replies = b[cells, i_star]  # (C, m): the attacker's payoffs against row i*
+    k_star = replies.argmax(axis=1)  # lowest index on ties
+    return SingletonSolves(z, i_star, k_star, replies[cells, k_star], tied)

@@ -45,6 +45,15 @@ def chain_game(seed=0, horizon=2, states=2, n=2, m=2):
     return random_game(np.random.default_rng(seed), horizon, states, n, m)
 
 
+def integer_reward_game(seed, horizon=3, states=4, n=3, m=3):
+    """Random game with rewards rounded to halves, so that best replies tie
+    exactly at many stages (the stage solves' LP fallback runs there)."""
+    from mgincept.oracle import random_game
+
+    g = random_game(np.random.default_rng(seed), horizon, states, n, m)
+    return mg.MarkovGame(horizon, states, n, m, g.mu, np.round(2 * g.rewards), g.transitions)
+
+
 def random_policy(rng, player, horizon, states, k):
     entries = rng.uniform(0.05, 1.0, (horizon, states, k))
     entries /= entries.sum(axis=2, keepdims=True)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import chain_game, pure_stage_policy
+from conftest import chain_game, integer_reward_game, pure_stage_policy
+from mgincept import inception
 from mgincept.oracle import brute_force_inception, random_game
+from mgincept.solver import q_from_v
+from mgincept.stage import nf_attacker_best_response
 
 
 def test_decoy_game_prefers_the_baiting_column(decoy_game):
@@ -263,3 +266,109 @@ def test_inception_completes_on_larger_random_games(seed):
     result = mg.policy_inception(g)
     replay = mg.exploit_fixed_fake(g, result.pi2_dagger)
     assert replay.v2_root == pytest.approx(result.v2_root, abs=1e-9)
+
+
+def _per_cell_inception(g):
+    """Reference search: one stage solve per (h, s, fake action j)."""
+    H, S, m = g.horizon, g.num_states, g.m
+    values = np.zeros((2, H + 1, S))
+    candidates = np.zeros((H, S, m))
+    actions = np.zeros((H, S), dtype=int)
+    for h in range(H - 1, -1, -1):
+        q1 = q_from_v(g, 1, h, values[0, h + 1])
+        q2 = q_from_v(g, 2, h, values[1, h + 1])
+        for s in range(S):
+            v1 = np.zeros(m)
+            for j in range(m):
+                br = nf_attacker_best_response(np.eye(m)[j:j + 1], q1[s], q2[s])
+                v1[j], candidates[h, s, j] = br.z_star, br.v2_star
+            actions[h, s] = j_star = int(np.argmax(candidates[h, s]))
+            values[:, h, s] = v1[j_star], candidates[h, s, j_star]
+    return actions, values, candidates
+
+
+def test_search_matches_per_cell_reference(monkeypatch):
+    # the search solves a layer at a time; integer rewards tie often, and the
+    # tied cells must go through the per-cell stage solve
+    real = inception.nf_attacker_best_response
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(inception, "nf_attacker_best_response", counted)
+    for seed in range(30):
+        for g in (random_game(np.random.default_rng(seed), 3, 5, 4, 4),
+                  integer_reward_game(seed)):
+            actions, values, candidates = _per_cell_inception(g)
+            result = mg.policy_inception(g)
+            assert np.array_equal(np.argmax(result.pi2_dagger.entries, axis=2), actions)
+            assert result.v_hat.values.tobytes() == values.tobytes()
+            assert result.candidate_values.tobytes() == candidates.tobytes()
+    assert fallbacks
+
+
+def _loop_check_iota_dominance(g, pi2, iota):
+    """Reference dominance check, one (h, s, a1, a2) at a time."""
+    H, S, n, m = g.horizon, g.num_states, g.n, g.m
+    r2 = g.rewards[1]
+    low, high = np.zeros(S), np.zeros(S)
+    for h in range(H - 1, -1, -1):
+        cont_low = g.transitions[h] @ low
+        deviate = r2[h] + g.transitions[h] @ high
+        new_low = np.zeros(S)
+        for s in range(S):
+            j = pi2.action_at(h, s)
+            follow = r2[h, s, :, j] + cont_low[s, :, j]
+            for a1 in range(n):
+                for a2 in range(m):
+                    if a2 != j and follow[a1] < deviate[s, a1, a2] + iota - 1e-9:
+                        return False, (h, s, a1, a2)
+            new_low[s] = follow.min()
+        low, high = new_low, deviate.max(axis=(1, 2))
+    return True, None
+
+
+def _loop_recover_dominant_policy(g, iota):
+    actions = np.zeros((g.horizon, g.num_states), dtype=int)
+    for h in range(g.horizon):
+        for s in range(g.num_states):
+            actions[h, s] = int(np.argmax(g.rewards[1, h, s].min(axis=0)))
+    candidate = mg.MarkovPolicy.deterministic(2, actions, g.m)
+    return candidate if _loop_check_iota_dominance(g, candidate, iota)[0] else None
+
+
+def test_dominance_check_and_recovery_match_loop_reference():
+    rng = np.random.default_rng(30)
+    outcomes = []
+    for trial in range(60):
+        H, S, n, m = (int(rng.integers(1, 4)) for _ in range(4))
+        g = random_game(rng, H, S, n, m)
+        pol = mg.MarkovPolicy.deterministic(2, rng.integers(0, m, (H, S)), m)
+        designed = g.with_attacker_rewards(
+            mg.design_dominant_rewards(pol, mg.InceptionConfig(iota=1.0), g))
+        for game in (g, designed):
+            for iota in (0.0, 1e-3, 1.0):
+                got = mg.check_iota_dominance(game, pol, iota)
+                assert got == _loop_check_iota_dominance(game, pol, iota), (trial, iota)
+                recovered = mg.recover_dominant_policy(game, iota)
+                want = _loop_recover_dominant_policy(game, iota)
+                assert (recovered is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(recovered.entries, want.entries)
+                outcomes.append((got[0], want is not None))
+    assert {ok for ok, _ in outcomes} == {True, False}
+    assert {found for _, found in outcomes} == {True, False}
+
+
+def test_dominance_check_rejects_policies_of_another_shape():
+    g = random_game(np.random.default_rng(0), 2, 2, 2, 2)
+    pol = mg.MarkovPolicy.deterministic(2, np.zeros((2, 2), dtype=int), 2)
+    fake = g.with_attacker_rewards(
+        mg.design_dominant_rewards(pol, mg.InceptionConfig(iota=1.0), g))
+    assert mg.check_iota_dominance(fake, pol, 1.0) == (True, None)
+    for wrong in (mg.MarkovPolicy.deterministic(2, np.zeros((3, 5), dtype=int), 2),
+                  mg.MarkovPolicy.deterministic(2, np.zeros((2, 2), dtype=int), 3)):
+        with pytest.raises(ValueError, match="dimensions"):
+            mg.check_iota_dominance(fake, wrong, 1.0)

@@ -62,6 +62,18 @@ def test_policy_determinism_flag():
     assert pure_stage_policy(2, 1, 3).action_at(0, 0) == 1
 
 
+def test_determinism_is_worked_out_once_per_policy():
+    pol = mg.MarkovPolicy.deterministic(2, [[0, 2], [1, 0]], 3)
+    assert "is_deterministic" not in vars(pol)
+    assert [pol.action_at(h, s) for h in range(2) for s in range(2)] == [0, 2, 1, 0]
+    assert vars(pol)["is_deterministic"] is True
+    mixed = mg.MarkovPolicy(2, [[[0.5, 0.5]]])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            mixed.action_at(0, 0)
+    assert vars(mixed)["is_deterministic"] is False
+
+
 def test_evaluate_decoy_game_pure_profiles(decoy_game):
     down = pure_stage_policy(1, 1, 2)
     left = pure_stage_policy(2, 0, 2)

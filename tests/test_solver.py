@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import chain_game, pure_stage_policy, random_policy
+from conftest import chain_game, integer_reward_game, pure_stage_policy, random_policy
 from mgincept.oracle import (GridSpec, belief_membership, grid_attacker_value, grid_victim_value,
-                             random_belief, victim_br_vertices)
+                             random_belief, random_game, victim_br_vertices)
 from mgincept import solver
 from mgincept.solver import STAGE_BUDGET, q_from_v
-from mgincept.stage import MAX_BELIEF_POLICIES
+from mgincept.model import stage_mix_matrix
+from mgincept.stage import MAX_BELIEF_POLICIES, nf_attacker_best_response
 
 
 def test_q_terminal_layer_equals_stage_rewards():
@@ -173,6 +174,61 @@ def test_singleton_belief_matches_value_iteration_oracle():
             nxt[s] = best
         v = nxt
         assert np.allclose(report.v.values[0, h], v, atol=1e-9)
+
+
+def _per_stage_best_response(g, belief):
+    """Reference backward pass: one stage solve per (h, s)."""
+    H, S = g.horizon, g.num_states
+    values = np.zeros((2, H + 1, S))
+    pi2 = np.zeros((H, S, g.m))
+    for h in range(H - 1, -1, -1):
+        q1 = q_from_v(g, 1, h, values[0, h + 1])
+        q2 = q_from_v(g, 2, h, values[1, h + 1])
+        for s in range(S):
+            br = nf_attacker_best_response(stage_mix_matrix(belief, h, s), q1[s], q2[s])
+            values[:, h, s] = br.z_star, br.v2_star
+            pi2[h, s] = solver.clean_mix(br.y_star)
+    return values, pi2
+
+
+def test_singleton_belief_layers_match_per_stage_reference(monkeypatch):
+    # a singleton belief is solved a layer at a time; mixed beliefs check the
+    # batched believed columns, pure ones on integer rewards tie often and
+    # take the per-stage fallback
+    real = solver.nf_attacker_best_response
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "nf_attacker_best_response", counted)
+    for seed in range(30):
+        rng = np.random.default_rng(seed + 300)
+        games = (random_game(np.random.default_rng(seed), 3, 5, 4, 4),
+                 integer_reward_game(seed))
+        for g in games:
+            pure = mg.MarkovPolicy.deterministic(
+                2, rng.integers(0, g.m, (g.horizon, g.num_states)), g.m)
+            for belief in (random_belief(rng, g, 1), mg.BeliefSet((pure,))):
+                values, pi2 = _per_stage_best_response(g, belief)
+                report = mg.markov_attacker_best_response(g, belief)
+                assert report.v.values.tobytes() == values.tobytes()
+                assert report.pi2_star.entries.tobytes() == pi2.tobytes()
+    assert fallbacks
+
+
+def test_overflowing_stage_payoffs_are_rejected():
+    # finite rewards whose continuation sum overflows: the closed-form layer
+    # solves trust their payoffs to be finite, so q_from_v must refuse them
+    rewards = np.zeros((2, 2, 1, 2, 2))
+    rewards[0, :, 0] = [[1e308, 1e308], [0.0, -1.0]]
+    g = mg.MarkovGame(2, 1, 2, 2, [1.0], rewards, np.ones((2, 1, 2, 2, 1)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="overflow"):
+            mg.policy_inception(g)
+        with pytest.raises(ValueError, match="overflow"):
+            mg.markov_attacker_best_response(g, mg.BeliefSet((pure_stage_policy(2, 0, 2, 2),)))
 
 
 def test_budget_and_dimension_guards():
