@@ -138,6 +138,8 @@ def cmd_verify(args) -> int:
             n, m, states, horizon = (int(p) for p in args.random.split(","))
         except ValueError as exc:
             raise GameFormatError(f"--random expects n,m,S,H: {exc}") from exc
+        if args.trials < 1:
+            raise GameFormatError(f"--trials must be at least 1, got {args.trials}")
         rng = np.random.default_rng(args.seed)
         games = [random_game(rng, horizon, states, n, m) for _ in range(args.trials)]
         beliefs = [secure_belief(g) for g in games]

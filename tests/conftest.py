@@ -54,6 +54,29 @@ def integer_reward_game(seed, horizon=3, states=4, n=3, m=3):
     return mg.MarkovGame(horizon, states, n, m, g.mu, np.round(2 * g.rewards), g.transitions)
 
 
+def continuation_tradeoff_game():
+    """Two-step game where the best fake sacrifices late value for leverage.
+
+    From the start state the victim's row picks the successor: row 0 leads
+    to a sink, row 1 to a state whose fake column controls the victim's
+    continuation value.  Faking the low-value column there makes row 1
+    unattractive up front, steering the victim into the attacker's jackpot
+    row; the stagewise pass never sees that trade.
+    """
+    H, S, n, m = 2, 3, 2, 2
+    r1 = np.zeros((H, S, n, m))
+    r2 = np.zeros((H, S, n, m))
+    r1[0, 0] = [[5.0, 5.0], [0.0, 0.0]]
+    r2[0, 0] = [[100.0, 100.0], [0.0, 0.0]]
+    r1[1, 2] = [[10.0, 0.0], [9.0, 0.1]]
+    r2[1, 2] = [[5.0, 5.0], [4.0, 4.0]]
+    p = np.zeros((H, S, n, m, S))
+    p[:, :, :, :, 0] = 1.0
+    p[0, 0, 0, :, :] = [0.0, 1.0, 0.0]
+    p[0, 0, 1, :, :] = [0.0, 0.0, 1.0]
+    return mg.MarkovGame(H, S, n, m, [1.0, 0.0, 0.0], np.stack([r1, r2]), p)
+
+
 def random_policy(rng, player, horizon, states, k):
     entries = rng.uniform(0.05, 1.0, (horizon, states, k))
     entries /= entries.sum(axis=2, keepdims=True)

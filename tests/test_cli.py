@@ -152,6 +152,16 @@ def test_verify_requires_source(capsys):
     assert cli.main(["verify", "--mode", "grid"]) == 2
 
 
+@pytest.mark.parametrize("mode, trials", [("enum", "0"), ("grid", "-3")])
+def test_verify_rejects_trial_counts_below_one(mode, trials, capsys):
+    # zero games would print an empty table and "result: PASS"
+    assert cli.main(["verify", "--mode", mode, "--random", "2,2,2,2",
+                     "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert f"error: --trials must be at least 1, got {trials}" in captured.err
+    assert "result:" not in captured.out
+
+
 def test_zero_reward_game_prints_zeros(tmp_path, capsys):
     g = mg.MarkovGame(1, 1, 2, 2, [1.0], np.zeros((2, 1, 1, 2, 2)),
                       np.ones((1, 1, 2, 2, 1)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import chain_game, integer_reward_game, pure_stage_policy
+from conftest import chain_game, continuation_tradeoff_game, integer_reward_game, pure_stage_policy
 from mgincept import inception
 from mgincept.oracle import brute_force_inception, random_game
 from mgincept.solver import q_from_v
@@ -47,31 +47,8 @@ def test_greedy_value_is_always_realizable_never_above_enumeration():
         assert greedy <= value + 1e-8
 
 
-def _continuation_tradeoff_game():
-    """Two-step game where the best fake sacrifices late value for leverage.
-
-    From the start state the victim's row picks the successor: row 0 leads
-    to a sink, row 1 to a state whose fake column controls the victim's
-    continuation value.  Faking the low-value column there makes row 1
-    unattractive up front, steering the victim into the attacker's jackpot
-    row; the stagewise pass never sees that trade.
-    """
-    H, S, n, m = 2, 3, 2, 2
-    r1 = np.zeros((H, S, n, m))
-    r2 = np.zeros((H, S, n, m))
-    r1[0, 0] = [[5.0, 5.0], [0.0, 0.0]]
-    r2[0, 0] = [[100.0, 100.0], [0.0, 0.0]]
-    r1[1, 2] = [[10.0, 0.0], [9.0, 0.1]]
-    r2[1, 2] = [[5.0, 5.0], [4.0, 4.0]]
-    p = np.zeros((H, S, n, m, S))
-    p[:, :, :, :, 0] = 1.0
-    p[0, 0, 0, :, :] = [0.0, 1.0, 0.0]
-    p[0, 0, 1, :, :] = [0.0, 0.0, 1.0]
-    return mg.MarkovGame(H, S, n, m, [1.0, 0.0, 0.0], np.stack([r1, r2]), p)
-
-
 def test_stagewise_choice_can_be_dominated_by_continuation_tradeoff():
-    g = _continuation_tradeoff_game()
+    g = continuation_tradeoff_game()
     greedy = mg.policy_inception(g)
     policy, value = brute_force_inception(g)
     assert greedy.v2_root == pytest.approx(5.0, abs=1e-9)

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import chain_game
+from conftest import chain_game, continuation_tradeoff_game, integer_reward_game, single_step_game
+from mgincept import oracle
 from mgincept.oracle import (
+    ENUM_GUARD,
     GridSpec,
     brute_force_inception,
     enumerate_deterministic_policies,
     grid_attacker_value,
     grid_victim_value,
+    random_game,
     random_mix_rows,
     simplex_grid,
 )
@@ -94,6 +97,15 @@ def test_enumeration_guard():
         list(enumerate_deterministic_policies(g, player=2))
 
 
+def test_enumeration_checks_guard_and_player_at_call_time():
+    # no next(): the call itself must raise, not the first iteration
+    g = chain_game(seed=41, horizon=4, states=2, n=2, m=5)
+    with pytest.raises(ValueError, match=f"enumeration of {5 ** 8} policies exceeds guard"):
+        enumerate_deterministic_policies(g, player=2)
+    with pytest.raises(ValueError, match="player must be 1 or 2"):
+        enumerate_deterministic_policies(chain_game(seed=41), player=3)
+
+
 def test_brute_force_on_decoy_game(decoy_game):
     policy, value = brute_force_inception(decoy_game)
     assert policy.action_at(0, 0) == 1
@@ -112,3 +124,63 @@ def test_brute_force_dominates_every_fixed_fake():
     _, best = brute_force_inception(g)
     for candidate in enumerate_deterministic_policies(g, player=2):
         assert best >= mg.exploit_fixed_fake(g, candidate).v2_root - 1e-12
+
+
+def per_policy_inception(g):
+    """Reference for brute_force_inception: exploit each enumerated fake
+    policy on its own and keep the first strict improvement."""
+    best_policy, best_value = None, -np.inf
+    for candidate in enumerate_deterministic_policies(g, player=2):
+        value = mg.exploit_fixed_fake(g, candidate).v2_root
+        if value > best_value:
+            best_policy, best_value = candidate, value
+    return best_policy, best_value
+
+
+def assert_matches_per_policy_bits(g):
+    policy, value = brute_force_inception(g)
+    ref_policy, ref_value = per_policy_inception(g)
+    assert np.array_equal(policy.entries, ref_policy.entries)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    return policy, value
+
+
+@pytest.mark.parametrize("size", [(2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 3)],
+                         ids=["H2S2-2x2", "H3S2-2x2", "H2S3-2x2", "H2S2-3x3"])
+def test_brute_force_bit_identical_to_per_policy_exploitation(size, monkeypatch):
+    for seed in range(10):
+        assert_matches_per_policy_bits(random_game(np.random.default_rng(seed), *size))
+    # integer rewards tie best replies exactly; count the cells the batched
+    # pass sends through the per-cell solve and its LP chain
+    real = oracle.nf_attacker_best_response
+    fallbacks = []
+
+    def counted(pi_rows, a, b):
+        fallbacks.append(pi_rows)
+        return real(pi_rows, a, b)
+
+    monkeypatch.setattr(oracle, "nf_attacker_best_response", counted)
+    for seed in range(10):
+        assert_matches_per_policy_bits(integer_reward_game(seed, *size))
+    assert fallbacks
+
+
+def test_brute_force_finds_the_continuation_tradeoff():
+    policy, value = assert_matches_per_policy_bits(continuation_tradeoff_game())
+    assert value == 100.0
+    assert policy.action_at(1, 2) == 1
+
+
+def test_brute_force_guard_fires_before_any_stage_solve(monkeypatch):
+    # 2 ** 12 == ENUM_GUARD policies are still searched
+    policy, _ = brute_force_inception(random_game(np.random.default_rng(7), 1, 12, 2, 2))
+    assert policy.entries.shape == (1, 12, 2)
+
+    def fail(cols, b):
+        raise AssertionError("stage solve ran before the guard")
+
+    monkeypatch.setattr(oracle, "singleton_stage_solves", fail)
+    past = np.zeros((1, ENUM_GUARD + 1))
+    with pytest.raises(ValueError, match=f"^enumeration of {ENUM_GUARD + 1} policies "
+                                         f"exceeds guard {ENUM_GUARD}$"):
+        brute_force_inception(single_step_game(past, past))
