@@ -160,12 +160,13 @@ def load_beliefs(path) -> tuple:
 def load_fake_rewards(path) -> tuple:
     """Returns (iota, rewards array [H][S][n][m]) from a fake-reward file."""
     doc = _read_json(path)
-    if "iota" not in doc or not isinstance(doc["iota"], (int, float)):
-        raise GameFormatError('missing numeric field "iota"')
+    iota = doc.get("iota")
+    if not isinstance(iota, (int, float)) or isinstance(iota, bool):
+        raise GameFormatError(f'field "iota" must be a number, got {iota!r}')
     rewards = _array(doc, "rewards_p2")
     if rewards.ndim != 4:
         raise GameFormatError(f"rewards_p2 must be [H][S][n][m], got shape {rewards.shape}")
-    return float(doc["iota"]), rewards
+    return float(iota), rewards
 
 
 def save_fake_rewards(path, iota: float, rewards: np.ndarray) -> None:

@@ -4,16 +4,15 @@ The attacker spreads a fake reward function whose dominant strategy pins the
 victim's belief to a single fake policy.  The engine picks the fake policy
 by backward induction: at each step, every (state, candidate fake action)
 cell is one stage game against a singleton belief, and the whole layer is
-solved in one call of `stage.singleton_stage_solves`; each state keeps the
-candidate with the highest attacker value (lowest action index on ties).
+solved by `stage.pure_fake_solves`; each state keeps the candidate with the
+highest attacker value (lowest action index on ties).
 
 Against a pure fake action j the rational victim replies with the argmax
 row i* of Q1[:, j], so the candidate's value is max_k Q2[i*, k], with no LP;
-only cells whose rows tie exactly at the maximum go to
-`stage.nf_attacker_best_response`, whose LP chain gives the maximin over the
-tied rows.  Fake actions that steer the victim to the same reply row
-therefore have bitwise equal values, and np.argmax really picks the lowest
-index among them.
+only cells whose rows tie exactly at the maximum take the LP chain, whose
+maximin over the tied rows the closed form cannot give.  Fake actions that
+steer the victim to the same reply row therefore have bitwise equal values,
+and np.argmax really picks the lowest index among them.
 
 The dominance check, its policy recovery and the reward design are array
 expressions per layer as well.  The greedy backward pass is exact for
@@ -29,7 +28,7 @@ import numpy as np
 
 from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, require_valid
 from .solver import BRSolveReport, markov_attacker_best_response, q_from_v
-from .stage import nf_attacker_best_response, singleton_stage_solves
+from .stage import pure_fake_solves
 
 DOMINANCE_TOL = 1e-9
 
@@ -64,26 +63,15 @@ class InceptionResult:
 def policy_inception(g: MarkovGame) -> InceptionResult:
     """Pick a deterministic fake attacker policy by backward induction."""
     require_valid(g)
-    H, S, n, m = g.horizon, g.num_states, g.n, g.m
+    H, S, m = g.horizon, g.num_states, g.m
     values = np.zeros((2, H + 1, S))
     candidates = np.zeros((H, S, m))
     actions = np.zeros((H, S), dtype=int)
     states = np.arange(S)
-    eye = np.eye(m)
     for h in range(H - 1, -1, -1):
         q1 = q_from_v(g, 1, h, values[0, h + 1])
         q2 = q_from_v(g, 2, h, values[1, h + 1])
-        # cell s * m + j: fake action j at state s, believed column q1[s][:, j]
-        cells = singleton_stage_solves(
-            q1.transpose(0, 2, 1).reshape(S * m, n), np.repeat(q2, m, axis=0)
-        )
-        v1_cand = cells.z.reshape(S, m)
-        v2_cand = cells.v2.reshape(S, m)
-        for c in np.flatnonzero(cells.tied):
-            s, j = divmod(int(c), m)
-            br = nf_attacker_best_response(eye[j:j + 1], q1[s], q2[s])
-            v1_cand[s, j] = br.z_star
-            v2_cand[s, j] = br.v2_star
+        v1_cand, v2_cand = pure_fake_solves(q1, q2)  # (S, m): fake action j at state s
         j_star = np.argmax(v2_cand, axis=1)  # lowest index wins ties
         candidates[h] = v2_cand
         actions[h] = j_star
@@ -140,8 +128,13 @@ def check_iota_dominance(g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float) -
     (best case over all joint actions).  Returns (ok, witness) where witness
     is the first violating (h, s, a1, a2) found scanning from the last step
     backwards, and within a step over (s, a1, a2) in that order, or None.
+    Raises ValueError on non-finite inputs, which certify nothing.
     """
+    if not (np.isfinite(iota) and iota >= 0):
+        raise ValueError(f"iota must be finite and nonnegative, got {iota!r}")
     actions = _fake_actions(pi2_dagger, g, "dominance check")
+    if not (np.isfinite(g.rewards[1]).all() and np.isfinite(g.transitions).all()):
+        raise ValueError("player-2 rewards or transitions contain non-finite entries")
     H, S = g.horizon, g.num_states
     r2 = g.rewards[1]
     states = np.arange(S)

@@ -7,7 +7,8 @@ certify the algorithms on small instances, never the production solve path.
 The exhaustive fake-policy search shares work across suffixes: fixing a
 fake policy's layers h+1..H-1 fixes the value vectors entering layer h, so
 one backward pass solves each layer's stages once per distinct suffix (in one
-`stage.singleton_stage_solves` call) and every choice at layer h reuses them.
+`stage.pure_fake_solves` call, the greedy search's stage solve) and every
+choice at layer h reuses them.
 It performs exactly the arithmetic of exploiting each fake policy on its own,
 so its values are bit-identical to `inception.exploit_fixed_fake`'s.
 """
@@ -30,12 +31,7 @@ from .model import (
     stage_mix_matrix,
 )
 from .solver import _check_budget, q_from_v
-from .stage import (
-    StageSolveError,
-    _as_finite_matrix,
-    nf_attacker_best_response,
-    singleton_stage_solves,
-)
+from .stage import StageSolveError, _as_finite_matrix, pure_fake_solves
 
 ENUM_GUARD = 4096
 GRID_MAX_DIM = 4
@@ -202,43 +198,33 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     One backward pass over the layers shares work across suffixes.  The
     batch entering layer h holds the values (V1, V2)[h+1] of every fake
     suffix for layers h+1..H-1; each suffix's stage payoffs come from
-    `solver.q_from_v`, all (suffix, s, j) cells are solved in one
-    `singleton_stage_solves` call, and only exactly tied cells go through
-    `nf_attacker_best_response`, as in `markov_attacker_best_response`.  The
-    m^S choices at layer h then expand the batch to index choice * B +
-    suffix (state 0 most significant), which is the enumeration order.
+    `solver.q_from_v`, and all (suffix, s, j) cells are solved in one
+    `stage.pure_fake_solves` call (exactly tied cells through the LP chain,
+    as in `markov_attacker_best_response`).  The m^S choices at layer h then
+    expand the batch to index choice * B + suffix (state 0 most
+    significant), which is the enumeration order.
     Every value is bit-identical to `exploit_fixed_fake` on that policy.
 
     Returns (policy, value).
     """
-    H, S, n, m = g.horizon, g.num_states, g.n, g.m
+    H, S, m = g.horizon, g.num_states, g.m
     _check_enum_guard(m, H * S)
     require_valid(g)
     _check_budget(g, 1)  # the size guard of exploiting one fake policy
-    eye = np.eye(m)
     # choices[c, s]: the action at state s of the layer's c-th joint choice
     choices = np.indices((m,) * S).reshape(S, -1).T
     v1 = np.zeros((1, S))  # one row per suffix; the empty suffix at h = H - 1
     v2 = np.zeros((1, S))
     for h in range(H - 1, -1, -1):
         B = v1.shape[0]
-        q1 = np.stack([q_from_v(g, 1, h, v) for v in v1])  # (B, S, n, m)
-        q2 = np.stack([q_from_v(g, 2, h, v) for v in v2])
-        # cell (b * S + s) * m + j: fake action j at state s after suffix b
-        cells = singleton_stage_solves(
-            q1.transpose(0, 1, 3, 2).reshape(B * S * m, n),
-            np.repeat(q2.reshape(B * S, n, m), m, axis=0),
+        # stage b * S + s: state s after suffix b; cell j: fake action j there
+        z, w = pure_fake_solves(
+            np.concatenate([q_from_v(g, 1, h, v) for v in v1]),
+            np.concatenate([q_from_v(g, 2, h, v) for v in v2]),
         )
-        z = cells.z.reshape(B, S, m)
-        w = cells.v2.reshape(B, S, m)
-        for c in np.flatnonzero(cells.tied):
-            b, s, j = np.unravel_index(c, (B, S, m))
-            br = nf_attacker_best_response(eye[j:j + 1], q1[b, s], q2[b, s])
-            z[b, s, j] = br.z_star
-            w[b, s, j] = br.v2_star
         pick = (np.arange(B)[:, None], np.arange(S), choices[:, None, :])  # (C, B, S)
-        v1 = z[pick].reshape(-1, S)
-        v2 = w[pick].reshape(-1, S)
+        v1 = z.reshape(B, S, m)[pick].reshape(-1, S)
+        v2 = w.reshape(B, S, m)[pick].reshape(-1, S)
     roots = [float(g.mu @ v) for v in v2]  # one dot per policy, as ValueTables.root
     best = int(np.argmax(roots))  # first maximum: lowest-lexicographic policy
     actions = np.reshape(np.unravel_index(best, (m,) * (H * S)), (H, S))

@@ -132,10 +132,10 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
         stages = range(S)
         if belief.size == 1:
             cols = qvals[0, h] @ belief.base[0].entries[h][..., None]  # (S, n, 1)
-            cells = singleton_stage_solves(cols[..., 0], qvals[1, h])
-            values[0, h] = cells.z
-            values[1, h] = cells.v2
-            pi2[h] = np.eye(g.m)[cells.k_star]
+            cells = singleton_stage_solves(cols.transpose(0, 2, 1), qvals[1, h])
+            values[0, h] = cells.z[:, 0]
+            values[1, h] = cells.v2[:, 0]
+            pi2[h] = np.eye(g.m)[cells.k_star[:, 0]]
             stages = np.flatnonzero(cells.tied)
         for s in stages:
             br: StageBR = nf_attacker_best_response(

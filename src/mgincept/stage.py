@@ -5,10 +5,10 @@ small LP over (x, z); the attacker's best response against the victim's
 best-response polytope is the dualized LP over (y, w, alpha).  Composing the
 two gives the per-stage solve used by the backward-induction passes.  Against
 a singleton belief whose best reply is one row, both LPs have closed forms
-(max and argmax); `singleton_stage_solves` evaluates them for a whole batch
-of such stages (one backward-induction layer) in a few array operations and
-flags the cells whose best reply is tied, which the callers solve one by one
-with `nf_attacker_best_response` and its LP chain.
+(max and argmax); `singleton_stage_solves` evaluates them for a whole layer
+of stages, several believed columns each, and flags the tied cells, which
+only the LP chain of `nf_attacker_best_response` solves.  `pure_fake_solves`,
+the stage solve of both fake-policy searches, adds that tie fallback.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
     a_prime = a @ pi_rows.T
     if K == 1:
         col = a_prime[:, 0]
-        cell = singleton_stage_solves(col[None], b[None])
-        if not cell.tied[0]:
-            i_star, k_star = int(cell.i_star[0]), int(cell.k_star[0])
-            z_star, v2_star = cell.z[0], cell.v2[0]
+        cell = singleton_stage_solves(col[None, None], b[None])
+        if not cell.tied[0, 0]:
+            i_star, k_star = int(cell.i_star[0, 0]), int(cell.k_star[0, 0])
+            z_star, v2_star = cell.z[0, 0], cell.v2[0, 0]
             # w* is the least dual weight that keeps every other row i
             # feasible in attacker_br_lp's program: col_i w - alpha <= b[i, k*]
             # with alpha = z* w - v2*, i.e. w >= (v2* - b[i, k*]) / (z* - col_i)
@@ -167,13 +167,13 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
 
 
 class SingletonSolves(NamedTuple):
-    """Closed-form solves of C singleton stages, one entry per cell.
+    """Closed-form solves of P singleton stages x J cells, one (P, J) entry each.
 
     z is the victim's value (the column maximum), i_star its lowest-index
     best reply row, k_star the attacker's lowest-index best action against
-    that row and v2 = b[i_star, k_star] the attacker's value.  tied marks the
-    cells whose maximum more than one row attains exactly (==); their v2 and
-    k_star are not the stage solution.
+    that row and v2 = b[p, i_star, k_star] the attacker's value.  tied marks
+    the cells whose maximum more than one row attains exactly (==); their v2
+    and k_star are not the stage solution.
     """
 
     z: np.ndarray
@@ -184,19 +184,32 @@ class SingletonSolves(NamedTuple):
 
 
 def singleton_stage_solves(cols, b) -> SingletonSolves:
-    """Solve C singleton stages at once: cols is C x n, row c the victim's
-    payoffs against the one believed attacker mix of cell c, and b is
-    C x n x m, the attacker's payoffs of cell c.
+    """Solve J singleton cells of P stages at once: cols[p, j] (P x J x n) is
+    the victim's payoffs against the j-th believed attacker mix of stage p,
+    and b (P x n x m) the attacker's payoffs of stage p, shared by its cells.
 
     A cell with a unique best reply row i* is solved by max and argmax alone.
     A tied cell needs the maximin over its tied rows, which only the LP chain
     of nf_attacker_best_response gives; the caller solves it there.  Trusts
     its inputs to be finite.
     """
-    cells = np.arange(cols.shape[0])
-    i_star = cols.argmax(axis=1)  # lowest index on ties
-    z = cols[cells, i_star]
-    tied = np.count_nonzero(cols == z[:, None], axis=1) > 1
-    replies = b[cells, i_star]  # (C, m): the attacker's payoffs against row i*
-    k_star = replies.argmax(axis=1)  # lowest index on ties
-    return SingletonSolves(z, i_star, k_star, replies[cells, k_star], tied)
+    p = np.arange(cols.shape[0])[:, None]
+    j = np.arange(cols.shape[1])
+    i_star = cols.argmax(axis=2)  # lowest index on ties
+    z = cols[p, j, i_star]
+    tied = np.count_nonzero(cols == z[..., None], axis=2) > 1
+    k_star = b.argmax(axis=2)[p, i_star]  # lowest index on ties, per reply row
+    return SingletonSolves(z, i_star, k_star, b[p, i_star, k_star], tied)
+
+
+def pure_fake_solves(q1, q2) -> tuple:
+    """Victim and attacker values (z, v2), each P x m, of stage p of the
+    P x n x m payoffs (q1, q2) against the belief "the attacker plays j";
+    bit-identical to nf_attacker_best_response, which solves the tied cells."""
+    cells = singleton_stage_solves(q1.transpose(0, 2, 1), q2)
+    z, v2 = cells.z, cells.v2
+    for p, j in zip(*np.nonzero(cells.tied)):
+        br = nf_attacker_best_response(np.eye(1, q1.shape[2], j), q1[p], q2[p])
+        z[p, j] = br.z_star
+        v2[p, j] = br.v2_star
+    return z, v2

@@ -44,6 +44,18 @@ def test_fake_rewards_round_trip(tmp_path):
     assert np.array_equal(back, rewards)
 
 
+def test_fake_rewards_need_a_numeric_iota(tmp_path):
+    # JSON true is a Python bool, which isinstance counts as an int
+    path = tmp_path / "fake.json"
+    for iota in (True, False, "1", None):
+        path.write_text(json.dumps({"iota": iota, "rewards_p2": [[[[0.0]]]]}))
+        with pytest.raises(GameFormatError, match='"iota" must be a number'):
+            gamefile.load_fake_rewards(path)
+    path.write_text(json.dumps({"rewards_p2": [[[[0.0]]]]}))
+    with pytest.raises(GameFormatError, match='"iota" must be a number'):
+        gamefile.load_fake_rewards(path)
+
+
 def test_truncated_file_is_a_format_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"horizon": 1, "states": 1, "actions": [2,')

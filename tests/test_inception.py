@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import chain_game, continuation_tradeoff_game, integer_reward_game, pure_stage_policy
-from mgincept import inception
+from conftest import (
+    chain_game,
+    continuation_tradeoff_game,
+    integer_reward_game,
+    pure_stage_policy,
+    single_step_game,
+)
+from mgincept import stage
 from mgincept.oracle import brute_force_inception, random_game
 from mgincept.solver import q_from_v
 from mgincept.stage import nf_attacker_best_response
@@ -267,14 +275,14 @@ def _per_cell_inception(g):
 def test_search_matches_per_cell_reference(monkeypatch):
     # the search solves a layer at a time; integer rewards tie often, and the
     # tied cells must go through the per-cell stage solve
-    real = inception.nf_attacker_best_response
+    real = stage.nf_attacker_best_response
     fallbacks = []
 
     def counted(*args):
         fallbacks.append(args)
         return real(*args)
 
-    monkeypatch.setattr(inception, "nf_attacker_best_response", counted)
+    monkeypatch.setattr(stage, "nf_attacker_best_response", counted)
     for seed in range(30):
         for g in (random_game(np.random.default_rng(seed), 3, 5, 4, 4),
                   integer_reward_game(seed)):
@@ -349,3 +357,41 @@ def test_dominance_check_rejects_policies_of_another_shape():
                   mg.MarkovPolicy.deterministic(2, np.zeros((2, 2), dtype=int), 3)):
         with pytest.raises(ValueError, match="dimensions"):
             mg.check_iota_dominance(fake, wrong, 1.0)
+
+
+def test_dominance_check_rejects_inputs_it_cannot_certify():
+    # every comparison with NaN is false and every one against -inf true, so
+    # these inputs would otherwise pass as dominant
+    g = random_game(np.random.default_rng(0), 5, 10, 4, 4)
+    fake = mg.policy_inception(g).pi2_dagger
+    assert mg.check_iota_dominance(g, fake, 1.0)[0] is False
+    assert mg.check_iota_dominance(g, fake, 0.0)[0] is False
+    for iota in (np.nan, -np.inf, np.inf, -1e-3):
+        with pytest.raises(ValueError, match="iota must be finite and nonnegative"):
+            mg.check_iota_dominance(g, fake, iota)
+    with pytest.raises(ValueError, match="iota must be finite and nonnegative"):
+        mg.recover_dominant_policy(g, np.nan)
+    nan_rewards = g.with_attacker_rewards(np.full(g.rewards[1].shape, np.nan))
+    with pytest.raises(ValueError, match="rewards or transitions contain non-finite"):
+        mg.check_iota_dominance(nan_rewards, fake, 1.0)
+    with pytest.raises(ValueError, match="rewards or transitions contain non-finite"):
+        mg.recover_dominant_policy(nan_rewards, 1.0)
+    transitions = np.array(g.transitions)
+    transitions[2, 3, 0, 1, 4] = np.inf
+    bad_moves = mg.MarkovGame(g.horizon, g.num_states, g.n, g.m, g.mu, g.rewards, transitions)
+    with pytest.raises(ValueError, match="rewards or transitions contain non-finite"):
+        mg.check_iota_dominance(bad_moves, fake, 1.0)
+
+
+def test_fake_searches_store_each_stage_payoff_once():
+    # one state, one step, 4096 fake actions: 32 KB of payoffs per player;
+    # a copy of the attacker's matrix per candidate action would be 128 MB
+    g = single_step_game(np.zeros((1, 4096)), np.zeros((1, 4096)))
+    for search in (mg.policy_inception, brute_force_inception):
+        tracemalloc.start()
+        try:
+            search(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (search.__name__, peak)

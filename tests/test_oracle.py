@@ -3,7 +3,7 @@ import pytest
 
 import mgincept as mg
 from conftest import chain_game, continuation_tradeoff_game, integer_reward_game, single_step_game
-from mgincept import oracle
+from mgincept import stage
 from mgincept.oracle import (
     ENUM_GUARD,
     GridSpec,
@@ -152,14 +152,14 @@ def test_brute_force_bit_identical_to_per_policy_exploitation(size, monkeypatch)
         assert_matches_per_policy_bits(random_game(np.random.default_rng(seed), *size))
     # integer rewards tie best replies exactly; count the cells the batched
     # pass sends through the per-cell solve and its LP chain
-    real = oracle.nf_attacker_best_response
+    real = stage.nf_attacker_best_response
     fallbacks = []
 
     def counted(pi_rows, a, b):
         fallbacks.append(pi_rows)
         return real(pi_rows, a, b)
 
-    monkeypatch.setattr(oracle, "nf_attacker_best_response", counted)
+    monkeypatch.setattr(stage, "nf_attacker_best_response", counted)
     for seed in range(10):
         assert_matches_per_policy_bits(integer_reward_game(seed, *size))
     assert fallbacks
@@ -179,7 +179,7 @@ def test_brute_force_guard_fires_before_any_stage_solve(monkeypatch):
     def fail(cols, b):
         raise AssertionError("stage solve ran before the guard")
 
-    monkeypatch.setattr(oracle, "singleton_stage_solves", fail)
+    monkeypatch.setattr(stage, "singleton_stage_solves", fail)
     past = np.zeros((1, ENUM_GUARD + 1))
     with pytest.raises(ValueError, match=f"^enumeration of {ENUM_GUARD + 1} policies "
                                          f"exceeds guard {ENUM_GUARD}$"):

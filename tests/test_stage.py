@@ -7,6 +7,7 @@ from mgincept.stage import (
     StageSolveError,
     attacker_br_lp,
     nf_attacker_best_response,
+    pure_fake_solves,
     singleton_stage_solves,
     victim_br_lp,
 )
@@ -222,9 +223,11 @@ def test_singleton_exact_row_tie_keeps_the_lp_maximin():
 
 
 def test_singleton_stage_solves_match_per_cell_solves():
-    # one layer of pure fake-action cells (s, j) with believed column
-    # q1[s][:, j], against a loop of per-cell stage solves; duplicated rows
-    # and integer payoffs force exact best-reply ties
+    # one layer of S stages with m believed columns each: cell (s, j) is the
+    # pure fake action j at state s, believed column q1[s][:, j], against a
+    # loop of per-cell stage solves; duplicated rows and integer payoffs
+    # force exact best-reply ties, which pure_fake_solves sends through the
+    # per-cell solve
     rng = np.random.default_rng(86)
     tied = unique = 0
     for trial in range(100):
@@ -236,20 +239,21 @@ def test_singleton_stage_solves_match_per_cell_solves():
             if n > 1:
                 q1[::2, 1] = q1[::2, 0]
         q2 = rng.uniform(-1.0, 1.0, (S, n, m))
-        cells = singleton_stage_solves(
-            q1.transpose(0, 2, 1).reshape(S * m, n), np.repeat(q2, m, axis=0))
+        cells = singleton_stage_solves(q1.transpose(0, 2, 1), q2)
+        z, v2 = pure_fake_solves(q1, q2)
         for s in range(S):
             for j in range(m):
-                c = s * m + j
                 col = q1[s][:, j]
-                assert cells.tied[c] == (np.count_nonzero(col == col.max()) > 1)
-                if cells.tied[c]:
+                br = nf_attacker_best_response(np.eye(m)[j:j + 1], q1[s], q2[s])
+                assert z[s, j].tobytes() == np.float64(br.z_star).tobytes()
+                assert v2[s, j].tobytes() == np.float64(br.v2_star).tobytes()
+                assert cells.tied[s, j] == (np.count_nonzero(col == col.max()) > 1)
+                if cells.tied[s, j]:
                     tied += 1
                     continue
                 unique += 1
-                br = nf_attacker_best_response(np.eye(m)[j:j + 1], q1[s], q2[s])
-                assert cells.z[c].tobytes() == np.float64(br.z_star).tobytes()
-                assert cells.v2[c].tobytes() == np.float64(br.v2_star).tobytes()
-                assert np.array_equal(np.eye(m)[cells.k_star[c]], br.y_star)
-                assert cells.i_star[c] == np.argmax(col)
+                assert cells.z[s, j].tobytes() == np.float64(br.z_star).tobytes()
+                assert cells.v2[s, j].tobytes() == np.float64(br.v2_star).tobytes()
+                assert np.array_equal(np.eye(m)[cells.k_star[s, j]], br.y_star)
+                assert cells.i_star[s, j] == np.argmax(col)
     assert tied > 0 and unique > 0
