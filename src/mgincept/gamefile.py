@@ -52,7 +52,7 @@ def _read_json(path) -> dict:
     return doc
 
 
-def _array(doc, key: str, nested=None) -> np.ndarray:
+def _array(doc, key: str) -> np.ndarray:
     src = doc
     for part in key.split("."):
         if not isinstance(src, dict) or part not in src:
@@ -85,7 +85,7 @@ def policy_from_object(obj, player: int | None = None) -> MarkovPolicy:
         raise GameFormatError(f"policy entries must be [H][S][k], got shape {entries.shape}")
     if player is None:
         player = obj.get("player", 2)
-        if player not in (1, 2):
+        if not isinstance(player, int) or isinstance(player, bool) or player not in (1, 2):
             raise GameFormatError(f"policy player must be 1 or 2, got {player!r}")
     return MarkovPolicy(player, entries)
 

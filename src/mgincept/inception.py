@@ -4,12 +4,13 @@ The attacker spreads a fake reward function whose dominant strategy pins the
 victim's belief to a single fake policy.  The engine picks the fake policy
 by backward induction: at each step, every (state, candidate fake action)
 cell is one stage game against a singleton belief, and the whole layer is
-solved by `stage.pure_fake_solves`; each state keeps the candidate with the
-highest attacker value (lowest action index on ties).
+solved by one `stage.singleton_stage_solves` call on the columns of Q1; each
+state keeps the candidate with the highest attacker value (lowest action
+index on ties).
 
 Against a pure fake action j the rational victim replies with the argmax
 row i* of Q1[:, j], so the candidate's value is max_k Q2[i*, k], with no LP;
-only cells whose rows tie exactly at the maximum take the LP chain, whose
+only cells whose rows tie exactly at the maximum take the attacker LP, whose
 maximin over the tied rows the closed form cannot give.  Fake actions that
 steer the victim to the same reply row therefore have bitwise equal values,
 and np.argmax really picks the lowest index among them.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, require_valid
 from .solver import BRSolveReport, markov_attacker_best_response, q_from_v
-from .stage import pure_fake_solves
+from .stage import singleton_stage_solves
 
 DOMINANCE_TOL = 1e-9
 
@@ -71,7 +72,8 @@ def policy_inception(g: MarkovGame) -> InceptionResult:
     for h in range(H - 1, -1, -1):
         q1 = q_from_v(g, 1, h, values[0, h + 1])
         q2 = q_from_v(g, 2, h, values[1, h + 1])
-        v1_cand, v2_cand = pure_fake_solves(q1, q2)  # (S, m): fake action j at state s
+        cells = singleton_stage_solves(q1.transpose(0, 2, 1), q2)
+        v1_cand, v2_cand = cells.z, cells.v2  # (S, m): fake action j at state s
         j_star = np.argmax(v2_cand, axis=1)  # lowest index wins ties
         candidates[h] = v2_cand
         actions[h] = j_star

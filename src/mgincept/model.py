@@ -88,10 +88,6 @@ class MarkovGame:
         object.__setattr__(self, "rewards", rewards)
         object.__setattr__(self, "transitions", transitions)
 
-    def reward_matrix(self, player: int, h: int, s: int) -> np.ndarray:
-        """The n x m stage reward matrix of `player` (1 or 2) at (h, s)."""
-        return self.rewards[_player_index(player), h, s]
-
     def with_attacker_rewards(self, fake: np.ndarray) -> "MarkovGame":
         """A copy of this game whose player-2 rewards are replaced by `fake`."""
         rewards = np.array(self.rewards)
@@ -103,9 +99,10 @@ class MarkovGame:
 
 
 def _player_index(player: int) -> int:
-    if player not in (1, 2):
+    if (isinstance(player, bool) or not isinstance(player, (int, np.integer))
+            or player not in (1, 2)):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
-    return player - 1
+    return int(player) - 1
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,7 @@ class MarkovPolicy:
     entries: np.ndarray
 
     def __post_init__(self):
-        _player_index(self.player)
+        object.__setattr__(self, "player", _player_index(self.player) + 1)
         entries = _frozen(self.entries)
         if entries.ndim != 3:
             raise ValueError(f"policy entries must be (H, S, k), got {entries.shape}")
@@ -177,11 +174,6 @@ class MarkovPolicy:
         entries = np.zeros((H, S, num_actions))
         hh, ss = np.meshgrid(np.arange(H), np.arange(S), indexing="ij")
         entries[hh, ss, actions] = 1.0
-        return MarkovPolicy(player, entries)
-
-    @staticmethod
-    def uniform(player: int, horizon: int, num_states: int, num_actions: int) -> "MarkovPolicy":
-        entries = np.full((horizon, num_states, num_actions), 1.0 / num_actions)
         return MarkovPolicy(player, entries)
 
 

@@ -7,8 +7,8 @@ certify the algorithms on small instances, never the production solve path.
 The exhaustive fake-policy search shares work across suffixes: fixing a
 fake policy's layers h+1..H-1 fixes the value vectors entering layer h, so
 one backward pass solves each layer's stages once per distinct suffix (in one
-`stage.pure_fake_solves` call, the greedy search's stage solve) and every
-choice at layer h reuses them.
+`stage.singleton_stage_solves` call, the greedy search's stage solve) and
+every choice at layer h reuses them.
 It performs exactly the arithmetic of exploiting each fake policy on its own,
 so its values are bit-identical to `inception.exploit_fixed_fake`'s.
 """
@@ -28,10 +28,9 @@ from .model import (
     MarkovPolicy,
     _player_index,
     require_valid,
-    stage_mix_matrix,
 )
 from .solver import _check_budget, q_from_v
-from .stage import StageSolveError, _as_finite_matrix, pure_fake_solves
+from .stage import StageSolveError, _as_finite_matrix, singleton_stage_solves
 
 ENUM_GUARD = 4096
 GRID_MAX_DIM = 4
@@ -152,6 +151,7 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     if pi2.player != 2 or pi2.entries.shape != b.base[0].entries.shape:
         raise ValueError("candidate policy does not match belief dimensions")
     K = b.size
+    mixes = np.stack([p.entries for p in b.base], axis=-1)  # (H, S, m, K)
     for h in range(b.horizon):
         for s in range(b.num_states):
             # weights lambda >= 0 with sum 1 and lambda' rows = pi2(h, s)
@@ -159,7 +159,7 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
                 objective=np.zeros(K),
                 a_ub=np.empty((0, K)),
                 b_ub=np.empty(0),
-                a_eq=np.vstack([stage_mix_matrix(b, h, s).T, np.ones(K)]),
+                a_eq=np.vstack([mixes[h, s], np.ones(K)]),
                 b_eq=np.append(pi2.entries[h, s], 1.0),
                 free=np.zeros(K, dtype=bool),
             )
@@ -199,8 +199,8 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     batch entering layer h holds the values (V1, V2)[h+1] of every fake
     suffix for layers h+1..H-1; each suffix's stage payoffs come from
     `solver.q_from_v`, and all (suffix, s, j) cells are solved in one
-    `stage.pure_fake_solves` call (exactly tied cells through the LP chain,
-    as in `markov_attacker_best_response`).  The m^S choices at layer h then
+    `stage.singleton_stage_solves` call on the columns of Q1, as in
+    `markov_attacker_best_response`.  The m^S choices at layer h then
     expand the batch to index choice * B + suffix (state 0 most
     significant), which is the enumeration order.
     Every value is bit-identical to `exploit_fixed_fake` on that policy.
@@ -218,13 +218,12 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     for h in range(H - 1, -1, -1):
         B = v1.shape[0]
         # stage b * S + s: state s after suffix b; cell j: fake action j there
-        z, w = pure_fake_solves(
-            np.concatenate([q_from_v(g, 1, h, v) for v in v1]),
-            np.concatenate([q_from_v(g, 2, h, v) for v in v2]),
-        )
+        q1 = np.concatenate([q_from_v(g, 1, h, v) for v in v1])
+        q2 = np.concatenate([q_from_v(g, 2, h, v) for v in v2])
+        cells = singleton_stage_solves(q1.transpose(0, 2, 1), q2)
         pick = (np.arange(B)[:, None], np.arange(S), choices[:, None, :])  # (C, B, S)
-        v1 = z.reshape(B, S, m)[pick].reshape(-1, S)
-        v2 = w.reshape(B, S, m)[pick].reshape(-1, S)
+        v1 = cells.z.reshape(B, S, m)[pick].reshape(-1, S)
+        v2 = cells.v2.reshape(B, S, m)[pick].reshape(-1, S)
     roots = [float(g.mu @ v) for v in v2]  # one dot per policy, as ValueTables.root
     best = int(np.argmax(roots))  # first maximum: lowest-lexicographic policy
     actions = np.reshape(np.unravel_index(best, (m,) * (H * S)), (H, S))

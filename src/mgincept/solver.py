@@ -4,8 +4,8 @@ Given a validated game and a finitely generated victim belief, solve one
 stage game per (step, state) from the last layer backwards.  Within a layer
 the per-state solves are independent; layers are strictly sequential.
 Worst-case values are unique, so the value tables are reproducible
-bit-for-bit through the deterministic LP engine even though the returned
-policy may be any optimal vertex.
+bit-for-bit through the deterministic LP engine and the closed forms even
+though the returned policy may be any optimal vertex.
 """
 
 from __future__ import annotations
@@ -21,14 +21,8 @@ from .model import (
     ValueTables,
     _player_index,
     require_valid,
-    stage_mix_matrix,
 )
-from .stage import (
-    MAX_BELIEF_POLICIES,
-    StageBR,
-    nf_attacker_best_response,
-    singleton_stage_solves,
-)
+from .stage import MAX_BELIEF_POLICIES, _lp_chain, singleton_stage_solves
 
 STAGE_BUDGET = 200_000
 
@@ -107,13 +101,13 @@ def _check_budget(g: MarkovGame, k: int) -> None:
 def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveReport:
     """Compute an attacker policy that is worst-case optimal against the belief.
 
-    Backward induction over stage games: at each (h, s) build both players'
-    stage payoffs from the next layer's worst-case values, then run the
-    stage solve against the belief's stage mixes (two LPs per stage).  A
-    singleton belief solves each layer's S stages at once in closed form
-    (`stage.singleton_stage_solves` on the believed columns Q1[h, s] pi[h, s]);
-    only stages whose best reply row is tied exactly go through the per-stage
-    solve and its LP chain.
+    Backward induction over stage games: at each step h build both players'
+    stage payoffs from the next layer's worst-case values and the believed
+    columns Q1[h, s] mixes[h, s] of every state at once, one column per base
+    policy.  A singleton belief solves the layer's S stages in one
+    `stage.singleton_stage_solves` call: no victim LP, and the attacker LP
+    only at stages whose best reply row is tied exactly.  A K > 1 belief
+    chains the victim and attacker LPs at every stage.
     """
     require_valid(g)
     if not belief.matches(g):
@@ -123,27 +117,27 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
     _check_budget(g, belief.size)
 
     H, S = g.horizon, g.num_states
+    mixes = np.stack([p.entries for p in belief.base], axis=-1)  # (H, S, m, K)
     values = np.zeros((2, H + 1, S))
     qvals = np.zeros((2, H, S, g.n, g.m))
     pi2 = np.zeros((H, S, g.m))
     for h in range(H - 1, -1, -1):
         qvals[0, h] = q_from_v(g, 1, h, values[0, h + 1])
         qvals[1, h] = q_from_v(g, 2, h, values[1, h + 1])
-        stages = range(S)
+        cols = qvals[0, h] @ mixes[h]  # (S, n, K)
         if belief.size == 1:
-            cols = qvals[0, h] @ belief.base[0].entries[h][..., None]  # (S, n, 1)
             cells = singleton_stage_solves(cols.transpose(0, 2, 1), qvals[1, h])
             values[0, h] = cells.z[:, 0]
             values[1, h] = cells.v2[:, 0]
             pi2[h] = np.eye(g.m)[cells.k_star[:, 0]]
-            stages = np.flatnonzero(cells.tied)
-        for s in stages:
-            br: StageBR = nf_attacker_best_response(
-                stage_mix_matrix(belief, h, s), qvals[0, h, s], qvals[1, h, s]
-            )
-            values[0, h, s] = br.z_star
-            values[1, h, s] = br.v2_star
-            pi2[h, s] = clean_mix(br.y_star)
+            for s, br in zip(np.flatnonzero(cells.tied), cells.tied_brs):
+                pi2[h, s] = clean_mix(br.y_star)
+        else:
+            for s in range(S):
+                br = _lp_chain(cols[s], qvals[1, h, s])
+                values[0, h, s] = br.z_star
+                values[1, h, s] = br.v2_star
+                pi2[h, s] = clean_mix(br.y_star)
     tables = ValueTables(values)
     v1_root, v2_root = tables.root(g.mu)
     return BRSolveReport(

@@ -3,12 +3,11 @@
 The victim's worst-case best response against K believed attacker mixes is a
 small LP over (x, z); the attacker's best response against the victim's
 best-response polytope is the dualized LP over (y, w, alpha).  Composing the
-two gives the per-stage solve used by the backward-induction passes.  Against
-a singleton belief whose best reply is one row, both LPs have closed forms
-(max and argmax); `singleton_stage_solves` evaluates them for a whole layer
-of stages, several believed columns each, and flags the tied cells, which
-only the LP chain of `nf_attacker_best_response` solves.  `pure_fake_solves`,
-the stage solve of both fake-policy searches, adds that tie fallback.
+two gives the stage solve of a K > 1 belief.  A singleton belief needs no
+victim LP: the victim's value is the column maximum.  `singleton_stage_solves`
+solves a whole layer of singleton stages, several believed columns each: a
+cell whose best reply is one row in closed form (max and argmax), a cell tied
+exactly at the maximum by the attacker LP alone, at that exact maximum.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ def victim_br_lp(a_prime) -> tuple:
     """Solve the victim's best-response LP for the stacked payoff matrix.
 
     a_prime is n x K with column j the victim's payoff vector against the
-    j-th believed attacker mix.  Returns (x_star, z_star).  Trusts its input:
-    nf_attacker_best_response has checked it.
+    j-th believed attacker mix.  Returns (x_star, z_star).  Trusts its input
+    to be finite.
     """
     n, K = a_prime.shape
     # variables (x, z): z - x'A'e_j <= 0 for every j, sum(x) = 1, z free
@@ -79,10 +78,10 @@ def victim_br_lp(a_prime) -> tuple:
 def attacker_br_lp(z_star: float, a_prime, b) -> StageBR:
     """Solve the attacker's dual best-response LP given the victim's optimum.
 
-    z_star must be the optimal value of victim_br_lp on the same a_prime;
-    anything else can make this LP unbounded, which is reported as an
-    internal inconsistency.  Trusts its inputs (finite, b with a_prime's
-    rows): nf_attacker_best_response has checked them.
+    z_star must be the victim's optimal value for the same a_prime (from
+    victim_br_lp, or the column maximum when K = 1); a value above it makes
+    this LP unbounded, which is reported as an internal inconsistency.
+    Trusts its inputs to be finite, b with a_prime's rows.
     """
     n, K = a_prime.shape
     m = b.shape[1]
@@ -114,20 +113,26 @@ def attacker_br_lp(z_star: float, a_prime, b) -> StageBR:
     )
 
 
+def _lp_chain(a_prime, b) -> StageBR:
+    """The stage solve of a K > 1 belief: the victim LP for z*, then the
+    attacker LP.  Trusts its inputs to be finite, b with a_prime's rows."""
+    _, z_star = victim_br_lp(a_prime)
+    return attacker_br_lp(z_star, a_prime, b)
+
+
 def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
     """Attacker best response in one normal-form game against belief rows.
 
     pi_rows is K x m with each row a believed attacker mix; a and b are the
-    victim / attacker payoff matrices.  Chains the two LPs: stack A' = A P',
-    solve the victim LP for z*, then the attacker LP.
+    victim / attacker payoff matrices.  Stacks A' = A P' and, for K > 1,
+    chains the two LPs: the victim LP for z*, then the attacker LP.
 
-    A singleton belief (K = 1) whose column A' has exactly one row i* equal
-    to its maximum skips both LPs: the victim's only best reply is row i*,
-    so z* = max A', the attacker plays the lowest-index k* maximizing
-    b[i*, k], v2* = b[i*, k*] exactly, and (w*, alpha*) is a dual certificate
-    for attacker_br_lp's program.  Rows tied exactly (==) at the maximum
-    keep the LP chain, whose maximin over the tied rows the closed form
-    cannot give.
+    A singleton belief (K = 1) goes through `singleton_stage_solves`, whose
+    z* is max A' exactly.  When one row i* attains it, the victim's only
+    best reply is i*, the attacker plays the lowest-index k* maximizing
+    b[i*, k], v2* = b[i*, k*] exactly, and (w*, alpha*) is a dual
+    certificate for attacker_br_lp's program.  Rows tied exactly (==) at the
+    maximum get the attacker LP's maximin over them.
     """
     pi_rows = _as_finite_matrix(pi_rows, "pi_rows")
     a = _as_finite_matrix(a, "a")
@@ -143,37 +148,38 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
     if np.any(pi_rows < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
         raise ValueError("pi_rows rows must be distributions")
     a_prime = a @ pi_rows.T
-    if K == 1:
-        col = a_prime[:, 0]
-        cell = singleton_stage_solves(col[None, None], b[None])
-        if not cell.tied[0, 0]:
-            i_star, k_star = int(cell.i_star[0, 0]), int(cell.k_star[0, 0])
-            z_star, v2_star = cell.z[0, 0], cell.v2[0, 0]
-            # w* is the least dual weight that keeps every other row i
-            # feasible in attacker_br_lp's program: col_i w - alpha <= b[i, k*]
-            # with alpha = z* w - v2*, i.e. w >= (v2* - b[i, k*]) / (z* - col_i)
-            others = np.arange(col.size) != i_star
-            ratios = (v2_star - b[others, k_star]) / (z_star - col[others])
-            w = float(ratios.max(initial=0.0))
-            return StageBR(
-                y_star=np.eye(m)[k_star],
-                z_star=float(z_star),
-                v2_star=float(v2_star),
-                w_star=np.array([w]),
-                alpha_star=float(z_star * w - v2_star),
-            )
-    _, z_star = victim_br_lp(a_prime)
-    return attacker_br_lp(z_star, a_prime, b)
+    if K > 1:
+        return _lp_chain(a_prime, b)
+    col = a_prime[:, 0]
+    cell = singleton_stage_solves(col[None, None], b[None])
+    if cell.tied[0, 0]:
+        return cell.tied_brs[0]
+    i_star, k_star = int(cell.i_star[0, 0]), int(cell.k_star[0, 0])
+    z_star, v2_star = cell.z[0, 0], cell.v2[0, 0]
+    # w* is the least dual weight that keeps every other row i feasible in
+    # attacker_br_lp's program: col_i w - alpha <= b[i, k*] with
+    # alpha = z* w - v2*, i.e. w >= (v2* - b[i, k*]) / (z* - col_i)
+    others = np.arange(col.size) != i_star
+    ratios = (v2_star - b[others, k_star]) / (z_star - col[others])
+    w = float(ratios.max(initial=0.0))
+    return StageBR(
+        y_star=np.eye(m)[k_star],
+        z_star=float(z_star),
+        v2_star=float(v2_star),
+        w_star=np.array([w]),
+        alpha_star=float(z_star * w - v2_star),
+    )
 
 
 class SingletonSolves(NamedTuple):
-    """Closed-form solves of P singleton stages x J cells, one (P, J) entry each.
+    """Solves of P singleton stages x J cells, one (P, J) entry each.
 
     z is the victim's value (the column maximum), i_star its lowest-index
-    best reply row, k_star the attacker's lowest-index best action against
-    that row and v2 = b[p, i_star, k_star] the attacker's value.  tied marks
-    the cells whose maximum more than one row attains exactly (==); their v2
-    and k_star are not the stage solution.
+    best reply row and v2 the attacker's value.  tied marks the cells whose
+    maximum more than one row attains exactly (==); tied_brs holds their
+    attacker LP solves, in np.nonzero(tied) order.  k_star, the attacker's
+    lowest-index best action against row i_star, is the attacker's stage
+    policy of the untied cells only.
     """
 
     z: np.ndarray
@@ -181,6 +187,7 @@ class SingletonSolves(NamedTuple):
     k_star: np.ndarray
     v2: np.ndarray
     tied: np.ndarray
+    tied_brs: tuple
 
 
 def singleton_stage_solves(cols, b) -> SingletonSolves:
@@ -188,10 +195,10 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     the victim's payoffs against the j-th believed attacker mix of stage p,
     and b (P x n x m) the attacker's payoffs of stage p, shared by its cells.
 
-    A cell with a unique best reply row i* is solved by max and argmax alone.
-    A tied cell needs the maximin over its tied rows, which only the LP chain
-    of nf_attacker_best_response gives; the caller solves it there.  Trusts
-    its inputs to be finite.
+    A cell with a unique best reply row i* is solved by max and argmax
+    alone, v2 = b[p, i*, k*].  A tied cell needs the maximin over its tied
+    rows: attacker_br_lp at z = max cols[p, j], the exact victim value.
+    Trusts its inputs to be finite.
     """
     p = np.arange(cols.shape[0])[:, None]
     j = np.arange(cols.shape[1])
@@ -199,17 +206,10 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     z = cols[p, j, i_star]
     tied = np.count_nonzero(cols == z[..., None], axis=2) > 1
     k_star = b.argmax(axis=2)[p, i_star]  # lowest index on ties, per reply row
-    return SingletonSolves(z, i_star, k_star, b[p, i_star, k_star], tied)
-
-
-def pure_fake_solves(q1, q2) -> tuple:
-    """Victim and attacker values (z, v2), each P x m, of stage p of the
-    P x n x m payoffs (q1, q2) against the belief "the attacker plays j";
-    bit-identical to nf_attacker_best_response, which solves the tied cells."""
-    cells = singleton_stage_solves(q1.transpose(0, 2, 1), q2)
-    z, v2 = cells.z, cells.v2
-    for p, j in zip(*np.nonzero(cells.tied)):
-        br = nf_attacker_best_response(np.eye(1, q1.shape[2], j), q1[p], q2[p])
-        z[p, j] = br.z_star
-        v2[p, j] = br.v2_star
-    return z, v2
+    v2 = b[p, i_star, k_star]
+    tied_brs = []
+    for c in zip(*np.nonzero(tied)):
+        br = attacker_br_lp(z[c], cols[c][:, None], b[c[0]])
+        v2[c] = br.v2_star
+        tied_brs.append(br)
+    return SingletonSolves(z, i_star, k_star, v2, tied, tuple(tied_brs))

@@ -129,12 +129,12 @@ def test_verify_random_grid(capsys):
 def test_verify_fails_on_corrupted_solver(decoy_path, capsys, monkeypatch):
     # negative control: a solver returning biased victim values must trip
     # the grid cross-check and exit nonzero; the decoy's singleton belief is
-    # solved by the layer kernel, any other belief by the per-stage solve
-    real = solver.nf_attacker_best_response
+    # solved by the layer kernel, any other belief by the LP chain
+    real = solver._lp_chain
     real_cells = solver.singleton_stage_solves
 
-    def biased(rows, a, b, **kw):
-        br = real(rows, a, b, **kw)
+    def biased(a_prime, b):
+        br = real(a_prime, b)
         return StageBR(br.y_star, br.z_star - 0.05, br.v2_star - 0.05,
                        br.w_star, br.alpha_star)
 
@@ -142,7 +142,7 @@ def test_verify_fails_on_corrupted_solver(decoy_path, capsys, monkeypatch):
         cells = real_cells(cols, b)
         return cells._replace(z=cells.z - 0.05, v2=cells.v2 - 0.05)
 
-    monkeypatch.setattr(solver, "nf_attacker_best_response", biased)
+    monkeypatch.setattr(solver, "_lp_chain", biased)
     monkeypatch.setattr(solver, "singleton_stage_solves", biased_cells)
     assert cli.main(["verify", str(decoy_path), "--mode", "grid"]) == 1
     assert "FAIL" in capsys.readouterr().out

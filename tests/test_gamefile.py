@@ -5,7 +5,7 @@ import pytest
 
 import mgincept as mg
 from conftest import chain_game, random_policy
-from mgincept import gamefile
+from mgincept import cli, gamefile
 from mgincept.gamefile import GameFormatError
 
 
@@ -109,6 +109,19 @@ def test_policy_with_bad_rows_is_rejected_at_load(tmp_path):
     path.write_text(json.dumps({"player": 2, "entries": [[[0.7, 0.7]]]}))
     with pytest.raises(ValueError, match="sums to"):
         gamefile.load_policy(path)
+
+
+@pytest.mark.parametrize("player", [True, 1.0, "1"])
+def test_policy_with_a_non_integer_player_is_a_format_error(player, tmp_path, capsys):
+    g = chain_game(seed=67, horizon=1, states=1)
+    game, p1, p2 = (tmp_path / name for name in ("game.json", "p1.json", "p2.json"))
+    gamefile.save_game(game, g)
+    p1.write_text(json.dumps({"player": player, "entries": [[[1.0, 0.0]]]}))
+    p2.write_text(json.dumps({"player": 2, "entries": [[[1.0, 0.0]]]}))
+    with pytest.raises(GameFormatError, match="player must be 1 or 2"):
+        gamefile.load_policy(p1)
+    assert cli.main(["simulate", str(game), "--p1", str(p1), "--p2", str(p2),
+                     "--episodes", "10", "--seed", "0"]) == 2
 
 
 def test_beliefs_file_accepts_list_or_wrapper(tmp_path):

@@ -274,24 +274,27 @@ def _per_cell_inception(g):
 
 def test_search_matches_per_cell_reference(monkeypatch):
     # the search solves a layer at a time; integer rewards tie often, and the
-    # tied cells must go through the per-cell stage solve
-    real = stage.nf_attacker_best_response
+    # search must settle the tied cells with the attacker LP
+    real = stage.attacker_br_lp
     fallbacks = []
+    tied = 0
 
     def counted(*args):
         fallbacks.append(args)
         return real(*args)
 
-    monkeypatch.setattr(stage, "nf_attacker_best_response", counted)
+    monkeypatch.setattr(stage, "attacker_br_lp", counted)
     for seed in range(30):
         for g in (random_game(np.random.default_rng(seed), 3, 5, 4, 4),
                   integer_reward_game(seed)):
             actions, values, candidates = _per_cell_inception(g)
+            fallbacks.clear()
             result = mg.policy_inception(g)
+            tied += len(fallbacks)
             assert np.array_equal(np.argmax(result.pi2_dagger.entries, axis=2), actions)
             assert result.v_hat.values.tobytes() == values.tobytes()
             assert result.candidate_values.tobytes() == candidates.tobytes()
-    assert fallbacks
+    assert tied
 
 
 def _loop_check_iota_dominance(g, pi2, iota):

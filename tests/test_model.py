@@ -49,6 +49,14 @@ def test_construction_rejects_shape_mismatch(decoy_game):
                       decoy_game.transitions)
 
 
+def test_policy_rejects_a_non_integer_player():
+    for player in (True, False, 1.0, 2.0, "2", None):
+        with pytest.raises(ValueError, match="player must be 1 or 2"):
+            mg.MarkovPolicy(player, [[[1.0, 0.0]]])
+    # a numpy integer is a player, stored as int so that policy files can hold it
+    assert type(mg.MarkovPolicy(np.int64(2), [[[1.0, 0.0]]]).player) is int
+
+
 def test_policy_rejects_bad_distribution():
     with pytest.raises(ValueError):
         mg.MarkovPolicy(1, [[[0.5, 0.6]]])

@@ -151,18 +151,23 @@ def test_brute_force_bit_identical_to_per_policy_exploitation(size, monkeypatch)
     for seed in range(10):
         assert_matches_per_policy_bits(random_game(np.random.default_rng(seed), *size))
     # integer rewards tie best replies exactly; count the cells the batched
-    # pass sends through the per-cell solve and its LP chain
-    real = stage.nf_attacker_best_response
+    # pass settles with the attacker LP
+    real = stage.attacker_br_lp
     fallbacks = []
 
-    def counted(pi_rows, a, b):
-        fallbacks.append(pi_rows)
-        return real(pi_rows, a, b)
+    def counted(z_star, a_prime, b):
+        fallbacks.append(a_prime)
+        return real(z_star, a_prime, b)
 
-    monkeypatch.setattr(stage, "nf_attacker_best_response", counted)
+    monkeypatch.setattr(stage, "attacker_br_lp", counted)
+    tied = 0
     for seed in range(10):
-        assert_matches_per_policy_bits(integer_reward_game(seed, *size))
-    assert fallbacks
+        g = integer_reward_game(seed, *size)
+        fallbacks.clear()
+        brute_force_inception(g)
+        tied += len(fallbacks)
+        assert_matches_per_policy_bits(g)
+    assert tied
 
 
 def test_brute_force_finds_the_continuation_tradeoff():

@@ -192,17 +192,19 @@ def _per_stage_best_response(g, belief):
 
 
 def test_singleton_belief_layers_match_per_stage_reference(monkeypatch):
-    # a singleton belief is solved a layer at a time; mixed beliefs check the
-    # batched believed columns, pure ones on integer rewards tie often and
-    # take the per-stage fallback
-    real = solver.nf_attacker_best_response
-    fallbacks = []
+    # the solver forms a layer's believed columns at once and solves a
+    # singleton belief a layer at a time; mixed beliefs check the batched
+    # columns, pure ones on integer rewards tie often and take the attacker
+    # LP; K = 3 and secure beliefs check the columns the LP chain gets
+    real = solver.singleton_stage_solves
+    tied = []
 
-    def counted(*args):
-        fallbacks.append(args)
-        return real(*args)
+    def counted(cols, b):
+        cells = real(cols, b)
+        tied.extend(cells.tied_brs)
+        return cells
 
-    monkeypatch.setattr(solver, "nf_attacker_best_response", counted)
+    monkeypatch.setattr(solver, "singleton_stage_solves", counted)
     for seed in range(30):
         rng = np.random.default_rng(seed + 300)
         games = (random_game(np.random.default_rng(seed), 3, 5, 4, 4),
@@ -210,12 +212,13 @@ def test_singleton_belief_layers_match_per_stage_reference(monkeypatch):
         for g in games:
             pure = mg.MarkovPolicy.deterministic(
                 2, rng.integers(0, g.m, (g.horizon, g.num_states)), g.m)
-            for belief in (random_belief(rng, g, 1), mg.BeliefSet((pure,))):
+            for belief in (random_belief(rng, g, 1), mg.BeliefSet((pure,)),
+                           random_belief(rng, g, 3), mg.secure_belief(g)):
                 values, pi2 = _per_stage_best_response(g, belief)
                 report = mg.markov_attacker_best_response(g, belief)
                 assert report.v.values.tobytes() == values.tobytes()
                 assert report.pi2_star.entries.tobytes() == pi2.tobytes()
-    assert fallbacks
+    assert tied
 
 
 def test_overflowing_stage_payoffs_are_rejected():
@@ -254,7 +257,8 @@ def test_belief_size_cap_checked_before_any_stage_solve(monkeypatch):
     def no_stage_solve(*args):
         raise AssertionError("stage solve reached")
 
-    monkeypatch.setattr(solver, "nf_attacker_best_response", no_stage_solve)
+    monkeypatch.setattr(solver, "singleton_stage_solves", no_stage_solve)
+    monkeypatch.setattr(solver, "_lp_chain", no_stage_solve)
     with pytest.raises(ValueError, match="exceeds cap"):
         mg.markov_attacker_best_response(g, belief)
 

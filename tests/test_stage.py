@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import mgincept as mg
+from conftest import integer_reward_game
 from mgincept import stage
-from mgincept.oracle import GridSpec, grid_victim_value, simplex_grid, victim_br_vertices
+from mgincept.oracle import (GridSpec, brute_force_inception, grid_victim_value, simplex_grid,
+                             victim_br_vertices)
 from mgincept.stage import (
     StageSolveError,
     attacker_br_lp,
     nf_attacker_best_response,
-    pure_fake_solves,
     singleton_stage_solves,
     victim_br_lp,
 )
@@ -222,12 +224,41 @@ def test_singleton_exact_row_tie_keeps_the_lp_maximin():
     assert np.allclose(br.y_star, [0.5, 0.5], atol=1e-9)
 
 
+def test_tied_singleton_cells_run_no_victim_lp(monkeypatch):
+    # a singleton stage's victim value is its column maximum: the searches
+    # and the solver settle tied cells with the attacker LP at that exact
+    # maximum, and never run the victim LP
+    real = stage.attacker_br_lp
+    tied = []
+
+    def no_lp(*args):
+        raise AssertionError("singleton stage ran the victim LP")
+
+    def checked(z_star, a_prime, b):
+        tied.append(z_star)
+        assert np.float64(z_star).tobytes() == a_prime.max().tobytes()
+        return real(z_star, a_prime, b)
+
+    monkeypatch.setattr(stage, "victim_br_lp", no_lp)
+    monkeypatch.setattr(stage, "attacker_br_lp", checked)
+    for seed in range(20):
+        g = integer_reward_game(seed)
+        fake = mg.policy_inception(g).pi2_dagger
+        report = mg.markov_attacker_best_response(g, mg.BeliefSet((fake,)))
+        hh, ss = np.indices((g.horizon, g.num_states))
+        believed = report.q.values[0][hh, ss, :, np.argmax(fake.entries, axis=2)]
+        assert report.v.values[0, :-1].tobytes() == believed.max(axis=2).tobytes()
+        for size in ((3, 2, 2, 2), (2, 2, 3, 3)):
+            brute_force_inception(integer_reward_game(seed, *size))
+    assert tied
+
+
 def test_singleton_stage_solves_match_per_cell_solves():
     # one layer of S stages with m believed columns each: cell (s, j) is the
     # pure fake action j at state s, believed column q1[s][:, j], against a
     # loop of per-cell stage solves; duplicated rows and integer payoffs
-    # force exact best-reply ties, which pure_fake_solves sends through the
-    # per-cell solve
+    # force exact best-reply ties, which the layer solve settles with the
+    # attacker LP at the exact column maximum
     rng = np.random.default_rng(86)
     tied = unique = 0
     for trial in range(100):
@@ -240,20 +271,21 @@ def test_singleton_stage_solves_match_per_cell_solves():
                 q1[::2, 1] = q1[::2, 0]
         q2 = rng.uniform(-1.0, 1.0, (S, n, m))
         cells = singleton_stage_solves(q1.transpose(0, 2, 1), q2)
-        z, v2 = pure_fake_solves(q1, q2)
+        tied_brs = dict(zip(zip(*np.nonzero(cells.tied)), cells.tied_brs))
         for s in range(S):
             for j in range(m):
                 col = q1[s][:, j]
                 br = nf_attacker_best_response(np.eye(m)[j:j + 1], q1[s], q2[s])
-                assert z[s, j].tobytes() == np.float64(br.z_star).tobytes()
-                assert v2[s, j].tobytes() == np.float64(br.v2_star).tobytes()
+                assert cells.z[s, j].tobytes() == col.max().tobytes()
+                assert cells.z[s, j].tobytes() == np.float64(br.z_star).tobytes()
+                assert cells.v2[s, j].tobytes() == np.float64(br.v2_star).tobytes()
                 assert cells.tied[s, j] == (np.count_nonzero(col == col.max()) > 1)
                 if cells.tied[s, j]:
                     tied += 1
+                    assert np.array_equal(tied_brs.pop((s, j)).y_star, br.y_star)
                     continue
                 unique += 1
-                assert cells.z[s, j].tobytes() == np.float64(br.z_star).tobytes()
-                assert cells.v2[s, j].tobytes() == np.float64(br.v2_star).tobytes()
                 assert np.array_equal(np.eye(m)[cells.k_star[s, j]], br.y_star)
                 assert cells.i_star[s, j] == np.argmax(col)
+        assert not tied_brs
     assert tied > 0 and unique > 0
