@@ -6,14 +6,17 @@ A_ub v <= b_ub and A_eq v = b_eq, with v >= 0 except where the boolean mask
 anti-cycling rule, which makes the solver fully deterministic: identical
 inputs produce identical outputs, pivot for pivot.  Free variables are
 handled by splitting v = p - q with p, q >= 0; inequalities get one slack
-variable each; phase 1 introduces an artificial variable per row and
-maximizes minus their sum.
+variable each.  Phase 1 starts from the slack basis: each row with a +1
+unit column (a slack, or a structural column) starts with it basic, and
+only the other rows (equalities, and inequalities flipped for a negative
+right-hand side) get an artificial variable; phase 1 maximizes minus the
+artificials' sum.
 
 All the programs in this package have at most a few dozen variables, so a
 dense tableau is both simpler and faster than anything sparse.  Comparisons
 use absolute tolerances (pivot 1e-10, feasibility 1e-9), so the solver is
 not scale-invariant: rewards scaled far from unit size can make it misjudge
-pivots and feasibility (ROADMAP open item 1).
+pivots and feasibility (ROADMAP open item 2).
 """
 
 from __future__ import annotations
@@ -157,18 +160,30 @@ def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, q: int) -> None:
 
 
 def _phase1(A: np.ndarray, b: np.ndarray):
-    """Returns (T, basis, q, feasible) with artificial columns appended."""
+    """Returns (T, basis, q, feasible) with artificial columns appended.
+
+    Phase 1 starts from the slack basis: a column of A that is a +1 unit
+    vector is a feasible basic variable of its row (b >= 0), the lowest-index
+    one where a row has several.  Only the rows without one (equality rows,
+    and inequality rows flipped for a negative right-hand side) get an
+    artificial column.
+    """
     rows, q = A.shape
-    T = np.zeros((rows + 1, q + rows + 1))
+    unit = (A == 1.0) & (np.count_nonzero(A, axis=0) == 1)
+    need = (~unit.any(axis=1)).nonzero()[0]
+    artificial = q + np.arange(need.size)
+    T = np.zeros((rows + 1, q + need.size + 1))
     T[:rows, :q] = A
-    T[:rows, q:q + rows] = np.eye(rows)
+    T[need, artificial] = 1.0
     T[:rows, -1] = b
-    basis = np.arange(q, q + rows)
-    c1 = np.zeros(q + rows)
+    basis = unit.argmax(axis=1)  # lowest-index unit column of each row
+    basis[need] = artificial
+    c1 = np.zeros(q + need.size)
     c1[q:] = -1.0
     _price_out(T, basis, c1)
     status = _run(T, basis, q)
-    # unreachable in exact arithmetic; reached through round-off (see CHANGES.md FOUND)
+    # unreachable in exact arithmetic; still reached through round-off at
+    # reward scales far from 1 (CHANGES.md FOUND, ROADMAP open item 2)
     if status != "optimal":
         raise LpError("phase 1 reported unbounded")
     feasible = -T[-1, -1] >= -FEAS_TOL

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgincept import lp, stage
 from mgincept.lp import (
     FEAS_TOL,
     LinearProgram,
     LpError,
     LpStatus,
+    _phase1,
     _standardize,
     solve_lp,
 )
@@ -277,3 +279,95 @@ def test_malformed_input_rejected():
     ):
         with pytest.raises(LpError):
             LinearProgram(**{**good, **bad})
+
+
+def _phase1_start(monkeypatch, prog):
+    """Solve prog, returning the basis phase 1 starts from, the number of
+    artificial columns it appends, and the solution."""
+    real, starts = lp._run, []
+
+    def recorded(T, basis, allowed):
+        starts.append((basis.copy(), T.shape[1] - 1 - allowed))
+        return real(T, basis, allowed)
+
+    monkeypatch.setattr(lp, "_run", recorded)
+    sol = solve_lp(prog)
+    return *starts[0], sol
+
+
+def test_flipped_inequality_row_gets_an_artificial(monkeypatch):
+    # x0 + x1 >= 1 as -x0 - x1 <= -1: the flip leaves its slack at -1, so
+    # only that row starts on an artificial; x0 + x1 <= 3 starts on its slack
+    prog = simplex_max([-1.0, -2.0], a_ub=[[-1.0, -1.0], [1.0, 1.0]], b_ub=[-1.0, 3.0])
+    start, artificials, sol = _phase1_start(monkeypatch, prog)
+    assert artificials == 1
+    assert start.tolist() == [4, 3]  # artificial (after x0, x1, two slacks), slack 1
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.value == pytest.approx(-1.0, abs=1e-12)
+    assert np.allclose(sol.v, [1.0, 0.0])
+
+
+def test_structural_unit_columns_start_the_basis(monkeypatch):
+    # x0's column is e_0 and x2's is e_1, so x0 starts row 0 (before the
+    # slack, column 3) and x2 starts the equality row: no artificial at all
+    prog = simplex_max([1.0, 1.0, 0.0], a_ub=[[1.0, -1.0, 0.0]], b_ub=[2.0],
+                       a_eq=[[0.0, 1.0, 1.0]], b_eq=[1.0])
+    start, artificials, sol = _phase1_start(monkeypatch, prog)
+    assert artificials == 0
+    assert start.tolist() == [0, 2]
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.value == pytest.approx(_vertex_oracle_value(prog), abs=1e-12)
+    assert np.allclose(sol.v, [3.0, 1.0, 0.0])
+
+
+def test_infeasible_mix_of_slack_and_equality_rows():
+    # slack rows, a flipped row and an equality row that cannot all hold
+    for prog in (simplex_max([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
+                             a_eq=[[1.0, 1.0]], b_eq=[2.0]),
+                 simplex_max([0.0, 1.0], a_ub=[[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                             b_ub=[-3.0, 2.0, 5.0], a_eq=[[1.0, 1.0]], b_eq=[4.0])):
+        assert solve_lp(prog).status == LpStatus.INFEASIBLE
+
+
+def test_matches_oracle_with_mixed_sign_right_hand_sides():
+    # rows through a positive anchor with small random slack: about half
+    # the right-hand sides are negative, so those rows start on artificials
+    rng = np.random.default_rng(41)
+    flipped = 0
+    for _ in range(60):
+        n_vars = int(rng.integers(2, 4))
+        anchor = rng.uniform(0.1, 1.5, n_vars)
+        g_rows = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), n_vars))
+        h = g_rows @ anchor + rng.uniform(0.0, 0.3, g_rows.shape[0])
+        free = np.flatnonzero(rng.uniform(size=n_vars) < 0.3)
+        eq = rng.uniform(-1.0, 1.0, (int(rng.integers(0, 2)), n_vars))
+        prog = simplex_max(rng.uniform(-1.0, 1.0, n_vars),
+                           a_ub=np.vstack([g_rows, np.eye(n_vars), -np.eye(n_vars)]),
+                           b_ub=np.concatenate([h, np.full(2 * n_vars, 2.0)]),
+                           a_eq=eq, b_eq=eq @ anchor, free=free)
+        flipped += int((h < 0).sum())
+        sol = solve_lp(prog)
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.value == pytest.approx(_vertex_oracle_value(prog), abs=1e-8)
+        assert residuals(prog, sol.v) <= FEAS_TOL
+    assert flipped >= 20
+
+
+def test_stage_lps_start_with_one_artificial(monkeypatch):
+    # every row of both stage LPs but `sum = 1` holds a +1 slack at b = 0
+    programs = []
+
+    def recorded(prog):
+        programs.append(prog)
+        return solve_lp(prog)
+
+    monkeypatch.setattr(stage, "solve_lp", recorded)
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-1.0, 1.0, (2, 5, 4))
+    pi_rows = rng.dirichlet(np.ones(4), 3)
+    stage.nf_attacker_best_response(pi_rows, a, b)
+    assert len(programs) == 2  # victim_br_lp, then attacker_br_lp
+    for prog in programs:
+        A, rhs = _standardize(prog)[:2]
+        T, basis, q, feasible = _phase1(A, rhs)
+        assert feasible and T.shape[1] - 1 - q == 1

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -269,3 +270,69 @@ def test_invalid_game_rejected_up_front():
                            g.rewards, g.transitions)
     with pytest.raises(mg.InvalidGameError):
         mg.markov_attacker_best_response(broken, mg.secure_belief(broken))
+
+
+# Game seeds 0-39 of the 10-step, 20-state 6x6 games on which a K = 8 random
+# belief or the secure belief used to stop the solve: phase 1 reported
+# unbounded, or the attacker LP came back UNBOUNDED at the victim's z*.
+FORMER_BR_FAULT_GAMES = (1, 3, 6, 7, 12, 14, 15, 24, 29, 31, 32, 33, 39)
+
+
+@functools.cache
+def _former_fault_reports(seed):
+    g = random_game(np.random.default_rng(seed), 10, 20, 6, 6)
+    beliefs = (random_belief(np.random.default_rng(seed + 1000), g, 8), mg.secure_belief(g))
+    return g, [(b, mg.markov_attacker_best_response(g, b)) for b in beliefs]
+
+
+@pytest.mark.parametrize("seed", FORMER_BR_FAULT_GAMES)
+def test_former_stage_solve_fault_games_solve(seed):
+    g, solved = _former_fault_reports(seed)
+    for _, report in solved:
+        assert np.isfinite(report.v.values).all()
+        assert report.v1_root == pytest.approx(float(g.mu @ report.v.values[0, 0]), abs=1e-9)
+
+
+def _highs(c, a_ub, a_eq, bounds):
+    from scipy.optimize import linprog
+
+    return linprog(c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq, b_eq=[1.0],
+                   bounds=bounds, method="highs",
+                   options={"primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10})
+
+
+def _highs_stage_values(a_prime, b):
+    """(victim, attacker) stage values of the two stage LPs, solved by HiGHS."""
+    n, k = a_prime.shape
+    m = b.shape[1]
+    res = _highs(np.append(np.zeros(n), -1.0), np.hstack([-a_prime.T, np.ones((k, 1))]),
+                 np.append(np.ones(n), 0.0)[None], [(0.0, None)] * n + [(None, None)])
+    assert res.status == 0, res.message
+    z = -res.fun
+    # HiGHS's z may sit a hair above its own optimum, which empties the
+    # best-reply polytope; lower it by tiny relative steps until it is not
+    for relax in (0.0, 1e-13, 1e-12, 1e-11):
+        z_relaxed = z - relax * (1.0 + abs(z))
+        res = _highs(np.concatenate([np.zeros(m), np.full(k, -z_relaxed), [-1.0]]),
+                     np.hstack([-b, a_prime, np.ones((n, 1))]),
+                     np.append(np.ones(m), np.zeros(k + 1))[None],
+                     [(0.0, None)] * (m + k) + [(None, None)])
+        if res.status == 0:
+            return z, -res.fun
+    raise AssertionError(f"HiGHS attacker LP: {res.message}")
+
+
+@pytest.mark.parametrize("seed", FORMER_BR_FAULT_GAMES)
+def test_former_stage_solve_fault_games_match_highs(seed):
+    pytest.importorskip("scipy")
+    g, solved = _former_fault_reports(seed)
+    rng = np.random.default_rng(seed)
+    for belief, report in solved:
+        tol = 1e-9 * (1.0 + np.abs(report.q.values).max())
+        for h in (0, g.horizon // 2, g.horizon - 1):
+            s = int(rng.integers(g.num_states))
+            a_prime = report.q.stage(1, h, s) @ stage_mix_matrix(belief, h, s).T
+            z, v2 = _highs_stage_values(a_prime, report.q.stage(2, h, s))
+            assert abs(report.v.values[0, h, s] - z) <= tol
+            assert abs(report.v.values[1, h, s] - v2) <= tol
