@@ -41,12 +41,22 @@ class GameDocument:
     beliefs: tuple = field(default_factory=tuple)
 
 
-def _read_json(path) -> dict:
+def _parse_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _read_json(path) -> dict:
+    doc = _parse_json(path)
     if not isinstance(doc, dict):
         raise GameFormatError(f"{path}: top-level JSON value must be an object")
     return doc
@@ -127,9 +137,7 @@ def save_game(path, g: MarkovGame, beliefs=()) -> None:
     }
     if beliefs:
         doc["beliefs"] = [{"entries": p.entries.tolist()} for p in beliefs]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def load_policy(path) -> MarkovPolicy:
@@ -137,19 +145,12 @@ def load_policy(path) -> MarkovPolicy:
 
 
 def save_policy(path, policy: MarkovPolicy) -> None:
-    doc = {"player": policy.player, "entries": policy.entries.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, {"player": policy.player, "entries": policy.entries.tolist()})
 
 
 def load_beliefs(path) -> tuple:
     """A beliefs file: either {"beliefs": [...]} or a bare list of policies."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GameFormatError(f"cannot read {path}: {exc}") from exc
+    doc = _parse_json(path)
     if isinstance(doc, dict):
         doc = doc.get("beliefs")
     if not isinstance(doc, list) or not doc:
@@ -170,7 +171,4 @@ def load_fake_rewards(path) -> tuple:
 
 
 def save_fake_rewards(path, iota: float, rewards: np.ndarray) -> None:
-    doc = {"iota": iota, "rewards_p2": np.asarray(rewards).tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, {"iota": iota, "rewards_p2": np.asarray(rewards).tolist()})

@@ -10,10 +10,10 @@ index on ties).
 
 Against a pure fake action j the rational victim replies with the argmax
 row i* of Q1[:, j], so the candidate's value is max_k Q2[i*, k], with no LP;
-only cells whose rows tie exactly at the maximum take the attacker LP, whose
-maximin over the tied rows the closed form cannot give.  Fake actions that
-steer the victim to the same reply row therefore have bitwise equal values,
-and np.argmax really picks the lowest index among them.
+if rows tie exactly (==) at the maximum, it is the maximin over exactly those
+rows of Q2, one small LP.  Fake actions that leave the victim the same best
+replies have bitwise equal values, and np.argmax picks the lowest index among
+them; values equal only in exact arithmetic may differ in the last bit.
 
 The dominance check, its policy recovery and the reward design are array
 expressions per layer as well.  The greedy backward pass is exact for

@@ -105,9 +105,9 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
     stage payoffs from the next layer's worst-case values and the believed
     columns Q1[h, s] mixes[h, s] of every state at once, one column per base
     policy.  A singleton belief solves the layer's S stages in one
-    `stage.singleton_stage_solves` call: no victim LP, and the attacker LP
-    only at stages whose best reply row is tied exactly.  A K > 1 belief
-    chains the victim and attacker LPs at every stage.
+    `stage.singleton_stage_solves` call: closed forms, and a maximin LP over
+    the tied rows only at stages whose best reply row is tied exactly.  A
+    K > 1 belief chains the victim and attacker LPs at every stage.
     """
     require_valid(g)
     if not belief.matches(g):
@@ -130,8 +130,8 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
             values[0, h] = cells.z[:, 0]
             values[1, h] = cells.v2[:, 0]
             pi2[h] = np.eye(g.m)[cells.k_star[:, 0]]
-            for s, br in zip(np.flatnonzero(cells.tied), cells.tied_brs):
-                pi2[h, s] = clean_mix(br.y_star)
+            for s, y in zip(np.flatnonzero(cells.tied), cells.tied_y):
+                pi2[h, s] = clean_mix(y)
         else:
             for s in range(S):
                 br = _lp_chain(cols[s], qvals[1, h, s])

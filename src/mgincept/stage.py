@@ -1,13 +1,13 @@
 """Stage-game solvers for one normal-form game under a finitely generated belief.
 
 The victim's worst-case best response against K believed attacker mixes is a
-small LP over (x, z); the attacker's best response against the victim's
-best-response polytope is the dualized LP over (y, w, alpha).  Composing the
-two gives the stage solve of a K > 1 belief.  A singleton belief needs no
-victim LP: the victim's value is the column maximum.  `singleton_stage_solves`
-solves a whole layer of singleton stages, several believed columns each: a
-cell whose best reply is one row in closed form (max and argmax), a cell tied
-exactly at the maximum by the attacker LP alone, at that exact maximum.
+small maximin LP over (x, z); the attacker's best response against the
+victim's best-response polytope is the dualized LP over (y, w, alpha), and
+the two chained solve a K > 1 belief.  A singleton belief needs neither: the
+victim's value is the column maximum, its best replies the rows attaining it
+(==).  `singleton_stage_solves` solves a layer of such stages: a cell with
+one best reply in closed form (max and argmax), a tied cell as the maximin
+over exactly its tied rows, bitwise equal for equal tie sets.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class StageBR:
     y_star is one optimal attacker mix (any optimal vertex; recorded as
     returned by the deterministic solver), z_star the victim's worst-case
     value, v2_star the attacker's worst-case value z* . sum(w*) - alpha*
-    (equal up to rounding when the closed form, not the LP, produced it).
+    (equal up to rounding when the singleton solve produced it).
     """
 
     y_star: np.ndarray
@@ -53,11 +53,11 @@ def _as_finite_matrix(a, name: str) -> np.ndarray:
 
 
 def victim_br_lp(a_prime) -> tuple:
-    """Solve the victim's best-response LP for the stacked payoff matrix.
+    """Solve the maximin LP max_x min_j (x'A')_j of the matrix game a_prime.
 
-    a_prime is n x K with column j the victim's payoff vector against the
-    j-th believed attacker mix.  Returns (x_star, z_star).  Trusts its input
-    to be finite.
+    a_prime is n x K: the victim's payoffs against K believed attacker
+    mixes, or the attacker's payoffs on a tied singleton cell's rows,
+    transposed.  Returns (x_star, z_star).  Trusts its input to be finite.
     """
     n, K = a_prime.shape
     # variables (x, z): z - x'A'e_j <= 0 for every j, sum(x) = 1, z free
@@ -76,12 +76,11 @@ def victim_br_lp(a_prime) -> tuple:
 
 
 def attacker_br_lp(z_star: float, a_prime, b) -> StageBR:
-    """Solve the attacker's dual best-response LP given the victim's optimum.
+    """Solve the attacker's dual best-response LP of a K > 1 belief.
 
-    z_star must be the victim's optimal value for the same a_prime (from
-    victim_br_lp, or the column maximum when K = 1); a value above it makes
-    this LP unbounded, which is reported as an internal inconsistency.
-    Trusts its inputs to be finite, b with a_prime's rows.
+    z_star must be victim_br_lp's optimal value for the same a_prime; a value
+    above it makes this LP unbounded, which is reported as an internal
+    inconsistency.  Trusts its inputs to be finite, b with a_prime's rows.
     """
     n, K = a_prime.shape
     m = b.shape[1]
@@ -128,11 +127,11 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
     chains the two LPs: the victim LP for z*, then the attacker LP.
 
     A singleton belief (K = 1) goes through `singleton_stage_solves`, whose
-    z* is max A' exactly.  When one row i* attains it, the victim's only
-    best reply is i*, the attacker plays the lowest-index k* maximizing
-    b[i*, k], v2* = b[i*, k*] exactly, and (w*, alpha*) is a dual
-    certificate for attacker_br_lp's program.  Rows tied exactly (==) at the
-    maximum get the attacker LP's maximin over them.
+    z* is max A' exactly.  When one row i* attains it, the attacker plays
+    the lowest-index k* maximizing b[i*, k] and v2* = b[i*, k*] exactly;
+    rows tied exactly (==) at the maximum get the maximin over exactly
+    them.  Either way (w*, alpha*) is a dual certificate for
+    attacker_br_lp's program.
     """
     pi_rows = _as_finite_matrix(pi_rows, "pi_rows")
     a = _as_finite_matrix(a, "a")
@@ -152,18 +151,16 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
         return _lp_chain(a_prime, b)
     col = a_prime[:, 0]
     cell = singleton_stage_solves(col[None, None], b[None])
-    if cell.tied[0, 0]:
-        return cell.tied_brs[0]
-    i_star, k_star = int(cell.i_star[0, 0]), int(cell.k_star[0, 0])
+    y = cell.tied_y[0] if cell.tied[0, 0] else np.eye(m)[cell.k_star[0, 0]]
     z_star, v2_star = cell.z[0, 0], cell.v2[0, 0]
-    # w* is the least dual weight that keeps every other row i feasible in
-    # attacker_br_lp's program: col_i w - alpha <= b[i, k*] with
-    # alpha = z* w - v2*, i.e. w >= (v2* - b[i, k*]) / (z* - col_i)
-    others = np.arange(col.size) != i_star
-    ratios = (v2_star - b[others, k_star]) / (z_star - col[others])
+    # w* is the least dual weight that keeps every row i below the maximum
+    # feasible in attacker_br_lp's program: col_i w - alpha <= (b y*)_i with
+    # alpha = z* w - v2*, i.e. w >= (v2* - (b y*)_i) / (z* - col_i)
+    below = col < z_star
+    ratios = (v2_star - (b @ y)[below]) / (z_star - col[below])
     w = float(ratios.max(initial=0.0))
     return StageBR(
-        y_star=np.eye(m)[k_star],
+        y_star=y,
         z_star=float(z_star),
         v2_star=float(v2_star),
         w_star=np.array([w]),
@@ -174,20 +171,19 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
 class SingletonSolves(NamedTuple):
     """Solves of P singleton stages x J cells, one (P, J) entry each.
 
-    z is the victim's value (the column maximum), i_star its lowest-index
-    best reply row and v2 the attacker's value.  tied marks the cells whose
-    maximum more than one row attains exactly (==); tied_brs holds their
-    attacker LP solves, in np.nonzero(tied) order.  k_star, the attacker's
-    lowest-index best action against row i_star, is the attacker's stage
-    policy of the untied cells only.
+    z is the victim's value (the column maximum) and v2 the attacker's
+    value.  tied marks the cells whose maximum more than one row attains
+    exactly (==); tied_y holds their attacker mixes, in np.nonzero(tied)
+    order.  k_star, the attacker's lowest-index best action against the
+    lowest-index best reply row, is the attacker's stage policy of the
+    untied cells only.
     """
 
     z: np.ndarray
-    i_star: np.ndarray
     k_star: np.ndarray
     v2: np.ndarray
     tied: np.ndarray
-    tied_brs: tuple
+    tied_y: tuple
 
 
 def singleton_stage_solves(cols, b) -> SingletonSolves:
@@ -196,9 +192,9 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     and b (P x n x m) the attacker's payoffs of stage p, shared by its cells.
 
     A cell with a unique best reply row i* is solved by max and argmax
-    alone, v2 = b[p, i*, k*].  A tied cell needs the maximin over its tied
-    rows: attacker_br_lp at z = max cols[p, j], the exact victim value.
-    Trusts its inputs to be finite.
+    alone, v2 = b[p, i*, k*].  A tied cell's victim may play any row
+    attaining z = max cols[p, j], so v2 is the maximin over exactly those
+    rows, victim_br_lp(b[p][cols[p, j] == z].T).  Trusts finite inputs.
     """
     p = np.arange(cols.shape[0])[:, None]
     j = np.arange(cols.shape[1])
@@ -207,9 +203,8 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     tied = np.count_nonzero(cols == z[..., None], axis=2) > 1
     k_star = b.argmax(axis=2)[p, i_star]  # lowest index on ties, per reply row
     v2 = b[p, i_star, k_star]
-    tied_brs = []
+    tied_y = []
     for c in zip(*np.nonzero(tied)):
-        br = attacker_br_lp(z[c], cols[c][:, None], b[c[0]])
-        v2[c] = br.v2_star
-        tied_brs.append(br)
-    return SingletonSolves(z, i_star, k_star, v2, tied, tuple(tied_brs))
+        y, v2[c] = victim_br_lp(b[c[0]][cols[c] == z[c]].T)
+        tied_y.append(y)
+    return SingletonSolves(z, k_star, v2, tied, tuple(tied_y))

@@ -47,7 +47,8 @@ def chain_game(seed=0, horizon=2, states=2, n=2, m=2):
 
 def integer_reward_game(seed, horizon=3, states=4, n=3, m=3):
     """Random game with rewards rounded to halves, so that best replies tie
-    exactly at many stages (the stage solves' LP fallback runs there)."""
+    exactly at many stages (the singleton stage solve's maximin LP over the
+    tied rows runs there)."""
     from mgincept.oracle import random_game
 
     g = random_game(np.random.default_rng(seed), horizon, states, n, m)
@@ -81,3 +82,43 @@ def random_policy(rng, player, horizon, states, k):
     entries = rng.uniform(0.05, 1.0, (horizon, states, k))
     entries /= entries.sum(axis=2, keepdims=True)
     return mg.MarkovPolicy(player, entries)
+
+
+def watch_tied_cells(monkeypatch, *modules):
+    """Check every `singleton_stage_solves` call made through the modules
+    (`stage` is always watched): z is the exact column maximum, the attacker
+    LP never runs, and each cell whose maximum more than one row attains
+    (==) runs one `victim_br_lp` whose matrix is exactly b[p][col == z].T,
+    in np.nonzero order.  Returns the list of those matrices, which grows
+    with every checked call."""
+    from mgincept import stage
+
+    real_kernel = stage.singleton_stage_solves
+    lps = []
+    seen = []
+
+    def recorded(name, fn):
+        def wrapped(*args):
+            lps.append((name, args))
+            return fn(*args)
+        return wrapped
+
+    def kernel(cols, b):
+        start = len(lps)
+        cells = real_kernel(cols, b)
+        z = cols.max(axis=2)
+        assert cells.z.tobytes() == z.tobytes()
+        tied = np.count_nonzero(cols == z[..., None], axis=2) > 1
+        expected = [b[p][cols[p, j] == z[p, j]].T for p, j in zip(*np.nonzero(tied))]
+        ran = lps[start:]
+        assert [name for name, _ in ran] == ["victim_br_lp"] * len(expected)
+        for (_, (matrix,)), want in zip(ran, expected):
+            assert matrix.shape == want.shape and matrix.tobytes() == want.tobytes()
+        seen.extend(expected)
+        return cells
+
+    for name in ("victim_br_lp", "attacker_br_lp"):
+        monkeypatch.setattr(stage, name, recorded(name, getattr(stage, name)))
+    for module in {stage, *modules}:
+        monkeypatch.setattr(module, "singleton_stage_solves", kernel)
+    return seen

@@ -10,8 +10,9 @@ from conftest import (
     integer_reward_game,
     pure_stage_policy,
     single_step_game,
+    watch_tied_cells,
 )
-from mgincept import stage
+from mgincept import inception
 from mgincept.oracle import brute_force_inception, random_game
 from mgincept.solver import q_from_v
 from mgincept.stage import nf_attacker_best_response
@@ -274,27 +275,31 @@ def _per_cell_inception(g):
 
 def test_search_matches_per_cell_reference(monkeypatch):
     # the search solves a layer at a time; integer rewards tie often, and the
-    # search must settle the tied cells with the attacker LP
-    real = stage.attacker_br_lp
-    fallbacks = []
+    # search must settle the tied cells with the maximin LP over exactly the
+    # tied rows, never the attacker LP
+    maximins = watch_tied_cells(monkeypatch, inception)
     tied = 0
-
-    def counted(*args):
-        fallbacks.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(stage, "attacker_br_lp", counted)
     for seed in range(30):
         for g in (random_game(np.random.default_rng(seed), 3, 5, 4, 4),
                   integer_reward_game(seed)):
             actions, values, candidates = _per_cell_inception(g)
-            fallbacks.clear()
+            before = len(maximins)
             result = mg.policy_inception(g)
-            tied += len(fallbacks)
+            tied += len(maximins) - before
             assert np.array_equal(np.argmax(result.pi2_dagger.entries, axis=2), actions)
             assert result.v_hat.values.tobytes() == values.tobytes()
             assert result.candidate_values.tobytes() == candidates.tobytes()
     assert tied
+
+
+def test_tied_cell_candidate_is_exact_and_lowest_index_wins():
+    # (h=2, s=0): fake action 0 ties the victim's rows 1 and 2, whose
+    # maximin is exactly 1; fake actions 1 and 2 steer it to row 1 alone,
+    # worth max q2[1] = 1.  All three candidates are equal, so the pick is 0
+    g = integer_reward_game(48, 3, 4, 3, 3)
+    result = mg.policy_inception(g)
+    assert result.candidate_values[2, 0].tobytes() == np.ones(3).tobytes()
+    assert result.pi2_dagger.action_at(2, 0) == 0
 
 
 def _loop_check_iota_dominance(g, pi2, iota):

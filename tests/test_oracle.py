@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import chain_game, continuation_tradeoff_game, integer_reward_game, single_step_game
-from mgincept import stage
+from conftest import (chain_game, continuation_tradeoff_game, integer_reward_game,
+                      single_step_game, watch_tied_cells)
+from mgincept import oracle
 from mgincept.oracle import (
     ENUM_GUARD,
     GridSpec,
@@ -151,21 +152,14 @@ def test_brute_force_bit_identical_to_per_policy_exploitation(size, monkeypatch)
     for seed in range(10):
         assert_matches_per_policy_bits(random_game(np.random.default_rng(seed), *size))
     # integer rewards tie best replies exactly; count the cells the batched
-    # pass settles with the attacker LP
-    real = stage.attacker_br_lp
-    fallbacks = []
-
-    def counted(z_star, a_prime, b):
-        fallbacks.append(a_prime)
-        return real(z_star, a_prime, b)
-
-    monkeypatch.setattr(stage, "attacker_br_lp", counted)
+    # pass settles with the maximin LP over exactly the tied rows
+    maximins = watch_tied_cells(monkeypatch, oracle)
     tied = 0
     for seed in range(10):
         g = integer_reward_game(seed, *size)
-        fallbacks.clear()
+        before = len(maximins)
         brute_force_inception(g)
-        tied += len(fallbacks)
+        tied += len(maximins) - before
         assert_matches_per_policy_bits(g)
     assert tied
 
@@ -184,7 +178,7 @@ def test_brute_force_guard_fires_before_any_stage_solve(monkeypatch):
     def fail(cols, b):
         raise AssertionError("stage solve ran before the guard")
 
-    monkeypatch.setattr(stage, "singleton_stage_solves", fail)
+    monkeypatch.setattr(oracle, "singleton_stage_solves", fail)
     past = np.zeros((1, ENUM_GUARD + 1))
     with pytest.raises(ValueError, match=f"^enumeration of {ENUM_GUARD + 1} policies "
                                          f"exceeds guard {ENUM_GUARD}$"):

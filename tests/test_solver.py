@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import chain_game, integer_reward_game, pure_stage_policy, random_policy
+from conftest import (chain_game, integer_reward_game, pure_stage_policy, random_policy,
+                      watch_tied_cells)
 from mgincept.oracle import (GridSpec, belief_membership, grid_attacker_value, grid_victim_value,
                              random_belief, random_game, victim_br_vertices)
 from mgincept import solver
@@ -195,17 +196,10 @@ def _per_stage_best_response(g, belief):
 def test_singleton_belief_layers_match_per_stage_reference(monkeypatch):
     # the solver forms a layer's believed columns at once and solves a
     # singleton belief a layer at a time; mixed beliefs check the batched
-    # columns, pure ones on integer rewards tie often and take the attacker
-    # LP; K = 3 and secure beliefs check the columns the LP chain gets
-    real = solver.singleton_stage_solves
-    tied = []
-
-    def counted(cols, b):
-        cells = real(cols, b)
-        tied.extend(cells.tied_brs)
-        return cells
-
-    monkeypatch.setattr(solver, "singleton_stage_solves", counted)
+    # columns, pure ones on integer rewards tie often and take the maximin
+    # LP over exactly the tied rows; K = 3 and secure beliefs check the
+    # columns the LP chain gets
+    tied = watch_tied_cells(monkeypatch, solver)
     for seed in range(30):
         rng = np.random.default_rng(seed + 300)
         games = (random_game(np.random.default_rng(seed), 3, 5, 4, 4),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import integer_reward_game
-from mgincept import stage
+from conftest import integer_reward_game, watch_tied_cells
+from mgincept import inception, oracle, solver, stage
 from mgincept.oracle import (GridSpec, brute_force_inception, grid_victim_value, simplex_grid,
                              victim_br_vertices)
 from mgincept.stage import (
@@ -182,22 +182,25 @@ def test_attacker_beats_own_security_value():
 
 
 def test_singleton_closed_form_matches_lp_chain(monkeypatch):
-    # a singleton belief with one best reply row is solved without any LP;
-    # the LP chain on the same stage is the reference
+    # a singleton belief with one best reply row is solved without any LP,
+    # and one whose integer column ties exactly by the maximin LP over its
+    # tied rows alone; the LP chain on the same stage is the reference
     rng = np.random.default_rng(85)
-
-    def no_lp(*args):
-        raise AssertionError("closed-form stage ran an LP")
-
-    monkeypatch.setattr(stage, "victim_br_lp", no_lp)
-    monkeypatch.setattr(stage, "attacker_br_lp", no_lp)
-    for trial in range(200):
+    maximins = watch_tied_cells(monkeypatch)
+    tied = 0
+    for trial in range(300):
         n, m = (int(rng.integers(1, 7)) for _ in range(2))
         rows, a, b = _random_stage(rng, n, m, 1)
-        if trial % 2:
+        if trial % 3:
             rows = np.eye(m)[[rng.integers(m)]]
-        br = nf_attacker_best_response(rows, a, b)
+        if trial % 3 == 2:
+            a, b = (rng.integers(-2, 3, (n, m)).astype(float) for _ in range(2))
         col = a @ rows[0]
+        ties = np.count_nonzero(col == col.max()) > 1
+        before = len(maximins)
+        br = nf_attacker_best_response(rows, a, b)
+        assert len(maximins) - before == ties
+        tied += ties
         _, z = victim_br_lp(col[:, None])
         ref = attacker_br_lp(z, col[:, None], b)
         scale = max(1.0, np.abs(a).max(), np.abs(b).max())
@@ -207,10 +210,13 @@ def test_singleton_closed_form_matches_lp_chain(monkeypatch):
         # row i reads col_i w - alpha <= (b y)_i; residuals are relative to
         # the largest term
         y, w, alpha = br.y_star, br.w_star[0], br.alpha_star
-        assert np.array_equal(y, np.eye(m)[np.argmax(y)]) and w >= 0.0
+        if not ties:
+            assert np.array_equal(y, np.eye(m)[np.argmax(y)])
+        assert np.all(y >= -1e-12) and abs(y.sum() - 1.0) <= 1e-12 and w >= 0.0
         terms = max(scale, np.abs(col).max() * w, abs(alpha))
         assert np.all(col * w - alpha - b @ y <= 1e-12 * terms)
         assert abs(br.z_star * w - alpha - br.v2_star) <= 1e-12 * terms
+    assert tied > 0
 
 
 def test_singleton_exact_row_tie_keeps_the_lp_maximin():
@@ -224,23 +230,30 @@ def test_singleton_exact_row_tie_keeps_the_lp_maximin():
     assert np.allclose(br.y_star, [0.5, 0.5], atol=1e-9)
 
 
-def test_tied_singleton_cells_run_no_victim_lp(monkeypatch):
-    # a singleton stage's victim value is its column maximum: the searches
-    # and the solver settle tied cells with the attacker LP at that exact
-    # maximum, and never run the victim LP
-    real = stage.attacker_br_lp
-    tied = []
+def test_row_one_ulp_below_a_tie_is_no_best_reply():
+    # rows 0 and 1 attain the believed column's maximum exactly and row 2 is
+    # 1 ulp below it: the victim never plays row 2, so the attacker's value
+    # is the maximin over rows 0 and 1 alone, not row 2's -6
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    a = np.array([[2.0, 0.0, 0.0], [2.0, 1.0, 0.0], [np.nextafter(2.0, 0.0), 3.0, 0.0]])
+    b = np.array([[3.0, -1.0, 0.5], [-2.0, 4.0, 1.0], [-6.0, -6.0, -6.0]])
+    br = nf_attacker_best_response(np.array([[1.0, 0.0, 0.0]]), a, b)
+    # HiGHS on the exact tie: maximize v subject to v <= (b y)_i, i = 0, 1
+    ref = linprog(np.append(np.zeros(3), -1.0), A_ub=np.hstack([-b[:2], np.ones((2, 1))]),
+                  b_ub=np.zeros(2), A_eq=[[1.0, 1.0, 1.0, 0.0]], b_eq=[1.0],
+                  bounds=[(0, None)] * 3 + [(None, None)], method="highs")
+    assert ref.status == 0
+    assert br.z_star == 2.0
+    assert abs(br.v2_star - -ref.fun) <= 1e-12 * np.abs(b).max()
+    assert np.all(b[:2] @ br.y_star >= br.v2_star - 1e-12 * np.abs(b).max())
 
-    def no_lp(*args):
-        raise AssertionError("singleton stage ran the victim LP")
 
-    def checked(z_star, a_prime, b):
-        tied.append(z_star)
-        assert np.float64(z_star).tobytes() == a_prime.max().tobytes()
-        return real(z_star, a_prime, b)
-
-    monkeypatch.setattr(stage, "victim_br_lp", no_lp)
-    monkeypatch.setattr(stage, "attacker_br_lp", checked)
+def test_tied_singleton_cells_run_no_attacker_lp(monkeypatch):
+    # a singleton stage's victim value is its column maximum and its best
+    # replies the rows attaining it: the searches and the solver settle
+    # tied cells with one maximin LP over exactly the tied rows and never
+    # run the attacker LP
+    tied = watch_tied_cells(monkeypatch, inception, oracle, solver)
     for seed in range(20):
         g = integer_reward_game(seed)
         fake = mg.policy_inception(g).pi2_dagger
@@ -253,12 +266,13 @@ def test_tied_singleton_cells_run_no_victim_lp(monkeypatch):
     assert tied
 
 
-def test_singleton_stage_solves_match_per_cell_solves():
+def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
     # one layer of S stages with m believed columns each: cell (s, j) is the
     # pure fake action j at state s, believed column q1[s][:, j], against a
     # loop of per-cell stage solves; duplicated rows and integer payoffs
     # force exact best-reply ties, which the layer solve settles with the
-    # attacker LP at the exact column maximum
+    # maximin LP over exactly the tied rows
+    watch_tied_cells(monkeypatch)
     rng = np.random.default_rng(86)
     tied = unique = 0
     for trial in range(100):
@@ -270,8 +284,8 @@ def test_singleton_stage_solves_match_per_cell_solves():
             if n > 1:
                 q1[::2, 1] = q1[::2, 0]
         q2 = rng.uniform(-1.0, 1.0, (S, n, m))
-        cells = singleton_stage_solves(q1.transpose(0, 2, 1), q2)
-        tied_brs = dict(zip(zip(*np.nonzero(cells.tied)), cells.tied_brs))
+        cells = stage.singleton_stage_solves(q1.transpose(0, 2, 1), q2)
+        tied_y = dict(zip(zip(*np.nonzero(cells.tied)), cells.tied_y))
         for s in range(S):
             for j in range(m):
                 col = q1[s][:, j]
@@ -282,10 +296,13 @@ def test_singleton_stage_solves_match_per_cell_solves():
                 assert cells.tied[s, j] == (np.count_nonzero(col == col.max()) > 1)
                 if cells.tied[s, j]:
                     tied += 1
-                    assert np.array_equal(tied_brs.pop((s, j)).y_star, br.y_star)
+                    y, v2 = victim_br_lp(q2[s][col == col.max()].T)
+                    assert np.array_equal(tied_y.pop((s, j)), br.y_star)
+                    assert np.array_equal(y, br.y_star)
+                    assert cells.v2[s, j].tobytes() == np.float64(v2).tobytes()
                     continue
                 unique += 1
                 assert np.array_equal(np.eye(m)[cells.k_star[s, j]], br.y_star)
-                assert cells.i_star[s, j] == np.argmax(col)
-        assert not tied_brs
+                assert cells.k_star[s, j] == np.argmax(q2[s][np.argmax(col)])
+        assert not tied_y
     assert tied > 0 and unique > 0
