@@ -4,31 +4,49 @@ Game document layout (all indices 0-based)::
 
     {
       "horizon": H, "states": S, "actions": [n, m],
-      "mu": [S floats],
+      "mu": [S],
       "rewards": {"p1": [H][S][n][m], "p2": [H][S][n][m]},
       "transitions": [H][S][n][m][S],
       "beliefs": [ {"entries": [H][S][m]}, ... ]          # optional
     }
 
 Policy files are ``{"player": 1|2, "entries": [H][S][k]}``; fake-reward
-files are ``{"iota": x, "rewards_p2": [H][S][n][m]}``.  JSON floats are
-written with Python's shortest round-trip repr, so save/load reproduces
-every value bit-for-bit.
+files are ``{"iota": x, "rewards_p2": [H][S][n][m]}``.
+
+Each array above is stored in one of two forms, and every reader accepts
+both:
+
+* encoded, which every writer produces:
+  ``{"dtype": "<f8", "shape": [...], "data": "<base64>"}``, where ``data``
+  is the base64 of the array's little-endian float64 bytes in C order.  It
+  reproduces every bit (-0.0, subnormals, NaN and infinities included) and
+  loads without decoding float text;
+* nested lists of JSON numbers, as hand-written files and files from
+  earlier versions hold them.  Python writes floats as their shortest
+  round-trip repr, so these load bit-exact too.
 
 Error split, mirrored by the CLI exit codes: structural problems (bad JSON,
-missing keys, jagged or non-numeric arrays) raise GameFormatError; value-
-level problems (invalid distributions, non-finite rewards) surface through
-game validation or policy construction as ValueError.
+missing keys, jagged or non-numeric arrays, a malformed encoded array, a
+game array whose shape disagrees with "horizon", "states" and "actions")
+raise GameFormatError; value-level problems (invalid distributions,
+non-finite rewards) surface through game validation or policy construction
+as ValueError.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import MarkovGame, MarkovPolicy
+
+
+# little-endian float64, the one dtype the encoded array form stores
+DTYPE = "<f8"
 
 
 class GameFormatError(ValueError):
@@ -62,12 +80,43 @@ def _read_json(path) -> dict:
     return doc
 
 
+def _encode(a) -> dict:
+    arr = np.asarray(a, dtype=DTYPE)
+    return {"dtype": DTYPE, "shape": list(arr.shape),
+            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _decode(src: dict, key: str) -> np.ndarray:
+    """The read-only array of an encoded array object; see the module docstring."""
+    for name in ("dtype", "shape", "data"):
+        if name not in src:
+            raise GameFormatError(f"field {key!r} lacks {name!r}")
+    if src["dtype"] != DTYPE:
+        raise GameFormatError(f"field {key!r} has dtype {src['dtype']!r}, expected {DTYPE!r}")
+    shape = src["shape"]
+    if not isinstance(shape, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
+        raise GameFormatError(f"field {key!r} has shape {shape!r}, expected a list of "
+                              "non-negative integers")
+    try:
+        raw = base64.b64decode(src["data"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise GameFormatError(f"field {key!r} data is not base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise GameFormatError(f"field {key!r} data holds {len(raw)} bytes, shape {shape} "
+                              f"needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, DTYPE).reshape(shape)
+
+
 def _array(doc, key: str) -> np.ndarray:
+    """The float array at a dotted key, in either stored form."""
     src = doc
     for part in key.split("."):
         if not isinstance(src, dict) or part not in src:
             raise GameFormatError(f"missing field {key!r}")
         src = src[part]
+    if isinstance(src, dict):
+        return _decode(src, key)
     try:
         arr = np.asarray(src, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -84,6 +133,14 @@ def _int_field(doc: dict, key: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise GameFormatError(f"field {key!r} must be an integer, got {v!r}")
     return v
+
+
+def _shaped(doc, key: str, shape: tuple) -> np.ndarray:
+    arr = _array(doc, key)
+    if arr.shape != shape:
+        raise GameFormatError(f"field {key!r} has shape {arr.shape}, expected {shape} "
+                              'from "horizon", "states" and "actions"')
+    return arr
 
 
 def policy_from_object(obj, player: int | None = None) -> MarkovPolicy:
@@ -110,12 +167,11 @@ def load_game(path) -> GameDocument:
             or not all(isinstance(a, int) and not isinstance(a, bool) for a in actions)):
         raise GameFormatError('field "actions" must be a pair of integers [n, m]')
     n, m = actions
-    mu = _array(doc, "mu")
-    r1 = _array(doc, "rewards.p1")
-    r2 = _array(doc, "rewards.p2")
-    if r1.shape != r2.shape:
-        raise GameFormatError("rewards.p1 and rewards.p2 have different shapes")
-    transitions = _array(doc, "transitions")
+    stage = (horizon, states, n, m)
+    mu, r1, r2, transitions = (
+        _shaped(doc, key, shape) for key, shape in (
+            ("mu", (states,)), ("rewards.p1", stage), ("rewards.p2", stage),
+            ("transitions", stage + (states,))))
     game = MarkovGame(horizon, states, n, m, mu, np.stack([r1, r2]), transitions)
     beliefs = []
     if "beliefs" in doc:
@@ -131,12 +187,12 @@ def save_game(path, g: MarkovGame, beliefs=()) -> None:
         "horizon": g.horizon,
         "states": g.num_states,
         "actions": [g.n, g.m],
-        "mu": g.mu.tolist(),
-        "rewards": {"p1": g.rewards[0].tolist(), "p2": g.rewards[1].tolist()},
-        "transitions": g.transitions.tolist(),
+        "mu": _encode(g.mu),
+        "rewards": {"p1": _encode(g.rewards[0]), "p2": _encode(g.rewards[1])},
+        "transitions": _encode(g.transitions),
     }
     if beliefs:
-        doc["beliefs"] = [{"entries": p.entries.tolist()} for p in beliefs]
+        doc["beliefs"] = [{"entries": _encode(p.entries)} for p in beliefs]
     _write_json(path, doc)
 
 
@@ -145,7 +201,7 @@ def load_policy(path) -> MarkovPolicy:
 
 
 def save_policy(path, policy: MarkovPolicy) -> None:
-    _write_json(path, {"player": policy.player, "entries": policy.entries.tolist()})
+    _write_json(path, {"player": policy.player, "entries": _encode(policy.entries)})
 
 
 def load_beliefs(path) -> tuple:
@@ -167,8 +223,8 @@ def load_fake_rewards(path) -> tuple:
     rewards = _array(doc, "rewards_p2")
     if rewards.ndim != 4:
         raise GameFormatError(f"rewards_p2 must be [H][S][n][m], got shape {rewards.shape}")
-    return float(iota), rewards
+    return float(iota), np.array(rewards, dtype=float)
 
 
 def save_fake_rewards(path, iota: float, rewards: np.ndarray) -> None:
-    _write_json(path, {"iota": iota, "rewards_p2": np.asarray(rewards).tolist()})
+    _write_json(path, {"iota": iota, "rewards_p2": _encode(rewards)})

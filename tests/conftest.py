@@ -13,6 +13,19 @@ def single_step_game(a, b):
     return mg.MarkovGame(1, 1, n, m, [1.0], [[[a]], [[b]]], transitions)
 
 
+def list_form_doc(g):
+    """A game document with every array as nested lists of floats, the form
+    hand-written files and earlier versions of `save_game` use."""
+    return {
+        "horizon": g.horizon,
+        "states": g.num_states,
+        "actions": [g.n, g.m],
+        "mu": g.mu.tolist(),
+        "rewards": {"p1": g.rewards[0].tolist(), "p2": g.rewards[1].tolist()},
+        "transitions": g.transitions.tolist(),
+    }
+
+
 def pure_stage_policy(player, action, k, horizon=1, states=1):
     actions = np.full((horizon, states), action, dtype=int)
     return mg.MarkovPolicy.deterministic(player, actions, k)

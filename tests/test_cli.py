@@ -7,7 +7,7 @@ import pytest
 import mgincept as mg
 import mgincept.cli as cli
 import mgincept.solver as solver
-from conftest import chain_game, pure_stage_policy, random_policy
+from conftest import chain_game, list_form_doc, pure_stage_policy, random_policy
 from mgincept import gamefile
 from mgincept.stage import StageBR
 
@@ -38,13 +38,26 @@ def test_validate_exit_2_on_parse_error(tmp_path, capsys):
 
 def test_validate_exit_1_with_coordinates(tmp_path, decoy_game, capsys):
     path = tmp_path / "bad.json"
-    gamefile.save_game(path, decoy_game)
-    doc = json.loads(path.read_text())
+    doc = list_form_doc(decoy_game)
     doc["transitions"][0][0][1][0] = [0.9]
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert "transition-sum" in out and "a1=1" in out
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("horizon", 3, "rewards.p1"), ("states", 3, "mu"), ("actions", [2, 3], "rewards.p1")])
+def test_header_disagreeing_with_arrays_is_a_format_error(field, value, named, tmp_path,
+                                                          capsys):
+    g = chain_game(seed=70, horizon=2, states=2)
+    path = tmp_path / "game.json"
+    gamefile.save_game(path, g)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    assert f"field {named!r} has shape" in capsys.readouterr().err
 
 
 def test_solve_br_with_inline_beliefs(decoy_path, capsys):

@@ -1,12 +1,35 @@
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import chain_game, random_policy
+from conftest import chain_game, list_form_doc, random_policy
 from mgincept import cli, gamefile
 from mgincept.gamefile import GameFormatError
+
+DATA = Path(__file__).parent / "data"
+
+
+def list_form_arrays():
+    """The arrays behind the list-form files in tests/data: a 2-step,
+    2-state 2x2 game with one belief, and a policy for each player."""
+    rng = np.random.default_rng(1300)
+
+    def rows(*shape):
+        x = rng.uniform(0.05, 1.0, shape)
+        return x / x.sum(axis=-1, keepdims=True)
+
+    g = mg.MarkovGame(2, 2, 2, 2, rows(2), rng.uniform(-1.0, 1.0, (2, 2, 2, 2, 2)),
+                      rows(2, 2, 2, 2, 2))
+    belief, p1, p2 = (mg.MarkovPolicy(player, rows(2, 2, 2)) for player in (2, 1, 2))
+    return g, belief, p1, p2
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_game_round_trip_is_bit_exact(tmp_path):
@@ -32,6 +55,92 @@ def test_policy_round_trip_is_bit_exact(tmp_path):
     loaded = gamefile.load_policy(path)
     assert loaded.player == 1
     assert np.array_equal(loaded.entries, pol.entries)
+
+
+def test_encoded_form_keeps_every_bit(tmp_path):
+    g = chain_game(seed=68, horizon=2, states=2, n=2, m=3)
+    rewards = np.array(g.rewards)
+    rewards[0, 0, 0, 0] = [-0.0, 5e-324, np.nan]
+    rewards[1, 1, 1, 1] = [np.inf, -np.inf, -2.5e-310]
+    g = mg.MarkovGame(2, 2, 2, 3, g.mu, rewards, g.transitions)
+    belief = mg.MarkovPolicy(2, np.tile([1.0, -0.0, 5e-324], (2, 2, 1)))
+    game, pol, fake = (tmp_path / name for name in ("game.json", "pol.json", "fake.json"))
+    gamefile.save_game(game, g, beliefs=[belief])
+    gamefile.save_policy(pol, belief)
+    gamefile.save_fake_rewards(fake, 0.5, rewards[1])
+
+    doc = json.loads(game.read_text())
+    assert doc["transitions"]["dtype"] == "<f8" and doc["transitions"]["shape"] == [2, 2, 2, 3, 2]
+    loaded = gamefile.load_game(game)
+    for name in ("mu", "rewards", "transitions"):
+        assert same_bits(getattr(loaded.game, name), getattr(g, name)), name
+    assert same_bits(loaded.beliefs[0].entries, belief.entries)
+    assert same_bits(gamefile.load_policy(pol).entries, belief.entries)
+    assert same_bits(gamefile.load_fake_rewards(fake)[1], rewards[1])
+    # non-finite rewards are a value-level problem: validation flags them
+    report = mg.validate_game(loaded.game)
+    assert sum(v.code == "reward-nonfinite" for v in report) == 3
+    assert cli.main(["validate", str(game)]) == 1
+
+
+def _encoded(value):
+    return base64.b64encode(np.asarray(value, dtype="<f8").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("edit, match", [
+    ({"dtype": "<f4"}, "dtype"),
+    ({"dtype": ">f8"}, "dtype"),
+    ({"shape": [2, True, 2, 2]}, "shape"),
+    ({"shape": [2, -2, 2, 2]}, "shape"),
+    ({"shape": [2, 2.0, 2, 2]}, "shape"),
+    ({"shape": 16}, "shape"),
+    ({"data": "not base64!"}, "base64"),
+    ({"data": _encoded(range(16))[:-1]}, "base64"),
+    ({"data": 1.0}, "base64"),
+    ({"data": _encoded(range(15))}, "120 bytes"),
+    ({"shape": [2, 2, 2, 3]}, "needs 192"),
+], ids=["dtype-f4", "dtype-big-endian", "shape-bool", "shape-negative", "shape-float",
+        "shape-not-a-list", "data-outside-alphabet", "data-bad-padding", "data-not-a-string",
+        "data-too-short", "data-for-another-shape"])
+def test_malformed_encoded_array_is_a_format_error(edit, match, tmp_path):
+    path = tmp_path / "game.json"
+    gamefile.save_game(path, chain_game(seed=69, horizon=2, states=2))
+    doc = json.loads(path.read_text())
+    doc["rewards"]["p1"].update(edit)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GameFormatError, match=f"'rewards.p1'.*{match}"):
+        gamefile.load_game(path)
+    assert cli.main(["validate", str(path)]) == 2
+
+
+def test_list_form_files_load_bit_exact():
+    g, belief, p1, p2 = list_form_arrays()
+    doc = gamefile.load_game(DATA / "list_form_game.json")
+    for name in ("mu", "rewards", "transitions"):
+        assert same_bits(getattr(doc.game, name), getattr(g, name)), name
+    (loaded_belief,) = doc.beliefs
+    assert same_bits(loaded_belief.entries, belief.entries)
+    for name, pol in (("p1", p1), ("p2", p2)):
+        loaded = gamefile.load_policy(DATA / f"list_form_{name}.json")
+        assert loaded.player == pol.player
+        assert same_bits(loaded.entries, pol.entries)
+
+
+def test_simulate_prints_the_same_for_list_and_encoded_files(tmp_path, capsys):
+    doc = gamefile.load_game(DATA / "list_form_game.json")
+    gamefile.save_game(tmp_path / "game.json", doc.game, beliefs=doc.beliefs)
+    for name in ("p1", "p2"):
+        gamefile.save_policy(tmp_path / f"{name}.json",
+                             gamefile.load_policy(DATA / f"list_form_{name}.json"))
+    outputs = []
+    for game, p1, p2 in ((DATA / "list_form_game.json", DATA / "list_form_p1.json",
+                          DATA / "list_form_p2.json"),
+                         (tmp_path / "game.json", tmp_path / "p1.json", tmp_path / "p2.json")):
+        assert cli.main(["simulate", str(game), "--p1", str(p1), "--p2", str(p2),
+                         "--episodes", "500", "--seed", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "player 2: mean = " in outputs[0]
 
 
 def test_fake_rewards_round_trip(tmp_path):
@@ -64,10 +173,7 @@ def test_truncated_file_is_a_format_error(tmp_path):
 
 
 def test_missing_and_malformed_fields(tmp_path):
-    g = chain_game(seed=64, horizon=1, states=1)
-    path = tmp_path / "game.json"
-    gamefile.save_game(path, g)
-    doc = json.loads(path.read_text())
+    doc = list_form_doc(chain_game(seed=64, horizon=1, states=1))
 
     broken = dict(doc)
     del broken["transitions"]
@@ -92,10 +198,8 @@ def test_missing_and_malformed_fields(tmp_path):
 
 
 def test_value_level_problems_surface_as_validation_not_format(tmp_path):
-    g = chain_game(seed=65, horizon=1, states=2)
     path = tmp_path / "game.json"
-    gamefile.save_game(path, g)
-    doc = json.loads(path.read_text())
+    doc = list_form_doc(chain_game(seed=65, horizon=1, states=2))
     doc["transitions"][0][0][0][0] = [0.9, 0.0]
     path.write_text(json.dumps(doc))
     loaded = gamefile.load_game(path)  # parses fine
