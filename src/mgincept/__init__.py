@@ -13,7 +13,6 @@ from .model import (
     ValidationReport,
     ValueTables,
     evaluate_policy,
-    stage_mix_matrix,
     validate_game,
 )
 from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
@@ -46,8 +45,7 @@ from .rollout import RolloutStats, simulate
 
 __all__ = [
     "BeliefSet", "InvalidGameError", "MarkovGame", "MarkovPolicy",
-    "ValidationReport", "ValueTables", "evaluate_policy", "stage_mix_matrix",
-    "validate_game",
+    "ValidationReport", "ValueTables", "evaluate_policy", "validate_game",
     "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
     "StageBR", "StageSolveError", "nf_attacker_best_response", "victim_br_vertices",
     "BRSolveReport", "QMatrices", "markov_attacker_best_response", "q_from_v",

@@ -3,8 +3,8 @@
 Commands: validate, solve-br, incept, verify, simulate.  All file formats
 are the JSON documents described in `gamefile`; states, actions and steps
 are 0-indexed.  Exit codes: 0 success, 1 domain failure (validation,
-tolerance breach, dominance failure), 2 I/O or parse failure.  Values are
-printed with 9 significant digits.
+tolerance breach, dominance failure, a failed stage or LP solve), 2 I/O or
+parse failure.  Values are printed with 9 significant digits.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 from . import gamefile
 from .gamefile import GameFormatError
 from .inception import InceptionConfig, check_iota_dominance, design_dominant_rewards, policy_inception
-from .model import BeliefSet, InvalidGameError, require_valid, stage_mix_matrix, validate_game
+from .lp import LpError
+from .model import BeliefSet, InvalidGameError, require_valid, validate_game
 from .oracle import (GridSpec, brute_force_inception, grid_attacker_value, grid_victim_value,
                      random_game, victim_br_vertices)
 from .rollout import simulate
@@ -116,10 +117,8 @@ def _grid_checks(g, belief, step):
     report = markov_attacker_best_response(g, belief)
     for h in range(g.horizon):
         for s in range(g.num_states):
-            rows = stage_mix_matrix(belief, h, s)
-            q1 = report.q.stage(1, h, s)
-            q2 = report.q.stage(2, h, s)
-            a_prime = q1 @ rows.T
+            q1, q2 = report.q.values[:, h, s]
+            a_prime = q1 @ belief.mixes[h, s]
             z = report.v.values[0, h, s]
             v2 = report.v.values[1, h, s]
             col_range = float(np.max(a_prime.max(axis=0) - a_prime.min(axis=0)))
@@ -244,7 +243,7 @@ def main(argv=None) -> int:
     except GameFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidGameError, StageSolveError, ValueError) as exc:
+    except (InvalidGameError, StageSolveError, LpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

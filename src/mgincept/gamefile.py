@@ -121,8 +121,6 @@ def _array(doc, key: str) -> np.ndarray:
         arr = np.asarray(src, dtype=float)
     except (TypeError, ValueError) as exc:
         raise GameFormatError(f"field {key!r} is not a numeric array: {exc}") from exc
-    if arr.dtype == object:
-        raise GameFormatError(f"field {key!r} is jagged")
     return arr
 
 
@@ -157,6 +155,19 @@ def policy_from_object(obj, player: int | None = None) -> MarkovPolicy:
     return MarkovPolicy(player, entries)
 
 
+def _belief_policies(objs: list) -> tuple:
+    """The attacker policies of a beliefs list.  An error names the bad
+    belief by its index, e.g. ``beliefs[1]: field 'entries' ...``, and keeps
+    its type: GameFormatError for structure, ValueError for values."""
+    policies = []
+    for i, obj in enumerate(objs):
+        try:
+            policies.append(policy_from_object(obj, player=2))
+        except ValueError as exc:
+            raise type(exc)(f"beliefs[{i}]: {exc}") from exc
+    return tuple(policies)
+
+
 def load_game(path) -> GameDocument:
     """Load a game document; beliefs are returned alongside when present."""
     doc = _read_json(path)
@@ -173,13 +184,10 @@ def load_game(path) -> GameDocument:
             ("mu", (states,)), ("rewards.p1", stage), ("rewards.p2", stage),
             ("transitions", stage + (states,))))
     game = MarkovGame(horizon, states, n, m, mu, np.stack([r1, r2]), transitions)
-    beliefs = []
-    if "beliefs" in doc:
-        if not isinstance(doc["beliefs"], list):
-            raise GameFormatError('field "beliefs" must be a list of policy objects')
-        for obj in doc["beliefs"]:
-            beliefs.append(policy_from_object(obj, player=2))
-    return GameDocument(game=game, beliefs=tuple(beliefs))
+    beliefs = doc.get("beliefs", [])
+    if not isinstance(beliefs, list):
+        raise GameFormatError('field "beliefs" must be a list of policy objects')
+    return GameDocument(game=game, beliefs=_belief_policies(beliefs))
 
 
 def save_game(path, g: MarkovGame, beliefs=()) -> None:
@@ -211,7 +219,7 @@ def load_beliefs(path) -> tuple:
         doc = doc.get("beliefs")
     if not isinstance(doc, list) or not doc:
         raise GameFormatError(f"{path}: expected a nonempty list of policy objects")
-    return tuple(policy_from_object(obj, player=2) for obj in doc)
+    return _belief_policies(doc)
 
 
 def load_fake_rewards(path) -> tuple:

@@ -41,7 +41,7 @@ class InceptionConfig:
     iota: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.iota) and self.iota > 0):
+        if isinstance(self.iota, (bool, np.bool_)) or not (np.isfinite(self.iota) and self.iota > 0):
             raise ValueError(f"iota must be strictly positive, got {self.iota!r}")
 
 
@@ -72,7 +72,7 @@ def policy_inception(g: MarkovGame) -> InceptionResult:
     for h in range(H - 1, -1, -1):
         q1 = q_from_v(g, 1, h, values[0, h + 1])
         q2 = q_from_v(g, 2, h, values[1, h + 1])
-        cells = singleton_stage_solves(q1.transpose(0, 2, 1), q2)
+        cells = singleton_stage_solves(q1, q2)
         v1_cand, v2_cand = cells.z, cells.v2  # (S, m): fake action j at state s
         j_star = np.argmax(v2_cand, axis=1)  # lowest index wins ties
         candidates[h] = v2_cand
@@ -130,9 +130,10 @@ def check_iota_dominance(g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float) -
     (best case over all joint actions).  Returns (ok, witness) where witness
     is the first violating (h, s, a1, a2) found scanning from the last step
     backwards, and within a step over (s, a1, a2) in that order, or None.
-    Raises ValueError on non-finite inputs, which certify nothing.
+    Raises ValueError on non-finite inputs, which certify nothing, and on a
+    boolean iota.
     """
-    if not (np.isfinite(iota) and iota >= 0):
+    if isinstance(iota, (bool, np.bool_)) or not (np.isfinite(iota) and iota >= 0):
         raise ValueError(f"iota must be finite and nonnegative, got {iota!r}")
     actions = _fake_actions(pi2_dagger, g, "dominance check")
     if not (np.isfinite(g.rewards[1]).all() and np.isfinite(g.transitions).all()):
@@ -173,6 +174,5 @@ def recover_dominant_policy(g: MarkovGame, iota: float) -> MarkovPolicy | None:
 def exploit_fixed_fake(g: MarkovGame, pi2_dagger: MarkovPolicy) -> BRSolveReport:
     """The attacker's true optimal worst-case response when the victim
     best-responds to a fixed fake policy (singleton belief)."""
-    if pi2_dagger.player != 2 or not pi2_dagger.is_deterministic:
-        raise ValueError("exploit_fixed_fake requires a deterministic attacker policy")
+    _fake_actions(pi2_dagger, g, "exploit_fixed_fake")
     return markov_attacker_best_response(g, BeliefSet((pi2_dagger,)))

@@ -182,7 +182,8 @@ class BeliefSet:
     """A finitely generated belief over attacker policies.
 
     Holds the ordered base policies; semantically the belief is the set of
-    all per-stage convex mixtures of the bases.
+    all per-stage convex mixtures of the bases.  `mixes` stacks their
+    entries once, in the layout every stage solve reads.
     """
 
     base: tuple
@@ -203,22 +204,18 @@ class BeliefSet:
     def size(self) -> int:
         return len(self.base)
 
-    @property
-    def horizon(self) -> int:
-        return self.base[0].horizon
-
-    @property
-    def num_states(self) -> int:
-        return self.base[0].num_states
-
-    @property
-    def num_actions(self) -> int:
-        return self.base[0].num_actions
+    @cached_property
+    def mixes(self) -> np.ndarray:
+        """Read-only (H, S, m, K) array: mixes[h, s, :, k] is base policy k's
+        action mix at (h, s), so Q1[h, s] @ mixes[h, s] are the believed
+        columns.  Stacked on first use and kept: the bases are read-only.
+        """
+        mixes = np.stack([p.entries for p in self.base], axis=-1)
+        mixes.flags.writeable = False
+        return mixes
 
     def matches(self, g: MarkovGame) -> bool:
-        return (self.horizon, self.num_states, self.num_actions) == (
-            g.horizon, g.num_states, g.m,
-        )
+        return self.mixes.shape[:3] == (g.horizon, g.num_states, g.m)
 
 
 @dataclass(frozen=True)
@@ -237,13 +234,6 @@ class ValueTables:
         if np.any(values[:, -1, :] != 0.0):
             raise ValueError("terminal value layer must be exactly zero")
         object.__setattr__(self, "values", values)
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[1] - 1
-
-    def player(self, player: int) -> np.ndarray:
-        return self.values[_player_index(player)]
 
     def root(self, mu) -> tuple:
         """Scalar values (V1, V2) at the root, weighted by the initial distribution."""
@@ -354,12 +344,4 @@ def evaluate_policy(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy) -> Valu
             q = g.rewards[i, h] + g.transitions[h] @ values[i, h + 1]
             values[i, h] = np.einsum("sn,snm,sm->s", pi1.entries[h], q, pi2.entries[h])
     return ValueTables(values)
-
-
-def stage_mix_matrix(b: BeliefSet, h: int, s: int) -> np.ndarray:
-    """The K x m matrix whose row k is base policy k's action mix at (h, s)."""
-    if not (0 <= h < b.horizon and 0 <= s < b.num_states):
-        raise IndexError(f"(h={h}, s={s}) out of range for belief of shape "
-                         f"({b.horizon}, {b.num_states})")
-    return np.stack([p.entries[h, s] for p in b.base])
 

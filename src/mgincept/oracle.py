@@ -148,23 +148,21 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
 
     Each (h, s) is checked by a small feasibility LP at tolerance lp.FEAS_TOL.
     """
-    if pi2.player != 2 or pi2.entries.shape != b.base[0].entries.shape:
+    if pi2.player != 2 or pi2.entries.shape != b.mixes.shape[:3]:
         raise ValueError("candidate policy does not match belief dimensions")
     K = b.size
-    mixes = np.stack([p.entries for p in b.base], axis=-1)  # (H, S, m, K)
-    for h in range(b.horizon):
-        for s in range(b.num_states):
-            # weights lambda >= 0 with sum 1 and lambda' rows = pi2(h, s)
-            prog = LinearProgram(
-                objective=np.zeros(K),
-                a_ub=np.empty((0, K)),
-                b_ub=np.empty(0),
-                a_eq=np.vstack([mixes[h, s], np.ones(K)]),
-                b_eq=np.append(pi2.entries[h, s], 1.0),
-                free=np.zeros(K, dtype=bool),
-            )
-            if solve_lp(prog).status != LpStatus.OPTIMAL:
-                return False
+    for h, s in np.ndindex(b.mixes.shape[:2]):
+        # weights lambda >= 0 with sum 1 and lambda' rows = pi2(h, s)
+        prog = LinearProgram(
+            objective=np.zeros(K),
+            a_ub=np.empty((0, K)),
+            b_ub=np.empty(0),
+            a_eq=np.vstack([b.mixes[h, s], np.ones(K)]),
+            b_eq=np.append(pi2.entries[h, s], 1.0),
+            free=np.zeros(K, dtype=bool),
+        )
+        if solve_lp(prog).status != LpStatus.OPTIMAL:
+            return False
     return True
 
 
@@ -220,7 +218,7 @@ def brute_force_inception(g: MarkovGame) -> tuple:
         # stage b * S + s: state s after suffix b; cell j: fake action j there
         q1 = np.concatenate([q_from_v(g, 1, h, v) for v in v1])
         q2 = np.concatenate([q_from_v(g, 2, h, v) for v in v2])
-        cells = singleton_stage_solves(q1.transpose(0, 2, 1), q2)
+        cells = singleton_stage_solves(q1, q2)
         pick = (np.arange(B)[:, None], np.arange(S), choices[:, None, :])  # (C, B, S)
         v1 = cells.z.reshape(B, S, m)[pick].reshape(-1, S)
         v2 = cells.v2.reshape(B, S, m)[pick].reshape(-1, S)

@@ -43,9 +43,6 @@ class QMatrices:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def stage(self, player: int, h: int, s: int) -> np.ndarray:
-        return self.values[_player_index(player), h, s]
-
 
 @dataclass(frozen=True)
 class BRSolveReport:
@@ -103,11 +100,12 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
 
     Backward induction over stage games: at each step h build both players'
     stage payoffs from the next layer's worst-case values and the believed
-    columns Q1[h, s] mixes[h, s] of every state at once, one column per base
-    policy.  A singleton belief solves the layer's S stages in one
-    `stage.singleton_stage_solves` call: closed forms, and a maximin LP over
-    the tied rows only at stages whose best reply row is tied exactly.  A
-    K > 1 belief chains the victim and attacker LPs at every stage.
+    columns Q1[h] @ belief.mixes[h] of every state at once, an (S, n, K)
+    array with one column per base policy.  A singleton belief hands that
+    array as it is to one `stage.singleton_stage_solves` call: closed forms,
+    and a maximin LP over the tied rows only at stages whose best reply row
+    is tied exactly.  A K > 1 belief chains the victim and attacker LPs on
+    each stage's n x K columns.
     """
     require_valid(g)
     if not belief.matches(g):
@@ -117,16 +115,15 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
     _check_budget(g, belief.size)
 
     H, S = g.horizon, g.num_states
-    mixes = np.stack([p.entries for p in belief.base], axis=-1)  # (H, S, m, K)
     values = np.zeros((2, H + 1, S))
     qvals = np.zeros((2, H, S, g.n, g.m))
     pi2 = np.zeros((H, S, g.m))
     for h in range(H - 1, -1, -1):
         qvals[0, h] = q_from_v(g, 1, h, values[0, h + 1])
         qvals[1, h] = q_from_v(g, 2, h, values[1, h + 1])
-        cols = qvals[0, h] @ mixes[h]  # (S, n, K)
+        cols = qvals[0, h] @ belief.mixes[h]  # (S, n, K)
         if belief.size == 1:
-            cells = singleton_stage_solves(cols.transpose(0, 2, 1), qvals[1, h])
+            cells = singleton_stage_solves(cols, qvals[1, h])
             values[0, h] = cells.z[:, 0]
             values[1, h] = cells.v2[:, 0]
             pi2[h] = np.eye(g.m)[cells.k_star[:, 0]]

@@ -5,9 +5,9 @@ small maximin LP over (x, z); the attacker's best response against the
 victim's best-response polytope is the dualized LP over (y, w, alpha), and
 the two chained solve a K > 1 belief.  A singleton belief needs neither: the
 victim's value is the column maximum, its best replies the rows attaining it
-(==).  `singleton_stage_solves` solves a layer of such stages: a cell with
-one best reply in closed form (max and argmax), a tied cell as the maximin
-over exactly its tied rows, bitwise equal for equal tie sets.
+(==).  `singleton_stage_solves` solves a layer of such stages from their
+(P, n, J) believed columns, the layout of Q1 itself (J = m pure actions)
+and of Q1 @ mixes; its docstring states the tie rule.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
     if K > 1:
         return _lp_chain(a_prime, b)
     col = a_prime[:, 0]
-    cell = singleton_stage_solves(col[None, None], b[None])
+    cell = singleton_stage_solves(a_prime[None], b[None])
     y = cell.tied_y[0] if cell.tied[0, 0] else np.eye(m)[cell.k_star[0, 0]]
     z_star, v2_star = cell.z[0, 0], cell.v2[0, 0]
     # w* is the least dual weight that keeps every row i below the maximum
@@ -187,24 +187,28 @@ class SingletonSolves(NamedTuple):
 
 
 def singleton_stage_solves(cols, b) -> SingletonSolves:
-    """Solve J singleton cells of P stages at once: cols[p, j] (P x J x n) is
-    the victim's payoffs against the j-th believed attacker mix of stage p,
-    and b (P x n x m) the attacker's payoffs of stage p, shared by its cells.
+    """Solve J singleton cells of P stages at once: cols[p, :, j] (cols is
+    P x n x J) is the victim's payoffs against the j-th believed attacker
+    mix of stage p, and b (P x n x m) the attacker's payoffs of stage p,
+    shared by its cells.  Q1 (P x n x m) itself is the columns of the m pure
+    attacker actions, and Q1 @ mixes those of a belief's mixes.
 
-    A cell with a unique best reply row i* is solved by max and argmax
-    alone, v2 = b[p, i*, k*].  A tied cell's victim may play any row
-    attaining z = max cols[p, j], so v2 is the maximin over exactly those
-    rows, victim_br_lp(b[p][cols[p, j] == z].T).  Trusts finite inputs.
+    The tie rule: a cell with a unique best reply row i* is solved by max
+    and argmax alone, v2 = b[p, i*, k*].  A tied cell's victim may play any
+    row attaining z = max cols[p, :, j] exactly (==), so v2 is the maximin
+    over exactly those rows, victim_br_lp(b[p][cols[p, :, j] == z].T), and
+    cells of a stage with the same tie set get bitwise equal values.
+    Trusts finite inputs.
     """
     p = np.arange(cols.shape[0])[:, None]
-    j = np.arange(cols.shape[1])
-    i_star = cols.argmax(axis=2)  # lowest index on ties
-    z = cols[p, j, i_star]
-    tied = np.count_nonzero(cols == z[..., None], axis=2) > 1
+    j = np.arange(cols.shape[2])
+    i_star = cols.argmax(axis=1)  # lowest index on ties
+    z = cols[p, i_star, j]
+    tied = np.count_nonzero(cols == z[:, None], axis=1) > 1
     k_star = b.argmax(axis=2)[p, i_star]  # lowest index on ties, per reply row
     v2 = b[p, i_star, k_star]
     tied_y = []
     for c in zip(*np.nonzero(tied)):
-        y, v2[c] = victim_br_lp(b[c[0]][cols[c] == z[c]].T)
+        y, v2[c] = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T)
         tied_y.append(y)
     return SingletonSolves(z, k_star, v2, tied, tuple(tied_y))

@@ -119,10 +119,10 @@ def watch_tied_cells(monkeypatch, *modules):
     def kernel(cols, b):
         start = len(lps)
         cells = real_kernel(cols, b)
-        z = cols.max(axis=2)
+        z = cols.max(axis=1)
         assert cells.z.tobytes() == z.tobytes()
-        tied = np.count_nonzero(cols == z[..., None], axis=2) > 1
-        expected = [b[p][cols[p, j] == z[p, j]].T for p, j in zip(*np.nonzero(tied))]
+        tied = np.count_nonzero(cols == z[:, None], axis=1) > 1
+        expected = [b[p][cols[p, :, j] == z[p, j]].T for p, j in zip(*np.nonzero(tied))]
         ran = lps[start:]
         assert [name for name, _ in ran] == ["victim_br_lp"] * len(expected)
         for (_, (matrix,)), want in zip(ran, expected):

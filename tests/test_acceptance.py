@@ -146,8 +146,7 @@ def test_criterion_4_stage_values_reproducible_from_stored_tables():
         for h in range(horizon):
             for s in range(states):
                 br = nf_attacker_best_response(
-                    mg.stage_mix_matrix(belief, h, s),
-                    report.q.stage(1, h, s), report.q.stage(2, h, s))
+                    belief.mixes[h, s].T, *report.q.values[:, h, s])
                 worst = max(worst,
                             abs(br.z_star - report.v.values[0, h, s]),
                             abs(br.v2_star - report.v.values[1, h, s]))

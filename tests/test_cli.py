@@ -9,6 +9,7 @@ import mgincept.cli as cli
 import mgincept.solver as solver
 from conftest import chain_game, list_form_doc, pure_stage_policy, random_policy
 from mgincept import gamefile
+from mgincept.lp import LpError
 from mgincept.stage import StageBR
 
 
@@ -90,6 +91,30 @@ def test_solve_br_without_beliefs_is_usage_error(tmp_path, decoy_game, capsys):
     path = tmp_path / "plain.json"
     gamefile.save_game(path, decoy_game)
     assert cli.main(["solve-br", str(path)]) == 2
+
+
+def test_solve_failure_in_the_lp_engine_is_one_error_line(decoy_path, capsys, monkeypatch):
+    def fail(g, belief):
+        raise LpError("phase 1 reported unbounded")
+
+    monkeypatch.setattr(cli, "markov_attacker_best_response", fail)
+    assert cli.main(["solve-br", str(decoy_path)]) == 1
+    assert capsys.readouterr().err == "error: phase 1 reported unbounded\n"
+
+
+def test_bad_second_belief_is_named_by_its_index(decoy_path, tmp_path, decoy_game, capsys):
+    good = {"entries": [[[1.0, 0.0]]]}
+    game = tmp_path / "game.json"
+    gamefile.save_game(game, decoy_game)
+    doc = json.loads(game.read_text())
+    doc["beliefs"] = [good, {"entries": [[[1.0], [0.0, 1.0]]]}]
+    game.write_text(json.dumps(doc))
+    assert cli.main(["solve-br", str(game)]) == 2
+    assert "beliefs[1]: field 'entries'" in capsys.readouterr().err
+    beliefs = tmp_path / "beliefs.json"
+    beliefs.write_text(json.dumps([good, "not a policy"]))
+    assert cli.main(["solve-br", str(decoy_path), "--beliefs", str(beliefs)]) == 2
+    assert "beliefs[1]: policy object" in capsys.readouterr().err
 
 
 def test_incept_prints_policy_and_writes_files(decoy_path, tmp_path, capsys):

@@ -243,3 +243,25 @@ def test_beliefs_file_accepts_list_or_wrapper(tmp_path):
     empty.write_text(json.dumps({"beliefs": []}))
     with pytest.raises(GameFormatError):
         gamefile.load_beliefs(empty)
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    ("not a policy", GameFormatError, r"^beliefs\[1\]: policy object must be a JSON object$"),
+    ({}, GameFormatError, r"^beliefs\[1\]: missing field 'entries'$"),
+    ({"entries": [[[1.0], [0.0, 1.0]]]}, GameFormatError,
+     r"^beliefs\[1\]: field 'entries' is not a numeric array"),
+    ({"entries": [[[0.7, 0.7]]]}, ValueError, r"^beliefs\[1\]: policy row .* sums to")])
+def test_both_belief_readers_name_the_bad_belief(bad, error, match, tmp_path):
+    # the game file's embedded list and a beliefs file share one reader; a
+    # structural fault stays a format error and a bad row a value error
+    good = {"entries": [[[1.0, 0.0]]]}
+    game = tmp_path / "game.json"
+    doc = list_form_doc(chain_game(seed=68, horizon=1, states=1))
+    doc["beliefs"] = [good, bad]
+    game.write_text(json.dumps(doc))
+    beliefs = tmp_path / "beliefs.json"
+    beliefs.write_text(json.dumps({"beliefs": [good, bad]}))
+    for load, path in ((gamefile.load_game, game), (gamefile.load_beliefs, beliefs)):
+        with pytest.raises(error, match=match) as info:
+            load(path)
+        assert isinstance(info.value, GameFormatError) == (error is GameFormatError)

@@ -179,6 +179,20 @@ def test_exploit_fixed_fake_reproduces_decoy_outcomes(decoy_game):
         decoy_game, pure_stage_policy(2, 0, 2)).v2_root == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         mg.exploit_fixed_fake(decoy_game, mg.MarkovPolicy(2, [[[0.5, 0.5]]]))
+    with pytest.raises(ValueError, match="policy dimensions do not match game"):
+        mg.exploit_fixed_fake(decoy_game, pure_stage_policy(2, 1, 3))
+
+
+def test_a_boolean_iota_is_rejected(decoy_game):
+    # True would otherwise act as iota = 1
+    pol = pure_stage_policy(2, 1, 2)
+    for iota in (True, np.True_):
+        with pytest.raises(ValueError, match="iota must be strictly positive"):
+            mg.InceptionConfig(iota=iota)
+        with pytest.raises(ValueError, match="iota must be finite and nonnegative"):
+            mg.check_iota_dominance(decoy_game, pol, iota)
+        with pytest.raises(ValueError, match="iota must be finite and nonnegative"):
+            mg.recover_dominant_policy(decoy_game, iota)
 
 
 def test_exploiting_the_chosen_fake_recovers_the_advertised_value():

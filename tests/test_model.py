@@ -168,15 +168,19 @@ def test_evaluate_is_exactly_homogeneous_in_power_of_two_scales(seed, exponent):
     assert np.array_equal(mg.evaluate_policy(scaled, p1, p2).values, c * base)
 
 
-def test_stage_mix_matrix_examples(decoy_beliefs, decoy_game):
-    assert np.array_equal(mg.stage_mix_matrix(decoy_beliefs[0], 0, 0), [[1.0, 0.0]])
+def test_belief_mixes_examples(decoy_beliefs, decoy_game):
+    # mixes[h, s] is the m x K matrix of the bases' stage mixes, one column each
+    assert np.array_equal(decoy_beliefs[0].mixes[0, 0].T, [[1.0, 0.0]])
     secure = mg.secure_belief(decoy_game)
-    assert np.array_equal(mg.stage_mix_matrix(secure, 0, 0), np.eye(2))
+    assert np.array_equal(secure.mixes[0, 0].T, np.eye(2))
     uniform = mg.MarkovPolicy(2, [[[0.5, 0.5]]])
     both = mg.BeliefSet((uniform, uniform))
-    assert np.array_equal(mg.stage_mix_matrix(both, 0, 0), [[0.5, 0.5], [0.5, 0.5]])
+    assert np.array_equal(both.mixes[0, 0].T, [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(IndexError):
-        mg.stage_mix_matrix(secure, 1, 0)
+        secure.mixes[1, 0]
+    assert secure.mixes.shape == (1, 1, 2, 2) and secure.mixes is secure.mixes
+    with pytest.raises(ValueError):
+        secure.mixes[0, 0, 0, 0] = 0.5
 
 
 def test_belief_membership_convex_hull_cases():

@@ -11,7 +11,6 @@ from mgincept.oracle import (GridSpec, belief_membership, grid_attacker_value, g
                              random_belief, random_game, victim_br_vertices)
 from mgincept import solver
 from mgincept.solver import STAGE_BUDGET, q_from_v
-from mgincept.model import stage_mix_matrix
 from mgincept.stage import MAX_BELIEF_POLICIES, nf_attacker_best_response
 
 
@@ -104,9 +103,8 @@ def test_stage_resolve_consistency_from_stored_q():
     report = mg.markov_attacker_best_response(g, belief)
     for h in range(g.horizon):
         for s in range(g.num_states):
-            rows = mg.stage_mix_matrix(belief, h, s)
-            br = mg.nf_attacker_best_response(rows, report.q.stage(1, h, s),
-                                              report.q.stage(2, h, s))
+            br = mg.nf_attacker_best_response(belief.mixes[h, s].T,
+                                              *report.q.values[:, h, s])
             assert br.z_star == pytest.approx(report.v.values[0, h, s], abs=1e-9)
             assert br.v2_star == pytest.approx(report.v.values[1, h, s], abs=1e-9)
 
@@ -119,12 +117,12 @@ def test_stage_values_match_grid_oracle_per_stage():
     spec = GridSpec(step=1e-3)
     for h in range(g.horizon):
         for s in range(g.num_states):
-            rows = mg.stage_mix_matrix(belief, h, s)
-            a_prime = report.q.stage(1, h, s) @ rows.T
+            q1, q2 = report.q.values[:, h, s]
+            a_prime = q1 @ belief.mixes[h, s]
             assert abs(report.v.values[0, h, s]
                        - grid_victim_value(a_prime, spec)) <= 1e-2
             assert abs(report.v.values[1, h, s]
-                       - grid_attacker_value(a_prime, report.q.stage(2, h, s),
+                       - grid_attacker_value(a_prime, q2,
                                              report.v.values[0, h, s], spec)) <= 1e-2
 
 
@@ -138,8 +136,7 @@ def test_attacker_guarantee_holds_against_every_vertex_policy():
     per_stage_vertices = {}
     for h in range(g.horizon):
         for s in range(g.num_states):
-            rows = mg.stage_mix_matrix(belief, h, s)
-            a_prime = report.q.stage(1, h, s) @ rows.T
+            a_prime = report.q.values[0, h, s] @ belief.mixes[h, s]
             per_stage_vertices[h, s] = victim_br_vertices(
                 a_prime, report.v.values[0, h, s])
     cells = sorted(per_stage_vertices)
@@ -187,7 +184,7 @@ def _per_stage_best_response(g, belief):
         q1 = q_from_v(g, 1, h, values[0, h + 1])
         q2 = q_from_v(g, 2, h, values[1, h + 1])
         for s in range(S):
-            br = nf_attacker_best_response(stage_mix_matrix(belief, h, s), q1[s], q2[s])
+            br = nf_attacker_best_response(belief.mixes[h, s].T, q1[s], q2[s])
             values[:, h, s] = br.z_star, br.v2_star
             pi2[h, s] = solver.clean_mix(br.y_star)
     return values, pi2
@@ -326,7 +323,7 @@ def test_former_stage_solve_fault_games_match_highs(seed):
         tol = 1e-9 * (1.0 + np.abs(report.q.values).max())
         for h in (0, g.horizon // 2, g.horizon - 1):
             s = int(rng.integers(g.num_states))
-            a_prime = report.q.stage(1, h, s) @ stage_mix_matrix(belief, h, s).T
-            z, v2 = _highs_stage_values(a_prime, report.q.stage(2, h, s))
+            q1, q2 = report.q.values[:, h, s]
+            z, v2 = _highs_stage_values(q1 @ belief.mixes[h, s], q2)
             assert abs(report.v.values[0, h, s] - z) <= tol
             assert abs(report.v.values[1, h, s] - v2) <= tol

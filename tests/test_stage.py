@@ -284,7 +284,7 @@ def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
             if n > 1:
                 q1[::2, 1] = q1[::2, 0]
         q2 = rng.uniform(-1.0, 1.0, (S, n, m))
-        cells = stage.singleton_stage_solves(q1.transpose(0, 2, 1), q2)
+        cells = stage.singleton_stage_solves(q1, q2)
         tied_y = dict(zip(zip(*np.nonzero(cells.tied)), cells.tied_y))
         for s in range(S):
             for j in range(m):
