@@ -38,6 +38,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,6 +229,8 @@ def load_fake_rewards(path) -> tuple:
     iota = doc.get("iota")
     if not isinstance(iota, (int, float)) or isinstance(iota, bool):
         raise GameFormatError(f'field "iota" must be a number, got {iota!r}')
+    if not 0 <= iota <= sys.float_info.max:  # the domain of check_iota_dominance
+        raise GameFormatError(f'field "iota" must be finite and nonnegative, got {iota!r}')
     rewards = _array(doc, "rewards_p2")
     if rewards.ndim != 4:
         raise GameFormatError(f"rewards_p2 must be [H][S][n][m], got shape {rewards.shape}")

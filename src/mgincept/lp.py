@@ -1,16 +1,42 @@
-"""Self-contained dense linear-program solver.
+"""Self-contained dense linear-program solver that solves batches in lockstep.
 
 A `LinearProgram` is given in matrix form: maximize c'v subject to
 A_ub v <= b_ub and A_eq v = b_eq, with v >= 0 except where the boolean mask
-`free` is set.  The engine is a two-phase tableau simplex with Bland's
-anti-cycling rule, which makes the solver fully deterministic: identical
-inputs produce identical outputs, pivot for pivot.  Free variables are
-handled by splitting v = p - q with p, q >= 0; inequalities get one slack
-variable each.  Phase 1 starts from the slack basis: each row with a +1
-unit column (a slack, or a structural column) starts with it basic, and
-only the other rows (equalities, and inequalities flipped for a negative
-right-hand side) get an artificial variable; phase 1 maximizes minus the
-artificials' sum.
+`free` is set.  Its arrays may carry one leading batch axis: B programs of
+one shape and one `free` mask, solved together.  The engine is a two-phase
+tableau simplex with Bland's anti-cycling rule, which makes the solver fully
+deterministic: identical inputs produce identical outputs, pivot for pivot.
+Free variables are handled by splitting v = p - q with p, q >= 0;
+inequalities get one slack variable each.  Phase 1 starts from the slack
+basis: each row with a +1 unit column (a slack, or a structural column)
+starts with it basic, and only the other rows (equalities, and inequalities
+flipped for a negative right-hand side) get an artificial variable; phase 1
+maximizes minus the artificials' sum.
+
+Lockstep batches.  The B tableaux are one (B, rows, cols) stack, and every
+step pivots each unfinished member once: its entering column is the first
+reduced cost above the tolerance, its leaving row the least ratio over the
+eligible rows, the lowest basis index among ties.  A member that is optimal
+or unbounded, or hits the pivot limit, leaves the stack (the stack is
+compacted), so finished members are never updated through a mask.  The
+number of artificial columns depends on the data (a structural column can
+be a +1 unit vector), so every member gets the batch's largest count; the
+padding columns are zero and never enter.
+
+Why a member's results do not depend on its batch: every tableau entry is
+computed by the same floating-point operations, in the same order, as in a
+program solved alone.  A pivot does one division, product and difference
+per entry, and no column feeds into another, so padding columns change
+nothing.  The cost row is priced out row by row, skipping the members whose
+basic cost is zero, as a lone program skips them: an update by 0 * row
+would turn a -0.0 into +0.0.  Ratios are divided only where the column entry
+is eligible, and a solution's value is the same dot product objective'v.
+Each member's outcome is its own: a member the engine fails on (phase 1
+reporting unbounded, or the pivot limit) is returned as its `LpError`, and
+solving one unbatched program raises it.
+
+The stack's memory is the caller's to bound: `batch_slices` splits a run of
+programs into batches of at most BATCH_ELEMENTS tableau elements.
 
 All the programs in this package have at most a few dozen variables, so a
 dense tableau is both simpler and faster than anything sparse.  Comparisons
@@ -29,6 +55,11 @@ import numpy as np
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 MAX_PIVOTS = 20000
+BATCH_ELEMENTS = 1 << 18  # tableau elements of one lockstep batch (2 MiB)
+
+# a member's outcome in _run
+_OPTIMAL, _UNBOUNDED, _STALLED = 0, 1, 2
+_STALLED_MESSAGE = "pivot limit exceeded; simplex did not converge"
 
 
 class LpError(RuntimeError):
@@ -46,7 +77,9 @@ class LinearProgram:
     """max objective'v  s.t.  a_ub v <= b_ub,  a_eq v = b_eq,  v >= 0 off `free`.
 
     Shapes: objective (q,), a_ub (r, q), b_ub (r,), a_eq (e, q), b_eq (e,)
-    and the boolean mask free (q,); r and e may be 0.
+    and the boolean mask free (q,); r and e may be 0.  A batch of B
+    programs puts a leading axis of length B on all but free: objective
+    (B, q), a_ub (B, r, q), b_ub (B, r), a_eq (B, e, q) and b_eq (B, e).
     """
 
     objective: np.ndarray
@@ -63,14 +96,17 @@ class LinearProgram:
                 raise LpError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, a)
         object.__setattr__(self, "free", np.asarray(self.free, dtype=bool))
-        q = self.objective.size
-        if q < 1 or self.objective.shape != (q,) or self.free.shape != (q,):
+        q = self.objective.shape[-1] if self.objective.ndim else 0
+        batch = self.objective.shape[:-1]
+        if q < 1 or len(batch) > 1 or self.free.shape != (q,):
             raise LpError(f"objective {self.objective.shape} and free {self.free.shape} "
-                          "must both have shape (q,) with q >= 1")
+                          "must have shapes ([B,] q) and (q,) with q >= 1")
         for a, b in ((self.a_ub, self.b_ub), (self.a_eq, self.b_eq)):
-            if a.ndim != 2 or a.shape[1] != q or b.shape != a.shape[:1]:
+            if (a.ndim != len(batch) + 2 or a.shape[:-2] != batch or a.shape[-1] != q
+                    or b.shape != a.shape[:-1]):
                 raise LpError(f"constraints {a.shape} and bounds {b.shape} do not "
-                              f"have shapes (rows, {q}) and (rows,)")
+                              f"have shapes ({'B, ' * len(batch)}rows, {q}) and "
+                              f"({'B, ' * len(batch)}rows,)")
 
 
 @dataclass(frozen=True)
@@ -80,27 +116,41 @@ class LpSolution:
     value: float | None = None
 
 
-def _standardize(lp: LinearProgram):
-    """Rewrite as max c'x, Ax = b, x >= 0 with b >= 0.
+def batch_slices(count: int, rows: int, cols: int) -> list:
+    """Slices that split `count` programs of `rows` constraints over `cols`
+    variables into lockstep batches of at most BATCH_ELEMENTS tableau
+    elements each (and at least one program)."""
+    # a tableau's bound: every variable split, a slack and an artificial per row
+    size = (rows + 1) * (2 * cols + 2 * rows + 1)
+    step = max(1, BATCH_ELEMENTS // size)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
-    Returns (A, b, c, pos, neg): variable i of lp is x[pos[i]] - x[neg[i]].
-    A free variable's neg[i] = pos[i] + 1 is its own column; a bounded one's
-    neg[i] = -1 reads the zero that _extract pads x with.
+
+def _standardize(lp: LinearProgram):
+    """Rewrite each program as max c'x, Ax = b, x >= 0 with b >= 0.
+
+    Returns (A, b, c, pos, neg), A, b and c with a leading batch axis (of
+    length 1 for an unbatched program): variable i of lp is x[pos[i]] -
+    x[neg[i]].  A free variable's neg[i] = pos[i] + 1 is its own column; a
+    bounded one's neg[i] = -1 reads the zero that _extract pads x with.
     """
+    q = lp.free.size
     width = lp.free + 1  # standard columns per variable
     ends = width.cumsum()
     pos = ends - width
     neg = np.where(lp.free, ends - 1, -1)
-    r = lp.b_ub.size
+    r, e = lp.b_ub.shape[-1], lp.b_eq.shape[-1]
+    B = lp.objective.size // q
     structural = int(ends[-1])
-    rows = np.concatenate([lp.objective[None], lp.a_ub, lp.a_eq])  # cost row first
-    S = np.zeros((rows.shape[0], structural + r))
-    S[:, pos] = rows
-    S[:, neg[lp.free]] = -rows[:, lp.free]
+    rows = np.concatenate([lp.objective.reshape(B, 1, q), lp.a_ub.reshape(B, r, q),
+                           lp.a_eq.reshape(B, e, q)], axis=1)  # cost row first
+    S = np.zeros((B, 1 + r + e, structural + r))
+    S[:, :, pos] = rows
+    S[:, :, neg[lp.free]] = -rows[:, :, lp.free]
     k = np.arange(r)
-    S[k + 1, structural + k] = 1.0  # one slack per inequality row
-    A, c = S[1:], S[0]
-    b = np.concatenate([lp.b_ub, lp.b_eq])
+    S[:, k + 1, structural + k] = 1.0  # one slack per inequality row
+    A, c = S[:, 1:], S[:, 0]
+    b = np.concatenate([lp.b_ub.reshape(B, r), lp.b_eq.reshape(B, e)], axis=1)
     flip = b < 0
     if flip.any():
         A[flip] *= -1.0
@@ -108,114 +158,161 @@ def _standardize(lp: LinearProgram):
     return A, b, c, pos, neg
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
+    """Pivot every member k of the stack T on (row[k], col[k])."""
+    k = np.arange(T.shape[0])
+    T[k, row] /= T[k, row, col][:, None]
+    colvals = T[k, :, col]
+    colvals[k, row] = 0.0
+    T -= colvals[:, :, None] * T[k, row][:, None, :]
+    T[k, :, col] = 0.0
+    T[k, row, col] = 1.0
+    basis[k, row] = col
 
 
-def _run(T: np.ndarray, basis: np.ndarray, allowed: int):
-    """Pivot to optimality over columns < allowed.  Returns 'optimal' or 'unbounded'."""
-    rows = T.shape[0] - 1
+def _run(T: np.ndarray, basis: np.ndarray, allowed: int) -> np.ndarray:
+    """Pivot every member to optimality over columns < allowed, in lockstep.
+
+    Returns each member's outcome: _OPTIMAL, _UNBOUNDED or _STALLED (the
+    pivot limit).  Finished members leave the working stack t and are
+    written back to T.
+    """
+    rows = T.shape[1] - 1
+    outcome = np.full(T.shape[0], _STALLED)
+    live = np.arange(T.shape[0])
+    t, tb = T, basis
     for _ in range(MAX_PIVOTS):
-        improving = T[-1, :allowed] > PIVOT_TOL
-        entering = int(improving.argmax())  # Bland: lowest improving index
-        if not improving[entering]:
-            return "optimal"
-        col = T[:rows, entering]
-        eligible = (col > PIVOT_TOL).nonzero()[0]
-        if eligible.size == 0:
-            return "unbounded"
-        ratios = T[eligible, -1] / col[eligible]
-        best = ratios.min()
-        ties = eligible[ratios <= best + 1e-15]
-        leaving = ties[basis[ties].argmin()]  # Bland: lowest basis index
-        _pivot(T, basis, int(leaving), entering)
-    raise LpError("pivot limit exceeded; simplex did not converge")
+        k = np.arange(live.size)
+        improving = t[:, -1, :allowed] > PIVOT_TOL
+        entering = improving.argmax(axis=1)  # Bland: lowest improving index
+        col = t[k, :rows, entering]
+        eligible = col > PIVOT_TOL
+        optimal = ~improving.any(axis=1)
+        unbounded = ~optimal & ~eligible.any(axis=1)
+        done = optimal | unbounded
+        if done.any():
+            outcome[live[optimal]] = _OPTIMAL
+            outcome[live[unbounded]] = _UNBOUNDED
+            T[live[done]] = t[done]
+            basis[live[done]] = tb[done]
+            go = ~done
+            live, t, tb = live[go], t[go], tb[go]
+            if live.size == 0:
+                return outcome
+            entering, col, eligible = entering[go], col[go], eligible[go]
+        ratios = np.divide(t[:, :rows, -1], col, out=np.full(col.shape, np.inf),
+                           where=eligible)
+        best = ratios.min(axis=1)
+        ties = eligible & (ratios <= best[:, None] + 1e-15)
+        leaving = np.where(ties, tb, t.shape[2]).argmin(axis=1)  # Bland: lowest basis index
+        _pivot(t, tb, leaving, entering)
+    T[live] = t
+    basis[live] = tb
+    return outcome
 
 
 def _price_out(T: np.ndarray, basis: np.ndarray, c_full: np.ndarray) -> None:
-    """Set the cost row to reduced costs of c_full; bottom-right becomes -objective."""
-    rows = T.shape[0] - 1
-    T[-1, :-1] = c_full
-    T[-1, -1] = 0.0
+    """Set each member's cost row to the reduced costs of its row of c_full;
+    the bottom-right entry becomes -objective."""
+    rows = T.shape[1] - 1
+    T[:, -1, :-1] = c_full
+    T[:, -1, -1] = 0.0
+    cb = np.take_along_axis(c_full, basis, axis=1)
     for r in range(rows):
-        cb = c_full[basis[r]]
-        if cb != 0.0:
-            T[-1] -= cb * T[r]
+        on = (cb[:, r] != 0.0).nonzero()[0]
+        T[on, -1] -= cb[on, r, None] * T[on, r]
 
 
-def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, q: int) -> None:
-    """Pivot basic artificials (all at ~0 after a feasible phase 1) onto
-    structural columns so their rows constrain phase 2.  Rows with no
-    structural entries are redundant and stay inert."""
-    for r in (basis >= q).nonzero()[0]:
-        j = int(np.argmax(np.abs(T[r, :q])))
-        if abs(T[r, j]) > PIVOT_TOL:
-            _pivot(T, basis, int(r), j)
+def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, q: int,
+                           members: np.ndarray) -> None:
+    """Pivot the members' basic artificials (all at ~0 after a feasible
+    phase 1) onto structural columns so their rows constrain phase 2.  Rows
+    with no structural entries are redundant and stay inert.  Such rows are
+    rare, so each is pivoted alone, in a one-member view of the stack."""
+    for m, r in zip(*((basis >= q) & members[:, None]).nonzero()):
+        j = np.abs(T[m, r, :q]).argmax()
+        if abs(T[m, r, j]) > PIVOT_TOL:
+            _pivot(T[m:m + 1], basis[m:m + 1], np.array([r]), np.array([j]))
 
 
 def _phase1(A: np.ndarray, b: np.ndarray):
-    """Returns (T, basis, q, feasible) with artificial columns appended.
+    """Returns (T, basis, q, outcome, feasible) with artificial columns
+    appended: outcome is each member's phase-1 `_run` outcome, feasible
+    marks the members that reached a zero artificial sum.
 
     Phase 1 starts from the slack basis: a column of A that is a +1 unit
     vector is a feasible basic variable of its row (b >= 0), the lowest-index
     one where a row has several.  Only the rows without one (equality rows,
     and inequality rows flipped for a negative right-hand side) get an
-    artificial column.
+    artificial column; the other members' padding columns stay zero.
     """
-    rows, q = A.shape
-    unit = (A == 1.0) & (np.count_nonzero(A, axis=0) == 1)
-    need = (~unit.any(axis=1)).nonzero()[0]
-    artificial = q + np.arange(need.size)
-    T = np.zeros((rows + 1, q + need.size + 1))
-    T[:rows, :q] = A
-    T[need, artificial] = 1.0
-    T[:rows, -1] = b
-    basis = unit.argmax(axis=1)  # lowest-index unit column of each row
-    basis[need] = artificial
-    c1 = np.zeros(q + need.size)
-    c1[q:] = -1.0
+    B, rows, q = A.shape
+    unit = (A == 1.0) & (np.count_nonzero(A, axis=1) == 1)[:, None, :]
+    need = ~unit.any(axis=2)
+    member, row = need.nonzero()
+    artificial = q + (need.cumsum(axis=1) - 1)[member, row]
+    T = np.zeros((B, rows + 1, q + int(need.sum(axis=1).max(initial=0)) + 1))
+    T[:, :rows, :q] = A
+    T[member, row, artificial] = 1.0
+    T[:, :rows, -1] = b
+    basis = unit.argmax(axis=2)  # lowest-index unit column of each row
+    basis[member, row] = artificial
+    c1 = np.zeros((B, T.shape[2] - 1))
+    c1[:, q:] = -1.0
     _price_out(T, basis, c1)
-    status = _run(T, basis, q)
-    # unreachable in exact arithmetic; still reached through round-off at
-    # reward scales far from 1 (CHANGES.md FOUND, ROADMAP open item 2)
-    if status != "optimal":
-        raise LpError("phase 1 reported unbounded")
-    feasible = -T[-1, -1] >= -FEAS_TOL
-    if feasible:
-        _drive_out_artificials(T, basis, q)
-    return T, basis, q, feasible
+    outcome = _run(T, basis, q)
+    # an unbounded phase 1 is unreachable in exact arithmetic; still reached
+    # through round-off at reward scales far from 1 (ROADMAP open item 2)
+    feasible = (outcome == _OPTIMAL) & (-T[:, -1, -1] >= -FEAS_TOL)
+    _drive_out_artificials(T, basis, q, feasible)
+    return T, basis, q, outcome, feasible
 
 
 def _extract(T: np.ndarray, basis: np.ndarray, pos: np.ndarray,
              neg: np.ndarray) -> np.ndarray:
-    x = np.zeros(T.shape[1])  # x[-1] is never basic: the zero that neg = -1 reads
-    x[basis] = T[:-1, -1]
-    return x[pos] - x[neg]
+    x = np.zeros((T.shape[0], T.shape[2]))  # x[:, -1] is never basic: the zero neg = -1 reads
+    x[np.arange(T.shape[0])[:, None], basis] = T[:, :-1, -1]
+    # C order: each row is contiguous, as a lone program's v, whose strides
+    # decide how the dot product objective'v rounds
+    return np.ascontiguousarray(x[:, pos] - x[:, neg])
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve a linear program deterministically.
+def solve_lp(lp: LinearProgram) -> LpSolution | list:
+    """Solve a linear program, or a batch of them in lockstep, deterministically.
+
+    An unbatched program gives its LpSolution, and raises LpError where the
+    engine fails on it.  A batch gives a list with one entry per program,
+    its LpSolution or the LpError the engine failed with (phase 1 reporting
+    unbounded, or the pivot limit), returned so that the caller picks which
+    failure to report.
 
     On OPTIMAL, `v` is a vertex of the feasible region and `value` equals
     objective'v.  On degenerate optima any optimal vertex may be returned;
     callers must depend only on the value and feasibility.
     """
     A, b, c, pos, neg = _standardize(lp)
-    T, basis, q, feasible = _phase1(A, b)
-    if not feasible:
-        return LpSolution(LpStatus.INFEASIBLE)
-    c_full = np.zeros(T.shape[1] - 1)
-    c_full[:q] = c
-    _price_out(T, basis, c_full)
-    status = _run(T, basis, q)
-    if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED)
-    v = _extract(T, basis, pos, neg)
-    return LpSolution(LpStatus.OPTIMAL, v=v, value=float(lp.objective @ v))
-
+    T, basis, q, outcome, feasible = _phase1(A, b)
+    out = [LpSolution(LpStatus.INFEASIBLE) if o == _OPTIMAL else
+           LpError("phase 1 reported unbounded" if o == _UNBOUNDED else _STALLED_MESSAGE)
+           for o in outcome]
+    kept = feasible.nonzero()[0]
+    if kept.size:
+        T, basis = T[kept], basis[kept]
+        c_full = np.zeros((kept.size, T.shape[2] - 1))
+        c_full[:, :q] = c[kept]
+        _price_out(T, basis, c_full)
+        outcome = _run(T, basis, q)
+        v = _extract(T, basis, pos, neg)
+        objective = lp.objective.reshape(-1, lp.free.size)
+        for k, i in enumerate(kept):
+            if outcome[k] == _OPTIMAL:
+                out[i] = LpSolution(LpStatus.OPTIMAL, v=v[k], value=float(objective[i] @ v[k]))
+            elif outcome[k] == _UNBOUNDED:
+                out[i] = LpSolution(LpStatus.UNBOUNDED)
+            else:
+                out[i] = LpError(_STALLED_MESSAGE)
+    if lp.objective.ndim == 2:
+        return out
+    if isinstance(out[0], LpError):
+        raise out[0]
+    return out[0]

@@ -1,8 +1,9 @@
 """Brute-force oracles that certify solver results on small instances.
 
 Everything here is exponential or grid-based and gated behind hard size
-guards, except belief membership (one feasibility LP per stage); oracles
-certify the algorithms on small instances, never the production solve path.
+guards, except belief membership (one feasibility LP per stage, solved in
+lockstep batches); oracles certify the algorithms on small instances, never
+the production solve path.
 
 The exhaustive fake-policy search shares work across suffixes: fixing a
 fake policy's layers h+1..H-1 fixes the value vectors entering layer h, so
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import LinearProgram, LpError, LpStatus, batch_slices, solve_lp
 from .model import (
     BeliefSet,
     MarkovGame,
@@ -146,23 +147,33 @@ def grid_attacker_value(a_prime, b, z_star: float, spec: GridSpec) -> float:
 def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     """True iff pi2 is a per-stage convex mixture of the belief's base policies.
 
-    Each (h, s) is checked by a small feasibility LP at tolerance lp.FEAS_TOL.
+    Each (h, s) is checked by a small feasibility LP at tolerance
+    lp.FEAS_TOL; all H * S of them share one shape and are solved in
+    lockstep batches.  The answer, and an engine failure raised, are those
+    of checking the stages one by one in (h, s) order up to the first that
+    is not a member.
     """
     if pi2.player != 2 or pi2.entries.shape != b.mixes.shape[:3]:
         raise ValueError("candidate policy does not match belief dimensions")
-    K = b.size
-    for h, s in np.ndindex(b.mixes.shape[:2]):
+    H, S, m, K = b.mixes.shape
+    mixes = b.mixes.reshape(H * S, m, K)
+    entries = pi2.entries.reshape(H * S, m)
+    for sl in batch_slices(H * S, m + 1, K):
+        B = mixes[sl].shape[0]
         # weights lambda >= 0 with sum 1 and lambda' rows = pi2(h, s)
         prog = LinearProgram(
-            objective=np.zeros(K),
-            a_ub=np.empty((0, K)),
-            b_ub=np.empty(0),
-            a_eq=np.vstack([b.mixes[h, s], np.ones(K)]),
-            b_eq=np.append(pi2.entries[h, s], 1.0),
+            objective=np.zeros((B, K)),
+            a_ub=np.empty((B, 0, K)),
+            b_ub=np.empty((B, 0)),
+            a_eq=np.concatenate([mixes[sl], np.ones((B, 1, K))], axis=1),
+            b_eq=np.concatenate([entries[sl], np.ones((B, 1))], axis=1),
             free=np.zeros(K, dtype=bool),
         )
-        if solve_lp(prog).status != LpStatus.OPTIMAL:
-            return False
+        for sol in solve_lp(prog):
+            if isinstance(sol, LpError):
+                raise sol
+            if sol.status != LpStatus.OPTIMAL:
+                return False
     return True
 
 

@@ -2,7 +2,8 @@
 
 Given a validated game and a finitely generated victim belief, solve one
 stage game per (step, state) from the last layer backwards.  Within a layer
-the per-state solves are independent; layers are strictly sequential.
+the per-state solves are independent and run as one batch; layers are
+strictly sequential.
 Worst-case values are unique, so the value tables are reproducible
 bit-for-bit through the deterministic LP engine and the closed forms even
 though the returned policy may be any optimal vertex.
@@ -22,7 +23,8 @@ from .model import (
     _player_index,
     require_valid,
 )
-from .stage import MAX_BELIEF_POLICIES, _lp_chain, singleton_stage_solves
+from .lp import LpError
+from .stage import MAX_BELIEF_POLICIES, StageSolveError, _lp_chain, singleton_stage_solves
 
 STAGE_BUDGET = 200_000
 
@@ -104,8 +106,11 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
     array with one column per base policy.  A singleton belief hands that
     array as it is to one `stage.singleton_stage_solves` call: closed forms,
     and a maximin LP over the tied rows only at stages whose best reply row
-    is tied exactly.  A K > 1 belief chains the victim and attacker LPs on
-    each stage's n x K columns.
+    is tied exactly.  A K > 1 belief hands it, with the attacker's stage
+    payoffs, to one `stage._lp_chain` call: the victim LPs of all S stages
+    in one lockstep batch, then their attacker LPs.  A stage-solve failure
+    names the step h and the stage s ("step h, stage s: ...") and which LP
+    broke.
     """
     require_valid(g)
     if not belief.matches(g):
@@ -130,11 +135,13 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
             for s, y in zip(np.flatnonzero(cells.tied), cells.tied_y):
                 pi2[h, s] = clean_mix(y)
         else:
-            for s in range(S):
-                br = _lp_chain(cols[s], qvals[1, h, s])
-                values[0, h, s] = br.z_star
-                values[1, h, s] = br.v2_star
-                pi2[h, s] = clean_mix(br.y_star)
+            try:
+                chain = _lp_chain(cols, qvals[1, h])
+            except (StageSolveError, LpError) as err:
+                raise type(err)(f"step {h}, {err}") from None
+            values[0, h] = chain.z_star
+            values[1, h] = chain.v2_star
+            pi2[h] = [clean_mix(y) for y in chain.y_star]
     tables = ValueTables(values)
     v1_root, v2_root = tables.root(g.mu)
     return BRSolveReport(

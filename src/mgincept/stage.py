@@ -3,11 +3,15 @@
 The victim's worst-case best response against K believed attacker mixes is a
 small maximin LP over (x, z); the attacker's best response against the
 victim's best-response polytope is the dualized LP over (y, w, alpha), and
-the two chained solve a K > 1 belief.  A singleton belief needs neither: the
-victim's value is the column maximum, its best replies the rows attaining it
-(==).  `singleton_stage_solves` solves a layer of such stages from their
-(P, n, J) believed columns, the layout of Q1 itself (J = m pure actions)
-and of Q1 @ mixes; its docstring states the tie rule.
+the two chained solve a K > 1 belief.  Both LPs take a leading stage axis:
+the P stages of a layer share one shape, so `lp.solve_lp` solves them as one
+lockstep batch (split at `lp.BATCH_ELEMENTS` tableau elements), with results
+bit-identical to solving the stages one by one.  A failure names the stage
+(its index p along that axis) and the LP.  A singleton belief needs neither
+LP: the victim's value is the column maximum, its best replies the rows
+attaining it (==).  `singleton_stage_solves` solves a layer of such stages
+from their (P, n, J) believed columns, the layout of Q1 itself (J = m pure
+actions) and of Q1 @ mixes; its docstring states the tie rule.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import LinearProgram, LpError, LpStatus, batch_slices, solve_lp
 
 MAX_BELIEF_POLICIES = 64
 
@@ -28,7 +32,8 @@ class StageSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class StageBR:
-    """Outcome of one stage solve.
+    """Outcome of one stage solve, or of P stage solves with a leading stage
+    axis on every field (from `attacker_br_lp` and `_lp_chain`).
 
     y_star is one optimal attacker mix (any optimal vertex; recorded as
     returned by the deterministic solver), z_star the victim's worst-case
@@ -37,10 +42,10 @@ class StageBR:
     """
 
     y_star: np.ndarray
-    z_star: float
-    v2_star: float
+    z_star: float | np.ndarray
+    v2_star: float | np.ndarray
     w_star: np.ndarray
-    alpha_star: float
+    alpha_star: float | np.ndarray
 
 
 def _as_finite_matrix(a, name: str) -> np.ndarray:
@@ -52,71 +57,116 @@ def _as_finite_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def victim_br_lp(a_prime) -> tuple:
-    """Solve the maximin LP max_x min_j (x'A')_j of the matrix game a_prime.
+def _solve_stages(count: int, rows: int, cols: int, program, lp_name: str,
+                  hint: str = "") -> list:
+    """Solve `count` stage LPs of one shape (`rows` constraints over `cols`
+    variables) in lockstep batches; program(sl) builds the LinearProgram of
+    stages sl.  Returns their solutions.  Raises for the lowest failing
+    stage, naming it and the LP, with its index as the error's `stage`:
+    StageSolveError for a non-optimal status, LpError for the engine's own
+    failures.  No batch past it is solved."""
+    sols = []
+    for sl in batch_slices(count, rows, cols):
+        for sol in solve_lp(program(sl)):
+            p = len(sols)
+            if isinstance(sol, LpError):
+                failure = LpError(f"stage {p}: {lp_name}: {sol}")
+            elif sol.status != LpStatus.OPTIMAL:
+                failure = StageSolveError(f"stage {p}: {lp_name} returned {sol.status}{hint}")
+            else:
+                sols.append(sol)
+                continue
+            failure.stage = p
+            raise failure
+    return sols
 
-    a_prime is n x K: the victim's payoffs against K believed attacker
+
+def victim_br_lp(cols) -> tuple:
+    """Solve the maximin LPs max_x min_j (x'A'_p)_j of P matrix games at once.
+
+    cols is P x n x K: stage p's victim payoffs against K believed attacker
     mixes, or the attacker's payoffs on a tied singleton cell's rows,
-    transposed.  Returns (x_star, z_star).  Trusts its input to be finite.
+    transposed.  Returns (x_star (P, n), z_star (P,)).  Raises for the
+    lowest stage whose LP fails, naming it.  Trusts its input to be finite.
     """
-    n, K = a_prime.shape
-    # variables (x, z): z - x'A'e_j <= 0 for every j, sum(x) = 1, z free
-    prog = LinearProgram(
-        objective=np.append(np.zeros(n), 1.0),
-        a_ub=np.hstack([-a_prime.T, np.ones((K, 1))]),
-        b_ub=np.zeros(K),
-        a_eq=np.append(np.ones(n), 0.0)[None, :],
-        b_eq=np.ones(1),
-        free=np.arange(n + 1) == n,
-    )
-    sol = solve_lp(prog)
-    if sol.status != LpStatus.OPTIMAL:  # the feasible region is a nonempty polytope
-        raise StageSolveError(f"victim best-response LP returned {sol.status}")
-    return sol.v[:n], float(sol.value)
+    P, n, K = cols.shape
 
-
-def attacker_br_lp(z_star: float, a_prime, b) -> StageBR:
-    """Solve the attacker's dual best-response LP of a K > 1 belief.
-
-    z_star must be victim_br_lp's optimal value for the same a_prime; a value
-    above it makes this LP unbounded, which is reported as an internal
-    inconsistency.  Trusts its inputs to be finite, b with a_prime's rows.
-    """
-    n, K = a_prime.shape
-    m = b.shape[1]
-    # variables (y, w, alpha): -(By)_i + (A'w)_i - alpha <= 0 for every i,
-    # sum(y) = 1, alpha free
-    prog = LinearProgram(
-        objective=np.concatenate([np.zeros(m), np.full(K, z_star), [-1.0]]),
-        a_ub=np.hstack([-b, a_prime, -np.ones((n, 1))]),
-        b_ub=np.zeros(n),
-        a_eq=np.append(np.ones(m), np.zeros(K + 1))[None, :],
-        b_eq=np.ones(1),
-        free=np.arange(m + K + 1) == m + K,
-    )
-    sol = solve_lp(prog)
-    if sol.status != LpStatus.OPTIMAL:
-        raise StageSolveError(
-            f"attacker best-response LP returned {sol.status}; "
-            "z_star is not the victim optimum for this a_prime"
+    def program(sl):
+        B = cols[sl].shape[0]
+        # variables (x, z): z - x'A'e_j <= 0 for every j, sum(x) = 1, z free
+        return LinearProgram(
+            objective=np.tile(np.append(np.zeros(n), 1.0), (B, 1)),
+            a_ub=np.concatenate([-cols[sl].transpose(0, 2, 1), np.ones((B, K, 1))], axis=2),
+            b_ub=np.zeros((B, K)),
+            a_eq=np.tile(np.append(np.ones(n), 0.0), (B, 1, 1)),
+            b_eq=np.ones((B, 1)),
+            free=np.arange(n + 1) == n,
         )
-    y = sol.v[:m]
-    w = sol.v[m:m + K]
-    alpha = float(sol.v[-1])
+
+    sols = _solve_stages(P, K + 1, n + 1, program, "victim best-response LP")
+    return (np.array([sol.v[:n] for sol in sols]).reshape(P, n),
+            np.array([sol.value for sol in sols]))
+
+
+def attacker_br_lp(z_star, cols, b) -> StageBR:
+    """Solve the attacker's dual best-response LPs of P stages of a K > 1 belief.
+
+    cols (P x n x K) and b (P x n x m) are the stages' believed columns and
+    attacker payoffs, z_star (P,) victim_br_lp's optimal values for the same
+    cols; a value above one makes that LP unbounded, which is reported as an
+    internal inconsistency naming the lowest such stage.  Returns a StageBR
+    whose fields have a leading stage axis.  Trusts its inputs to be finite.
+    """
+    z_star = np.asarray(z_star, dtype=float)
+    P, n, K = cols.shape
+    m = b.shape[2]
+
+    def program(sl):
+        B = cols[sl].shape[0]
+        # variables (y, w, alpha): -(By)_i + (A'w)_i - alpha <= 0 for every i,
+        # sum(y) = 1, alpha free
+        return LinearProgram(
+            objective=np.concatenate([np.zeros((B, m)), np.repeat(z_star[sl, None], K, axis=1),
+                                      np.full((B, 1), -1.0)], axis=1),
+            a_ub=np.concatenate([-b[sl], cols[sl], -np.ones((B, n, 1))], axis=2),
+            b_ub=np.zeros((B, n)),
+            a_eq=np.tile(np.append(np.ones(m), np.zeros(K + 1)), (B, 1, 1)),
+            b_eq=np.ones((B, 1)),
+            free=np.arange(m + K + 1) == m + K,
+        )
+
+    v = [sol.v for sol in _solve_stages(P, n + 1, m + K + 1, program, "attacker best-response LP",
+                                        "; z_star is not the victim optimum for this a_prime")]
+    alpha = [float(x[-1]) for x in v]
     return StageBR(
-        y_star=y,
-        z_star=float(z_star),
-        v2_star=float(z_star * w.sum() - alpha),
-        w_star=w,
-        alpha_star=alpha,
+        y_star=np.array([x[:m] for x in v]).reshape(P, m),
+        z_star=z_star,
+        v2_star=np.array([z * x[m:m + K].sum() - a for z, x, a in zip(z_star, v, alpha)]),
+        w_star=np.array([x[m:m + K] for x in v]).reshape(P, K),
+        alpha_star=np.array(alpha),
     )
 
 
-def _lp_chain(a_prime, b) -> StageBR:
-    """The stage solve of a K > 1 belief: the victim LP for z*, then the
-    attacker LP.  Trusts its inputs to be finite, b with a_prime's rows."""
-    _, z_star = victim_br_lp(a_prime)
-    return attacker_br_lp(z_star, a_prime, b)
+def _lp_chain(cols, b) -> StageBR:
+    """The stage solves of a K > 1 belief for P stages at once: the victim
+    LPs for z*, then the attacker LPs; cols is P x n x K, b P x n x m.
+
+    Returns a StageBR whose fields have a leading stage axis.  Raises what
+    solving the stages one by one raises first: the lowest failing stage,
+    and there the victim LP before the attacker LP.  Trusts its inputs to
+    be finite.
+    """
+    try:
+        _, z_star = victim_br_lp(cols)
+    except (StageSolveError, LpError) as err:
+        failure = err
+    else:
+        return attacker_br_lp(z_star, cols, b)
+    # the stages before the failing victim LP, whose attacker LPs come first
+    # (their victim LPs solve again to the same bits: a stage's solve does
+    # not depend on its batch)
+    _lp_chain(cols[:failure.stage], b[:failure.stage])
+    raise failure
 
 
 def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
@@ -148,7 +198,9 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
         raise ValueError("pi_rows rows must be distributions")
     a_prime = a @ pi_rows.T
     if K > 1:
-        return _lp_chain(a_prime, b)
+        br = _lp_chain(a_prime[None], b[None])
+        return StageBR(br.y_star[0], float(br.z_star[0]), float(br.v2_star[0]),
+                       br.w_star[0], float(br.alpha_star[0]))
     col = a_prime[:, 0]
     cell = singleton_stage_solves(a_prime[None], b[None])
     y = cell.tied_y[0] if cell.tied[0, 0] else np.eye(m)[cell.k_star[0, 0]]
@@ -209,6 +261,7 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     v2 = b[p, i_star, k_star]
     tied_y = []
     for c in zip(*np.nonzero(tied)):
-        y, v2[c] = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T)
-        tied_y.append(y)
+        y, v2_tied = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T[None])
+        tied_y.append(y[0])
+        v2[c] = v2_tied[0]
     return SingletonSolves(z, k_star, v2, tied, tuple(tied_y))

@@ -101,7 +101,7 @@ def watch_tied_cells(monkeypatch, *modules):
     """Check every `singleton_stage_solves` call made through the modules
     (`stage` is always watched): z is the exact column maximum, the attacker
     LP never runs, and each cell whose maximum more than one row attains
-    (==) runs one `victim_br_lp` whose matrix is exactly b[p][col == z].T,
+    (==) runs one `victim_br_lp` whose one stage is exactly b[p][col == z].T,
     in np.nonzero order.  Returns the list of those matrices, which grows
     with every checked call."""
     from mgincept import stage
@@ -126,7 +126,7 @@ def watch_tied_cells(monkeypatch, *modules):
         ran = lps[start:]
         assert [name for name, _ in ran] == ["victim_br_lp"] * len(expected)
         for (_, (matrix,)), want in zip(ran, expected):
-            assert matrix.shape == want.shape and matrix.tobytes() == want.tobytes()
+            assert matrix.shape == (1, *want.shape) and matrix.tobytes() == want.tobytes()
         seen.extend(expected)
         return cells
 

@@ -171,8 +171,8 @@ def test_verify_fails_on_corrupted_solver(decoy_path, capsys, monkeypatch):
     real = solver._lp_chain
     real_cells = solver.singleton_stage_solves
 
-    def biased(a_prime, b):
-        br = real(a_prime, b)
+    def biased(cols, b):
+        br = real(cols, b)
         return StageBR(br.y_star, br.z_star - 0.05, br.v2_star - 0.05,
                        br.w_star, br.alpha_star)
 

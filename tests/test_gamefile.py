@@ -165,6 +165,19 @@ def test_fake_rewards_need_a_numeric_iota(tmp_path):
         gamefile.load_fake_rewards(path)
 
 
+def test_fake_rewards_need_a_finite_nonnegative_iota(tmp_path):
+    # the domain check_iota_dominance accepts; Python's json reads NaN,
+    # Infinity and a 1e400 that overflows to inf as floats
+    path = tmp_path / "fake.json"
+    for iota in ("NaN", "Infinity", "-Infinity", "1e400", "-3", "-0.5", "1" + "0" * 400):
+        path.write_text(f'{{"iota": {iota}, "rewards_p2": [[[[0.0]]]]}}')
+        with pytest.raises(GameFormatError, match='"iota" must be finite and nonnegative'):
+            gamefile.load_fake_rewards(path)
+    for iota in ("0", "0.0", "2.5"):
+        path.write_text(f'{{"iota": {iota}, "rewards_p2": [[[[0.0]]]]}}')
+        assert gamefile.load_fake_rewards(path)[0] == float(iota)
+
+
 def test_truncated_file_is_a_format_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"horizon": 1, "states": 1, "actions": [2,')

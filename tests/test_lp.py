@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lp_reference
 from mgincept import lp, stage
 from mgincept.lp import (
     FEAS_TOL,
@@ -210,9 +211,9 @@ def test_standard_form_is_bit_identical_to_elementwise_reference():
         prog = simplex_max(rng.uniform(-1, 1, n).round(), a_ub=rng.uniform(-1, 1, (r, n)).round(1),
                            b_ub=rng.uniform(-1, 1, r), a_eq=rng.uniform(-1, 1, (e, n)).round(1),
                            b_eq=rng.uniform(-1, 1, e), free=np.flatnonzero(rng.uniform(size=n) < 0.5))
-        got = _standardize(prog)[:3]
+        got = _standardize(prog)[:3]  # a batch of one
         for x, y in zip(got, _elementwise_standard_form(prog)):
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert x.shape == (1, *y.shape) and x.tobytes() == y.tobytes()
 
 
 def test_deterministic_repeat_solves():
@@ -287,7 +288,7 @@ def _phase1_start(monkeypatch, prog):
     real, starts = lp._run, []
 
     def recorded(T, basis, allowed):
-        starts.append((basis.copy(), T.shape[1] - 1 - allowed))
+        starts.append((basis[0].copy(), T.shape[2] - 1 - allowed))
         return real(T, basis, allowed)
 
     monkeypatch.setattr(lp, "_run", recorded)
@@ -369,5 +370,174 @@ def test_stage_lps_start_with_one_artificial(monkeypatch):
     assert len(programs) == 2  # victim_br_lp, then attacker_br_lp
     for prog in programs:
         A, rhs = _standardize(prog)[:2]
-        T, basis, q, feasible = _phase1(A, rhs)
-        assert feasible and T.shape[1] - 1 - q == 1
+        T, basis, q, outcome, feasible = _phase1(A, rhs)
+        assert feasible.all() and T.shape[2] - 1 - q == 1
+
+
+# ---- the lockstep engine against the scalar reference (tests/lp_reference.py)
+
+def _reference(prog):
+    try:
+        return lp_reference.solve_lp(prog)
+    except LpError as err:
+        return err
+
+
+def _same_bits(got, want):
+    """Bitwise equality of two outcomes: an LpError of the same message, or
+    the same status, v and value bytes."""
+    if isinstance(want, LpError):
+        return isinstance(got, LpError) and str(got) == str(want)
+    if isinstance(got, LpError) or got.status != want.status:
+        return False
+    if want.v is None:
+        return got.v is None and got.value is None
+    return (got.v.tobytes() == want.v.tobytes()
+            and np.float64(got.value).tobytes() == np.float64(want.value).tobytes())
+
+
+def _member(prog, i):
+    return LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i], prog.a_eq[i],
+                         prog.b_eq[i], prog.free)
+
+
+def _artificials(prog):
+    T, _, q, _ = lp_reference.phase1(*lp_reference.standardize(prog)[:2])
+    return T.shape[1] - 1 - q
+
+
+def _mixed_batch(rng, size):
+    """`size` programs of one random shape: rounded entries (exact zeros and
+    ties), right-hand sides of both signs, free variables, and a structural
+    +1 unit column in some members, which saves them an artificial."""
+    n, r, e = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    free = rng.uniform(size=n) < 0.3
+    digits = int(rng.integers(0, 3))
+    a_ub = rng.uniform(-1, 1, (size, r, n)).round(1)
+    unit = rng.uniform(size=size) < 0.4
+    a_ub[unit, :, 0] = 0.0
+    a_ub[unit, 0, 0] = 1.0
+    return LinearProgram(rng.uniform(-1, 1, (size, n)).round(digits), a_ub,
+                         rng.uniform(-1, 1.5, (size, r)).round(1),
+                         rng.uniform(-1, 1, (size, e, n)).round(1),
+                         rng.uniform(-1, 1, (size, e)).round(1), free)
+
+
+def test_batches_are_bitwise_the_scalar_engine():
+    rng = np.random.default_rng(17)
+    statuses, mixed_artificials = set(), 0
+    for _ in range(150):
+        prog = _mixed_batch(rng, int(rng.integers(1, 12)))
+        got = solve_lp(prog)
+        assert len(got) == prog.objective.shape[0]
+        for i, sol in enumerate(got):
+            want = _reference(_member(prog, i))
+            assert _same_bits(sol, want)
+            statuses.add(want.status)
+        counts = {_artificials(_member(prog, i)) for i in range(len(got))}
+        mixed_artificials += len(counts) > 1
+    assert statuses == set(LpStatus)
+    assert mixed_artificials >= 20
+
+
+def test_unbatched_solve_is_a_batch_of_one():
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        prog = _member(_mixed_batch(rng, 1), 0)
+        assert _same_bits(solve_lp(prog), _reference(prog))
+
+
+def test_engine_failures_stay_with_their_member(monkeypatch):
+    # at a pivot limit of 3 the members that need more pivots fail alone,
+    # with the scalar engine's message; unbatched, the failure raises
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 3)
+    rng = np.random.default_rng(19)
+    failed = solved = 0
+    for _ in range(60):
+        prog = _mixed_batch(rng, 8)
+        for i, sol in enumerate(solve_lp(prog)):
+            want = _reference(_member(prog, i))
+            assert _same_bits(sol, want)
+            failed += isinstance(want, LpError)
+            solved += not isinstance(want, LpError)
+            if isinstance(want, LpError):
+                with pytest.raises(LpError, match="pivot limit"):
+                    solve_lp(_member(prog, i))
+    assert failed > 0 and solved > 0
+
+
+def test_phase_one_failure_in_a_stage_batch(monkeypatch):
+    # the victim LPs of step 1 of this tiny-reward game: stage 0 fails with
+    # "phase 1 reported unbounded" (absolute tolerances, ROADMAP item 2)
+    # in one batch with the other stages, which solve
+    from mgincept.oracle import random_belief, random_game
+    from mgincept.solver import markov_attacker_best_response
+
+    batches = []
+
+    def recorded(prog):
+        batches.append(prog)
+        return solve_lp(prog)
+
+    monkeypatch.setattr(stage, "solve_lp", recorded)
+    g = random_game(np.random.default_rng(3), 3, 5, 4, 4, reward_scale=1e-6)
+    with pytest.raises(LpError, match="phase 1 reported unbounded"):
+        markov_attacker_best_response(g, random_belief(np.random.default_rng(1003), g, 4))
+    outcomes = [_reference(_member(batches[-1], i)) for i in range(5)]
+    assert isinstance(outcomes[0], LpError)
+    assert [o.status for o in outcomes[1:]] == [LpStatus.OPTIMAL] * 4
+    for sol, want in zip(solve_lp(batches[-1]), outcomes):
+        assert _same_bits(sol, want)
+
+
+def test_batch_slices_bound_the_stack(monkeypatch):
+    assert lp.batch_slices(0, 3, 4) == []
+    for elements, count, rows, cols in ((1 << 18, 20, 9, 7), (1000, 13, 3, 4), (10, 5, 2, 2)):
+        monkeypatch.setattr(lp, "BATCH_ELEMENTS", elements)
+        slices = lp.batch_slices(count, rows, cols)
+        assert [i for sl in slices for i in range(count)[sl]] == list(range(count))
+        size = (rows + 1) * (2 * cols + 2 * rows + 1)
+        assert all(sl.stop - sl.start <= max(1, elements // size) for sl in slices)
+        assert len(slices) == -(-count // max(1, elements // size))
+
+
+def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
+    # a layer of stage LPs split into batches of 3 stages (and of 1): the
+    # victim values, the attacker solves and the first-failure rule do not
+    # depend on where the split falls
+    rng = np.random.default_rng(20)
+    cols = rng.uniform(-1, 1, (7, 4, 3))
+    b = rng.uniform(-1, 1, (7, 4, 5))
+    whole = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
+    for stages_per_batch in (3, 1):
+        size = (3 + 2) * (2 * 5 + 2 * 4 + 1)  # the victim LP's tableau bound
+        monkeypatch.setattr(lp, "BATCH_ELEMENTS", stages_per_batch * size)
+        assert len(lp.batch_slices(7, 4, 5)) == -(-7 // stages_per_batch)
+        (x, z), br = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
+        assert x.tobytes() == whole[0][0].tobytes() and z.tobytes() == whole[0][1].tobytes()
+        for field in ("y_star", "z_star", "v2_star", "w_star", "alpha_star"):
+            assert getattr(br, field).tobytes() == getattr(whole[1], field).tobytes()
+        # z above the victim optimum at stages 3 and 5 empties their
+        # best-reply polytopes: the lowest is reported, across the split
+        high = whole[0][1].copy()
+        high[[3, 5]] += 1.0
+        with pytest.raises(stage.StageSolveError, match="^stage 3: attacker best-response LP "
+                                                        "returned LpStatus.UNBOUNDED"):
+            stage.attacker_br_lp(high, cols, b)
+
+
+def test_price_out_keeps_signed_zeros_bitwise():
+    # costs and tableau rows full of +-0.0: members whose basic cost is zero
+    # are skipped, never updated by 0 * row (which turns -0.0 into +0.0)
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        B, rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(6, 9))
+        signs = rng.choice([-1.0, 1.0], (B, rows + 1, cols))
+        T = signs * rng.choice([0.0, 0.0, 0.5, 1.25], (B, rows + 1, cols))
+        c_full = rng.choice([-1.0, 1.0], (B, cols - 1)) * rng.choice([0.0, 0.0, 2.0], (B, cols - 1))
+        basis = np.stack([rng.permutation(cols - 1)[:rows] for _ in range(B)])
+        want = T.copy()
+        for t, bas, c in zip(want, basis, c_full):
+            lp_reference.price_out(t, bas, c)
+        lp._price_out(T, basis, c_full)
+        assert T.tobytes() == want.tobytes()

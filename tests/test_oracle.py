@@ -3,7 +3,7 @@ import pytest
 
 import mgincept as mg
 from conftest import (chain_game, continuation_tradeoff_game, integer_reward_game,
-                      single_step_game, watch_tied_cells)
+                      pure_stage_policy, single_step_game, watch_tied_cells)
 from mgincept import oracle
 from mgincept.oracle import (
     ENUM_GUARD,
@@ -69,7 +69,7 @@ def test_grid_agrees_with_stage_lps_on_random_instances():
         a = rng.uniform(-1.0, 1.0, (n, m))
         b = rng.uniform(-1.0, 1.0, (n, m))
         a_prime = a @ rows.T
-        _, z = victim_br_lp(a_prime)
+        _, (z,) = victim_br_lp(a_prime[None])
         col_range = float(np.max(a_prime.max(axis=0) - a_prime.min(axis=0), initial=0.0))
         assert abs(z - grid_victim_value(a_prime, spec)) <= col_range * spec.step + 1e-6
         br = nf_attacker_best_response(rows, a, b)
@@ -183,3 +183,74 @@ def test_brute_force_guard_fires_before_any_stage_solve(monkeypatch):
     with pytest.raises(ValueError, match=f"^enumeration of {ENUM_GUARD + 1} policies "
                                          f"exceeds guard {ENUM_GUARD}$"):
         brute_force_inception(single_step_game(past, past))
+
+
+def _membership_by_stage(belief, pi2):
+    """Belief membership as one feasibility LP per (h, s), in order, through
+    the scalar engine: the reference for the batched check."""
+    import lp_reference
+    from mgincept.lp import LinearProgram, LpStatus
+
+    K = belief.size
+    for h, s in np.ndindex(belief.mixes.shape[:2]):
+        prog = LinearProgram(np.zeros(K), np.empty((0, K)), np.empty(0),
+                             np.vstack([belief.mixes[h, s], np.ones(K)]),
+                             np.append(pi2.entries[h, s], 1.0), np.zeros(K, dtype=bool))
+        if lp_reference.solve_lp(prog).status != LpStatus.OPTIMAL:
+            return False
+    return True
+
+
+def test_belief_membership_is_the_per_stage_check():
+    rng = np.random.default_rng(60)
+    answers = set()
+    for trial in range(80):
+        H, S, m, K = (int(rng.integers(1, 4)) for _ in range(4))
+        g = random_game(rng, H, S, 2, m)
+        belief = oracle.random_belief(rng, g, K)
+        if trial % 2:
+            weights = rng.dirichlet(np.ones(K), (H, S))
+            entries = np.einsum("hsmk,hsk->hsm", belief.mixes, weights)
+            entries /= entries.sum(axis=2, keepdims=True)
+        else:
+            entries = belief.base[0].entries.copy()
+            entries[-1, -1] = rng.dirichlet(np.ones(m))
+        pi2 = mg.MarkovPolicy(2, entries)
+        answer = oracle.belief_membership(belief, pi2)
+        assert answer == _membership_by_stage(belief, pi2)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("fail_at, outside_at, raises", [(1, 3, True), (3, 1, False)])
+def test_belief_membership_keeps_the_first_failure(monkeypatch, fail_at, outside_at, raises):
+    # stage fail_at of 2 x 3 makes the engine fail, stage outside_at is no
+    # member: the stage-by-stage order decides between raising and False,
+    # also with every stage in its own batch
+    from mgincept import lp
+
+    belief = mg.BeliefSet(tuple(pure_stage_policy(2, j, 3, horizon=2, states=3)
+                                for j in (0, 1)))
+    entries = np.zeros((2, 3, 3))
+    entries[..., :2] = 0.5
+    entries[np.unravel_index(outside_at, (2, 3))] = [0.0, 0.0, 1.0]
+    pi2 = mg.MarkovPolicy(2, entries)
+    real = oracle.solve_lp
+
+    def failing(prog):
+        out = real(prog)
+        start = offsets.pop(0)
+        if start <= fail_at < start + len(out):
+            out[fail_at - start] = lp.LpError("pivot limit exceeded; simplex did not converge")
+        offsets.append(start + len(out))
+        return out
+
+    for elements in (lp.BATCH_ELEMENTS, 1):
+        monkeypatch.setattr(lp, "BATCH_ELEMENTS", elements)
+        monkeypatch.setattr(oracle, "solve_lp", failing)
+        offsets = [0]
+        if raises:
+            with pytest.raises(lp.LpError, match="pivot limit"):
+                oracle.belief_membership(belief, pi2)
+        else:
+            assert oracle.belief_membership(belief, pi2) is False

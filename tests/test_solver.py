@@ -327,3 +327,58 @@ def test_former_stage_solve_fault_games_match_highs(seed):
             z, v2 = _highs_stage_values(q1 @ belief.mixes[h, s], q2)
             assert abs(report.v.values[0, h, s] - z) <= tol
             assert abs(report.v.values[1, h, s] - v2) <= tol
+
+
+def _scalar_engine(prog):
+    """solve_lp with every batch member solved alone by the scalar engine."""
+    import lp_reference
+
+    out = []
+    for i in range(prog.objective.shape[0]):
+        member = mg.lp.LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i],
+                                     prog.a_eq[i], prog.b_eq[i], prog.free)
+        try:
+            out.append(lp_reference.solve_lp(member))
+        except mg.lp.LpError as err:
+            out.append(err)
+    return out
+
+
+def test_k_layer_is_bitwise_the_per_state_solves(monkeypatch):
+    # each layer of a K > 1 solve is one batch per LP; the reference solves
+    # every (h, s) alone, through the scalar engine, on the report's own Q
+    from mgincept import stage
+
+    g = random_game(np.random.default_rng(30), 4, 6, 4, 5)
+    belief = random_belief(np.random.default_rng(31), g, 3)
+    report = mg.markov_attacker_best_response(g, belief)
+    monkeypatch.setattr(stage, "solve_lp", _scalar_engine)
+    q1, q2 = report.q.values
+    for h, s in np.ndindex(g.horizon, g.num_states):
+        br = stage._lp_chain((q1[h, s] @ belief.mixes[h, s])[None], q2[h, s][None])
+        assert report.v.values[0, h, s].tobytes() == br.z_star[0].tobytes()
+        assert report.v.values[1, h, s].tobytes() == br.v2_star[0].tobytes()
+        assert report.pi2_star.entries[h, s].tobytes() == solver.clean_mix(br.y_star[0]).tobytes()
+
+
+# Stress-row games (ROADMAP open item 2) whose K > 1 solve fails, with the
+# stage and the LP where solving the stages one at a time fails first.
+FAILING_STAGES = (
+    ((3, 5, 4, 4, 1e-6), 4, 2, mg.lp.LpError,
+     "step 2, stage 4: attacker best-response LP: phase 1 reported unbounded"),
+    ((3, 5, 4, 4, 1e-6), 4, 7, mg.lp.LpError,
+     "step 2, stage 4: victim best-response LP: phase 1 reported unbounded"),
+    ((10, 20, 6, 6, 1.0), 8, 57, mg.StageSolveError,
+     "step 9, stage 12: attacker best-response LP returned LpStatus.UNBOUNDED; "
+     "z_star is not the victim optimum for this a_prime"),
+)
+
+
+@pytest.mark.parametrize("size, k, seed, error, message", FAILING_STAGES)
+def test_k_layer_failure_names_the_stage_and_the_lp(size, k, seed, error, message):
+    *dims, scale = size
+    g = random_game(np.random.default_rng(seed), *dims, reward_scale=scale)
+    belief = random_belief(np.random.default_rng(seed + 1000), g, k)
+    with pytest.raises(error) as info:
+        mg.markov_attacker_best_response(g, belief)
+    assert type(info.value) is error and str(info.value) == message

@@ -19,23 +19,23 @@ DECOY = np.array([[5.0, 0.0], [0.0, 0.0]])
 
 
 def test_victim_br_single_column_cases():
-    x, z = victim_br_lp(np.array([[0.0], [1.0]]))
+    (x,), (z,) = victim_br_lp(np.array([[[0.0], [1.0]]]))
     assert z == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(x, [0.0, 1.0], atol=1e-9)
-    x, z = victim_br_lp(np.array([[1.0], [0.0]]))
+    (x,), (z,) = victim_br_lp(np.array([[[1.0], [0.0]]]))
     assert z == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(x, [1.0, 0.0], atol=1e-9)
 
 
 def test_victim_br_zero_matrix():
-    _, z = victim_br_lp(np.zeros((3, 2)))
+    _, (z,) = victim_br_lp(np.zeros((1, 3, 2)))
     assert z == pytest.approx(0.0, abs=1e-9)
 
 
 def test_victim_br_full_matching_game():
     # both pure columns believed: unique optimum is the even mix at 0.5,
     # cross-checked against the grid oracle
-    x, z = victim_br_lp(MATCHING)
+    (x,), (z,) = victim_br_lp(MATCHING[None])
     assert z == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(x, [0.5, 0.5], atol=1e-9)
     grid = grid_victim_value(MATCHING, GridSpec(step=1e-3))
@@ -52,21 +52,21 @@ def test_attacker_br_decoy_columns():
     # belief pins the victim to its matching response; the attacker collects
     # 5 only when the victim was baited to row 0
     a_prime = MATCHING @ np.array([[1.0, 0.0]]).T
-    br = attacker_br_lp(1.0, a_prime, DECOY)
-    assert br.v2_star == pytest.approx(0.0, abs=1e-9)
+    br = attacker_br_lp([1.0], a_prime[None], DECOY[None])
+    assert br.v2_star[0] == pytest.approx(0.0, abs=1e-9)
     a_prime = MATCHING @ np.array([[0.0, 1.0]]).T
-    br = attacker_br_lp(1.0, a_prime, DECOY)
-    assert br.v2_star == pytest.approx(5.0, abs=1e-9)
-    assert np.allclose(br.y_star, [1.0, 0.0], atol=1e-9)
+    br = attacker_br_lp([1.0], a_prime[None], DECOY[None])
+    assert br.v2_star[0] == pytest.approx(5.0, abs=1e-9)
+    assert np.allclose(br.y_star[0], [1.0, 0.0], atol=1e-9)
     assert np.all(br.w_star >= -1e-12)
 
 
 def test_attacker_br_zero_payoffs():
     a_prime = np.array([[0.2], [0.8]])
-    _, z = victim_br_lp(a_prime)
-    br = attacker_br_lp(z, a_prime, np.zeros((2, 3)))
-    assert br.v2_star == pytest.approx(0.0, abs=1e-9)
-    assert abs(br.y_star.sum() - 1.0) <= 1e-9
+    _, z = victim_br_lp(a_prime[None])
+    br = attacker_br_lp(z, a_prime[None], np.zeros((1, 2, 3)))
+    assert br.v2_star[0] == pytest.approx(0.0, abs=1e-9)
+    assert abs(br.y_star[0].sum() - 1.0) <= 1e-9
 
 
 def test_attacker_br_flags_inconsistent_victim_value():
@@ -74,7 +74,7 @@ def test_attacker_br_flags_inconsistent_victim_value():
     # the dual program diverges
     a_prime = MATCHING @ np.array([[1.0, 0.0]]).T
     with pytest.raises(StageSolveError):
-        attacker_br_lp(2.0, a_prime, DECOY)
+        attacker_br_lp([2.0], a_prime[None], DECOY[None])
 
 
 def test_best_response_chain_composes_both_solves():
@@ -149,7 +149,7 @@ def test_vertices_satisfy_value_floor_on_random_stages():
         n, m, k = (int(rng.integers(1, 4)) for _ in range(3))
         rows, a, _ = _random_stage(rng, n, m, k)
         a_prime = a @ rows.T
-        _, z = victim_br_lp(a_prime)
+        _, (z,) = victim_br_lp(a_prime[None])
         for v in victim_br_vertices(a_prime, z):
             assert float((a_prime.T @ v).min()) >= z - 1e-8
 
@@ -162,8 +162,8 @@ def test_smaller_beliefs_never_hurt_the_victim():
         k_full = int(rng.integers(2, 5))
         a_full = rng.uniform(-1.0, 1.0, (n, k_full))
         k_sub = int(rng.integers(1, k_full))
-        _, z_sub = victim_br_lp(a_full[:, :k_sub])
-        _, z_full = victim_br_lp(a_full)
+        _, (z_sub,) = victim_br_lp(a_full[None, :, :k_sub])
+        _, (z_full,) = victim_br_lp(a_full[None])
         assert z_sub >= z_full - 1e-9
 
 
@@ -201,11 +201,11 @@ def test_singleton_closed_form_matches_lp_chain(monkeypatch):
         br = nf_attacker_best_response(rows, a, b)
         assert len(maximins) - before == ties
         tied += ties
-        _, z = victim_br_lp(col[:, None])
-        ref = attacker_br_lp(z, col[:, None], b)
+        _, z = victim_br_lp(col[None, :, None])
+        ref = attacker_br_lp(z, col[None, :, None], b[None])
         scale = max(1.0, np.abs(a).max(), np.abs(b).max())
-        assert abs(br.z_star - z) <= 1e-9 * scale
-        assert abs(br.v2_star - ref.v2_star) <= 1e-9 * scale
+        assert abs(br.z_star - z[0]) <= 1e-9 * scale
+        assert abs(br.v2_star - ref.v2_star[0]) <= 1e-9 * scale
         # (y*, w*, alpha*) is feasible for attacker_br_lp's program, whose
         # row i reads col_i w - alpha <= (b y)_i; residuals are relative to
         # the largest term
@@ -296,7 +296,7 @@ def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
                 assert cells.tied[s, j] == (np.count_nonzero(col == col.max()) > 1)
                 if cells.tied[s, j]:
                     tied += 1
-                    y, v2 = victim_br_lp(q2[s][col == col.max()].T)
+                    (y,), (v2,) = victim_br_lp(q2[s][col == col.max()].T[None])
                     assert np.array_equal(tied_y.pop((s, j)), br.y_star)
                     assert np.array_equal(y, br.y_star)
                     assert cells.v2[s, j].tobytes() == np.float64(v2).tobytes()
@@ -306,3 +306,28 @@ def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
                 assert cells.k_star[s, j] == np.argmax(q2[s][np.argmax(col)])
         assert not tied_y
     assert tied > 0 and unique > 0
+
+
+def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
+    # the engine fails the victim LP of stage 5 and the attacker LP of
+    # stage 3 (and of 6, past the victim failure): stage by stage, stage 3's
+    # attacker LP fails first; with the two swapped, stage 3's victim LP
+    real = stage.solve_lp
+    rng = np.random.default_rng(87)
+    cols, b = rng.uniform(-1.0, 1.0, (2, 8, 3, 3))
+
+    def injected(victim_at, attacker_at):
+        def solve(prog):
+            out = real(prog)
+            n_vars = prog.objective.shape[1]
+            for p in (victim_at if n_vars == 3 + 1 else attacker_at):
+                if p < len(out):
+                    out[p] = stage.LpError("phase 1 reported unbounded")
+            return out
+        return solve
+
+    for victim_at, attacker_at, message in (((5,), (3, 6), "stage 3: attacker"),
+                                             ((3,), (5,), "stage 3: victim")):
+        monkeypatch.setattr(stage, "solve_lp", injected(victim_at, attacker_at))
+        with pytest.raises(stage.LpError, match=f"^{message} best-response LP: phase 1"):
+            stage._lp_chain(cols, b)
