@@ -11,7 +11,9 @@ inequalities get one slack variable each.  Phase 1 starts from the slack
 basis: each row with a +1 unit column (a slack, or a structural column)
 starts with it basic, and only the other rows (equalities, and inequalities
 flipped for a negative right-hand side) get an artificial variable; phase 1
-maximizes minus the artificials' sum.
+maximizes minus the artificials' sum.  A batch without any artificial column
+starts feasible and skips phase 1; the stage LPs of `mgincept.stage` are
+written that way and never need one.
 
 Lockstep batches.  The B tableaux are one (B, rows, cols) stack, and every
 step pivots each unfinished member once: its entering column is the first
@@ -29,7 +31,7 @@ program solved alone.  A pivot does one division, product and difference
 per entry, and no column feeds into another, so padding columns change
 nothing.  The cost row is priced out row by row, skipping the members whose
 basic cost is zero, as a lone program skips them: an update by 0 * row
-would turn a -0.0 into +0.0.  Ratios are divided only where the column entry
+would turn a -0.0 into +0.0.  Ratios are kept only where the column entry
 is eligible, and a solution's value is the same dot product objective'v.
 Each member's outcome is its own: a member the engine fails on (phase 1
 reporting unbounded, or the pivot limit) is returned as its `LpError`, and
@@ -158,15 +160,18 @@ def _standardize(lp: LinearProgram):
     return A, b, c, pos, neg
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
-    """Pivot every member k of the stack T on (row[k], col[k])."""
+def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray,
+           column: np.ndarray) -> None:
+    """Pivot every member k of the stack T on (row[k], col[k]); column[k] is
+    a copy of T[k, :, col[k]], cost row included, and is used up.
+
+    The pivot column needs no writes of its own: the pivot entry divides to
+    exactly 1.0, and every other entry x becomes x - x * 1.0 = +0.0.
+    """
     k = np.arange(T.shape[0])
-    T[k, row] /= T[k, row, col][:, None]
-    colvals = T[k, :, col]
-    colvals[k, row] = 0.0
-    T -= colvals[:, :, None] * T[k, row][:, None, :]
-    T[k, :, col] = 0.0
-    T[k, row, col] = 1.0
+    T[k, row] /= column[k, row][:, None]
+    column[k, row] = 0.0
+    T -= column[:, :, None] * T[k, row][:, None, :]
     basis[k, row] = col
 
 
@@ -185,27 +190,25 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int) -> np.ndarray:
         k = np.arange(live.size)
         improving = t[:, -1, :allowed] > PIVOT_TOL
         entering = improving.argmax(axis=1)  # Bland: lowest improving index
-        col = t[k, :rows, entering]
-        eligible = col > PIVOT_TOL
-        optimal = ~improving.any(axis=1)
-        unbounded = ~optimal & ~eligible.any(axis=1)
-        done = optimal | unbounded
-        if done.any():
-            outcome[live[optimal]] = _OPTIMAL
-            outcome[live[unbounded]] = _UNBOUNDED
+        improves = improving[k, entering]
+        column = t[k, :, entering]
+        eligible = column[:, :rows] > PIVOT_TOL
+        go = improves & eligible.any(axis=1)
+        if not go.all():
+            done = ~go
+            outcome[live[done]] = np.where(improves[done], _UNBOUNDED, _OPTIMAL)
             T[live[done]] = t[done]
             basis[live[done]] = tb[done]
-            go = ~done
             live, t, tb = live[go], t[go], tb[go]
             if live.size == 0:
                 return outcome
-            entering, col, eligible = entering[go], col[go], eligible[go]
-        ratios = np.divide(t[:, :rows, -1], col, out=np.full(col.shape, np.inf),
-                           where=eligible)
+            entering, column, eligible = entering[go], column[go], eligible[go]
+        with np.errstate(divide="ignore", invalid="ignore"):  # only where not eligible
+            ratios = np.where(eligible, t[:, :rows, -1] / column[:, :rows], np.inf)
         best = ratios.min(axis=1)
         ties = eligible & (ratios <= best[:, None] + 1e-15)
         leaving = np.where(ties, tb, t.shape[2]).argmin(axis=1)  # Bland: lowest basis index
-        _pivot(t, tb, leaving, entering)
+        _pivot(t, tb, leaving, entering, column)
     T[live] = t
     basis[live] = tb
     return outcome
@@ -213,12 +216,12 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int) -> np.ndarray:
 
 def _price_out(T: np.ndarray, basis: np.ndarray, c_full: np.ndarray) -> None:
     """Set each member's cost row to the reduced costs of its row of c_full;
-    the bottom-right entry becomes -objective."""
-    rows = T.shape[1] - 1
+    the bottom-right entry becomes -objective.  Only the rows where some
+    member's basic cost is nonzero are visited."""
     T[:, -1, :-1] = c_full
     T[:, -1, -1] = 0.0
     cb = np.take_along_axis(c_full, basis, axis=1)
-    for r in range(rows):
+    for r in (cb != 0.0).any(axis=0).nonzero()[0]:
         on = (cb[:, r] != 0.0).nonzero()[0]
         T[on, -1] -= cb[on, r, None] * T[on, r]
 
@@ -232,7 +235,7 @@ def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, q: int,
     for m, r in zip(*((basis >= q) & members[:, None]).nonzero()):
         j = np.abs(T[m, r, :q]).argmax()
         if abs(T[m, r, j]) > PIVOT_TOL:
-            _pivot(T[m:m + 1], basis[m:m + 1], np.array([r]), np.array([j]))
+            _pivot(T[m:m + 1], basis[m:m + 1], np.array([r]), np.array([j]), T[[m], :, j])
 
 
 def _phase1(A: np.ndarray, b: np.ndarray):
@@ -257,10 +260,12 @@ def _phase1(A: np.ndarray, b: np.ndarray):
     T[:, :rows, -1] = b
     basis = unit.argmax(axis=2)  # lowest-index unit column of each row
     basis[member, row] = artificial
-    c1 = np.zeros((B, T.shape[2] - 1))
-    c1[:, q:] = -1.0
-    _price_out(T, basis, c1)
-    outcome = _run(T, basis, q)
+    outcome = np.full(B, _OPTIMAL)
+    if T.shape[2] - 1 > q:  # some member starts on an artificial
+        c1 = np.zeros((B, T.shape[2] - 1))
+        c1[:, q:] = -1.0
+        _price_out(T, basis, c1)
+        outcome = _run(T, basis, q)
     # an unbounded phase 1 is unreachable in exact arithmetic; still reached
     # through round-off at reward scales far from 1 (ROADMAP open item 2)
     feasible = (outcome == _OPTIMAL) & (-T[:, -1, -1] >= -FEAS_TOL)

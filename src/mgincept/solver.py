@@ -76,15 +76,16 @@ def q_from_v(g: MarkovGame, player: int, h: int, v_next) -> np.ndarray:
 
 
 def clean_mix(y: np.ndarray) -> np.ndarray:
-    """Snap an LP-produced mix onto the simplex (clip tiny negatives, rescale).
+    """Snap LP-produced mixes, along the last axis, onto the simplex (clip
+    tiny negatives, rescale).
 
     Solver output satisfies the simplex constraints to ~1e-12 but policy
     construction validates exactly; the snap changes entries by at most the
     solver's own rounding error.
     """
     y = np.clip(np.asarray(y, dtype=float), 0.0, None)
-    total = y.sum()
-    if total <= 0.0:
+    total = y.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("mix has no positive mass")
     return y / total
 
@@ -141,7 +142,7 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
                 raise type(err)(f"step {h}, {err}") from None
             values[0, h] = chain.z_star
             values[1, h] = chain.v2_star
-            pi2[h] = [clean_mix(y) for y in chain.y_star]
+            pi2[h] = clean_mix(chain.y_star)
     tables = ValueTables(values)
     v1_root, v2_root = tables.root(g.mu)
     return BRSolveReport(

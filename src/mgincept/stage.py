@@ -3,7 +3,12 @@
 The victim's worst-case best response against K believed attacker mixes is a
 small maximin LP over (x, z); the attacker's best response against the
 victim's best-response polytope is the dualized LP over (y, w, alpha), and
-the two chained solve a K > 1 belief.  Both LPs take a leading stage axis:
+the two chained solve a K > 1 belief.  Each LP is written at its player's
+best pure strategy: that strategy's weight is eliminated (it holds the rest
+of the mass) and the value is shifted by its guarantee, so every right-hand
+side is >= 0, the simplex starts feasible at the pure security strategy with
+no artificial column, and x, z, y and alpha are mapped back afterwards (see
+victim_br_lp and attacker_br_lp).  Both LPs take a leading stage axis:
 the P stages of a layer share one shape, so `lp.solve_lp` solves them as one
 lockstep batch (split at `lp.BATCH_ELEMENTS` tableau elements), with results
 bit-identical to solving the stages one by one.  A failure names the stage
@@ -81,31 +86,76 @@ def _solve_stages(count: int, rows: int, cols: int, program, lp_name: str,
     return sols
 
 
+def _at_best_pure(payoffs) -> tuple:
+    """P matrix games payoffs (P x R x C), whose row player maximizes,
+    rewritten at each game's best pure row r0 = argmax_r min_c payoffs[p, r, c]
+    (lowest index on ties), whose guarantee is g = min_c payoffs[p, r0, c].
+
+    Returns (r0, g, others, gain, room): others (P, R - 1) holds the other
+    rows in order, gain (P, C, R - 1) their payoffs minus row r0's,
+    payoffs[p, others, c] - payoffs[p, r0, c], per column c, and room (P, C)
+    row r0's payoffs minus g, all >= 0.
+    """
+    P, R, _ = payoffs.shape
+    p = np.arange(P)
+    r0 = payoffs.min(axis=2).argmax(axis=1)
+    others = np.arange(R - 1) + (np.arange(R - 1) >= r0[:, None])
+    base = payoffs[p, r0]
+    g = base.min(axis=1)
+    gain = (payoffs[p[:, None], others] - base[:, None]).transpose(0, 2, 1)
+    return r0, g, others, gain, base - g[:, None]
+
+
+def _with_best_pure(v, r0, others) -> np.ndarray:
+    """Maps the other rows' weights v (P x R - 1) back to full mixes (P x R)
+    whose row r0 holds the rest of the mass, 1 - sum(v)."""
+    x = np.empty((v.shape[0], v.shape[1] + 1))
+    p = np.arange(v.shape[0])[:, None]
+    x[p, others] = v
+    x[p[:, 0], r0] = 1.0 - v.sum(axis=1)
+    return x
+
+
 def victim_br_lp(cols) -> tuple:
     """Solve the maximin LPs max_x min_j (x'A'_p)_j of P matrix games at once.
 
-    cols is P x n x K: stage p's victim payoffs against K believed attacker
-    mixes, or the attacker's payoffs on a tied singleton cell's rows,
-    transposed.  Returns (x_star (P, n), z_star (P,)).  Raises for the
+    cols is P x n x K: stage p's victim payoffs A'_p against K believed
+    attacker mixes, or the attacker's payoffs on a tied singleton cell's
+    rows, transposed.  Returns (x_star (P, n), z_star (P,)).  Raises for the
     lowest stage whose LP fails, naming it.  Trusts its input to be finite.
+
+    Each LP starts at the best pure row r0 = argmax_i min_j A'[i, j] and its
+    guarantee c = min_j A'[r0, j]: the variables are the other rows' weights
+    x_i (i != r0) and z' = z - c >= 0, x_r0 = 1 - sum_{i != r0} x_i, so
+
+        max z'  s.t.  z' - sum_{i != r0} x_i (A'[i, j] - A'[r0, j]) <= A'[r0, j] - c
+                      for every j,  sum_{i != r0} x_i <= 1.
+
+    Every right-hand side is >= 0, so the slack basis (x = e_r0, z = c) is
+    feasible and no artificial column is needed; a stage whose best pure
+    row is optimal needs no pivot and gets z* = c exactly.  x and z = c + z'
+    are mapped back.
     """
     P, n, K = cols.shape
+    r0, c, others, gain, room = _at_best_pure(cols)
 
     def program(sl):
-        B = cols[sl].shape[0]
-        # variables (x, z): z - x'A'e_j <= 0 for every j, sum(x) = 1, z free
+        B = gain[sl].shape[0]
         return LinearProgram(
-            objective=np.tile(np.append(np.zeros(n), 1.0), (B, 1)),
-            a_ub=np.concatenate([-cols[sl].transpose(0, 2, 1), np.ones((B, K, 1))], axis=2),
-            b_ub=np.zeros((B, K)),
-            a_eq=np.tile(np.append(np.ones(n), 0.0), (B, 1, 1)),
-            b_eq=np.ones((B, 1)),
-            free=np.arange(n + 1) == n,
+            objective=np.tile(np.append(np.zeros(n - 1), 1.0), (B, 1)),
+            a_ub=np.concatenate([
+                np.concatenate([-gain[sl], np.ones((B, K, 1))], axis=2),
+                np.tile(np.append(np.ones(n - 1), 0.0), (B, 1, 1))], axis=1),
+            b_ub=np.append(room[sl], np.ones((B, 1)), axis=1),
+            a_eq=np.zeros((B, 0, n)),
+            b_eq=np.zeros((B, 0)),
+            free=np.zeros(n, dtype=bool),
         )
 
-    sols = _solve_stages(P, K + 1, n + 1, program, "victim best-response LP")
-    return (np.array([sol.v[:n] for sol in sols]).reshape(P, n),
-            np.array([sol.value for sol in sols]))
+    sols = _solve_stages(P, K + 1, n, program, "victim best-response LP")
+    v = np.array([sol.v for sol in sols]).reshape(P, n)
+    return (_with_best_pure(v[:, :-1], r0, others),
+            c + np.array([sol.value for sol in sols]))
 
 
 def attacker_br_lp(z_star, cols, b) -> StageBR:
@@ -116,34 +166,53 @@ def attacker_br_lp(z_star, cols, b) -> StageBR:
     cols; a value above one makes that LP unbounded, which is reported as an
     internal inconsistency naming the lowest such stage.  Returns a StageBR
     whose fields have a leading stage axis.  Trusts its inputs to be finite.
+
+    The program over (y, w, alpha), alpha free, is
+
+        max z* sum(w) - alpha  s.t.  -(B y)_i + (A' w)_i - alpha <= 0 for every i,
+                                     sum(y) = 1,
+
+    with value v2* = z* sum(w*) - alpha*.  It is solved from the attacker's
+    best pure action k0 = argmax_k min_i B[i, k] and its guarantee
+    d = min_i B[i, k0]: the variables are y_k (k != k0), w and
+    alpha' = alpha + d, y_k0 = 1 - sum_{k != k0} y_k, so row i reads
+    -sum_{k != k0} y_k (B[i, k] - B[i, k0]) + (A' w)_i - alpha' <= B[i, k0] - d
+    and the new row sum_{k != k0} y_k <= 1 replaces the equality.  Every
+    right-hand side is >= 0, so the slack basis (y = e_k0, w = 0,
+    alpha = -d, value d) is feasible and no artificial column is needed.
+    y and alpha = alpha' - d are mapped back.
     """
     z_star = np.asarray(z_star, dtype=float)
     P, n, K = cols.shape
     m = b.shape[2]
+    k0, d, others, gain, room = _at_best_pure(b.transpose(0, 2, 1))
 
     def program(sl):
-        B = cols[sl].shape[0]
-        # variables (y, w, alpha): -(By)_i + (A'w)_i - alpha <= 0 for every i,
-        # sum(y) = 1, alpha free
+        B = gain[sl].shape[0]
         return LinearProgram(
-            objective=np.concatenate([np.zeros((B, m)), np.repeat(z_star[sl, None], K, axis=1),
+            objective=np.concatenate([np.zeros((B, m - 1)), np.repeat(z_star[sl, None], K, axis=1),
                                       np.full((B, 1), -1.0)], axis=1),
-            a_ub=np.concatenate([-b[sl], cols[sl], -np.ones((B, n, 1))], axis=2),
-            b_ub=np.zeros((B, n)),
-            a_eq=np.tile(np.append(np.ones(m), np.zeros(K + 1)), (B, 1, 1)),
-            b_eq=np.ones((B, 1)),
-            free=np.arange(m + K + 1) == m + K,
+            a_ub=np.concatenate([
+                np.concatenate([-gain[sl], cols[sl], -np.ones((B, n, 1))], axis=2),
+                np.tile(np.append(np.ones(m - 1), np.zeros(K + 1)), (B, 1, 1))], axis=1),
+            b_ub=np.append(room[sl], np.ones((B, 1)), axis=1),
+            a_eq=np.zeros((B, 0, m + K)),
+            b_eq=np.zeros((B, 0)),
+            free=np.arange(m + K) == m + K - 1,
         )
 
-    v = [sol.v for sol in _solve_stages(P, n + 1, m + K + 1, program, "attacker best-response LP",
-                                        "; z_star is not the victim optimum for this a_prime")]
-    alpha = [float(x[-1]) for x in v]
+    v = np.array([sol.v for sol in _solve_stages(P, n + 1, m + K, program,
+                                                 "attacker best-response LP",
+                                                 "; z_star is not the victim optimum for this a_prime")
+                  ]).reshape(P, m + K)
+    w = v[:, m - 1:-1]
+    alpha = v[:, -1] - d
     return StageBR(
-        y_star=np.array([x[:m] for x in v]).reshape(P, m),
+        y_star=_with_best_pure(v[:, :m - 1], k0, others),
         z_star=z_star,
-        v2_star=np.array([z * x[m:m + K].sum() - a for z, x, a in zip(z_star, v, alpha)]),
-        w_star=np.array([x[m:m + K] for x in v]).reshape(P, K),
-        alpha_star=np.array(alpha),
+        v2_star=z_star * w.sum(axis=1) - alpha,
+        w_star=w,
+        alpha_star=alpha,
     )
 
 

@@ -316,6 +316,20 @@ def test_tied_cell_candidate_is_exact_and_lowest_index_wins():
     assert result.pi2_dagger.action_at(2, 0) == 0
 
 
+@pytest.mark.parametrize("size, seed, cell", [((3, 4, 3, 3), 69, (2, 1)),
+                                              ((3, 4, 3, 3), 75, (2, 1)),
+                                              ((2, 2, 3, 3), 43, (1, 0))])
+def test_tied_cell_at_a_pure_rows_guarantee_is_exact(size, seed, cell):
+    # a tied cell whose maximin is a pure attacker action's guarantee (here
+    # 1.0) is solved at that action without a pivot, so it equals the
+    # untied candidates it ties with bit for bit and the lowest index wins
+    result = mg.policy_inception(integer_reward_game(seed, *size))
+    cand = result.candidate_values[cell]
+    near = np.flatnonzero(cand >= cand.max() - 1e-9)
+    assert near.size > 1 and np.all(cand[near] == cand.max())
+    assert result.pi2_dagger.action_at(*cell) == near[0]
+
+
 def _loop_check_iota_dominance(g, pi2, iota):
     """Reference dominance check, one (h, s, a1, a2) at a time."""
     H, S, n, m = g.horizon, g.num_states, g.n, g.m

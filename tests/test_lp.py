@@ -284,7 +284,8 @@ def test_malformed_input_rejected():
 
 def _phase1_start(monkeypatch, prog):
     """Solve prog, returning the basis phase 1 starts from, the number of
-    artificial columns it appends, and the solution."""
+    artificial columns it appends, and the solution.  Without artificials
+    phase 1 does not run, and the first run, phase 2's, starts there."""
     real, starts = lp._run, []
 
     def recorded(T, basis, allowed):
@@ -354,24 +355,35 @@ def test_matches_oracle_with_mixed_sign_right_hand_sides():
     assert flipped >= 20
 
 
-def test_stage_lps_start_with_one_artificial(monkeypatch):
-    # every row of both stage LPs but `sum = 1` holds a +1 slack at b = 0
-    programs = []
+def test_stage_lps_start_feasible_without_artificials(monkeypatch):
+    # both stage LPs are written at their best pure strategy: every row is
+    # an inequality with a right-hand side >= 0, so the slack basis is
+    # feasible, no artificial column is appended and phase 1 never pivots
+    programs, runs = [], []
+    real_run = lp._run
 
     def recorded(prog):
         programs.append(prog)
         return solve_lp(prog)
 
+    def counted(T, basis, allowed):
+        runs.append(T.shape[2] - 1 - allowed)
+        return real_run(T, basis, allowed)
+
     monkeypatch.setattr(stage, "solve_lp", recorded)
+    monkeypatch.setattr(lp, "_run", counted)
     rng = np.random.default_rng(3)
     a, b = rng.uniform(-1.0, 1.0, (2, 5, 4))
     pi_rows = rng.dirichlet(np.ones(4), 3)
     stage.nf_attacker_best_response(pi_rows, a, b)
     assert len(programs) == 2  # victim_br_lp, then attacker_br_lp
+    assert runs == [0, 0]  # phase 2 of each, over no artificial column
     for prog in programs:
+        assert prog.b_eq.shape[-1] == 0 and np.all(prog.b_ub >= 0.0)
         A, rhs = _standardize(prog)[:2]
         T, basis, q, outcome, feasible = _phase1(A, rhs)
-        assert feasible.all() and T.shape[2] - 1 - q == 1
+        assert feasible.all() and (outcome == lp._OPTIMAL).all() and T.shape[2] - 1 == q
+        assert np.array_equal(T[:, :-1, -1], prog.b_ub)
 
 
 # ---- the lockstep engine against the scalar reference (tests/lp_reference.py)
@@ -466,27 +478,32 @@ def test_engine_failures_stay_with_their_member(monkeypatch):
     assert failed > 0 and solved > 0
 
 
-def test_phase_one_failure_in_a_stage_batch(monkeypatch):
-    # the victim LPs of step 1 of this tiny-reward game: stage 0 fails with
-    # "phase 1 reported unbounded" (absolute tolerances, ROADMAP item 2)
-    # in one batch with the other stages, which solve
+def _sum_to_one_victim_batch(cols):
+    """Victim LPs max z s.t. z - x'A'e_j <= 0, sum(x) = 1, z free: the
+    form the stage module used before it started at the best pure row,
+    with one artificial column for the equality."""
+    B, n, K = cols.shape
+    return LinearProgram(np.tile(np.append(np.zeros(n), 1.0), (B, 1)),
+                         np.concatenate([-cols.transpose(0, 2, 1), np.ones((B, K, 1))], axis=2),
+                         np.zeros((B, K)), np.tile(np.append(np.ones(n), 0.0), (B, 1, 1)),
+                         np.ones((B, 1)), np.arange(n + 1) == n)
+
+
+def test_phase_one_failure_in_a_stage_batch():
+    # the sum-to-one victim LPs of step 1 of this tiny-reward game: stage 0
+    # fails with "phase 1 reported unbounded" (absolute tolerances, ROADMAP
+    # item 2) in one batch with the other stages, which solve
     from mgincept.oracle import random_belief, random_game
     from mgincept.solver import markov_attacker_best_response
 
-    batches = []
-
-    def recorded(prog):
-        batches.append(prog)
-        return solve_lp(prog)
-
-    monkeypatch.setattr(stage, "solve_lp", recorded)
     g = random_game(np.random.default_rng(3), 3, 5, 4, 4, reward_scale=1e-6)
-    with pytest.raises(LpError, match="phase 1 reported unbounded"):
-        markov_attacker_best_response(g, random_belief(np.random.default_rng(1003), g, 4))
-    outcomes = [_reference(_member(batches[-1], i)) for i in range(5)]
-    assert isinstance(outcomes[0], LpError)
+    belief = random_belief(np.random.default_rng(1003), g, 4)
+    report = markov_attacker_best_response(g, belief)
+    batch = _sum_to_one_victim_batch(report.q.values[0, 1] @ belief.mixes[1])
+    outcomes = [_reference(_member(batch, i)) for i in range(5)]
+    assert isinstance(outcomes[0], LpError) and str(outcomes[0]) == "phase 1 reported unbounded"
     assert [o.status for o in outcomes[1:]] == [LpStatus.OPTIMAL] * 4
-    for sol, want in zip(solve_lp(batches[-1]), outcomes):
+    for sol, want in zip(solve_lp(batch), outcomes):
         assert _same_bits(sol, want)
 
 

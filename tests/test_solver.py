@@ -9,7 +9,7 @@ from conftest import (chain_game, integer_reward_game, pure_stage_policy, random
                       watch_tied_cells)
 from mgincept.oracle import (GridSpec, belief_membership, grid_attacker_value, grid_victim_value,
                              random_belief, random_game, victim_br_vertices)
-from mgincept import solver
+from mgincept import solver, stage
 from mgincept.solver import STAGE_BUDGET, q_from_v
 from mgincept.stage import MAX_BELIEF_POLICIES, nf_attacker_best_response
 
@@ -175,6 +175,22 @@ def test_singleton_belief_matches_value_iteration_oracle():
         assert np.allclose(report.v.values[0, h], v, atol=1e-9)
 
 
+def test_clean_mix_of_a_layer_is_bitwise_the_per_row_snap():
+    # the K > 1 layer snaps all its attacker mixes in one call; each row
+    # must come out as the same row snapped alone, and a row without
+    # positive mass still raises
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        P, m = int(rng.integers(1, 9)), int(rng.integers(1, 70))
+        y = rng.uniform(-1e-13, 1.0, (P, m)) * (rng.uniform(size=(P, m)) < 0.8)
+        y[:, 0] += 1e-3
+        rows = np.array([solver.clean_mix(row) for row in y])
+        assert solver.clean_mix(y).tobytes() == rows.tobytes()
+    y[-1] = -1e-13
+    with pytest.raises(ValueError, match="no positive mass"):
+        solver.clean_mix(y)
+
+
 def _per_stage_best_response(g, belief):
     """Reference backward pass: one stage solve per (h, s)."""
     H, S = g.horizon, g.num_states
@@ -263,10 +279,10 @@ def test_invalid_game_rejected_up_front():
         mg.markov_attacker_best_response(broken, mg.secure_belief(broken))
 
 
-# Game seeds 0-39 of the 10-step, 20-state 6x6 games on which a K = 8 random
+# Game seeds 0-59 of the 10-step, 20-state 6x6 games on which a K = 8 random
 # belief or the secure belief used to stop the solve: phase 1 reported
 # unbounded, or the attacker LP came back UNBOUNDED at the victim's z*.
-FORMER_BR_FAULT_GAMES = (1, 3, 6, 7, 12, 14, 15, 24, 29, 31, 32, 33, 39)
+FORMER_BR_FAULT_GAMES = (1, 3, 6, 7, 12, 14, 15, 24, 29, 31, 32, 33, 39, 57)
 
 
 @functools.cache
@@ -347,8 +363,6 @@ def _scalar_engine(prog):
 def test_k_layer_is_bitwise_the_per_state_solves(monkeypatch):
     # each layer of a K > 1 solve is one batch per LP; the reference solves
     # every (h, s) alone, through the scalar engine, on the report's own Q
-    from mgincept import stage
-
     g = random_game(np.random.default_rng(30), 4, 6, 4, 5)
     belief = random_belief(np.random.default_rng(31), g, 3)
     report = mg.markov_attacker_best_response(g, belief)
@@ -361,24 +375,83 @@ def test_k_layer_is_bitwise_the_per_state_solves(monkeypatch):
         assert report.pi2_star.entries[h, s].tobytes() == solver.clean_mix(br.y_star[0]).tobytes()
 
 
-# Stress-row games (ROADMAP open item 2) whose K > 1 solve fails, with the
-# stage and the LP where solving the stages one at a time fails first.
+def _stress_game(dims, seed, k):
+    """A stress-row game (ROADMAP open item 2) and its belief: the K-policy
+    random belief, or the secure belief for k = None."""
+    *size, scale = dims
+    g = random_game(np.random.default_rng(seed), *size, reward_scale=scale)
+    if k is None:
+        return g, mg.secure_belief(g)
+    return g, random_belief(np.random.default_rng(seed + 1000), g, k)
+
+
+# Scale-1e-6 stress games whose K = 4 solve used to fail at step 2, stage 4
+# with "phase 1 reported unbounded", in the attacker LP (seed 2) and in the
+# victim LP (seed 7).
+@pytest.mark.parametrize("seed", (2, 7), ids=("1e-6-seed2", "1e-6-seed7"))
+def test_former_stress_failures_match_highs(seed):
+    # every stage against HiGHS, on payoffs divided by the stage's largest
+    # entry (the stage values scale with the payoffs)
+    pytest.importorskip("scipy")
+    g, belief = _stress_game((3, 5, 4, 4, 1e-6), seed, 4)
+    report = mg.markov_attacker_best_response(g, belief)
+    for h, s in np.ndindex(g.horizon, g.num_states):
+        q1, q2 = report.q.values[:, h, s]
+        scale = max(np.abs(q1).max(), np.abs(q2).max())
+        z, v2 = _highs_stage_values(q1 @ belief.mixes[h, s] / scale, q2 / scale)
+        assert abs(report.v.values[0, h, s] / scale - z) <= 1e-12
+        assert abs(report.v.values[1, h, s] / scale - v2) <= 1e-9
+
+
+def test_game_74_solves_in_both_base_orders():
+    # this K = 3 belief used to fail at step 0, stage 1 (attacker LP
+    # UNBOUNDED) in its drawn order and solve with its base policies reversed
+    g = integer_reward_game(74, 3, 4, 3, 3)
+    belief = random_belief(np.random.default_rng(1074), g, 3)
+    beliefs = (belief, mg.BeliefSet(tuple(reversed(belief.base))))
+    reports = [mg.markov_attacker_best_response(g, b) for b in beliefs]
+    tol = 1e-12 * np.abs(reports[0].q.values).max()
+    assert np.abs(reports[0].v.values - reports[1].v.values).max() <= tol
+    pytest.importorskip("scipy")  # the solves above have raised nothing
+    for b, report in zip(beliefs, reports):
+        for h, s in np.ndindex(g.horizon, g.num_states):
+            q1, q2 = report.q.values[:, h, s]
+            z, v2 = _highs_stage_values(q1 @ b.mixes[h, s], q2)
+            assert abs(report.v.values[0, h, s] - z) <= tol
+            assert abs(report.v.values[1, h, s] - v2) <= 1e-9 * np.abs(q2).max()
+
+
+def test_k_64_layer_solves_and_matches_highs():
+    # one layer of 8 stages at n = m = K = 64, the largest belief the solver
+    # takes; on uniform(-1, 1) stages of this size the attacker LP came back
+    # UNBOUNDED about half the time while the victim LP started from an
+    # artificial column for sum(x) = 1
+    rng = np.random.default_rng(64)
+    cols, b = rng.uniform(-1.0, 1.0, (2, 8, 64, 64))
+    br = stage._lp_chain(cols, b)
+    pytest.importorskip("scipy")  # the solves above have raised nothing
+    for p in range(8):
+        z, v2 = _highs_stage_values(cols[p], b[p])
+        assert abs(br.z_star[p] - z) <= 1e-12
+        assert abs(br.v2_star[p] - v2) <= 1e-9
+
+
+# Stress-row games whose K > 1 solve still fails (ROADMAP open item 2), with
+# the stage and the LP where solving the stages one at a time fails first.
 FAILING_STAGES = (
-    ((3, 5, 4, 4, 1e-6), 4, 2, mg.lp.LpError,
-     "step 2, stage 4: attacker best-response LP: phase 1 reported unbounded"),
-    ((3, 5, 4, 4, 1e-6), 4, 7, mg.lp.LpError,
-     "step 2, stage 4: victim best-response LP: phase 1 reported unbounded"),
-    ((10, 20, 6, 6, 1.0), 8, 57, mg.StageSolveError,
-     "step 9, stage 12: attacker best-response LP returned LpStatus.UNBOUNDED; "
+    ((3, 5, 4, 4, 1e4), 25, None,
+     "step 1, stage 0: attacker best-response LP returned LpStatus.UNBOUNDED; "
+     "z_star is not the victim optimum for this a_prime"),
+    ((3, 5, 4, 4, 1e6), 0, 4,
+     "step 1, stage 4: attacker best-response LP returned LpStatus.UNBOUNDED; "
      "z_star is not the victim optimum for this a_prime"),
 )
 
 
-@pytest.mark.parametrize("size, k, seed, error, message", FAILING_STAGES)
-def test_k_layer_failure_names_the_stage_and_the_lp(size, k, seed, error, message):
-    *dims, scale = size
-    g = random_game(np.random.default_rng(seed), *dims, reward_scale=scale)
-    belief = random_belief(np.random.default_rng(seed + 1000), g, k)
-    with pytest.raises(error) as info:
+@pytest.mark.parametrize("dims, seed, k, message", FAILING_STAGES,
+                         ids=("1e4-seed25-secure", "1e6-seed0-belief"))
+def test_k_layer_failure_names_the_stage_and_the_lp(dims, seed, k, message):
+    g, belief = _stress_game(dims, seed, k)
+    with pytest.raises(mg.StageSolveError) as info:
         mg.markov_attacker_best_response(g, belief)
-    assert type(info.value) is error and str(info.value) == message
+    assert type(info.value) is mg.StageSolveError and str(info.value) == message

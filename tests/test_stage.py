@@ -311,7 +311,8 @@ def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
 def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
     # the engine fails the victim LP of stage 5 and the attacker LP of
     # stage 3 (and of 6, past the victim failure): stage by stage, stage 3's
-    # attacker LP fails first; with the two swapped, stage 3's victim LP
+    # attacker LP fails first; with the two swapped, stage 3's victim LP.
+    # The victim LP has n = 3 variables, the attacker LP m + K = 6
     real = stage.solve_lp
     rng = np.random.default_rng(87)
     cols, b = rng.uniform(-1.0, 1.0, (2, 8, 3, 3))
@@ -320,7 +321,7 @@ def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
         def solve(prog):
             out = real(prog)
             n_vars = prog.objective.shape[1]
-            for p in (victim_at if n_vars == 3 + 1 else attacker_at):
+            for p in (victim_at if n_vars == 3 else attacker_at):
                 if p < len(out):
                     out[p] = stage.LpError("phase 1 reported unbounded")
             return out
