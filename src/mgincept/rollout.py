@@ -4,9 +4,19 @@ The generator is PCG64 (numpy's named 64-bit generator), so runs replay
 bit-for-bit across platforms given the same seed.  Each episode consumes a
 fixed layout of uniforms: one draw for the initial state, then per step one
 draw each for the victim action, attacker action and next state (the last
-next-state draw is consumed even though unused, keeping the layout simple).
-Categorical sampling inverts the cumulative distribution, so a one-hot row
-always yields its hot index and deterministic instances have zero variance.
+next-state uniform is drawn but never used, keeping the layout simple).
+
+Categorical sampling inverts the cumulative distribution.  Each of `mu`, the
+two policies and the transitions becomes a cut table once per call: a
+C-contiguous `(k - 1, rows)` array whose column r holds the first k - 1
+entries of `np.cumsum` of distribution row r (rows are the flat (h, s) or
+(h, s, a1, a2) index; the last cumulative sum is never compared).  A draw
+counts the cut points at or below its uniform u.  For a row of nonnegative
+entries `np.cumsum` is nondecreasing in floating point, so that count is
+min(#{j : c_j <= u}, k - 1), the index at which u falls in the cumulative
+distribution.  Hence a one-hot row always yields its hot index and
+deterministic instances have zero variance.  The game is validated first,
+because a negative or NaN transition entry would break that equality.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarkovGame, MarkovPolicy, _check_policy
+from .model import MarkovGame, MarkovPolicy, _check_policy, require_valid
 
 
 @dataclass(frozen=True)
@@ -28,42 +38,57 @@ class RolloutStats:
     seed: int
 
 
-def _sample(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF draw: row i gets the index where u[i] falls."""
-    idx = (cdf_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1)
+def _cut_table(p: np.ndarray) -> np.ndarray:
+    """The `(k - 1, rows)` cut table of the distributions along p's last axis."""
+    k = p.shape[-1]
+    cdf = np.cumsum(p, axis=-1).reshape(p.size // k, k)
+    return np.ascontiguousarray(cdf[:, :-1].T)
+
+
+def _sample(cuts: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw: episode i gets #{j : cuts[j, rows[i]] <= u[i]}.
+
+    The bool rows of the comparison are added as bytes into the smallest
+    unsigned count type that holds k - 1 (no cast at all while k <= 256).
+    """
+    hits = cuts.take(rows, axis=1) <= u
+    return hits.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(cuts.shape[0]))
 
 
 def simulate(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy,
              episodes: int, seed: int) -> RolloutStats:
     """Estimate both players' values by seeded rollouts; unbiased for V_i."""
+    require_valid(g)
     _check_policy(g, pi1, 1)
     _check_policy(g, pi2, 2)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    H = g.horizon
-    u = rng.random((episodes, 1 + 3 * H))
+    H, S, n, m = g.horizon, g.num_states, g.n, g.m
+    u = rng.random((episodes, 1 + 3 * H)).T.copy()  # one contiguous row per draw
 
-    mu_cdf = np.cumsum(g.mu)
-    cdf1 = np.cumsum(pi1.entries, axis=2)          # (H, S, n)
-    cdf2 = np.cumsum(pi2.entries, axis=2)          # (H, S, m)
-    cdft = np.cumsum(g.transitions, axis=4)        # (H, S, n, m, S)
+    mu_cuts = _cut_table(g.mu)                      # (S - 1, 1)
+    cuts1 = _cut_table(pi1.entries)                 # (n - 1, H S)
+    cuts2 = _cut_table(pi2.entries)                 # (m - 1, H S)
+    cutst = _cut_table(g.transitions)               # (S - 1, H S n m)
+    rewards = np.moveaxis(g.rewards, 0, -1).reshape(-1, 2)   # (H S n m, 2)
 
-    step_rewards = np.zeros((episodes, 2, H))
-    state = _sample(np.broadcast_to(mu_cdf, (episodes, g.num_states)), u[:, 0])
+    step_rewards = np.empty((H, episodes, 2))
+    state = _sample(mu_cuts, np.zeros(episodes, dtype=np.intp), u[0])
     for h in range(H):
-        a1 = _sample(cdf1[h, state], u[:, 1 + 3 * h])
-        a2 = _sample(cdf2[h, state], u[:, 2 + 3 * h])
-        step_rewards[:, 0, h] = g.rewards[0, h, state, a1, a2]
-        step_rewards[:, 1, h] = g.rewards[1, h, state, a1, a2]
-        state = _sample(cdft[h, state, a1, a2], u[:, 3 + 3 * h])
+        hs = state.astype(np.intp) + h * S
+        a1 = _sample(cuts1, hs, u[1 + 3 * h])
+        a2 = _sample(cuts2, hs, u[2 + 3 * h])
+        flat = (hs * n + a1) * m + a2
+        rewards.take(flat, axis=0, out=step_rewards[h])
+        if h + 1 < H:
+            state = _sample(cutst, flat, u[3 + 3 * h])
 
     # sum steps in backward order, matching the exact evaluator's grouping so
     # deterministic instances reproduce its values bit-for-bit
-    returns = step_rewards[:, :, H - 1].copy()
+    returns = step_rewards[H - 1]
     for h in range(H - 2, -1, -1):
-        returns += step_rewards[:, :, h]
+        returns += step_rewards[h]
 
     mean = np.empty(2)
     se = np.zeros(2)

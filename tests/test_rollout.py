@@ -1,11 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mgincept as mg
-from conftest import chain_game, pure_stage_policy, random_policy, single_step_game
-from mgincept.rollout import simulate
+import rollout_reference
+from conftest import chain_game, pure_stage_policy, random_policy
+from mgincept.gamefile import load_game, load_policy
+from mgincept.model import PROB_TOL
+from mgincept.rollout import _cut_table, _sample, simulate
+
+DATA = Path(__file__).parent / "data"
 
 
 def deterministic_game(seed=70, horizon=3, states=2):
@@ -94,3 +101,127 @@ def test_episode_validation():
         simulate(g, p1, p2, episodes=0, seed=1)
     single = simulate(g, p1, p2, episodes=1, seed=1)
     assert np.all(single.std_errors == 0.0)
+
+
+def test_unvalidated_game_is_rejected():
+    p1 = pure_stage_policy(1, 0, 2, states=2)
+    p2 = pure_stage_policy(2, 0, 2, states=2)
+    for bad in ([1.5, -0.5], [np.nan, 1.0]):
+        transitions = np.tile(np.array(bad), (1, 2, 2, 2, 1))
+        g = mg.MarkovGame(1, 2, 2, 2, [1.0, 0.0], np.zeros((2, 1, 2, 2, 2)), transitions)
+        with pytest.raises(mg.InvalidGameError):
+            simulate(g, p1, p2, episodes=10, seed=0)
+
+
+# ---- replay across versions: values recorded before the cut-table sampler
+
+def _hex(stats):
+    return [x.hex() for x in stats.mean_returns], [x.hex() for x in stats.std_errors]
+
+
+def test_list_form_files_replay_pinned_values():
+    g = load_game(DATA / "list_form_game.json").game
+    stats = simulate(g, load_policy(DATA / "list_form_p1.json"),
+                     load_policy(DATA / "list_form_p2.json"), episodes=1000, seed=0)
+    assert _hex(stats) == (["-0x1.e3037359a5cc9p-2", "0x1.4900a71ba7bfcp-4"],
+                           ["0x1.92de5fbe1f77ap-6", "0x1.9e699111655abp-6"])
+
+
+def test_random_instances_replay_pinned_values():
+    g = chain_game(seed=80, horizon=4, states=3, n=2, m=3)
+    rng = np.random.default_rng(81)
+    stats = simulate(g, random_policy(rng, 1, 4, 3, 2), random_policy(rng, 2, 4, 3, 3),
+                     episodes=777, seed=82)
+    assert _hex(stats) == (["0x1.95fcf6ff8e372p-4", "-0x1.0e7cf855c95ffp-1"],
+                           ["0x1.3fd6b3cd89eeap-5", "0x1.618c73bcee16ap-5"])
+    g = chain_game(seed=83, horizon=2, states=5, n=1, m=4)
+    rng = np.random.default_rng(84)
+    stats = simulate(g, random_policy(rng, 1, 2, 5, 1), random_policy(rng, 2, 2, 5, 4),
+                     episodes=64, seed=85)
+    assert _hex(stats) == (["-0x1.a2de312f1756ep-3", "-0x1.c7064a8f0e01ep-4"],
+                           ["0x1.5dd24f9c2e45ap-4", "0x1.6da648adeefcep-4"])
+
+
+# ---- the cut-table sampler against the count-and-clamp reference
+# (tests/rollout_reference.py)
+
+def _distributions(rng, shape, kind):
+    """Rows of distributions along the last axis: `spread` (all positive),
+    `top` (nearly all mass on the three highest indices), `sparse` (some
+    zero entries), `onehot`, or `tol` (spread rows scaled so they sum to 1
+    only within PROB_TOL, some above and some below)."""
+    k = shape[-1]
+    if kind == "onehot":
+        return np.eye(k)[rng.integers(k, size=shape[:-1])]
+    w = rng.uniform(0.05, 1.0, shape)
+    if kind == "top":
+        w[..., :max(k - 3, 0)] *= 1e-4
+    elif kind == "sparse":
+        w[rng.random(shape) < 0.4] = 0.0
+        w += np.eye(k)[rng.integers(k, size=shape[:-1])]
+    p = w / w.sum(axis=-1, keepdims=True)
+    if kind == "tol":
+        p *= 1.0 + rng.choice([-0.5, 0.5], size=shape[:-1] + (1,)) * PROB_TOL
+    return p
+
+
+def _instance(seed, horizon, states, n, m, kind):
+    rng = np.random.default_rng(seed)
+    rewards = rng.uniform(-1.0, 1.0, (2, horizon, states, n, m))
+    g = mg.MarkovGame(horizon, states, n, m, _distributions(rng, (states,), kind), rewards,
+                      _distributions(rng, (horizon, states, n, m, states), kind))
+    p1 = mg.MarkovPolicy(1, _distributions(rng, (horizon, states, n), kind))
+    p2 = mg.MarkovPolicy(2, _distributions(rng, (horizon, states, m), kind))
+    return g, p1, p2
+
+
+def _assert_matches_reference(g, p1, p2, episodes, seed):
+    got = simulate(g, p1, p2, episodes, seed)
+    want = rollout_reference.simulate(g, p1, p2, episodes, seed)
+    assert got.mean_returns.tobytes() == want.mean_returns.tobytes()
+    assert got.std_errors.tobytes() == want.std_errors.tobytes()
+
+
+WIDTHS = (127, 128, 255, 256, 257)
+
+
+@pytest.mark.parametrize("size, kind, episodes", [
+    ((3, 1, 3, 2), "spread", 500),      # S = 1: every state draw has k = 1
+    ((3, 4, 1, 3), "spread", 7),        # a one-action victim
+    ((2, 3, 4, 1), "sparse", 500),      # a one-action attacker
+    ((1, 1, 1, 1), "spread", 7),        # nothing left to draw
+    ((3, 5, 3, 4), "sparse", 500),
+    ((4, 6, 3, 3), "onehot", 7),
+    ((3, 5, 4, 3), "tol", 500),
+    ((3, 4, 2, 3), "spread", 1),
+    *[((2, w, 2, 2), "top", 500) for w in WIDTHS],    # wide state rows
+    *[((2, 2, w, w), "top", 500) for w in WIDTHS],    # wide action rows
+])
+def test_cut_tables_match_count_and_clamp(size, kind, episodes):
+    g, p1, p2 = _instance(sum(size) + episodes, *size, kind)
+    _assert_matches_reference(g, p1, p2, episodes, seed=len(kind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.tuples(*[st.integers(1, 5)] * 4),
+       kind=st.sampled_from(["spread", "top", "sparse", "onehot", "tol"]),
+       episodes=st.sampled_from([1, 7, 500]))
+def test_cut_tables_match_count_and_clamp_on_random_instances(seed, size, kind, episodes):
+    g, p1, p2 = _instance(seed, *size, kind)
+    _assert_matches_reference(g, p1, p2, episodes, seed)
+
+
+def test_draws_above_the_last_cut_point_clamp_to_the_last_index():
+    # rows summing to just below 1, and uniforms at and between cut points,
+    # at 0 and at the largest double below 1
+    rng = np.random.default_rng(86)
+    for k in (1, 2, 5, 129, 257):
+        p = _distributions(rng, (6, k), "sparse") * (1.0 - 0.5 * PROB_TOL)
+        cdf = np.cumsum(p, axis=-1)
+        rows = np.repeat(np.arange(6), 2 * k + 2)
+        u = np.concatenate([np.concatenate([[0.0, np.nextafter(1.0, 0.0)], c, (c + 0.5 / k) % 1.0])
+                            for c in cdf])
+        got = _sample(_cut_table(p), rows, u)
+        want = rollout_reference.sample(cdf[rows], u)
+        assert np.array_equal(got, want)
+        assert got[1] == k - 1
