@@ -1,50 +1,43 @@
 """Self-contained dense linear-program solver that solves batches in lockstep.
 
 A `LinearProgram` is given in matrix form: maximize c'v subject to
-A_ub v <= b_ub and A_eq v = b_eq, with v >= 0 except where the boolean mask
-`free` is set.  Its arrays may carry one leading batch axis: B programs of
-one shape and one `free` mask, solved together.  The engine is a two-phase
-tableau simplex with Bland's anti-cycling rule, which makes the solver fully
-deterministic: identical inputs produce identical outputs, pivot for pivot.
-Free variables are handled by splitting v = p - q with p, q >= 0;
-inequalities get one slack variable each.  Phase 1 starts from the slack
-basis: each row with a +1 unit column (a slack, or a structural column)
-starts with it basic, and only the other rows (equalities, and inequalities
-flipped for a negative right-hand side) get an artificial variable; phase 1
-maximizes minus the artificials' sum.  A batch without any artificial column
-starts feasible and skips phase 1; the stage LPs of `mgincept.stage` are
-written that way and never need one.
+A v <= b with b >= 0, and v >= 0 except where the boolean mask `free` is
+set.  Its arrays may carry one leading batch axis: B programs of one shape
+and one `free` mask, solved together.  Since b >= 0, v = 0 is feasible and
+the engine is a one-phase tableau simplex from a feasible basis, with
+Bland's anti-cycling rule, which makes the solver fully deterministic:
+identical inputs produce identical outputs, pivot for pivot.  Free variables
+are handled by splitting v = p - q with p, q >= 0; each row gets one slack
+variable and starts on its lowest-index +1 unit column (its slack, or a
+structural column that is a +1 unit vector).  The stage LPs of
+`mgincept.stage` are written at a best pure strategy to take this form.
 
 Lockstep batches.  The B tableaux are one (B, rows, cols) stack, and every
 step pivots each unfinished member once: its entering column is the first
 reduced cost above the tolerance, its leaving row the least ratio over the
 eligible rows, the lowest basis index among ties.  A member that is optimal
 or unbounded, or hits the pivot limit, leaves the stack (the stack is
-compacted), so finished members are never updated through a mask.  The
-number of artificial columns depends on the data (a structural column can
-be a +1 unit vector), so every member gets the batch's largest count; the
-padding columns are zero and never enter.
+compacted), so finished members are never updated through a mask.
 
 Why a member's results do not depend on its batch: every tableau entry is
 computed by the same floating-point operations, in the same order, as in a
 program solved alone.  A pivot does one division, product and difference
-per entry, and no column feeds into another, so padding columns change
-nothing.  The cost row is priced out row by row, skipping the members whose
-basic cost is zero, as a lone program skips them: an update by 0 * row
-would turn a -0.0 into +0.0.  Ratios are kept only where the column entry
-is eligible, and a solution's value is the same dot product objective'v.
-Each member's outcome is its own: a member the engine fails on (phase 1
-reporting unbounded, or the pivot limit) is returned as its `LpError`, and
+per entry, and no column feeds into another.  The cost row is priced out
+row by row, skipping the members whose basic cost is zero, as a lone
+program skips them: an update by 0 * row would turn a -0.0 into +0.0.
+Ratios are kept only where the column entry is eligible, and a solution's
+value is the same dot product objective'v.  Each member's outcome is its
+own: a member that hits the pivot limit is returned as its `LpError`, and
 solving one unbatched program raises it.
 
 The stack's memory is the caller's to bound: `batch_slices` splits a run of
 programs into batches of at most BATCH_ELEMENTS tableau elements.
 
 All the programs in this package have at most a few dozen variables, so a
-dense tableau is both simpler and faster than anything sparse.  Comparisons
-use absolute tolerances (pivot 1e-10, feasibility 1e-9), so the solver is
-not scale-invariant: rewards scaled far from unit size can make it misjudge
-pivots and feasibility (ROADMAP open item 2).
+dense tableau is both simpler and faster than anything sparse.  Pivots are
+judged by an absolute tolerance (1e-10), so the solver is not
+scale-invariant: rewards scaled far from unit size can make it misjudge
+pivots (ROADMAP open item 2).
 """
 
 from __future__ import annotations
@@ -55,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-9
 MAX_PIVOTS = 20000
 BATCH_ELEMENTS = 1 << 18  # tableau elements of one lockstep batch (2 MiB)
 
@@ -70,29 +62,26 @@ class LpError(RuntimeError):
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective'v  s.t.  a_ub v <= b_ub,  a_eq v = b_eq,  v >= 0 off `free`.
+    """max objective'v  s.t.  a_ub v <= b_ub,  v >= 0 off `free`,  b_ub >= 0.
 
-    Shapes: objective (q,), a_ub (r, q), b_ub (r,), a_eq (e, q), b_eq (e,)
-    and the boolean mask free (q,); r and e may be 0.  A batch of B
-    programs puts a leading axis of length B on all but free: objective
-    (B, q), a_ub (B, r, q), b_ub (B, r), a_eq (B, e, q) and b_eq (B, e).
+    Shapes: objective (q,), a_ub (r, q), b_ub (r,) and the boolean mask
+    free (q,); r may be 0.  A batch of B programs puts a leading axis of
+    length B on all but free: objective (B, q), a_ub (B, r, q) and
+    b_ub (B, r).
     """
 
     objective: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
     free: np.ndarray
 
     def __post_init__(self):
-        for name in ("objective", "a_ub", "b_ub", "a_eq", "b_eq"):
+        for name in ("objective", "a_ub", "b_ub"):
             a = np.asarray(getattr(self, name), dtype=float)
             if not np.isfinite(a).all():
                 raise LpError(f"{name} contains non-finite entries")
@@ -103,12 +92,14 @@ class LinearProgram:
         if q < 1 or len(batch) > 1 or self.free.shape != (q,):
             raise LpError(f"objective {self.objective.shape} and free {self.free.shape} "
                           "must have shapes ([B,] q) and (q,) with q >= 1")
-        for a, b in ((self.a_ub, self.b_ub), (self.a_eq, self.b_eq)):
-            if (a.ndim != len(batch) + 2 or a.shape[:-2] != batch or a.shape[-1] != q
-                    or b.shape != a.shape[:-1]):
-                raise LpError(f"constraints {a.shape} and bounds {b.shape} do not "
-                              f"have shapes ({'B, ' * len(batch)}rows, {q}) and "
-                              f"({'B, ' * len(batch)}rows,)")
+        a, b = self.a_ub, self.b_ub
+        if (a.ndim != len(batch) + 2 or a.shape[:-2] != batch or a.shape[-1] != q
+                or b.shape != a.shape[:-1]):
+            raise LpError(f"constraints {a.shape} and bounds {b.shape} do not "
+                          f"have shapes ({'B, ' * len(batch)}rows, {q}) and "
+                          f"({'B, ' * len(batch)}rows,)")
+        if (b < 0).any():
+            raise LpError("b_ub has negative entries; v = 0 must be feasible")
 
 
 @dataclass(frozen=True)
@@ -122,14 +113,14 @@ def batch_slices(count: int, rows: int, cols: int) -> list:
     """Slices that split `count` programs of `rows` constraints over `cols`
     variables into lockstep batches of at most BATCH_ELEMENTS tableau
     elements each (and at least one program)."""
-    # a tableau's bound: every variable split, a slack and an artificial per row
-    size = (rows + 1) * (2 * cols + 2 * rows + 1)
+    # a tableau's bound: every variable split and a slack per row
+    size = (rows + 1) * (2 * cols + rows + 1)
     step = max(1, BATCH_ELEMENTS // size)
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _standardize(lp: LinearProgram):
-    """Rewrite each program as max c'x, Ax = b, x >= 0 with b >= 0.
+    """Rewrite each program as max c'x, Ax = b, x >= 0 (one slack per row).
 
     Returns (A, b, c, pos, neg), A, b and c with a leading batch axis (of
     length 1 for an unbatched program): variable i of lp is x[pos[i]] -
@@ -141,23 +132,30 @@ def _standardize(lp: LinearProgram):
     ends = width.cumsum()
     pos = ends - width
     neg = np.where(lp.free, ends - 1, -1)
-    r, e = lp.b_ub.shape[-1], lp.b_eq.shape[-1]
+    r = lp.b_ub.shape[-1]
     B = lp.objective.size // q
     structural = int(ends[-1])
-    rows = np.concatenate([lp.objective.reshape(B, 1, q), lp.a_ub.reshape(B, r, q),
-                           lp.a_eq.reshape(B, e, q)], axis=1)  # cost row first
-    S = np.zeros((B, 1 + r + e, structural + r))
+    rows = np.concatenate([lp.objective.reshape(B, 1, q), lp.a_ub.reshape(B, r, q)],
+                          axis=1)  # cost row first
+    S = np.zeros((B, 1 + r, structural + r))
     S[:, :, pos] = rows
     S[:, :, neg[lp.free]] = -rows[:, :, lp.free]
     k = np.arange(r)
-    S[:, k + 1, structural + k] = 1.0  # one slack per inequality row
-    A, c = S[:, 1:], S[:, 0]
-    b = np.concatenate([lp.b_ub.reshape(B, r), lp.b_eq.reshape(B, e)], axis=1)
-    flip = b < 0
-    if flip.any():
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-    return A, b, c, pos, neg
+    S[:, k + 1, structural + k] = 1.0  # one slack per row
+    return S[:, 1:], lp.b_ub.reshape(B, r), S[:, 0], pos, neg
+
+
+def _start(A: np.ndarray, b: np.ndarray):
+    """The (B, rows + 1, q + 1) tableau stack of A x = b (cost row last,
+    still zero) and its feasible starting basis: each row starts on its
+    lowest-index +1 unit column (its slack, or a structural column that is
+    a +1 unit vector), basic at b >= 0."""
+    B, rows, q = A.shape
+    unit = (A == 1.0) & (np.count_nonzero(A, axis=1) == 1)[:, None, :]
+    T = np.zeros((B, rows + 1, q + 1))
+    T[:, :rows, :q] = A
+    T[:, :rows, -1] = b
+    return T, unit.argmax(axis=2)
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray,
@@ -175,8 +173,8 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray,
     basis[k, row] = col
 
 
-def _run(T: np.ndarray, basis: np.ndarray, allowed: int) -> np.ndarray:
-    """Pivot every member to optimality over columns < allowed, in lockstep.
+def _run(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Pivot every member to optimality, in lockstep.
 
     Returns each member's outcome: _OPTIMAL, _UNBOUNDED or _STALLED (the
     pivot limit).  Finished members leave the working stack t and are
@@ -188,7 +186,7 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int) -> np.ndarray:
     t, tb = T, basis
     for _ in range(MAX_PIVOTS):
         k = np.arange(live.size)
-        improving = t[:, -1, :allowed] > PIVOT_TOL
+        improving = t[:, -1, :-1] > PIVOT_TOL
         entering = improving.argmax(axis=1)  # Bland: lowest improving index
         improves = improving[k, entering]
         column = t[k, :, entering]
@@ -226,53 +224,6 @@ def _price_out(T: np.ndarray, basis: np.ndarray, c_full: np.ndarray) -> None:
         T[on, -1] -= cb[on, r, None] * T[on, r]
 
 
-def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, q: int,
-                           members: np.ndarray) -> None:
-    """Pivot the members' basic artificials (all at ~0 after a feasible
-    phase 1) onto structural columns so their rows constrain phase 2.  Rows
-    with no structural entries are redundant and stay inert.  Such rows are
-    rare, so each is pivoted alone, in a one-member view of the stack."""
-    for m, r in zip(*((basis >= q) & members[:, None]).nonzero()):
-        j = np.abs(T[m, r, :q]).argmax()
-        if abs(T[m, r, j]) > PIVOT_TOL:
-            _pivot(T[m:m + 1], basis[m:m + 1], np.array([r]), np.array([j]), T[[m], :, j])
-
-
-def _phase1(A: np.ndarray, b: np.ndarray):
-    """Returns (T, basis, q, outcome, feasible) with artificial columns
-    appended: outcome is each member's phase-1 `_run` outcome, feasible
-    marks the members that reached a zero artificial sum.
-
-    Phase 1 starts from the slack basis: a column of A that is a +1 unit
-    vector is a feasible basic variable of its row (b >= 0), the lowest-index
-    one where a row has several.  Only the rows without one (equality rows,
-    and inequality rows flipped for a negative right-hand side) get an
-    artificial column; the other members' padding columns stay zero.
-    """
-    B, rows, q = A.shape
-    unit = (A == 1.0) & (np.count_nonzero(A, axis=1) == 1)[:, None, :]
-    need = ~unit.any(axis=2)
-    member, row = need.nonzero()
-    artificial = q + (need.cumsum(axis=1) - 1)[member, row]
-    T = np.zeros((B, rows + 1, q + int(need.sum(axis=1).max(initial=0)) + 1))
-    T[:, :rows, :q] = A
-    T[member, row, artificial] = 1.0
-    T[:, :rows, -1] = b
-    basis = unit.argmax(axis=2)  # lowest-index unit column of each row
-    basis[member, row] = artificial
-    outcome = np.full(B, _OPTIMAL)
-    if T.shape[2] - 1 > q:  # some member starts on an artificial
-        c1 = np.zeros((B, T.shape[2] - 1))
-        c1[:, q:] = -1.0
-        _price_out(T, basis, c1)
-        outcome = _run(T, basis, q)
-    # an unbounded phase 1 is unreachable in exact arithmetic; still reached
-    # through round-off at reward scales far from 1 (ROADMAP open item 2)
-    feasible = (outcome == _OPTIMAL) & (-T[:, -1, -1] >= -FEAS_TOL)
-    _drive_out_artificials(T, basis, q, feasible)
-    return T, basis, q, outcome, feasible
-
-
 def _extract(T: np.ndarray, basis: np.ndarray, pos: np.ndarray,
              neg: np.ndarray) -> np.ndarray:
     x = np.zeros((T.shape[0], T.shape[2]))  # x[:, -1] is never basic: the zero neg = -1 reads
@@ -287,35 +238,22 @@ def solve_lp(lp: LinearProgram) -> LpSolution | list:
 
     An unbatched program gives its LpSolution, and raises LpError where the
     engine fails on it.  A batch gives a list with one entry per program,
-    its LpSolution or the LpError the engine failed with (phase 1 reporting
-    unbounded, or the pivot limit), returned so that the caller picks which
-    failure to report.
+    its LpSolution or the LpError of the pivot limit, returned so that the
+    caller picks which failure to report.
 
     On OPTIMAL, `v` is a vertex of the feasible region and `value` equals
     objective'v.  On degenerate optima any optimal vertex may be returned;
     callers must depend only on the value and feasibility.
     """
     A, b, c, pos, neg = _standardize(lp)
-    T, basis, q, outcome, feasible = _phase1(A, b)
-    out = [LpSolution(LpStatus.INFEASIBLE) if o == _OPTIMAL else
-           LpError("phase 1 reported unbounded" if o == _UNBOUNDED else _STALLED_MESSAGE)
-           for o in outcome]
-    kept = feasible.nonzero()[0]
-    if kept.size:
-        T, basis = T[kept], basis[kept]
-        c_full = np.zeros((kept.size, T.shape[2] - 1))
-        c_full[:, :q] = c[kept]
-        _price_out(T, basis, c_full)
-        outcome = _run(T, basis, q)
-        v = _extract(T, basis, pos, neg)
-        objective = lp.objective.reshape(-1, lp.free.size)
-        for k, i in enumerate(kept):
-            if outcome[k] == _OPTIMAL:
-                out[i] = LpSolution(LpStatus.OPTIMAL, v=v[k], value=float(objective[i] @ v[k]))
-            elif outcome[k] == _UNBOUNDED:
-                out[i] = LpSolution(LpStatus.UNBOUNDED)
-            else:
-                out[i] = LpError(_STALLED_MESSAGE)
+    T, basis = _start(A, b)
+    _price_out(T, basis, c)
+    outcome = _run(T, basis)
+    v = _extract(T, basis, pos, neg)
+    objective = lp.objective.reshape(-1, lp.free.size)
+    out = [LpSolution(LpStatus.OPTIMAL, v=v[k], value=float(objective[k] @ v[k]))
+           if o == _OPTIMAL else LpSolution(LpStatus.UNBOUNDED) if o == _UNBOUNDED
+           else LpError(_STALLED_MESSAGE) for k, o in enumerate(outcome)]
     if lp.objective.ndim == 2:
         return out
     if isinstance(out[0], LpError):

@@ -1,9 +1,10 @@
 """Brute-force oracles that certify solver results on small instances.
 
 Everything here is exponential or grid-based and gated behind hard size
-guards, except belief membership (one feasibility LP per stage, solved in
-lockstep batches); oracles certify the algorithms on small instances, never
-the production solve path.
+guards, except belief membership (one LP per stage whose value reaches a
+known target exactly when the stage is a member, solved in lockstep
+batches); oracles certify the algorithms on small instances, never the
+production solve path.
 
 The exhaustive fake-policy search shares work across suffixes: fixing a
 fake policy's layers h+1..H-1 fixes the value vectors entering layer h, so
@@ -38,6 +39,7 @@ GRID_MAX_DIM = 4
 VERTEX_MAX_DIM = 6
 VERTEX_INCLUDE_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-8
+FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,11 @@ def grid_attacker_value(a_prime, b, z_star: float, spec: GridSpec) -> float:
 def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     """True iff pi2 is a per-stage convex mixture of the belief's base policies.
 
-    Each (h, s) is checked by a small feasibility LP at tolerance
-    lp.FEAS_TOL; all H * S of them share one shape and are solved in
+    Stage (h, s) is a member iff M lam = e has a solution lam >= 0, where M
+    stacks the base mixes over a row of ones and e is pi2(h, s) followed by
+    a 1.  Since e >= 0, that holds iff max 1'M lam s.t. M lam <= e, lam >= 0
+    reaches 1'e; a stage is taken as a member when the LP's value is within
+    FEAS_TOL of 1'e.  All H * S LPs share one shape and are solved in
     lockstep batches.  The answer, and an engine failure raised, are those
     of checking the stages one by one in (h, s) order up to the first that
     is not a member.
@@ -156,23 +161,15 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     if pi2.player != 2 or pi2.entries.shape != b.mixes.shape[:3]:
         raise ValueError("candidate policy does not match belief dimensions")
     H, S, m, K = b.mixes.shape
-    mixes = b.mixes.reshape(H * S, m, K)
-    entries = pi2.entries.reshape(H * S, m)
+    M = np.concatenate([b.mixes.reshape(H * S, m, K), np.ones((H * S, 1, K))], axis=1)
+    e = np.concatenate([pi2.entries.reshape(H * S, m), np.ones((H * S, 1))], axis=1)
     for sl in batch_slices(H * S, m + 1, K):
-        B = mixes[sl].shape[0]
-        # weights lambda >= 0 with sum 1 and lambda' rows = pi2(h, s)
-        prog = LinearProgram(
-            objective=np.zeros((B, K)),
-            a_ub=np.empty((B, 0, K)),
-            b_ub=np.empty((B, 0)),
-            a_eq=np.concatenate([mixes[sl], np.ones((B, 1, K))], axis=1),
-            b_eq=np.concatenate([entries[sl], np.ones((B, 1))], axis=1),
-            free=np.zeros(K, dtype=bool),
-        )
-        for sol in solve_lp(prog):
+        prog = LinearProgram(objective=M[sl].sum(axis=1), a_ub=M[sl], b_ub=e[sl],
+                             free=np.zeros(K, dtype=bool))
+        for sol, target in zip(solve_lp(prog), e[sl].sum(axis=1)):
             if isinstance(sol, LpError):
                 raise sol
-            if sol.status != LpStatus.OPTIMAL:
+            if sol.status != LpStatus.OPTIMAL or sol.value < target - FEAS_TOL:
                 return False
     return True
 

@@ -6,9 +6,9 @@ victim's best-response polytope is the dualized LP over (y, w, alpha), and
 the two chained solve a K > 1 belief.  Each LP is written at its player's
 best pure strategy: that strategy's weight is eliminated (it holds the rest
 of the mass) and the value is shifted by its guarantee, so every right-hand
-side is >= 0, the simplex starts feasible at the pure security strategy with
-no artificial column, and x, z, y and alpha are mapped back afterwards (see
-victim_br_lp and attacker_br_lp).  Both LPs take a leading stage axis:
+side is >= 0, the form `lp.LinearProgram` takes, the simplex starts feasible
+at the pure security strategy, and x, z, y and alpha are mapped back
+afterwards (see victim_br_lp and attacker_br_lp).  Both LPs take a leading stage axis:
 the P stages of a layer share one shape, so `lp.solve_lp` solves them as one
 lockstep batch (split at `lp.BATCH_ELEMENTS` tableau elements), with results
 bit-identical to solving the stages one by one.  A failure names the stage
@@ -131,10 +131,9 @@ def victim_br_lp(cols) -> tuple:
         max z'  s.t.  z' - sum_{i != r0} x_i (A'[i, j] - A'[r0, j]) <= A'[r0, j] - c
                       for every j,  sum_{i != r0} x_i <= 1.
 
-    Every right-hand side is >= 0, so the slack basis (x = e_r0, z = c) is
-    feasible and no artificial column is needed; a stage whose best pure
-    row is optimal needs no pivot and gets z* = c exactly.  x and z = c + z'
-    are mapped back.
+    Every right-hand side is >= 0, so the LP starts feasible at x = e_r0,
+    z = c; a stage whose best pure row is optimal needs no pivot and gets
+    z* = c exactly.  x and z = c + z' are mapped back.
     """
     P, n, K = cols.shape
     r0, c, others, gain, room = _at_best_pure(cols)
@@ -147,8 +146,6 @@ def victim_br_lp(cols) -> tuple:
                 np.concatenate([-gain[sl], np.ones((B, K, 1))], axis=2),
                 np.tile(np.append(np.ones(n - 1), 0.0), (B, 1, 1))], axis=1),
             b_ub=np.append(room[sl], np.ones((B, 1)), axis=1),
-            a_eq=np.zeros((B, 0, n)),
-            b_eq=np.zeros((B, 0)),
             free=np.zeros(n, dtype=bool),
         )
 
@@ -178,9 +175,8 @@ def attacker_br_lp(z_star, cols, b) -> StageBR:
     alpha' = alpha + d, y_k0 = 1 - sum_{k != k0} y_k, so row i reads
     -sum_{k != k0} y_k (B[i, k] - B[i, k0]) + (A' w)_i - alpha' <= B[i, k0] - d
     and the new row sum_{k != k0} y_k <= 1 replaces the equality.  Every
-    right-hand side is >= 0, so the slack basis (y = e_k0, w = 0,
-    alpha = -d, value d) is feasible and no artificial column is needed.
-    y and alpha = alpha' - d are mapped back.
+    right-hand side is >= 0, so the LP starts feasible at y = e_k0, w = 0,
+    alpha = -d (value d).  y and alpha = alpha' - d are mapped back.
     """
     z_star = np.asarray(z_star, dtype=float)
     P, n, K = cols.shape
@@ -196,8 +192,6 @@ def attacker_br_lp(z_star, cols, b) -> StageBR:
                 np.concatenate([-gain[sl], cols[sl], -np.ones((B, n, 1))], axis=2),
                 np.tile(np.append(np.ones(m - 1), np.zeros(K + 1)), (B, 1, 1))], axis=1),
             b_ub=np.append(room[sl], np.ones((B, 1)), axis=1),
-            a_eq=np.zeros((B, 0, m + K)),
-            b_eq=np.zeros((B, 0)),
             free=np.arange(m + K) == m + K - 1,
         )
 

@@ -95,11 +95,11 @@ def test_solve_br_without_beliefs_is_usage_error(tmp_path, decoy_game, capsys):
 
 def test_solve_failure_in_the_lp_engine_is_one_error_line(decoy_path, capsys, monkeypatch):
     def fail(g, belief):
-        raise LpError("phase 1 reported unbounded")
+        raise LpError("pivot limit exceeded; simplex did not converge")
 
     monkeypatch.setattr(cli, "markov_attacker_best_response", fail)
     assert cli.main(["solve-br", str(decoy_path)]) == 1
-    assert capsys.readouterr().err == "error: phase 1 reported unbounded\n"
+    assert capsys.readouterr().err == "error: pivot limit exceeded; simplex did not converge\n"
 
 
 def test_bad_second_belief_is_named_by_its_index(decoy_path, tmp_path, decoy_game, capsys):

@@ -8,38 +8,28 @@ from hypothesis import strategies as st
 
 import lp_reference
 from mgincept import lp, stage
-from mgincept.lp import (
-    FEAS_TOL,
-    LinearProgram,
-    LpError,
-    LpStatus,
-    _phase1,
-    _standardize,
-    solve_lp,
-)
+from mgincept.lp import LinearProgram, LpError, LpStatus, _standardize, _start, solve_lp
+from mgincept.oracle import FEAS_TOL
 
 
 def residuals(lp, v):
     """Worst constraint violation of v (0 when strictly feasible)."""
     return max(float(np.max(lp.a_ub @ v - lp.b_ub, initial=0.0)),
-               float(np.max(np.abs(lp.a_eq @ v - lp.b_eq), initial=0.0)),
                float(np.max(-v[~lp.free], initial=0.0)))
 
 
-def simplex_max(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=()):
+def simplex_max(objective, a_ub=(), b_ub=(), free=()):
     n = len(objective)
     mask = np.zeros(n, dtype=bool)
     mask[list(free)] = True
-    return LinearProgram(np.asarray(objective, float), np.reshape(a_ub, (-1, n)), b_ub,
-                         np.reshape(a_eq, (-1, n)), b_eq, mask)
+    return LinearProgram(np.asarray(objective, float), np.reshape(a_ub, (-1, n)), b_ub, mask)
 
 
 def test_pick_best_column_on_simplex():
-    # max z s.t. z <= x2, x1 + x2 = 1, x >= 0  ->  value 1 at x = (0, 1)
+    # max z s.t. z <= x2, x1 + x2 <= 1, x >= 0  ->  value 1 at x = (0, 1)
     prog = simplex_max(
         [0.0, 0.0, 1.0],
-        a_ub=[[0.0, -1.0, 1.0]], b_ub=[0.0],
-        a_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0],
+        a_ub=[[0.0, -1.0, 1.0], [1.0, 1.0, 0.0]], b_ub=[0.0, 1.0],
         free=(2,),
     )
     sol = solve_lp(prog)
@@ -49,7 +39,7 @@ def test_pick_best_column_on_simplex():
 
 
 def test_zero_objective_over_simplex():
-    prog = simplex_max([0.0, 0.0], a_eq=[np.ones(2)], b_eq=[1.0])
+    prog = simplex_max([0.0, 0.0], a_ub=[np.ones(2)], b_ub=[1.0])
     sol = solve_lp(prog)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.value == 0.0
@@ -62,11 +52,6 @@ def test_unbounded_ray_detected():
     assert sol.v is None
 
 
-def test_infeasible_equalities():
-    prog = simplex_max([0.0], a_eq=[[1.0], [1.0]], b_eq=[0.0, 1.0])
-    assert solve_lp(prog).status == LpStatus.INFEASIBLE
-
-
 def test_feasible_point_no_constraints():
     sol = solve_lp(simplex_max([0.0, 0.0], free=(1,)))
     assert sol.status == LpStatus.OPTIMAL
@@ -74,25 +59,34 @@ def test_feasible_point_no_constraints():
 
 
 def _attacker_dual_program(z_star, a_prime, b):
-    """The dual best-response program, built from raw arrays for the test."""
+    """The dual best-response program at the attacker's best pure action
+    k0, as stage.attacker_br_lp writes it, built from raw arrays for the
+    test: variables y_k (k != k0), w and alpha' = alpha + d, where d is
+    k0's guarantee.  Returns the program, the actions k != k0 and d."""
     n, K = a_prime.shape
     m = b.shape[1]
-    return simplex_max(
-        np.concatenate([np.zeros(m), z_star * np.ones(K), [-1.0]]),
-        a_ub=np.hstack([-b, a_prime, -np.ones((n, 1))]), b_ub=np.zeros(n),
-        a_eq=[np.concatenate([np.ones(m), np.zeros(K), [0.0]])], b_eq=[1.0],
-        free=(m + K,),
+    k0 = int(b.min(axis=0).argmax())
+    d = b[:, k0].min()
+    others = np.delete(np.arange(m), k0)
+    prog = simplex_max(
+        np.concatenate([np.zeros(m - 1), z_star * np.ones(K), [-1.0]]),
+        a_ub=np.vstack([np.hstack([b[:, [k0]] - b[:, others], a_prime, -np.ones((n, 1))]),
+                        np.concatenate([np.ones(m - 1), np.zeros(K + 1)])]),
+        b_ub=np.append(b[:, k0] - d, 1.0),
+        free=(m - 1 + K,),
     )
+    return prog, others, d
 
 
 def test_feasible_point_for_dual_best_response_program(decoy_game):
     # with belief column 0, first-strategy-plus-zero-duals is always feasible:
-    # y = e_1, w = 0, alpha = max_i |(B e_1)_i|
+    # y = e_1, w = 0, alpha = max_i |(B e_1)_i|, here with y's weight off k0
+    # and alpha shifted by k0's guarantee
     b = np.asarray(decoy_game.rewards[1, 0, 0])
     a = np.asarray(decoy_game.rewards[0, 0, 0])
     a_prime = a @ np.array([[1.0, 0.0]]).T
-    prog = _attacker_dual_program(1.0, a_prime, b)
-    hand = np.concatenate([[1.0, 0.0], [0.0], [np.abs(b[:, 0]).max()]])
+    prog, others, d = _attacker_dual_program(1.0, a_prime, b)
+    hand = np.concatenate([np.eye(2)[0, others], [0.0], [np.abs(b[:, 0]).max() + d]])
     assert residuals(prog, hand) <= 1e-12
     # a zero objective turns the solve into a pure feasibility query
     found = solve_lp(dataclasses.replace(prog, objective=np.zeros_like(prog.objective)))
@@ -120,11 +114,9 @@ def _vertex_oracle_value(prog):
     rows = np.vstack([prog.a_ub, -np.eye(n)[~prog.free]])
     rhs_all = np.append(prog.b_ub, np.zeros(n - prog.free.sum()))
     best = None
-    need = n - prog.b_eq.size
-    for combo in itertools.combinations(range(len(rows)), need):
-        mat = np.vstack([rows[list(combo)], prog.a_eq])
-        rhs = np.append(rhs_all[list(combo)], prog.b_eq)
-        if mat.shape[0] != n or np.linalg.matrix_rank(mat) < n:
+    for combo in itertools.combinations(range(len(rows)), n):
+        mat, rhs = rows[list(combo)], rhs_all[list(combo)]
+        if np.linalg.matrix_rank(mat) < n:
             continue
         try:
             x = np.linalg.solve(mat, rhs)
@@ -152,19 +144,25 @@ def test_matches_vertex_enumeration_oracle_on_random_programs():
 
 
 def test_strong_duality_on_random_programs():
-    # primal: max c'x, Gx <= h, x >= 0; dual: min h'y, G'y >= c, y >= 0,
-    # solved as max -h'y with flipped rows.  Bounded + feasible by design.
+    # primal: max c'x, Gx <= h, x >= 0 with box rows x <= 2 last in G; dual:
+    # min h'y, G'y >= c, y >= 0.  y0 = (0, max(c, 0)) is dual feasible, so
+    # the dual is solved as max -h'u over free u = y - y0, with rows
+    # -G'u <= G'y0 - c and -u <= y0, all right-hand sides >= 0, and
+    # min h'y = h'y0 - max(-h'u).  Bounded + feasible by design.
     rng = np.random.default_rng(7)
     for _ in range(40):
         n_vars = int(rng.integers(1, 4))
         n_rows = int(rng.integers(1, 4))
         prog = _bounded_random_program(rng, n_vars, n_rows)
         rows = prog.b_ub.size
-        dual = simplex_max(-prog.b_ub, a_ub=-prog.a_ub.T, b_ub=-prog.objective)
+        y0 = np.append(np.zeros(n_rows), np.maximum(prog.objective, 0.0))
+        dual = simplex_max(-prog.b_ub, a_ub=np.vstack([-prog.a_ub.T, -np.eye(rows)]),
+                           b_ub=np.append(prog.a_ub.T @ y0 - prog.objective, y0),
+                           free=range(rows))
         psol = solve_lp(prog)
         dsol = solve_lp(dual)
         assert psol.status == LpStatus.OPTIMAL and dsol.status == LpStatus.OPTIMAL
-        assert psol.value == pytest.approx(-dsol.value, abs=1e-8)
+        assert psol.value == pytest.approx(prog.b_ub @ y0 - dsol.value, abs=1e-8)
         assert len(dsol.v) == rows
 
 
@@ -187,30 +185,25 @@ def _elementwise_standard_form(prog):
     for i, free in enumerate(prog.free):
         cols += [(i, 1.0), (i, -1.0)] if free else [(i, 1.0)]
     r = prog.b_ub.size
-    M = np.vstack([prog.a_ub, prog.a_eq])
-    b = np.append(prog.b_ub, prog.b_eq)
-    A = np.zeros((b.size, len(cols) + r))
+    A = np.zeros((r, len(cols) + r))
     c = np.zeros(len(cols) + r)
     for j, (i, sign) in enumerate(cols):
         c[j] = sign * prog.objective[i]
-        for k in range(b.size):
-            A[k, j] = sign * M[k, i]
+        for k in range(r):
+            A[k, j] = sign * prog.a_ub[k, i]
     for k in range(r):
         A[k, len(cols) + k] = 1.0
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    return A, b, c
+    return A, prog.b_ub.copy(), c
 
 
 def test_standard_form_is_bit_identical_to_elementwise_reference():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        n, r, e = int(rng.integers(1, 5)), int(rng.integers(0, 4)), int(rng.integers(0, 3))
+        n, r = int(rng.integers(1, 5)), int(rng.integers(0, 4))
         # rounded entries put exact zeros (and so signed zeros) in the tableau
         prog = simplex_max(rng.uniform(-1, 1, n).round(), a_ub=rng.uniform(-1, 1, (r, n)).round(1),
-                           b_ub=rng.uniform(-1, 1, r), a_eq=rng.uniform(-1, 1, (e, n)).round(1),
-                           b_eq=rng.uniform(-1, 1, e), free=np.flatnonzero(rng.uniform(size=n) < 0.5))
+                           b_ub=rng.uniform(0, 1, r),
+                           free=np.flatnonzero(rng.uniform(size=n) < 0.5))
         got = _standardize(prog)[:3]  # a batch of one
         for x, y in zip(got, _elementwise_standard_form(prog)):
             assert x.shape == (1, *y.shape) and x.tobytes() == y.tobytes()
@@ -225,44 +218,8 @@ def test_deterministic_repeat_solves():
     assert np.array_equal(a.v, b.v)
 
 
-def test_stuck_artificial_rows_still_constrain_phase_two():
-    # all-nonpositive equality rows leave their phase-1 artificial basic at
-    # zero; the row must still bound the objective (regression: this used to
-    # be misreported as unbounded)
-    prog = simplex_max([1.0, 0.0], a_eq=[[-1.0, -1.0]], b_eq=[0.0])
-    sol = solve_lp(prog)
-    assert sol.status == LpStatus.OPTIMAL
-    assert sol.value == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(sol.v, 0.0)
-    dup = simplex_max([1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
-    sol = solve_lp(dup)
-    assert sol.status == LpStatus.OPTIMAL
-    assert sol.value == pytest.approx(1.0, abs=1e-9)
-
-
-def test_matches_oracle_with_equality_constraints():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        n_vars = int(rng.integers(2, 4))
-        prog_base = _bounded_random_program(rng, n_vars, int(rng.integers(1, 4)))
-        anchor = rng.uniform(0.1, 1.0, n_vars)
-        row = rng.uniform(-1.0, 1.0, n_vars)
-        prog = dataclasses.replace(
-            prog_base,
-            b_ub=np.maximum(prog_base.b_ub, prog_base.a_ub @ anchor + 0.1),
-            a_eq=row[None, :], b_eq=[row @ anchor],
-        )
-        sol = solve_lp(prog)
-        assert sol.status == LpStatus.OPTIMAL
-        oracle = _vertex_oracle_value(prog)
-        assert oracle is not None
-        assert sol.value == pytest.approx(oracle, abs=1e-8)
-        assert residuals(prog, sol.v) <= FEAS_TOL
-
-
 def test_malformed_input_rejected():
-    good = dict(objective=[1.0, 2.0], a_ub=np.ones((1, 2)), b_ub=[1.0],
-                a_eq=np.ones((1, 2)), b_eq=[1.0], free=[False, True])
+    good = dict(objective=[1.0, 2.0], a_ub=np.ones((1, 2)), b_ub=[1.0], free=[False, True])
     LinearProgram(**good)
     for bad in (
         dict(objective=[]),
@@ -271,9 +228,9 @@ def test_malformed_input_rejected():
         dict(a_ub=np.ones((1, 3))),
         dict(a_ub=np.ones(2)),
         dict(b_ub=[1.0, 2.0]),
-        dict(b_eq=[]),
-        dict(a_eq=[[np.nan, 0.0]]),
-        dict(a_eq=[[np.inf, 0.0]]),
+        dict(b_ub=[]),
+        dict(a_ub=[[np.nan, 0.0]]),
+        dict(a_ub=[[np.inf, 0.0]]),
         dict(b_ub=[np.inf]),
         dict(b_ub=[np.nan]),
         dict(free=[True]),
@@ -282,83 +239,65 @@ def test_malformed_input_rejected():
             LinearProgram(**{**good, **bad})
 
 
-def _phase1_start(monkeypatch, prog):
-    """Solve prog, returning the basis phase 1 starts from, the number of
-    artificial columns it appends, and the solution.  Without artificials
-    phase 1 does not run, and the first run, phase 2's, starts there."""
+def test_negative_right_hand_side_rejected():
+    # v = 0 must be feasible: a row with b < 0, alone or in one member of
+    # a batch, is refused before any tableau is built
+    with pytest.raises(LpError, match="negative"):
+        simplex_max([1.0, 0.0], a_ub=[[1.0, 1.0], [-1.0, 0.0]], b_ub=[1.0, -1e-300])
+    with pytest.raises(LpError, match="negative"):
+        LinearProgram(np.ones((2, 1)), np.ones((2, 1, 1)), [[1.0], [-1.0]], [False])
+    LinearProgram(np.ones((2, 1)), np.ones((2, 1, 1)), [[1.0], [-0.0]], [False])
+
+
+def _first_basis(monkeypatch, prog):
+    """Solve prog, returning the basis the simplex starts from and the
+    solution."""
     real, starts = lp._run, []
 
-    def recorded(T, basis, allowed):
-        starts.append((basis[0].copy(), T.shape[2] - 1 - allowed))
-        return real(T, basis, allowed)
+    def recorded(T, basis):
+        starts.append(basis[0].copy())
+        return real(T, basis)
 
     monkeypatch.setattr(lp, "_run", recorded)
     sol = solve_lp(prog)
-    return *starts[0], sol
-
-
-def test_flipped_inequality_row_gets_an_artificial(monkeypatch):
-    # x0 + x1 >= 1 as -x0 - x1 <= -1: the flip leaves its slack at -1, so
-    # only that row starts on an artificial; x0 + x1 <= 3 starts on its slack
-    prog = simplex_max([-1.0, -2.0], a_ub=[[-1.0, -1.0], [1.0, 1.0]], b_ub=[-1.0, 3.0])
-    start, artificials, sol = _phase1_start(monkeypatch, prog)
-    assert artificials == 1
-    assert start.tolist() == [4, 3]  # artificial (after x0, x1, two slacks), slack 1
-    assert sol.status == LpStatus.OPTIMAL
-    assert sol.value == pytest.approx(-1.0, abs=1e-12)
-    assert np.allclose(sol.v, [1.0, 0.0])
+    return starts[0], sol
 
 
 def test_structural_unit_columns_start_the_basis(monkeypatch):
     # x0's column is e_0 and x2's is e_1, so x0 starts row 0 (before the
-    # slack, column 3) and x2 starts the equality row: no artificial at all
-    prog = simplex_max([1.0, 1.0, 0.0], a_ub=[[1.0, -1.0, 0.0]], b_ub=[2.0],
-                       a_eq=[[0.0, 1.0, 1.0]], b_eq=[1.0])
-    start, artificials, sol = _phase1_start(monkeypatch, prog)
-    assert artificials == 0
+    # slack, column 3) and x2 starts row 1 (before the slack, column 4)
+    prog = simplex_max([1.0, 1.0, 0.0], a_ub=[[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]],
+                       b_ub=[2.0, 1.0])
+    start, sol = _first_basis(monkeypatch, prog)
     assert start.tolist() == [0, 2]
     assert sol.status == LpStatus.OPTIMAL
     assert sol.value == pytest.approx(_vertex_oracle_value(prog), abs=1e-12)
     assert np.allclose(sol.v, [3.0, 1.0, 0.0])
 
 
-def test_infeasible_mix_of_slack_and_equality_rows():
-    # slack rows, a flipped row and an equality row that cannot all hold
-    for prog in (simplex_max([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
-                             a_eq=[[1.0, 1.0]], b_eq=[2.0]),
-                 simplex_max([0.0, 1.0], a_ub=[[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-                             b_ub=[-3.0, 2.0, 5.0], a_eq=[[1.0, 1.0]], b_eq=[4.0])):
-        assert solve_lp(prog).status == LpStatus.INFEASIBLE
-
-
-def test_matches_oracle_with_mixed_sign_right_hand_sides():
-    # rows through a positive anchor with small random slack: about half
-    # the right-hand sides are negative, so those rows start on artificials
+def test_matches_oracle_with_free_variables():
+    # rows through a positive anchor with small random slack, and box rows
+    # -2 <= v <= 2 that bound the free variables
     rng = np.random.default_rng(41)
-    flipped = 0
     for _ in range(60):
         n_vars = int(rng.integers(2, 4))
         anchor = rng.uniform(0.1, 1.5, n_vars)
         g_rows = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), n_vars))
-        h = g_rows @ anchor + rng.uniform(0.0, 0.3, g_rows.shape[0])
+        h = np.maximum(g_rows @ anchor + rng.uniform(0.0, 0.3, g_rows.shape[0]), 0.0)
         free = np.flatnonzero(rng.uniform(size=n_vars) < 0.3)
-        eq = rng.uniform(-1.0, 1.0, (int(rng.integers(0, 2)), n_vars))
         prog = simplex_max(rng.uniform(-1.0, 1.0, n_vars),
                            a_ub=np.vstack([g_rows, np.eye(n_vars), -np.eye(n_vars)]),
-                           b_ub=np.concatenate([h, np.full(2 * n_vars, 2.0)]),
-                           a_eq=eq, b_eq=eq @ anchor, free=free)
-        flipped += int((h < 0).sum())
+                           b_ub=np.concatenate([h, np.full(2 * n_vars, 2.0)]), free=free)
         sol = solve_lp(prog)
         assert sol.status == LpStatus.OPTIMAL
         assert sol.value == pytest.approx(_vertex_oracle_value(prog), abs=1e-8)
         assert residuals(prog, sol.v) <= FEAS_TOL
-    assert flipped >= 20
 
 
 def test_stage_lps_start_feasible_without_artificials(monkeypatch):
-    # both stage LPs are written at their best pure strategy: every row is
-    # an inequality with a right-hand side >= 0, so the slack basis is
-    # feasible, no artificial column is appended and phase 1 never pivots
+    # both stage LPs are written at their best pure strategy: every
+    # right-hand side is >= 0, so each starts at a feasible basis and is
+    # solved by one simplex run
     programs, runs = [], []
     real_run = lp._run
 
@@ -366,9 +305,9 @@ def test_stage_lps_start_feasible_without_artificials(monkeypatch):
         programs.append(prog)
         return solve_lp(prog)
 
-    def counted(T, basis, allowed):
-        runs.append(T.shape[2] - 1 - allowed)
-        return real_run(T, basis, allowed)
+    def counted(T, basis):
+        runs.append(T.shape[0])
+        return real_run(T, basis)
 
     monkeypatch.setattr(stage, "solve_lp", recorded)
     monkeypatch.setattr(lp, "_run", counted)
@@ -377,12 +316,11 @@ def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     pi_rows = rng.dirichlet(np.ones(4), 3)
     stage.nf_attacker_best_response(pi_rows, a, b)
     assert len(programs) == 2  # victim_br_lp, then attacker_br_lp
-    assert runs == [0, 0]  # phase 2 of each, over no artificial column
+    assert runs == [1, 1]  # one run of one member each
     for prog in programs:
-        assert prog.b_eq.shape[-1] == 0 and np.all(prog.b_ub >= 0.0)
+        assert np.all(prog.b_ub >= 0.0)
         A, rhs = _standardize(prog)[:2]
-        T, basis, q, outcome, feasible = _phase1(A, rhs)
-        assert feasible.all() and (outcome == lp._OPTIMAL).all() and T.shape[2] - 1 == q
+        T = _start(A, rhs)[0]
         assert np.array_equal(T[:, :-1, -1], prog.b_ub)
 
 
@@ -409,20 +347,19 @@ def _same_bits(got, want):
 
 
 def _member(prog, i):
-    return LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i], prog.a_eq[i],
-                         prog.b_eq[i], prog.free)
+    return LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i], prog.free)
 
 
-def _artificials(prog):
-    T, _, q, _ = lp_reference.phase1(*lp_reference.standardize(prog)[:2])
-    return T.shape[1] - 1 - q
+def _start_basis(prog):
+    return tuple(lp_reference.start(*lp_reference.standardize(prog)[:2])[1])
 
 
 def _mixed_batch(rng, size):
     """`size` programs of one random shape: rounded entries (exact zeros and
-    ties), right-hand sides of both signs, free variables, and a structural
-    +1 unit column in some members, which saves them an artificial."""
-    n, r, e = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    ties), right-hand sides >= 0 (some zero), free variables, and a
+    structural +1 unit column in some members, which starts its row in
+    place of the slack."""
+    n, r = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     free = rng.uniform(size=n) < 0.3
     digits = int(rng.integers(0, 3))
     a_ub = rng.uniform(-1, 1, (size, r, n)).round(1)
@@ -430,14 +367,12 @@ def _mixed_batch(rng, size):
     a_ub[unit, :, 0] = 0.0
     a_ub[unit, 0, 0] = 1.0
     return LinearProgram(rng.uniform(-1, 1, (size, n)).round(digits), a_ub,
-                         rng.uniform(-1, 1.5, (size, r)).round(1),
-                         rng.uniform(-1, 1, (size, e, n)).round(1),
-                         rng.uniform(-1, 1, (size, e)).round(1), free)
+                         rng.uniform(0, 1.5, (size, r)).round(1), free)
 
 
 def test_batches_are_bitwise_the_scalar_engine():
     rng = np.random.default_rng(17)
-    statuses, mixed_artificials = set(), 0
+    statuses, mixed_starts = set(), 0
     for _ in range(150):
         prog = _mixed_batch(rng, int(rng.integers(1, 12)))
         got = solve_lp(prog)
@@ -446,10 +381,10 @@ def test_batches_are_bitwise_the_scalar_engine():
             want = _reference(_member(prog, i))
             assert _same_bits(sol, want)
             statuses.add(want.status)
-        counts = {_artificials(_member(prog, i)) for i in range(len(got))}
-        mixed_artificials += len(counts) > 1
+        starts = {_start_basis(_member(prog, i)) for i in range(len(got))}
+        mixed_starts += len(starts) > 1
     assert statuses == set(LpStatus)
-    assert mixed_artificials >= 20
+    assert mixed_starts >= 20
 
 
 def test_unbatched_solve_is_a_batch_of_one():
@@ -478,42 +413,13 @@ def test_engine_failures_stay_with_their_member(monkeypatch):
     assert failed > 0 and solved > 0
 
 
-def _sum_to_one_victim_batch(cols):
-    """Victim LPs max z s.t. z - x'A'e_j <= 0, sum(x) = 1, z free: the
-    form the stage module used before it started at the best pure row,
-    with one artificial column for the equality."""
-    B, n, K = cols.shape
-    return LinearProgram(np.tile(np.append(np.zeros(n), 1.0), (B, 1)),
-                         np.concatenate([-cols.transpose(0, 2, 1), np.ones((B, K, 1))], axis=2),
-                         np.zeros((B, K)), np.tile(np.append(np.ones(n), 0.0), (B, 1, 1)),
-                         np.ones((B, 1)), np.arange(n + 1) == n)
-
-
-def test_phase_one_failure_in_a_stage_batch():
-    # the sum-to-one victim LPs of step 1 of this tiny-reward game: stage 0
-    # fails with "phase 1 reported unbounded" (absolute tolerances, ROADMAP
-    # item 2) in one batch with the other stages, which solve
-    from mgincept.oracle import random_belief, random_game
-    from mgincept.solver import markov_attacker_best_response
-
-    g = random_game(np.random.default_rng(3), 3, 5, 4, 4, reward_scale=1e-6)
-    belief = random_belief(np.random.default_rng(1003), g, 4)
-    report = markov_attacker_best_response(g, belief)
-    batch = _sum_to_one_victim_batch(report.q.values[0, 1] @ belief.mixes[1])
-    outcomes = [_reference(_member(batch, i)) for i in range(5)]
-    assert isinstance(outcomes[0], LpError) and str(outcomes[0]) == "phase 1 reported unbounded"
-    assert [o.status for o in outcomes[1:]] == [LpStatus.OPTIMAL] * 4
-    for sol, want in zip(solve_lp(batch), outcomes):
-        assert _same_bits(sol, want)
-
-
 def test_batch_slices_bound_the_stack(monkeypatch):
     assert lp.batch_slices(0, 3, 4) == []
     for elements, count, rows, cols in ((1 << 18, 20, 9, 7), (1000, 13, 3, 4), (10, 5, 2, 2)):
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", elements)
         slices = lp.batch_slices(count, rows, cols)
         assert [i for sl in slices for i in range(count)[sl]] == list(range(count))
-        size = (rows + 1) * (2 * cols + 2 * rows + 1)
+        size = (rows + 1) * (2 * cols + rows + 1)
         assert all(sl.stop - sl.start <= max(1, elements // size) for sl in slices)
         assert len(slices) == -(-count // max(1, elements // size))
 
@@ -527,9 +433,9 @@ def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
     b = rng.uniform(-1, 1, (7, 4, 5))
     whole = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
     for stages_per_batch in (3, 1):
-        size = (3 + 2) * (2 * 5 + 2 * 4 + 1)  # the victim LP's tableau bound
+        size = (4 + 1) * (2 * 4 + 4 + 1)  # the victim LP's tableau bound: K + 1 rows, n columns
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", stages_per_batch * size)
-        assert len(lp.batch_slices(7, 4, 5)) == -(-7 // stages_per_batch)
+        assert len(lp.batch_slices(7, 4, 4)) == -(-7 // stages_per_batch)
         (x, z), br = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
         assert x.tobytes() == whole[0][0].tobytes() and z.tobytes() == whole[0][1].tobytes()
         for field in ("y_star", "z_star", "v2_star", "w_star", "alpha_star"):

@@ -186,17 +186,17 @@ def test_brute_force_guard_fires_before_any_stage_solve(monkeypatch):
 
 
 def _membership_by_stage(belief, pi2):
-    """Belief membership as one feasibility LP per (h, s), in order, through
-    the scalar engine: the reference for the batched check."""
+    """Belief membership as one LP per (h, s), in order, through the scalar
+    engine: the reference for the batched check."""
     import lp_reference
     from mgincept.lp import LinearProgram, LpStatus
 
     K = belief.size
     for h, s in np.ndindex(belief.mixes.shape[:2]):
-        prog = LinearProgram(np.zeros(K), np.empty((0, K)), np.empty(0),
-                             np.vstack([belief.mixes[h, s], np.ones(K)]),
-                             np.append(pi2.entries[h, s], 1.0), np.zeros(K, dtype=bool))
-        if lp_reference.solve_lp(prog).status != LpStatus.OPTIMAL:
+        M = np.vstack([belief.mixes[h, s], np.ones(K)])
+        e = np.append(pi2.entries[h, s], 1.0)
+        sol = lp_reference.solve_lp(LinearProgram(M.sum(axis=0), M, e, np.zeros(K, dtype=bool)))
+        if sol.status != LpStatus.OPTIMAL or sol.value < e.sum() - oracle.FEAS_TOL:
             return False
     return True
 
@@ -254,3 +254,21 @@ def test_belief_membership_keeps_the_first_failure(monkeypatch, fail_at, outside
                 oracle.belief_membership(belief, pi2)
         else:
             assert oracle.belief_membership(belief, pi2) is False
+
+
+@pytest.mark.parametrize("eps", (1e-8, 1e-6))
+def test_belief_membership_accepts_a_stage_a_hair_inside_the_hull(eps):
+    # every stage is one mixture of the K = 3 base mixes, and stage (0, 0)
+    # is moved by eps toward e_0: least squares still reproduces it with
+    # weights >= 0.078, to a residual below FEAS_TOL / 10, so it is a member
+    rng = np.random.default_rng(39)
+    g = random_game(rng, 2, 3, 2, int(rng.integers(2, 5)))
+    belief = oracle.random_belief(np.random.default_rng(5039), g, int(rng.integers(1, 5)))
+    entries = np.einsum("hsmk,k->hsm", belief.mixes, rng.dirichlet(np.ones(belief.size)))
+    entries[0, 0, 0] += eps
+    entries[0, 0] /= entries[0, 0].sum()
+    M = np.vstack([belief.mixes[0, 0], np.ones(belief.size)])
+    e = np.append(entries[0, 0], 1.0)
+    weights = np.linalg.lstsq(M, e, rcond=None)[0]
+    assert weights.min() >= 0.078 and np.abs(M @ weights - e).sum() <= oracle.FEAS_TOL / 10
+    assert oracle.belief_membership(belief, mg.MarkovPolicy(2, entries))

@@ -323,12 +323,12 @@ def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
             n_vars = prog.objective.shape[1]
             for p in (victim_at if n_vars == 3 else attacker_at):
                 if p < len(out):
-                    out[p] = stage.LpError("phase 1 reported unbounded")
+                    out[p] = stage.LpError("pivot limit exceeded; simplex did not converge")
             return out
         return solve
 
     for victim_at, attacker_at, message in (((5,), (3, 6), "stage 3: attacker"),
                                              ((3,), (5,), "stage 3: victim")):
         monkeypatch.setattr(stage, "solve_lp", injected(victim_at, attacker_at))
-        with pytest.raises(stage.LpError, match=f"^{message} best-response LP: phase 1"):
+        with pytest.raises(stage.LpError, match=f"^{message} best-response LP: pivot limit"):
             stage._lp_chain(cols, b)
