@@ -33,12 +33,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def _load(path) -> gamefile.GameDocument:
-    doc = gamefile.load_game(path)
-    require_valid(doc.game)
-    return doc
-
-
 def cmd_validate(args) -> int:
     doc = gamefile.load_game(args.game)
     report = validate_game(doc.game)
@@ -67,7 +61,7 @@ def _belief_from_args(args, doc: gamefile.GameDocument) -> BeliefSet:
 
 
 def cmd_solve_br(args) -> int:
-    doc = _load(args.game)
+    doc = gamefile.load_game(args.game)
     belief = _belief_from_args(args, doc)
     if not belief.matches(doc.game):
         raise GameFormatError("belief dimensions do not match the game")
@@ -83,7 +77,7 @@ def cmd_solve_br(args) -> int:
 
 
 def cmd_incept(args) -> int:
-    doc = _load(args.game)
+    doc = gamefile.load_game(args.game)
     g = doc.game
     cfg = InceptionConfig(iota=args.iota)
     result = policy_inception(g)
@@ -111,9 +105,8 @@ def cmd_incept(args) -> int:
     return 0
 
 
-def _grid_checks(g, belief, step):
+def _grid_checks(g, belief, spec):
     """Per-stage LP values vs grid oracle; yields (deviation, tolerance) pairs."""
-    spec = GridSpec(step=step)
     report = markov_attacker_best_response(g, belief)
     for h in range(g.horizon):
         for s in range(g.num_states):
@@ -123,15 +116,19 @@ def _grid_checks(g, belief, step):
             v2 = report.v.values[1, h, s]
             col_range = float(np.max(a_prime.max(axis=0) - a_prime.min(axis=0)))
             dev_v = abs(z - grid_victim_value(a_prime, spec))
-            yield "victim-stage-vs-grid", dev_v, col_range * step + GRID_SLACK
+            yield "victim-stage-vs-grid", dev_v, col_range * spec.step + GRID_SLACK
             verts = np.stack(victim_br_vertices(a_prime, z))
             payoff = verts @ q2
             att_range = float(np.max(payoff.max(axis=1) - payoff.min(axis=1)))
             dev_a = abs(v2 - grid_attacker_value(a_prime, q2, z, spec))
-            yield "attacker-stage-vs-grid", dev_a, att_range * step + GRID_SLACK
+            yield "attacker-stage-vs-grid", dev_a, att_range * spec.step + GRID_SLACK
 
 
 def cmd_verify(args) -> int:
+    try:
+        spec = GridSpec(step=args.step)
+    except ValueError as exc:
+        raise GameFormatError(f"--step: {exc}") from exc
     if args.random:
         try:
             n, m, states, horizon = (int(p) for p in args.random.split(","))
@@ -146,7 +143,8 @@ def cmd_verify(args) -> int:
     else:
         if not args.game:
             raise GameFormatError("verify needs a game file or --random SPEC")
-        doc = _load(args.game)
+        doc = gamefile.load_game(args.game)
+        require_valid(doc.game)  # before any output
         games = [doc.game]
         beliefs = [BeliefSet(doc.beliefs) if doc.beliefs else secure_belief(doc.game)]
         source = args.game
@@ -159,7 +157,7 @@ def cmd_verify(args) -> int:
 
     for g, belief in zip(games, beliefs):
         if args.mode in ("grid", "all"):
-            for name, dev, tol in _grid_checks(g, belief, args.step):
+            for name, dev, tol in _grid_checks(g, belief, spec):
                 record(name, dev, tol)
         if args.mode in ("enum", "all"):
             greedy = policy_inception(g).v2_root
@@ -177,7 +175,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load(args.game)
+    doc = gamefile.load_game(args.game)
     pi1 = gamefile.load_policy(args.p1)
     pi2 = gamefile.load_policy(args.p2)
     stats = simulate(doc.game, pi1, pi2, args.episodes, args.seed)

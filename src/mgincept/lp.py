@@ -1,16 +1,16 @@
 """Self-contained dense linear-program solver that solves batches in lockstep.
 
-A `LinearProgram` is given in matrix form: maximize c'v subject to
-A v <= b with b >= 0, and v >= 0 except where the boolean mask `free` is
-set.  Its arrays may carry one leading batch axis: B programs of one shape
-and one `free` mask, solved together.  Since b >= 0, v = 0 is feasible and
-the engine is a one-phase tableau simplex from a feasible basis, with
-Bland's anti-cycling rule, which makes the solver fully deterministic:
-identical inputs produce identical outputs, pivot for pivot.  Free variables
-are handled by splitting v = p - q with p, q >= 0; each row gets one slack
-variable and starts on its lowest-index +1 unit column (its slack, or a
-structural column that is a +1 unit vector).  The stage LPs of
-`mgincept.stage` are written at a best pure strategy to take this form.
+A `LinearProgram` is given in canonical form: maximize c'v subject to
+A v <= b and v >= 0, with b >= 0.  Its arrays may carry one leading batch
+axis: B programs of one shape, solved together.  Since b >= 0, v = 0 is
+feasible and the engine is a one-phase tableau simplex from a feasible
+basis, with Bland's anti-cycling rule, which makes the solver fully
+deterministic: identical inputs produce identical outputs, pivot for pivot.
+Each row gets one slack variable and starts on its lowest-index +1 unit
+column (its slack, or a structural column that is a +1 unit vector).  A
+caller with a free variable writes it as a column and its negation (see
+`mgincept.stage.attacker_br_lp`); the stage LPs of `mgincept.stage` are
+written at a best pure strategy to take this form.
 
 Lockstep batches.  The B tableaux are one (B, rows, cols) stack, and every
 step pivots each unfinished member once: its entering column is the first
@@ -18,6 +18,8 @@ reduced cost above the tolerance, its leaving row the least ratio over the
 eligible rows, the lowest basis index among ties.  A member that is optimal
 or unbounded, or hits the pivot limit, leaves the stack (the stack is
 compacted), so finished members are never updated through a mask.
+`solve_lp` splits a batch into runs of at most BATCH_ELEMENTS tableau
+elements (at least one program each), which bounds the stack's memory.
 
 Why a member's results do not depend on its batch: every tableau entry is
 computed by the same floating-point operations, in the same order, as in a
@@ -29,9 +31,6 @@ Ratios are kept only where the column entry is eligible, and a solution's
 value is the same dot product objective'v.  Each member's outcome is its
 own: a member that hits the pivot limit is returned as its `LpError`, and
 solving one unbatched program raises it.
-
-The stack's memory is the caller's to bound: `batch_slices` splits a run of
-programs into batches of at most BATCH_ELEMENTS tableau elements.
 
 All the programs in this package have at most a few dozen variables, so a
 dense tableau is both simpler and faster than anything sparse.  Pivots are
@@ -49,7 +48,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-10
 MAX_PIVOTS = 20000
-BATCH_ELEMENTS = 1 << 18  # tableau elements of one lockstep batch (2 MiB)
+BATCH_ELEMENTS = 1 << 18  # tableau elements of one lockstep run (2 MiB)
 
 # a member's outcome in _run
 _OPTIMAL, _UNBOUNDED, _STALLED = 0, 1, 2
@@ -67,18 +66,16 @@ class LpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective'v  s.t.  a_ub v <= b_ub,  v >= 0 off `free`,  b_ub >= 0.
+    """max objective'v  s.t.  a_ub v <= b_ub,  v >= 0,  b_ub >= 0.
 
-    Shapes: objective (q,), a_ub (r, q), b_ub (r,) and the boolean mask
-    free (q,); r may be 0.  A batch of B programs puts a leading axis of
-    length B on all but free: objective (B, q), a_ub (B, r, q) and
-    b_ub (B, r).
+    Shapes: objective (q,), a_ub (r, q) and b_ub (r,); r may be 0.  A batch
+    of B programs puts a leading axis of length B on all three:
+    objective (B, q), a_ub (B, r, q) and b_ub (B, r).
     """
 
     objective: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    free: np.ndarray
 
     def __post_init__(self):
         for name in ("objective", "a_ub", "b_ub"):
@@ -86,12 +83,11 @@ class LinearProgram:
             if not np.isfinite(a).all():
                 raise LpError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "free", np.asarray(self.free, dtype=bool))
         q = self.objective.shape[-1] if self.objective.ndim else 0
         batch = self.objective.shape[:-1]
-        if q < 1 or len(batch) > 1 or self.free.shape != (q,):
-            raise LpError(f"objective {self.objective.shape} and free {self.free.shape} "
-                          "must have shapes ([B,] q) and (q,) with q >= 1")
+        if q < 1 or len(batch) > 1:
+            raise LpError(f"objective {self.objective.shape} must have shape ([B,] q) "
+                          "with q >= 1")
         a, b = self.a_ub, self.b_ub
         if (a.ndim != len(batch) + 2 or a.shape[:-2] != batch or a.shape[-1] != q
                 or b.shape != a.shape[:-1]):
@@ -109,52 +105,19 @@ class LpSolution:
     value: float | None = None
 
 
-def batch_slices(count: int, rows: int, cols: int) -> list:
-    """Slices that split `count` programs of `rows` constraints over `cols`
-    variables into lockstep batches of at most BATCH_ELEMENTS tableau
-    elements each (and at least one program)."""
-    # a tableau's bound: every variable split and a slack per row
-    size = (rows + 1) * (2 * cols + rows + 1)
-    step = max(1, BATCH_ELEMENTS // size)
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
-
-
-def _standardize(lp: LinearProgram):
-    """Rewrite each program as max c'x, Ax = b, x >= 0 (one slack per row).
-
-    Returns (A, b, c, pos, neg), A, b and c with a leading batch axis (of
-    length 1 for an unbatched program): variable i of lp is x[pos[i]] -
-    x[neg[i]].  A free variable's neg[i] = pos[i] + 1 is its own column; a
-    bounded one's neg[i] = -1 reads the zero that _extract pads x with.
-    """
-    q = lp.free.size
-    width = lp.free + 1  # standard columns per variable
-    ends = width.cumsum()
-    pos = ends - width
-    neg = np.where(lp.free, ends - 1, -1)
-    r = lp.b_ub.shape[-1]
-    B = lp.objective.size // q
-    structural = int(ends[-1])
-    rows = np.concatenate([lp.objective.reshape(B, 1, q), lp.a_ub.reshape(B, r, q)],
-                          axis=1)  # cost row first
-    S = np.zeros((B, 1 + r, structural + r))
-    S[:, :, pos] = rows
-    S[:, :, neg[lp.free]] = -rows[:, :, lp.free]
-    k = np.arange(r)
-    S[:, k + 1, structural + k] = 1.0  # one slack per row
-    return S[:, 1:], lp.b_ub.reshape(B, r), S[:, 0], pos, neg
-
-
-def _start(A: np.ndarray, b: np.ndarray):
-    """The (B, rows + 1, q + 1) tableau stack of A x = b (cost row last,
-    still zero) and its feasible starting basis: each row starts on its
-    lowest-index +1 unit column (its slack, or a structural column that is
-    a +1 unit vector), basic at b >= 0."""
-    B, rows, q = A.shape
-    unit = (A == 1.0) & (np.count_nonzero(A, axis=1) == 1)[:, None, :]
-    T = np.zeros((B, rows + 1, q + 1))
-    T[:, :rows, :q] = A
+def _start(a: np.ndarray, b: np.ndarray):
+    """The (B, rows + 1, q + rows + 1) tableau stack [A | I | b] of
+    A v + s = b (cost row last, still zero) and its feasible starting
+    basis: each row starts on its lowest-index +1 unit column (its slack,
+    or a structural column that is a +1 unit vector), basic at b >= 0."""
+    B, rows, q = a.shape
+    T = np.zeros((B, rows + 1, q + rows + 1))
+    T[:, :rows, :q] = a
+    k = np.arange(rows)
+    T[:, k, q + k] = 1.0  # one slack per row
     T[:, :rows, -1] = b
+    A = T[:, :rows, :-1]
+    unit = (A == 1.0) & (np.count_nonzero(A, axis=1) == 1)[:, None, :]
     return T, unit.argmax(axis=2)
 
 
@@ -224,36 +187,37 @@ def _price_out(T: np.ndarray, basis: np.ndarray, c_full: np.ndarray) -> None:
         T[on, -1] -= cb[on, r, None] * T[on, r]
 
 
-def _extract(T: np.ndarray, basis: np.ndarray, pos: np.ndarray,
-             neg: np.ndarray) -> np.ndarray:
-    x = np.zeros((T.shape[0], T.shape[2]))  # x[:, -1] is never basic: the zero neg = -1 reads
-    x[np.arange(T.shape[0])[:, None], basis] = T[:, :-1, -1]
-    # C order: each row is contiguous, as a lone program's v, whose strides
-    # decide how the dot product objective'v rounds
-    return np.ascontiguousarray(x[:, pos] - x[:, neg])
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution | list:
     """Solve a linear program, or a batch of them in lockstep, deterministically.
 
     An unbatched program gives its LpSolution, and raises LpError where the
     engine fails on it.  A batch gives a list with one entry per program,
     its LpSolution or the LpError of the pivot limit, returned so that the
-    caller picks which failure to report.
+    caller picks which failure to report.  The batch is solved in runs of
+    at most BATCH_ELEMENTS tableau elements (at least one program each).
 
     On OPTIMAL, `v` is a vertex of the feasible region and `value` equals
     objective'v.  On degenerate optima any optimal vertex may be returned;
     callers must depend only on the value and feasibility.
     """
-    A, b, c, pos, neg = _standardize(lp)
-    T, basis = _start(A, b)
-    _price_out(T, basis, c)
-    outcome = _run(T, basis)
-    v = _extract(T, basis, pos, neg)
-    objective = lp.objective.reshape(-1, lp.free.size)
-    out = [LpSolution(LpStatus.OPTIMAL, v=v[k], value=float(objective[k] @ v[k]))
-           if o == _OPTIMAL else LpSolution(LpStatus.UNBOUNDED) if o == _UNBOUNDED
-           else LpError(_STALLED_MESSAGE) for k, o in enumerate(outcome)]
+    c, a, b = (x if lp.objective.ndim == 2 else x[None]
+               for x in (lp.objective, lp.a_ub, lp.b_ub))
+    count, rows, q = a.shape
+    step = max(1, BATCH_ELEMENTS // ((rows + 1) * (q + rows + 1)))
+    out = []
+    for i in range(0, count, step):
+        T, basis = _start(a[i:i + step], b[i:i + step])
+        B = T.shape[0]
+        _price_out(T, basis, np.concatenate([c[i:i + step], np.zeros((B, rows))], axis=1))
+        outcome = _run(T, basis)
+        x = np.zeros((B, q + rows))
+        x[np.arange(B)[:, None], basis] = T[:, :-1, -1]
+        # C order: each row is contiguous, as a lone program's v, whose
+        # strides decide how the dot product objective'v rounds
+        v = np.ascontiguousarray(x[:, :q])
+        out += [LpSolution(LpStatus.OPTIMAL, v=v[k], value=float(c[i + k] @ v[k]))
+                if o == _OPTIMAL else LpSolution(LpStatus.UNBOUNDED) if o == _UNBOUNDED
+                else LpError(_STALLED_MESSAGE) for k, o in enumerate(outcome)]
     if lp.objective.ndim == 2:
         return out
     if isinstance(out[0], LpError):

@@ -2,8 +2,8 @@
 
 Everything here is exponential or grid-based and gated behind hard size
 guards, except belief membership (one LP per stage whose value reaches a
-known target exactly when the stage is a member, solved in lockstep
-batches); oracles certify the algorithms on small instances, never the
+known target exactly when the stage is a member, all solved as one lockstep
+batch); oracles certify the algorithms on small instances, never the
 production solve path.
 
 The exhaustive fake-policy search shares work across suffixes: fixing a
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, LpStatus, batch_slices, solve_lp
+from .lp import LinearProgram, LpError, LpStatus, solve_lp
 from .model import (
     BeliefSet,
     MarkovGame,
@@ -153,8 +153,8 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     stacks the base mixes over a row of ones and e is pi2(h, s) followed by
     a 1.  Since e >= 0, that holds iff max 1'M lam s.t. M lam <= e, lam >= 0
     reaches 1'e; a stage is taken as a member when the LP's value is within
-    FEAS_TOL of 1'e.  All H * S LPs share one shape and are solved in
-    lockstep batches.  The answer, and an engine failure raised, are those
+    FEAS_TOL of 1'e.  All H * S LPs share one shape and are solved as one
+    lockstep batch.  The answer, and an engine failure raised, are those
     of checking the stages one by one in (h, s) order up to the first that
     is not a member.
     """
@@ -163,14 +163,12 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     H, S, m, K = b.mixes.shape
     M = np.concatenate([b.mixes.reshape(H * S, m, K), np.ones((H * S, 1, K))], axis=1)
     e = np.concatenate([pi2.entries.reshape(H * S, m), np.ones((H * S, 1))], axis=1)
-    for sl in batch_slices(H * S, m + 1, K):
-        prog = LinearProgram(objective=M[sl].sum(axis=1), a_ub=M[sl], b_ub=e[sl],
-                             free=np.zeros(K, dtype=bool))
-        for sol, target in zip(solve_lp(prog), e[sl].sum(axis=1)):
-            if isinstance(sol, LpError):
-                raise sol
-            if sol.status != LpStatus.OPTIMAL or sol.value < target - FEAS_TOL:
-                return False
+    sols = solve_lp(LinearProgram(objective=M.sum(axis=1), a_ub=M, b_ub=e))
+    for sol, target in zip(sols, e.sum(axis=1)):
+        if isinstance(sol, LpError):
+            raise sol
+        if sol.status != LpStatus.OPTIMAL or sol.value < target - FEAS_TOL:
+            return False
     return True
 
 

@@ -8,13 +8,14 @@ best pure strategy: that strategy's weight is eliminated (it holds the rest
 of the mass) and the value is shifted by its guarantee, so every right-hand
 side is >= 0, the form `lp.LinearProgram` takes, the simplex starts feasible
 at the pure security strategy, and x, z, y and alpha are mapped back
-afterwards (see victim_br_lp and attacker_br_lp).  Both LPs take a leading stage axis:
-the P stages of a layer share one shape, so `lp.solve_lp` solves them as one
-lockstep batch (split at `lp.BATCH_ELEMENTS` tableau elements), with results
-bit-identical to solving the stages one by one.  A failure names the stage
-(its index p along that axis) and the LP.  A singleton belief needs neither
-LP: the victim's value is the column maximum, its best replies the rows
-attaining it (==).  `singleton_stage_solves` solves a layer of such stages
+afterwards (see victim_br_lp and attacker_br_lp).  Both LPs take a leading
+stage axis: the P stages of a layer share one shape, so each LP's arrays are
+built once for the whole layer and `lp.solve_lp` solves them as one lockstep
+batch (which it splits at `lp.BATCH_ELEMENTS` tableau elements), with results
+bit-identical to solving the stages one by one.  A failure names the lowest
+failing stage (its index p along that axis) and the LP.  A singleton belief
+needs neither LP: the victim's value is the column maximum, its best replies
+the rows attaining it (==).  `singleton_stage_solves` solves a layer of such stages
 from their (P, n, J) believed columns, the layout of Q1 itself (J = m pure
 actions) and of Q1 @ mixes; its docstring states the tie rule.
 """
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, LpStatus, batch_slices, solve_lp
+from .lp import LinearProgram, LpError, LpStatus, solve_lp
 
 MAX_BELIEF_POLICIES = 64
 
@@ -62,27 +63,21 @@ def _as_finite_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def _solve_stages(count: int, rows: int, cols: int, program, lp_name: str,
-                  hint: str = "") -> list:
-    """Solve `count` stage LPs of one shape (`rows` constraints over `cols`
-    variables) in lockstep batches; program(sl) builds the LinearProgram of
-    stages sl.  Returns their solutions.  Raises for the lowest failing
-    stage, naming it and the LP, with its index as the error's `stage`:
-    StageSolveError for a non-optimal status, LpError for the engine's own
-    failures.  No batch past it is solved."""
-    sols = []
-    for sl in batch_slices(count, rows, cols):
-        for sol in solve_lp(program(sl)):
-            p = len(sols)
-            if isinstance(sol, LpError):
-                failure = LpError(f"stage {p}: {lp_name}: {sol}")
-            elif sol.status != LpStatus.OPTIMAL:
-                failure = StageSolveError(f"stage {p}: {lp_name} returned {sol.status}{hint}")
-            else:
-                sols.append(sol)
-                continue
-            failure.stage = p
-            raise failure
+def _solve_stages(lp: LinearProgram, lp_name: str, hint: str = "") -> list:
+    """Solve the batch of stage LPs lp in lockstep and return their
+    solutions.  Raises for the lowest failing stage, naming it and the LP,
+    with its index as the error's `stage`: StageSolveError for a
+    non-optimal status, LpError for the engine's own failures."""
+    sols = solve_lp(lp)
+    for p, sol in enumerate(sols):
+        if isinstance(sol, LpError):
+            failure = LpError(f"stage {p}: {lp_name}: {sol}")
+        elif sol.status != LpStatus.OPTIMAL:
+            failure = StageSolveError(f"stage {p}: {lp_name} returned {sol.status}{hint}")
+        else:
+            continue
+        failure.stage = p
+        raise failure
     return sols
 
 
@@ -138,18 +133,14 @@ def victim_br_lp(cols) -> tuple:
     P, n, K = cols.shape
     r0, c, others, gain, room = _at_best_pure(cols)
 
-    def program(sl):
-        B = gain[sl].shape[0]
-        return LinearProgram(
-            objective=np.tile(np.append(np.zeros(n - 1), 1.0), (B, 1)),
-            a_ub=np.concatenate([
-                np.concatenate([-gain[sl], np.ones((B, K, 1))], axis=2),
-                np.tile(np.append(np.ones(n - 1), 0.0), (B, 1, 1))], axis=1),
-            b_ub=np.append(room[sl], np.ones((B, 1)), axis=1),
-            free=np.zeros(n, dtype=bool),
-        )
-
-    sols = _solve_stages(P, K + 1, n, program, "victim best-response LP")
+    lp = LinearProgram(
+        objective=np.broadcast_to(np.append(np.zeros(n - 1), 1.0), (P, n)),
+        a_ub=np.concatenate([
+            np.concatenate([-gain, np.ones((P, K, 1))], axis=2),
+            np.broadcast_to(np.append(np.ones(n - 1), 0.0), (P, 1, n))], axis=1),
+        b_ub=np.append(room, np.ones((P, 1)), axis=1),
+    )
+    sols = _solve_stages(lp, "victim best-response LP")
     v = np.array([sol.v for sol in sols]).reshape(P, n)
     return (_with_best_pure(v[:, :-1], r0, others),
             c + np.array([sol.value for sol in sols]))
@@ -176,31 +167,28 @@ def attacker_br_lp(z_star, cols, b) -> StageBR:
     -sum_{k != k0} y_k (B[i, k] - B[i, k0]) + (A' w)_i - alpha' <= B[i, k0] - d
     and the new row sum_{k != k0} y_k <= 1 replaces the equality.  Every
     right-hand side is >= 0, so the LP starts feasible at y = e_k0, w = 0,
-    alpha = -d (value d).  y and alpha = alpha' - d are mapped back.
+    alpha = -d (value d).  The free alpha' is the difference of two columns
+    >= 0, alpha's and its negation (signed zeros included), the last column
+    of the program.  y and alpha = alpha' - d are mapped back.
     """
     z_star = np.asarray(z_star, dtype=float)
     P, n, K = cols.shape
     m = b.shape[2]
     k0, d, others, gain, room = _at_best_pure(b.transpose(0, 2, 1))
 
-    def program(sl):
-        B = gain[sl].shape[0]
-        return LinearProgram(
-            objective=np.concatenate([np.zeros((B, m - 1)), np.repeat(z_star[sl, None], K, axis=1),
-                                      np.full((B, 1), -1.0)], axis=1),
-            a_ub=np.concatenate([
-                np.concatenate([-gain[sl], cols[sl], -np.ones((B, n, 1))], axis=2),
-                np.tile(np.append(np.ones(m - 1), np.zeros(K + 1)), (B, 1, 1))], axis=1),
-            b_ub=np.append(room[sl], np.ones((B, 1)), axis=1),
-            free=np.arange(m + K) == m + K - 1,
-        )
-
-    v = np.array([sol.v for sol in _solve_stages(P, n + 1, m + K, program,
-                                                 "attacker best-response LP",
-                                                 "; z_star is not the victim optimum for this a_prime")
-                  ]).reshape(P, m + K)
-    w = v[:, m - 1:-1]
-    alpha = v[:, -1] - d
+    objective = np.concatenate([np.zeros((P, m - 1)), np.repeat(z_star[:, None], K, axis=1),
+                                np.full((P, 1), -1.0)], axis=1)
+    a_ub = np.concatenate([
+        np.concatenate([-gain, cols, -np.ones((P, n, 1))], axis=2),
+        np.broadcast_to(np.append(np.ones(m - 1), np.zeros(K + 1)), (P, 1, m + K))], axis=1)
+    lp = LinearProgram(objective=np.concatenate([objective, -objective[:, -1:]], axis=1),
+                       a_ub=np.concatenate([a_ub, -a_ub[:, :, -1:]], axis=2),
+                       b_ub=np.append(room, np.ones((P, 1)), axis=1))
+    v = np.array([sol.v for sol in _solve_stages(
+        lp, "attacker best-response LP", "; z_star is not the victim optimum for this a_prime")
+                  ]).reshape(P, m + K + 1)
+    w = v[:, m - 1:-2]
+    alpha = (v[:, -2] - v[:, -1]) - d
     return StageBR(
         y_star=_with_best_pure(v[:, :m - 1], k0, others),
         z_star=z_star,

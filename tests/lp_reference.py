@@ -12,23 +12,6 @@ from mgincept import lp as engine
 from mgincept.lp import PIVOT_TOL, LpError, LpSolution, LpStatus
 
 
-def standardize(lp):
-    """Rewrite as max c'x, Ax = b, x >= 0 (one slack per row); returns (A, b, c, pos, neg)."""
-    width = lp.free + 1
-    ends = width.cumsum()
-    pos = ends - width
-    neg = np.where(lp.free, ends - 1, -1)
-    r = lp.b_ub.size
-    structural = int(ends[-1])
-    rows = np.concatenate([lp.objective[None], lp.a_ub])
-    S = np.zeros((rows.shape[0], structural + r))
-    S[:, pos] = rows
-    S[:, neg[lp.free]] = -rows[:, lp.free]
-    k = np.arange(r)
-    S[k + 1, structural + k] = 1.0
-    return S[1:], lp.b_ub, S[0], pos, neg
-
-
 def pivot(T, basis, row, col):
     T[row] /= T[row, col]
     colvals = T[:, col].copy()
@@ -70,22 +53,25 @@ def price_out(T, basis, c_full):
 
 
 def start(A, b):
-    """Returns (T, basis): each row starts on its lowest-index +1 unit column."""
+    """Returns (T, basis): T is [A | I | b] over a zero cost row, and each
+    row starts on its lowest-index +1 unit column."""
     rows, q = A.shape
-    unit = (A == 1.0) & (np.count_nonzero(A, axis=0) == 1)
-    T = np.zeros((rows + 1, q + 1))
+    T = np.zeros((rows + 1, q + rows + 1))
     T[:rows, :q] = A
+    T[:rows, q:-1] = np.eye(rows)
     T[:rows, -1] = b
+    full = T[:rows, :-1]
+    unit = (full == 1.0) & (np.count_nonzero(full, axis=0) == 1)
     return T, unit.argmax(axis=1)
 
 
 def solve_lp(lp):
-    A, b, c, pos, neg = standardize(lp)
-    T, basis = start(A, b)
-    price_out(T, basis, c)
-    if run(T, basis, A.shape[1]) == "unbounded":
+    rows, q = lp.a_ub.shape
+    T, basis = start(lp.a_ub, lp.b_ub)
+    price_out(T, basis, np.append(lp.objective, np.zeros(rows)))
+    if run(T, basis, q + rows) == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
-    x = np.zeros(T.shape[1])
+    x = np.zeros(q + rows)
     x[basis] = T[:-1, -1]
-    v = x[pos] - x[neg]
+    v = x[:q].copy()
     return LpSolution(LpStatus.OPTIMAL, v=v, value=float(lp.objective @ v))

@@ -200,6 +200,58 @@ def test_verify_rejects_trial_counts_below_one(mode, trials, capsys):
     assert "result:" not in captured.out
 
 
+@pytest.mark.parametrize("mode", ["grid", "enum"])
+def test_verify_rejects_a_bad_step_before_any_work(mode, capsys, monkeypatch):
+    # the grid step is checked once, up front, in every mode: no header,
+    # no solve
+    def unreachable(*args):
+        raise AssertionError("solved before the step was checked")
+
+    monkeypatch.setattr(cli, "markov_attacker_best_response", unreachable)
+    monkeypatch.setattr(cli, "policy_inception", unreachable)
+    assert cli.main(["verify", "--mode", mode, "--random", "2,2,2,1", "--step", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --step: grid step must be in (0, 0.5], got 0.0" in captured.err
+    assert captured.out == ""
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    real = mg.model.validate_game
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(mg.model, "validate_game", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", [
+    ["solve-br", "{game}", "--secure"],
+    ["incept", "{game}", "--iota", "1"],
+    ["simulate", "{game}", "--p1", "{p1}", "--p2", "{p2}", "--episodes", "10", "--seed", "0"],
+], ids=["solve-br", "incept", "simulate"])
+def test_each_command_validates_its_game_once(command, decoy_path, decoy_game, tmp_path,
+                                              capsys, monkeypatch):
+    paths = {"game": decoy_path, "p1": tmp_path / "p1.json", "p2": tmp_path / "p2.json"}
+    gamefile.save_policy(paths["p1"], pure_stage_policy(1, 1, 2))
+    gamefile.save_policy(paths["p2"], pure_stage_policy(2, 0, 2))
+    argv = [arg.format(**paths) for arg in command]
+    calls = _count_validations(monkeypatch)
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    # an invalid game still fails validation, with exit code 1
+    bad = tmp_path / "bad.json"
+    doc = list_form_doc(decoy_game)
+    doc["transitions"][0][0][1][0] = [0.9]
+    bad.write_text(json.dumps(doc))
+    paths["game"] = bad
+    capsys.readouterr()
+    assert cli.main([arg.format(**paths) for arg in command]) == 1
+    assert capsys.readouterr().err.startswith("error: game failed validation")
+
+
 def test_zero_reward_game_prints_zeros(tmp_path, capsys):
     g = mg.MarkovGame(1, 1, 2, 2, [1.0], np.zeros((2, 1, 1, 2, 2)),
                       np.ones((1, 1, 2, 2, 1)))

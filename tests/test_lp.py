@@ -8,34 +8,54 @@ from hypothesis import strategies as st
 
 import lp_reference
 from mgincept import lp, stage
-from mgincept.lp import LinearProgram, LpError, LpStatus, _standardize, _start, solve_lp
+from mgincept.lp import LinearProgram, LpError, LpStatus, _start, solve_lp
 from mgincept.oracle import FEAS_TOL
 
 
-def residuals(lp, v):
-    """Worst constraint violation of v (0 when strictly feasible)."""
+def residuals(lp, v, free=()):
+    """Worst constraint violation of v (0 when strictly feasible), with the
+    variables in free unbounded below."""
+    bounded = np.ones(v.size, dtype=bool)
+    bounded[list(free)] = False
     return max(float(np.max(lp.a_ub @ v - lp.b_ub, initial=0.0)),
-               float(np.max(-v[~lp.free], initial=0.0)))
+               float(np.max(-v[bounded], initial=0.0)))
 
 
-def simplex_max(objective, a_ub=(), b_ub=(), free=()):
-    n = len(objective)
-    mask = np.zeros(n, dtype=bool)
+def split_free(objective, a_ub, free):
+    """Write each variable v_i, i in free, as p_i - n_i with p_i, n_i >= 0:
+    its column followed by the column's negation (signed zeros included),
+    on the last axis of a single or batched objective and a_ub.
+
+    Returns the split objective and a_ub and fold(x), the original
+    variables of a split solution x.
+    """
+    mask = np.zeros(np.shape(objective)[-1], dtype=bool)
     mask[list(free)] = True
-    return LinearProgram(np.asarray(objective, float), np.reshape(a_ub, (-1, n)), b_ub, mask)
+    cols = np.repeat(np.arange(mask.size), mask + 1)
+    neg = np.append(False, cols[1:] == cols[:-1])
+    sign = np.where(neg, -1.0, 1.0)
+
+    def fold(x):
+        v = x[..., ~neg].copy()
+        v[..., mask] -= x[..., neg]
+        return v
+
+    return (np.asarray(objective, float)[..., cols] * sign,
+            np.asarray(a_ub, float)[..., cols] * sign, fold)
+
+
+def simplex_max(objective, a_ub=(), b_ub=()):
+    n = len(objective)
+    return LinearProgram(np.asarray(objective, float), np.reshape(a_ub, (-1, n)), b_ub)
 
 
 def test_pick_best_column_on_simplex():
-    # max z s.t. z <= x2, x1 + x2 <= 1, x >= 0  ->  value 1 at x = (0, 1)
-    prog = simplex_max(
-        [0.0, 0.0, 1.0],
-        a_ub=[[0.0, -1.0, 1.0], [1.0, 1.0, 0.0]], b_ub=[0.0, 1.0],
-        free=(2,),
-    )
-    sol = solve_lp(prog)
+    # max z s.t. z <= x2, x1 + x2 <= 1, x >= 0, z free  ->  value 1 at x = (0, 1)
+    c, a_ub, fold = split_free([0.0, 0.0, 1.0], [[0.0, -1.0, 1.0], [1.0, 1.0, 0.0]], (2,))
+    sol = solve_lp(simplex_max(c, a_ub=a_ub, b_ub=[0.0, 1.0]))
     assert sol.status == LpStatus.OPTIMAL
     assert sol.value == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(sol.v[:2], [0.0, 1.0], atol=1e-9)
+    assert np.allclose(fold(sol.v), [0.0, 1.0, 1.0], atol=1e-9)
 
 
 def test_zero_objective_over_simplex():
@@ -53,29 +73,29 @@ def test_unbounded_ray_detected():
 
 
 def test_feasible_point_no_constraints():
-    sol = solve_lp(simplex_max([0.0, 0.0], free=(1,)))
+    c, a_ub, fold = split_free([0.0, 0.0], np.zeros((0, 2)), (1,))
+    sol = solve_lp(simplex_max(c, a_ub=a_ub))
     assert sol.status == LpStatus.OPTIMAL
-    assert np.allclose(sol.v, 0.0)
+    assert np.allclose(fold(sol.v), 0.0)
 
 
 def _attacker_dual_program(z_star, a_prime, b):
     """The dual best-response program at the attacker's best pure action
     k0, as stage.attacker_br_lp writes it, built from raw arrays for the
     test: variables y_k (k != k0), w and alpha' = alpha + d, where d is
-    k0's guarantee.  Returns the program, the actions k != k0 and d."""
+    k0's guarantee, and alpha' split into two columns.  Returns the
+    program, the actions k != k0 and d."""
     n, K = a_prime.shape
     m = b.shape[1]
     k0 = int(b.min(axis=0).argmax())
     d = b[:, k0].min()
     others = np.delete(np.arange(m), k0)
-    prog = simplex_max(
+    c, a_ub, _ = split_free(
         np.concatenate([np.zeros(m - 1), z_star * np.ones(K), [-1.0]]),
-        a_ub=np.vstack([np.hstack([b[:, [k0]] - b[:, others], a_prime, -np.ones((n, 1))]),
-                        np.concatenate([np.ones(m - 1), np.zeros(K + 1)])]),
-        b_ub=np.append(b[:, k0] - d, 1.0),
-        free=(m - 1 + K,),
-    )
-    return prog, others, d
+        np.vstack([np.hstack([b[:, [k0]] - b[:, others], a_prime, -np.ones((n, 1))]),
+                   np.concatenate([np.ones(m - 1), np.zeros(K + 1)])]),
+        (m - 1 + K,))
+    return simplex_max(c, a_ub=a_ub, b_ub=np.append(b[:, k0] - d, 1.0)), others, d
 
 
 def test_feasible_point_for_dual_best_response_program(decoy_game):
@@ -86,7 +106,7 @@ def test_feasible_point_for_dual_best_response_program(decoy_game):
     a = np.asarray(decoy_game.rewards[0, 0, 0])
     a_prime = a @ np.array([[1.0, 0.0]]).T
     prog, others, d = _attacker_dual_program(1.0, a_prime, b)
-    hand = np.concatenate([np.eye(2)[0, others], [0.0], [np.abs(b[:, 0]).max() + d]])
+    hand = np.concatenate([np.eye(2)[0, others], [0.0], [np.abs(b[:, 0]).max() + d, 0.0]])
     assert residuals(prog, hand) <= 1e-12
     # a zero objective turns the solve into a pure feasibility query
     found = solve_lp(dataclasses.replace(prog, objective=np.zeros_like(prog.objective)))
@@ -103,16 +123,19 @@ def _bounded_random_program(rng, n_vars, n_rows):
                        b_ub=np.append(h, np.full(n_vars, 2.0)))
 
 
-def _vertex_oracle_value(prog):
-    """Brute-force LP oracle: best objective over all basic feasible points.
+def _vertex_oracle_value(prog, free=()):
+    """Brute-force LP oracle: best objective over all basic feasible points,
+    with the variables in free unbounded below.
 
     Enumerates every square subsystem of active constraints (inequalities
     treated as equalities plus variable bounds), keeps feasible solutions.
     """
     n = prog.objective.size
+    bounded = np.ones(n, dtype=bool)
+    bounded[list(free)] = False
     # -x_i <= 0 for each bounded variable, active means x_i = 0
-    rows = np.vstack([prog.a_ub, -np.eye(n)[~prog.free]])
-    rhs_all = np.append(prog.b_ub, np.zeros(n - prog.free.sum()))
+    rows = np.vstack([prog.a_ub, -np.eye(n)[bounded]])
+    rhs_all = np.append(prog.b_ub, np.zeros(bounded.sum()))
     best = None
     for combo in itertools.combinations(range(len(rows)), n):
         mat, rhs = rows[list(combo)], rhs_all[list(combo)]
@@ -122,7 +145,7 @@ def _vertex_oracle_value(prog):
             x = np.linalg.solve(mat, rhs)
         except np.linalg.LinAlgError:
             continue
-        if residuals(prog, x) <= 1e-9:
+        if residuals(prog, x, free) <= 1e-9:
             value = float(prog.objective @ x)
             best = value if best is None else max(best, value)
     return best
@@ -156,14 +179,15 @@ def test_strong_duality_on_random_programs():
         prog = _bounded_random_program(rng, n_vars, n_rows)
         rows = prog.b_ub.size
         y0 = np.append(np.zeros(n_rows), np.maximum(prog.objective, 0.0))
-        dual = simplex_max(-prog.b_ub, a_ub=np.vstack([-prog.a_ub.T, -np.eye(rows)]),
-                           b_ub=np.append(prog.a_ub.T @ y0 - prog.objective, y0),
-                           free=range(rows))
+        c, a_ub, fold = split_free(-prog.b_ub, np.vstack([-prog.a_ub.T, -np.eye(rows)]),
+                                   range(rows))
+        dual = simplex_max(c, a_ub=a_ub, b_ub=np.append(prog.a_ub.T @ y0 - prog.objective, y0))
         psol = solve_lp(prog)
         dsol = solve_lp(dual)
         assert psol.status == LpStatus.OPTIMAL and dsol.status == LpStatus.OPTIMAL
         assert psol.value == pytest.approx(prog.b_ub @ y0 - dsol.value, abs=1e-8)
-        assert len(dsol.v) == rows
+        assert len(dsol.v) == 2 * rows
+        assert dsol.value == pytest.approx(float(-prog.b_ub @ fold(dsol.v)), abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -180,35 +204,33 @@ def test_value_invariant_under_row_permutation(seed):
 
 
 def _elementwise_standard_form(prog):
-    """Reference for _standardize: the same (A, b, c) built one entry at a time."""
-    cols = []
-    for i, free in enumerate(prog.free):
-        cols += [(i, 1.0), (i, -1.0)] if free else [(i, 1.0)]
-    r = prog.b_ub.size
-    A = np.zeros((r, len(cols) + r))
-    c = np.zeros(len(cols) + r)
-    for j, (i, sign) in enumerate(cols):
-        c[j] = sign * prog.objective[i]
-        for k in range(r):
-            A[k, j] = sign * prog.a_ub[k, i]
+    """Reference for _start: the tableau [A | I | b] over a zero cost row,
+    built one entry at a time, and each row's lowest-index +1 unit column."""
+    r, n = prog.a_ub.shape
+    T = np.zeros((r + 1, n + r + 1))
     for k in range(r):
-        A[k, len(cols) + k] = 1.0
-    return A, prog.b_ub.copy(), c
+        for j in range(n):
+            T[k, j] = prog.a_ub[k, j]
+        T[k, n + k] = 1.0
+        T[k, -1] = prog.b_ub[k]
+    basis = [min(j for j in range(n + r) if T[k, j] == 1.0
+                 and all(T[i, j] == 0.0 for i in range(r) if i != k)) for k in range(r)]
+    return T, np.array(basis, dtype=int)
 
 
 def test_standard_form_is_bit_identical_to_elementwise_reference():
     rng = np.random.default_rng(11)
     for _ in range(50):
         n, r = int(rng.integers(1, 5)), int(rng.integers(0, 4))
-        # rounded entries put exact zeros (and so signed zeros) in the tableau
-        prog = simplex_max(rng.uniform(-1, 1, n).round(), a_ub=rng.uniform(-1, 1, (r, n)).round(1),
-                           b_ub=rng.uniform(0, 1, r),
-                           free=np.flatnonzero(rng.uniform(size=n) < 0.5))
-        got = _standardize(prog)[:3]  # a batch of one
-        for x, y in zip(got, _elementwise_standard_form(prog)):
-            assert x.shape == (1, *y.shape) and x.tobytes() == y.tobytes()
-
-
+        # rounded entries put exact zeros (and so signed zeros) and +1
+        # unit columns in the tableau
+        prog = simplex_max(rng.uniform(-1, 1, n).round(),
+                           a_ub=rng.uniform(-1, 1, (r, n)).round(rng.integers(0, 2)),
+                           b_ub=rng.uniform(0, 1, r))
+        T, basis = _start(prog.a_ub[None], prog.b_ub[None])  # a batch of one
+        want_T, want_basis = _elementwise_standard_form(prog)
+        assert T.shape == (1, *want_T.shape) and T.tobytes() == want_T.tobytes()
+        assert basis.tolist() == [want_basis.tolist()]
 def test_deterministic_repeat_solves():
     rng = np.random.default_rng(5)
     prog = _bounded_random_program(rng, 3, 4)
@@ -219,7 +241,7 @@ def test_deterministic_repeat_solves():
 
 
 def test_malformed_input_rejected():
-    good = dict(objective=[1.0, 2.0], a_ub=np.ones((1, 2)), b_ub=[1.0], free=[False, True])
+    good = dict(objective=[1.0, 2.0], a_ub=np.ones((1, 2)), b_ub=[1.0])
     LinearProgram(**good)
     for bad in (
         dict(objective=[]),
@@ -233,7 +255,6 @@ def test_malformed_input_rejected():
         dict(a_ub=[[np.inf, 0.0]]),
         dict(b_ub=[np.inf]),
         dict(b_ub=[np.nan]),
-        dict(free=[True]),
     ):
         with pytest.raises(LpError):
             LinearProgram(**{**good, **bad})
@@ -245,8 +266,20 @@ def test_negative_right_hand_side_rejected():
     with pytest.raises(LpError, match="negative"):
         simplex_max([1.0, 0.0], a_ub=[[1.0, 1.0], [-1.0, 0.0]], b_ub=[1.0, -1e-300])
     with pytest.raises(LpError, match="negative"):
-        LinearProgram(np.ones((2, 1)), np.ones((2, 1, 1)), [[1.0], [-1.0]], [False])
-    LinearProgram(np.ones((2, 1)), np.ones((2, 1, 1)), [[1.0], [-0.0]], [False])
+        LinearProgram(np.ones((2, 1)), np.ones((2, 1, 1)), [[1.0], [-1.0]])
+    LinearProgram(np.ones((2, 1)), np.ones((2, 1, 1)), [[1.0], [-0.0]])
+
+
+def _counted_runs(monkeypatch):
+    """Record the batch size of every simplex run from here on."""
+    real, runs = lp._run, []
+
+    def counted(T, basis):
+        runs.append(T.shape[0])
+        return real(T, basis)
+
+    monkeypatch.setattr(lp, "_run", counted)
+    return runs
 
 
 def _first_basis(monkeypatch, prog):
@@ -287,30 +320,26 @@ def test_matches_oracle_with_free_variables():
         free = np.flatnonzero(rng.uniform(size=n_vars) < 0.3)
         prog = simplex_max(rng.uniform(-1.0, 1.0, n_vars),
                            a_ub=np.vstack([g_rows, np.eye(n_vars), -np.eye(n_vars)]),
-                           b_ub=np.concatenate([h, np.full(2 * n_vars, 2.0)]), free=free)
-        sol = solve_lp(prog)
+                           b_ub=np.concatenate([h, np.full(2 * n_vars, 2.0)]))
+        c, a_ub, fold = split_free(prog.objective, prog.a_ub, free)
+        sol = solve_lp(simplex_max(c, a_ub=a_ub, b_ub=prog.b_ub))
         assert sol.status == LpStatus.OPTIMAL
-        assert sol.value == pytest.approx(_vertex_oracle_value(prog), abs=1e-8)
-        assert residuals(prog, sol.v) <= FEAS_TOL
+        assert sol.value == pytest.approx(_vertex_oracle_value(prog, free), abs=1e-8)
+        assert residuals(prog, fold(sol.v), free) <= FEAS_TOL
 
 
 def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     # both stage LPs are written at their best pure strategy: every
     # right-hand side is >= 0, so each starts at a feasible basis and is
     # solved by one simplex run
-    programs, runs = [], []
-    real_run = lp._run
+    programs = []
 
     def recorded(prog):
         programs.append(prog)
         return solve_lp(prog)
 
-    def counted(T, basis):
-        runs.append(T.shape[0])
-        return real_run(T, basis)
-
     monkeypatch.setattr(stage, "solve_lp", recorded)
-    monkeypatch.setattr(lp, "_run", counted)
+    runs = _counted_runs(monkeypatch)
     rng = np.random.default_rng(3)
     a, b = rng.uniform(-1.0, 1.0, (2, 5, 4))
     pi_rows = rng.dirichlet(np.ones(4), 3)
@@ -319,8 +348,7 @@ def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     assert runs == [1, 1]  # one run of one member each
     for prog in programs:
         assert np.all(prog.b_ub >= 0.0)
-        A, rhs = _standardize(prog)[:2]
-        T = _start(A, rhs)[0]
+        T = _start(prog.a_ub, prog.b_ub)[0]
         assert np.array_equal(T[:, :-1, -1], prog.b_ub)
 
 
@@ -347,27 +375,27 @@ def _same_bits(got, want):
 
 
 def _member(prog, i):
-    return LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i], prog.free)
+    return LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i])
 
 
 def _start_basis(prog):
-    return tuple(lp_reference.start(*lp_reference.standardize(prog)[:2])[1])
+    return tuple(lp_reference.start(prog.a_ub, prog.b_ub)[1])
 
 
 def _mixed_batch(rng, size):
     """`size` programs of one random shape: rounded entries (exact zeros and
-    ties), right-hand sides >= 0 (some zero), free variables, and a
-    structural +1 unit column in some members, which starts its row in
-    place of the slack."""
+    ties), right-hand sides >= 0 (some zero), free variables split into
+    two columns, and a structural +1 unit column in some members, which
+    starts its row in place of the slack."""
     n, r = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    free = rng.uniform(size=n) < 0.3
+    free = np.flatnonzero(rng.uniform(size=n) < 0.3)
     digits = int(rng.integers(0, 3))
     a_ub = rng.uniform(-1, 1, (size, r, n)).round(1)
     unit = rng.uniform(size=size) < 0.4
     a_ub[unit, :, 0] = 0.0
     a_ub[unit, 0, 0] = 1.0
-    return LinearProgram(rng.uniform(-1, 1, (size, n)).round(digits), a_ub,
-                         rng.uniform(0, 1.5, (size, r)).round(1), free)
+    c, a_ub, _ = split_free(rng.uniform(-1, 1, (size, n)).round(digits), a_ub, free)
+    return LinearProgram(c, a_ub, rng.uniform(0, 1.5, (size, r)).round(1))
 
 
 def test_batches_are_bitwise_the_scalar_engine():
@@ -413,15 +441,29 @@ def test_engine_failures_stay_with_their_member(monkeypatch):
     assert failed > 0 and solved > 0
 
 
-def test_batch_slices_bound_the_stack(monkeypatch):
-    assert lp.batch_slices(0, 3, 4) == []
-    for elements, count, rows, cols in ((1 << 18, 20, 9, 7), (1000, 13, 3, 4), (10, 5, 2, 2)):
-        monkeypatch.setattr(lp, "BATCH_ELEMENTS", elements)
-        slices = lp.batch_slices(count, rows, cols)
-        assert [i for sl in slices for i in range(count)[sl]] == list(range(count))
-        size = (rows + 1) * (2 * cols + rows + 1)
-        assert all(sl.stop - sl.start <= max(1, elements // size) for sl in slices)
-        assert len(slices) == -(-count // max(1, elements // size))
+def test_solve_lp_splits_a_batch_at_the_element_bound(monkeypatch):
+    # with room for 1 and for 3 tableaux, a mixed batch is solved in that
+    # many runs, to the bytes of the whole batch and of the scalar engine,
+    # pivot-limit and unbounded members included
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 4)
+    runs = _counted_runs(monkeypatch)
+    default = lp.BATCH_ELEMENTS
+    rng = np.random.default_rng(22)
+    outcomes = set()
+    for _ in range(40):
+        prog = _mixed_batch(rng, int(rng.integers(1, 12)))
+        monkeypatch.setattr(lp, "BATCH_ELEMENTS", default)
+        whole = solve_lp(prog)
+        rows, q = prog.a_ub.shape[1:]
+        for per_run in (1, 3):
+            monkeypatch.setattr(lp, "BATCH_ELEMENTS", per_run * (rows + 1) * (q + rows + 1))
+            runs.clear()
+            got = solve_lp(prog)
+            assert runs == [min(per_run, len(whole) - i) for i in range(0, len(whole), per_run)]
+            for i, (sol, want) in enumerate(zip(got, whole, strict=True)):
+                assert _same_bits(sol, want) and _same_bits(sol, _reference(_member(prog, i)))
+                outcomes.add(sol.status if isinstance(sol, lp.LpSolution) else "pivot limit")
+    assert outcomes == {*LpStatus, "pivot limit"}
 
 
 def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
@@ -432,11 +474,16 @@ def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
     cols = rng.uniform(-1, 1, (7, 4, 3))
     b = rng.uniform(-1, 1, (7, 4, 5))
     whole = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
+    runs = _counted_runs(monkeypatch)
     for stages_per_batch in (3, 1):
-        size = (4 + 1) * (2 * 4 + 4 + 1)  # the victim LP's tableau bound: K + 1 rows, n columns
+        # the victim LP's tableau: K + 1 = 4 rows over n = 4 columns and a
+        # slack per row; the attacker LP's, of n + 1 = 5 rows over
+        # m + K + 1 = 9 columns, is twice as large and runs alone
+        size = (4 + 1) * (4 + 4 + 1)
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", stages_per_batch * size)
-        assert len(lp.batch_slices(7, 4, 4)) == -(-7 // stages_per_batch)
+        runs.clear()
         (x, z), br = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
+        assert len(runs) == 2 * -(-7 // stages_per_batch) + 7
         assert x.tobytes() == whole[0][0].tobytes() and z.tobytes() == whole[0][1].tobytes()
         for field in ("y_star", "z_star", "v2_star", "w_star", "alpha_star"):
             assert getattr(br, field).tobytes() == getattr(whole[1], field).tobytes()

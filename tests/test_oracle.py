@@ -195,7 +195,7 @@ def _membership_by_stage(belief, pi2):
     for h, s in np.ndindex(belief.mixes.shape[:2]):
         M = np.vstack([belief.mixes[h, s], np.ones(K)])
         e = np.append(pi2.entries[h, s], 1.0)
-        sol = lp_reference.solve_lp(LinearProgram(M.sum(axis=0), M, e, np.zeros(K, dtype=bool)))
+        sol = lp_reference.solve_lp(LinearProgram(M.sum(axis=0), M, e))
         if sol.status != LpStatus.OPTIMAL or sol.value < e.sum() - oracle.FEAS_TOL:
             return False
     return True
@@ -226,7 +226,7 @@ def test_belief_membership_is_the_per_stage_check():
 def test_belief_membership_keeps_the_first_failure(monkeypatch, fail_at, outside_at, raises):
     # stage fail_at of 2 x 3 makes the engine fail, stage outside_at is no
     # member: the stage-by-stage order decides between raising and False,
-    # also with every stage in its own batch
+    # also with the engine solving every stage in its own run
     from mgincept import lp
 
     belief = mg.BeliefSet(tuple(pure_stage_policy(2, j, 3, horizon=2, states=3)
@@ -239,16 +239,13 @@ def test_belief_membership_keeps_the_first_failure(monkeypatch, fail_at, outside
 
     def failing(prog):
         out = real(prog)
-        start = offsets.pop(0)
-        if start <= fail_at < start + len(out):
-            out[fail_at - start] = lp.LpError("pivot limit exceeded; simplex did not converge")
-        offsets.append(start + len(out))
+        assert len(out) == 6  # one call on all H * S stages
+        out[fail_at] = lp.LpError("pivot limit exceeded; simplex did not converge")
         return out
 
+    monkeypatch.setattr(oracle, "solve_lp", failing)
     for elements in (lp.BATCH_ELEMENTS, 1):
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", elements)
-        monkeypatch.setattr(oracle, "solve_lp", failing)
-        offsets = [0]
         if raises:
             with pytest.raises(lp.LpError, match="pivot limit"):
                 oracle.belief_membership(belief, pi2)

@@ -351,7 +351,7 @@ def _scalar_engine(prog):
 
     out = []
     for i in range(prog.objective.shape[0]):
-        member = mg.lp.LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i], prog.free)
+        member = mg.lp.LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i])
         try:
             out.append(lp_reference.solve_lp(member))
         except mg.lp.LpError as err:

@@ -77,6 +77,32 @@ def test_attacker_br_flags_inconsistent_victim_value():
         attacker_br_lp([2.0], a_prime[None], DECOY[None])
 
 
+def test_attacker_lp_splits_alpha_into_a_column_and_its_negation(monkeypatch):
+    # the free alpha' = alpha+ - alpha-: the program's last column is the
+    # bitwise negation of alpha's, signed zeros included (the sum row's 0.0
+    # becomes -0.0), in the constraints and in the objective
+    programs, real = [], stage.solve_lp
+
+    def recorded(prog):
+        programs.append(prog)
+        return real(prog)
+
+    monkeypatch.setattr(stage, "solve_lp", recorded)
+    rng = np.random.default_rng(88)
+    cols, b = rng.uniform(-1.0, 1.0, (2, 4, 3, 3))
+    _, z = victim_br_lp(cols)
+    programs.clear()
+    br = attacker_br_lp(z, cols, b)
+    (prog,) = programs
+    assert prog.a_ub.shape == (4, 3 + 1, 3 + 3 + 1)
+    for a in (prog.a_ub, prog.objective[:, None]):
+        alpha, last = a[..., -2], a[..., -1]
+        assert np.array_equal(np.abs(last), np.abs(alpha))
+        assert np.array_equal(np.signbit(last), ~np.signbit(alpha))
+    assert np.signbit(prog.a_ub[:, -1, -1]).all() and (prog.a_ub[:, -1, -1] == 0.0).all()
+    assert br.alpha_star.shape == (4,)
+
+
 def test_best_response_chain_composes_both_solves():
     br = nf_attacker_best_response(np.array([[1.0, 0.0]]), MATCHING, DECOY)
     assert (br.z_star, br.v2_star) == (pytest.approx(1.0, abs=1e-9),
@@ -312,7 +338,7 @@ def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
     # the engine fails the victim LP of stage 5 and the attacker LP of
     # stage 3 (and of 6, past the victim failure): stage by stage, stage 3's
     # attacker LP fails first; with the two swapped, stage 3's victim LP.
-    # The victim LP has n = 3 variables, the attacker LP m + K = 6
+    # The victim LP has n = 3 variables, the attacker LP m + K + 1 = 7
     real = stage.solve_lp
     rng = np.random.default_rng(87)
     cols, b = rng.uniform(-1.0, 1.0, (2, 8, 3, 3))
