@@ -12,6 +12,11 @@ caller with a free variable writes it as a column and its negation (see
 `mgincept.stage.attacker_br_lp`); the stage LPs of `mgincept.stage` are
 written at a best pure strategy to take this form.
 
+Unique optima.  An OPTIMAL solution is flagged `unique` when every nonbasic
+entry of its final cost row is below -PIVOT_TOL: moving any nonbasic
+variable off zero then loses value (Mangasarian, "Uniqueness of solution in
+linear programming", 1979).  The flag reads the final tableau only.
+
 Lockstep batches.  The B tableaux are one (B, rows, cols) stack, and every
 step pivots each unfinished member once: its entering column is the first
 reduced cost above the tolerance, its leaving row the least ratio over the
@@ -27,10 +32,11 @@ program solved alone.  A pivot does one division, product and difference
 per entry, and no column feeds into another.  The cost row is priced out
 row by row, skipping the members whose basic cost is zero, as a lone
 program skips them: an update by 0 * row would turn a -0.0 into +0.0.
-Ratios are kept only where the column entry is eligible, and a solution's
-value is the same dot product objective'v.  Each member's outcome is its
-own: a member that hits the pivot limit is returned as its `LpError`, and
-solving one unbatched program raises it.
+Ratios are kept only where the column entry is eligible, a solution's
+value is the same dot product objective'v, and its uniqueness flag reads
+its own cost row.  Each member's outcome is its own: a member that hits
+the pivot limit is returned as its `LpError`, and solving one unbatched
+program raises it.
 
 All the programs in this package have at most a few dozen variables, so a
 dense tableau is both simpler and faster than anything sparse.  Pivots are
@@ -100,9 +106,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solve's outcome; `v`, `value` and a True `unique` (see the module
+    docstring) only on OPTIMAL."""
+
     status: LpStatus
     v: np.ndarray | None = None
     value: float | None = None
+    unique: bool = False
 
 
 def _start(a: np.ndarray, b: np.ndarray):
@@ -196,9 +206,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution | list:
     caller picks which failure to report.  The batch is solved in runs of
     at most BATCH_ELEMENTS tableau elements (at least one program each).
 
-    On OPTIMAL, `v` is a vertex of the feasible region and `value` equals
-    objective'v.  On degenerate optima any optimal vertex may be returned;
-    callers must depend only on the value and feasibility.
+    On OPTIMAL, `v` is a vertex of the feasible region, `value` equals
+    objective'v and `unique` flags an optimum that no other point attains.
+    Where it is not unique any optimal vertex may be returned; callers must
+    then depend only on the value and feasibility.
     """
     c, a, b = (x if lp.objective.ndim == 2 else x[None]
                for x in (lp.objective, lp.a_ub, lp.b_ub))
@@ -215,7 +226,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution | list:
         # C order: each row is contiguous, as a lone program's v, whose
         # strides decide how the dot product objective'v rounds
         v = np.ascontiguousarray(x[:, :q])
-        out += [LpSolution(LpStatus.OPTIMAL, v=v[k], value=float(c[i + k] @ v[k]))
+        nonbasic = np.ones((B, q + rows), dtype=bool)
+        nonbasic[np.arange(B)[:, None], basis] = False
+        unique = ((T[:, -1, :-1] < -PIVOT_TOL) | ~nonbasic).all(axis=1)
+        out += [LpSolution(LpStatus.OPTIMAL, v=v[k], value=float(c[i + k] @ v[k]),
+                           unique=bool(unique[k]))
                 if o == _OPTIMAL else LpSolution(LpStatus.UNBOUNDED) if o == _UNBOUNDED
                 else LpError(_STALLED_MESSAGE) for k, o in enumerate(outcome)]
     if lp.objective.ndim == 2:

@@ -88,6 +88,11 @@ class MarkovGame:
         object.__setattr__(self, "rewards", rewards)
         object.__setattr__(self, "transitions", transitions)
 
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        # the arrays are read-only copies, so the report cannot go stale
+        return _check_game(self)
+
     def with_attacker_rewards(self, fake: np.ndarray) -> "MarkovGame":
         """A copy of this game whose player-2 rewards are replaced by `fake`."""
         rewards = np.array(self.rewards)
@@ -288,7 +293,13 @@ def validate_game(g: MarkovGame) -> ValidationReport:
 
     Dimension consistency is enforced at construction, so the report covers
     probability vectors (mu and every transition row) and reward finiteness.
+    The check runs once per game: the report is kept on the game, whose
+    arrays are read-only copies, and every later call returns it.
     """
+    return g._validation
+
+
+def _check_game(g: MarkovGame) -> ValidationReport:
     out: list = []
     _check_distribution(g.mu, "mu", (), out)
     if not np.all(np.isfinite(g.rewards)):

@@ -109,9 +109,10 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
     and a maximin LP over the tied rows only at stages whose best reply row
     is tied exactly.  A K > 1 belief hands it, with the attacker's stage
     payoffs, to one `stage._lp_chain` call: the victim LPs of all S stages
-    in one lockstep batch, then their attacker LPs.  A stage-solve failure
-    names the step h and the stage s ("step h, stage s: ...") and which LP
-    broke.
+    in one lockstep batch, then the closed-form attacker reply at stages
+    whose victim optimum is unique and one batch of attacker LPs for the
+    others.  A stage-solve failure names the step h and the stage s
+    ("step h, stage s: ...") and which LP broke.
     """
     require_valid(g)
     if not belief.matches(g):

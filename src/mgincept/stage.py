@@ -1,21 +1,24 @@
 """Stage-game solvers for one normal-form game under a finitely generated belief.
 
 The victim's worst-case best response against K believed attacker mixes is a
-small maximin LP over (x, z); the attacker's best response against the
-victim's best-response polytope is the dualized LP over (y, w, alpha), and
-the two chained solve a K > 1 belief.  Each LP is written at its player's
-best pure strategy: that strategy's weight is eliminated (it holds the rest
-of the mass) and the value is shifted by its guarantee, so every right-hand
-side is >= 0, the form `lp.LinearProgram` takes, the simplex starts feasible
-at the pure security strategy, and x, z, y and alpha are mapped back
-afterwards (see victim_br_lp and attacker_br_lp).  Both LPs take a leading
-stage axis: the P stages of a layer share one shape, so each LP's arrays are
-built once for the whole layer and `lp.solve_lp` solves them as one lockstep
-batch (which it splits at `lp.BATCH_ELEMENTS` tableau elements), with results
-bit-identical to solving the stages one by one.  A failure names the lowest
-failing stage (its index p along that axis) and the LP.  A singleton belief
-needs neither LP: the victim's value is the column maximum, its best replies
-the rows attaining it (==).  `singleton_stage_solves` solves a layer of such stages
+small maximin LP over (x, z).  The attacker maximizes its payoff over the
+victim's maximin mixes X*: where that LP's optimum x* is unique (the
+engine's `LpSolution.unique`), X* = {x*} and the attacker's best response is
+a closed form, its best pure reply to x*; elsewhere it is the dualized LP
+over (y, w, alpha).  Chained, they solve a K > 1 belief (`_lp_chain`).  Each
+LP is written at its player's best pure strategy: that strategy's weight is
+eliminated (it holds the rest of the mass) and the value is shifted by its
+guarantee, so every right-hand side is >= 0, the form `lp.LinearProgram`
+takes, the simplex starts feasible at the pure security strategy, and x, z,
+y and alpha are mapped back afterwards (see victim_br_lp and
+attacker_br_lp).  Both LPs take a leading stage axis: the P stages of a
+layer share one shape, so each LP's arrays are built once for the whole
+layer and `lp.solve_lp` solves them as one lockstep batch (which it splits
+at `lp.BATCH_ELEMENTS` tableau elements), with results bit-identical to
+solving the stages one by one.  A failure names the lowest failing stage
+(its index p along that axis) and the LP.  A singleton belief needs neither
+LP: the victim's value is the column maximum, its best replies the rows
+attaining it (==).  `singleton_stage_solves` solves a layer of such stages
 from their (P, n, J) believed columns, the layout of Q1 itself (J = m pure
 actions) and of Q1 @ mixes; its docstring states the tie rule.
 """
@@ -42,16 +45,14 @@ class StageBR:
     axis on every field (from `attacker_br_lp` and `_lp_chain`).
 
     y_star is one optimal attacker mix (any optimal vertex; recorded as
-    returned by the deterministic solver), z_star the victim's worst-case
-    value, v2_star the attacker's worst-case value z* . sum(w*) - alpha*
-    (equal up to rounding when the singleton solve produced it).
+    returned by the deterministic solver, or a pure action from a closed
+    form), z_star the victim's worst-case value and v2_star the attacker's
+    worst-case value.
     """
 
     y_star: np.ndarray
     z_star: float | np.ndarray
     v2_star: float | np.ndarray
-    w_star: np.ndarray
-    alpha_star: float | np.ndarray
 
 
 def _as_finite_matrix(a, name: str) -> np.ndarray:
@@ -116,8 +117,10 @@ def victim_br_lp(cols) -> tuple:
 
     cols is P x n x K: stage p's victim payoffs A'_p against K believed
     attacker mixes, or the attacker's payoffs on a tied singleton cell's
-    rows, transposed.  Returns (x_star (P, n), z_star (P,)).  Raises for the
-    lowest stage whose LP fails, naming it.  Trusts its input to be finite.
+    rows, transposed.  Returns (x_star (P, n), z_star (P,), unique (P,)),
+    where unique[p] is the engine's flag that x_star[p] is the only
+    maximin mix (`lp.LpSolution.unique`).  Raises for the lowest stage
+    whose LP fails, naming it.  Trusts its input to be finite.
 
     Each LP starts at the best pure row r0 = argmax_i min_j A'[i, j] and its
     guarantee c = min_j A'[r0, j]: the variables are the other rows' weights
@@ -143,7 +146,8 @@ def victim_br_lp(cols) -> tuple:
     sols = _solve_stages(lp, "victim best-response LP")
     v = np.array([sol.v for sol in sols]).reshape(P, n)
     return (_with_best_pure(v[:, :-1], r0, others),
-            c + np.array([sol.value for sol in sols]))
+            c + np.array([sol.value for sol in sols]),
+            np.array([sol.unique for sol in sols], dtype=bool))
 
 
 def attacker_br_lp(z_star, cols, b) -> StageBR:
@@ -193,14 +197,19 @@ def attacker_br_lp(z_star, cols, b) -> StageBR:
         y_star=_with_best_pure(v[:, :m - 1], k0, others),
         z_star=z_star,
         v2_star=z_star * w.sum(axis=1) - alpha,
-        w_star=w,
-        alpha_star=alpha,
     )
 
 
 def _lp_chain(cols, b) -> StageBR:
-    """The stage solves of a K > 1 belief for P stages at once: the victim
-    LPs for z*, then the attacker LPs; cols is P x n x K, b P x n x m.
+    """The stage solves of a K > 1 belief for P stages at once; cols is
+    P x n x K, b P x n x m.  First the victim LPs, for x* and z*.
+
+    The attacker maximizes over the victim's maximin mixes X*.  Where the
+    victim LP's optimum is unique, X* = {x*} and the attacker's LP has a
+    closed form: y* = e_k*, k* the lowest-index argmax of x*'B, and
+    v2* = (x*'B)_k*, summed over the rows i in order, so each stage's bits
+    do not depend on its batch.  Only the other stages go to the attacker
+    LPs, as one batch.
 
     Returns a StageBR whose fields have a leading stage axis.  Raises what
     solving the stages one by one raises first: the lowest failing stage,
@@ -208,16 +217,33 @@ def _lp_chain(cols, b) -> StageBR:
     be finite.
     """
     try:
-        _, z_star = victim_br_lp(cols)
+        x, z_star, unique = victim_br_lp(cols)
+        failure = None
     except (StageSolveError, LpError) as err:
         failure = err
-    else:
-        return attacker_br_lp(z_star, cols, b)
-    # the stages before the failing victim LP, whose attacker LPs come first
-    # (their victim LPs solve again to the same bits: a stage's solve does
-    # not depend on its batch)
-    _lp_chain(cols[:failure.stage], b[:failure.stage])
-    raise failure
+    if failure is not None:
+        # the stages before the failing victim LP, whose attacker LPs come
+        # first (their victim LPs solve again to the same bits: a stage's
+        # solve does not depend on its batch)
+        _lp_chain(cols[:failure.stage], b[:failure.stage])
+        raise failure
+    payoff = x[:, 0, None] * b[:, 0]  # x*'B
+    for i in range(1, x.shape[1]):
+        payoff += x[:, i, None] * b[:, i]
+    k_star = payoff.argmax(axis=1)
+    y_star = np.eye(b.shape[2])[k_star]
+    v2_star = payoff[np.arange(k_star.size), k_star]
+    rest = np.flatnonzero(~unique)
+    if rest.size:
+        try:
+            br = attacker_br_lp(z_star[rest], cols[rest], b[rest])
+        except (StageSolveError, LpError) as err:
+            p = int(rest[err.stage])  # the stage's index in the layer
+            failure = type(err)(f"stage {p}:{str(err).partition(':')[2]}")
+            failure.stage = p
+            raise failure from None
+        y_star[rest], v2_star[rest] = br.y_star, br.v2_star
+    return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star)
 
 
 def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
@@ -225,14 +251,14 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
 
     pi_rows is K x m with each row a believed attacker mix; a and b are the
     victim / attacker payoff matrices.  Stacks A' = A P' and, for K > 1,
-    chains the two LPs: the victim LP for z*, then the attacker LP.
+    solves the stage as `_lp_chain` does: the victim LP for z*, then the
+    closed form or the attacker LP.
 
     A singleton belief (K = 1) goes through `singleton_stage_solves`, whose
     z* is max A' exactly.  When one row i* attains it, the attacker plays
     the lowest-index k* maximizing b[i*, k] and v2* = b[i*, k*] exactly;
     rows tied exactly (==) at the maximum get the maximin over exactly
-    them.  Either way (w*, alpha*) is a dual certificate for
-    attacker_br_lp's program.
+    them.
     """
     pi_rows = _as_finite_matrix(pi_rows, "pi_rows")
     a = _as_finite_matrix(a, "a")
@@ -250,25 +276,10 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
     a_prime = a @ pi_rows.T
     if K > 1:
         br = _lp_chain(a_prime[None], b[None])
-        return StageBR(br.y_star[0], float(br.z_star[0]), float(br.v2_star[0]),
-                       br.w_star[0], float(br.alpha_star[0]))
-    col = a_prime[:, 0]
+        return StageBR(br.y_star[0], float(br.z_star[0]), float(br.v2_star[0]))
     cell = singleton_stage_solves(a_prime[None], b[None])
     y = cell.tied_y[0] if cell.tied[0, 0] else np.eye(m)[cell.k_star[0, 0]]
-    z_star, v2_star = cell.z[0, 0], cell.v2[0, 0]
-    # w* is the least dual weight that keeps every row i below the maximum
-    # feasible in attacker_br_lp's program: col_i w - alpha <= (b y*)_i with
-    # alpha = z* w - v2*, i.e. w >= (v2* - (b y*)_i) / (z* - col_i)
-    below = col < z_star
-    ratios = (v2_star - (b @ y)[below]) / (z_star - col[below])
-    w = float(ratios.max(initial=0.0))
-    return StageBR(
-        y_star=y,
-        z_star=float(z_star),
-        v2_star=float(v2_star),
-        w_star=np.array([w]),
-        alpha_star=float(z_star * w - v2_star),
-    )
+    return StageBR(y_star=y, z_star=float(cell.z[0, 0]), v2_star=float(cell.v2[0, 0]))
 
 
 class SingletonSolves(NamedTuple):
@@ -312,7 +323,7 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     v2 = b[p, i_star, k_star]
     tied_y = []
     for c in zip(*np.nonzero(tied)):
-        y, v2_tied = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T[None])
+        y, v2_tied, _ = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T[None])
         tied_y.append(y[0])
         v2[c] = v2_tied[0]
     return SingletonSolves(z, k_star, v2, tied, tuple(tied_y))

@@ -74,4 +74,7 @@ def solve_lp(lp):
     x = np.zeros(q + rows)
     x[basis] = T[:-1, -1]
     v = x[:q].copy()
-    return LpSolution(LpStatus.OPTIMAL, v=v, value=float(lp.objective @ v))
+    nonbasic = np.ones(q + rows, dtype=bool)
+    nonbasic[basis] = False
+    unique = bool((T[-1, :-1][nonbasic] < -PIVOT_TOL).all())
+    return LpSolution(LpStatus.OPTIMAL, v=v, value=float(lp.objective @ v), unique=unique)

@@ -173,8 +173,7 @@ def test_verify_fails_on_corrupted_solver(decoy_path, capsys, monkeypatch):
 
     def biased(cols, b):
         br = real(cols, b)
-        return StageBR(br.y_star, br.z_star - 0.05, br.v2_star - 0.05,
-                       br.w_star, br.alpha_star)
+        return StageBR(br.y_star, br.z_star - 0.05, br.v2_star - 0.05)
 
     def biased_cells(cols, b):
         cells = real_cells(cols, b)
@@ -216,14 +215,15 @@ def test_verify_rejects_a_bad_step_before_any_work(mode, capsys, monkeypatch):
 
 
 def _count_validations(monkeypatch):
+    """Record every game the underlying validity check runs on."""
     calls = []
-    real = mg.model.validate_game
+    real = mg.model._check_game
 
     def counted(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(mg.model, "validate_game", counted)
+    monkeypatch.setattr(mg.model, "_check_game", counted)
     return calls
 
 
@@ -231,7 +231,8 @@ def _count_validations(monkeypatch):
     ["solve-br", "{game}", "--secure"],
     ["incept", "{game}", "--iota", "1"],
     ["simulate", "{game}", "--p1", "{p1}", "--p2", "{p2}", "--episodes", "10", "--seed", "0"],
-], ids=["solve-br", "incept", "simulate"])
+    ["verify", "{game}", "--mode", "all", "--step", "0.05"],
+], ids=["solve-br", "incept", "simulate", "verify-all"])
 def test_each_command_validates_its_game_once(command, decoy_path, decoy_game, tmp_path,
                                               capsys, monkeypatch):
     paths = {"game": decoy_path, "p1": tmp_path / "p1.json", "p2": tmp_path / "p2.json"}
@@ -264,6 +265,15 @@ def test_zero_reward_game_prints_zeros(tmp_path, capsys):
     assert cli.main(["incept", str(path), "--iota", "0.5"]) == 0
     out = capsys.readouterr().out
     assert value_of("attacker inception value", out) == 0.0
+
+
+def test_verify_all_checks_each_random_game_once(capsys, monkeypatch):
+    # the solvers it runs all validate their game; the check itself runs
+    # once per game
+    calls = _count_validations(monkeypatch)
+    assert cli.main(["verify", "--mode", "all", "--random", "2,2,2,1", "--trials", "3",
+                     "--step", "0.05"]) == 0
+    assert len(calls) == len({id(g) for g in calls}) == 3
 
 
 def test_verify_enum_mode_on_random_two_step_games(capsys):

@@ -203,6 +203,28 @@ def test_value_invariant_under_row_permutation(seed):
     assert again.value == pytest.approx(base.value, abs=1e-9)
 
 
+def test_uniqueness_flag_reads_the_final_cost_row():
+    # True only when every nonbasic reduced cost is below -PIVOT_TOL: a
+    # strict vertex optimum; not an objective parallel to a face, nor one
+    # within the tolerance of parallel, nor a zero objective, nor an
+    # unbounded program.  The flag is the scalar engine's and does not
+    # depend on the batch or on the member's place in it
+    c = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0 - 1e-11], [0.0, 0.0], [1.0, 1.0]]
+    a_ub = [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]],
+            [[1.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 0.0]]]
+    b_ub = [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.5]]
+    batch = LinearProgram(np.array(c), np.array(a_ub), np.array(b_ub))
+    want = [True, False, False, False, False]
+    assert [sol.unique for sol in solve_lp(batch)] == want
+    reversed_batch = LinearProgram(*(np.array(x)[::-1] for x in (c, a_ub, b_ub)))
+    assert [sol.unique for sol in solve_lp(reversed_batch)] == want[::-1]
+    for i, flag in enumerate(want):
+        member = _member(batch, i)
+        assert solve_lp(member).unique == lp_reference.solve_lp(member).unique == flag
+    ray = solve_lp(simplex_max([1.0]))
+    assert ray.status == LpStatus.UNBOUNDED and not ray.unique
+
+
 def _elementwise_standard_form(prog):
     """Reference for _start: the tableau [A | I | b] over a zero cost row,
     built one entry at a time, and each row's lowest-index +1 unit column."""
@@ -331,7 +353,9 @@ def test_matches_oracle_with_free_variables():
 def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     # both stage LPs are written at their best pure strategy: every
     # right-hand side is >= 0, so each starts at a feasible basis and is
-    # solved by one simplex run
+    # solved by one simplex run.  A unique victim optimum needs no attacker
+    # LP; with victim rows 0 and 1 equal and above the others it is a
+    # segment, and the attacker LP runs too
     programs = []
 
     def recorded(prog):
@@ -344,8 +368,11 @@ def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     a, b = rng.uniform(-1.0, 1.0, (2, 5, 4))
     pi_rows = rng.dirichlet(np.ones(4), 3)
     stage.nf_attacker_best_response(pi_rows, a, b)
-    assert len(programs) == 2  # victim_br_lp, then attacker_br_lp
-    assert runs == [1, 1]  # one run of one member each
+    assert len(programs) == 1 and runs == [1]  # victim_br_lp alone
+    a[:2] = a.max(axis=0) + 0.5
+    stage.nf_attacker_best_response(pi_rows, a, b)
+    assert len(programs) == 3  # then victim_br_lp and attacker_br_lp
+    assert runs == [1, 1, 1]  # one run of one member each
     for prog in programs:
         assert np.all(prog.b_ub >= 0.0)
         T = _start(prog.a_ub, prog.b_ub)[0]
@@ -363,14 +390,14 @@ def _reference(prog):
 
 def _same_bits(got, want):
     """Bitwise equality of two outcomes: an LpError of the same message, or
-    the same status, v and value bytes."""
+    the same status, uniqueness flag, v and value bytes."""
     if isinstance(want, LpError):
         return isinstance(got, LpError) and str(got) == str(want)
     if isinstance(got, LpError) or got.status != want.status:
         return False
     if want.v is None:
-        return got.v is None and got.value is None
-    return (got.v.tobytes() == want.v.tobytes()
+        return got.v is None and got.value is None and not got.unique
+    return (got.v.tobytes() == want.v.tobytes() and got.unique == want.unique
             and np.float64(got.value).tobytes() == np.float64(want.value).tobytes())
 
 
@@ -400,7 +427,7 @@ def _mixed_batch(rng, size):
 
 def test_batches_are_bitwise_the_scalar_engine():
     rng = np.random.default_rng(17)
-    statuses, mixed_starts = set(), 0
+    statuses, flags, mixed_starts = set(), set(), 0
     for _ in range(150):
         prog = _mixed_batch(rng, int(rng.integers(1, 12)))
         got = solve_lp(prog)
@@ -409,9 +436,10 @@ def test_batches_are_bitwise_the_scalar_engine():
             want = _reference(_member(prog, i))
             assert _same_bits(sol, want)
             statuses.add(want.status)
+            flags.add(want.unique)
         starts = {_start_basis(_member(prog, i)) for i in range(len(got))}
         mixed_starts += len(starts) > 1
-    assert statuses == set(LpStatus)
+    assert statuses == set(LpStatus) and flags == {True, False}
     assert mixed_starts >= 20
 
 
@@ -468,12 +496,17 @@ def test_solve_lp_splits_a_batch_at_the_element_bound(monkeypatch):
 
 def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
     # a layer of stage LPs split into batches of 3 stages (and of 1): the
-    # victim values, the attacker solves and the first-failure rule do not
-    # depend on where the split falls
+    # victim values and uniqueness flags, the attacker solves and the
+    # first-failure rule do not depend on where the split falls.  Victim
+    # rows 0 and 1 are equal and above the others at stages 1, 2, 4 and 6,
+    # whose victim optima are segments, so those four go to the attacker LP
     rng = np.random.default_rng(20)
     cols = rng.uniform(-1, 1, (7, 4, 3))
     b = rng.uniform(-1, 1, (7, 4, 5))
+    tied = [1, 2, 4, 6]
+    cols[tied, :2] = cols[tied].max(axis=1)[:, None] + 0.5
     whole = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
+    assert np.flatnonzero(~whole[0][2]).tolist() == tied
     runs = _counted_runs(monkeypatch)
     for stages_per_batch in (3, 1):
         # the victim LP's tableau: K + 1 = 4 rows over n = 4 columns and a
@@ -482,10 +515,11 @@ def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
         size = (4 + 1) * (4 + 4 + 1)
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", stages_per_batch * size)
         runs.clear()
-        (x, z), br = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
-        assert len(runs) == 2 * -(-7 // stages_per_batch) + 7
-        assert x.tobytes() == whole[0][0].tobytes() and z.tobytes() == whole[0][1].tobytes()
-        for field in ("y_star", "z_star", "v2_star", "w_star", "alpha_star"):
+        victim, br = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
+        assert len(runs) == 2 * -(-7 // stages_per_batch) + len(tied)
+        for got, want in zip(victim, whole[0], strict=True):
+            assert got.tobytes() == want.tobytes()
+        for field in ("y_star", "z_star", "v2_star"):
             assert getattr(br, field).tobytes() == getattr(whole[1], field).tobytes()
         # z above the victim optimum at stages 3 and 5 empties their
         # best-reply polytopes: the lowest is reported, across the split

@@ -69,7 +69,7 @@ def test_grid_agrees_with_stage_lps_on_random_instances():
         a = rng.uniform(-1.0, 1.0, (n, m))
         b = rng.uniform(-1.0, 1.0, (n, m))
         a_prime = a @ rows.T
-        _, (z,) = victim_br_lp(a_prime[None])
+        _, (z,), _ = victim_br_lp(a_prime[None])
         col_range = float(np.max(a_prime.max(axis=0) - a_prime.min(axis=0), initial=0.0))
         assert abs(z - grid_victim_value(a_prime, spec)) <= col_range * spec.step + 1e-6
         br = nf_attacker_best_response(rows, a, b)

@@ -19,23 +19,23 @@ DECOY = np.array([[5.0, 0.0], [0.0, 0.0]])
 
 
 def test_victim_br_single_column_cases():
-    (x,), (z,) = victim_br_lp(np.array([[[0.0], [1.0]]]))
+    (x,), (z,), _ = victim_br_lp(np.array([[[0.0], [1.0]]]))
     assert z == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(x, [0.0, 1.0], atol=1e-9)
-    (x,), (z,) = victim_br_lp(np.array([[[1.0], [0.0]]]))
+    (x,), (z,), _ = victim_br_lp(np.array([[[1.0], [0.0]]]))
     assert z == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(x, [1.0, 0.0], atol=1e-9)
 
 
 def test_victim_br_zero_matrix():
-    _, (z,) = victim_br_lp(np.zeros((1, 3, 2)))
+    _, (z,), _ = victim_br_lp(np.zeros((1, 3, 2)))
     assert z == pytest.approx(0.0, abs=1e-9)
 
 
 def test_victim_br_full_matching_game():
     # both pure columns believed: unique optimum is the even mix at 0.5,
     # cross-checked against the grid oracle
-    (x,), (z,) = victim_br_lp(MATCHING[None])
+    (x,), (z,), _ = victim_br_lp(MATCHING[None])
     assert z == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(x, [0.5, 0.5], atol=1e-9)
     grid = grid_victim_value(MATCHING, GridSpec(step=1e-3))
@@ -58,12 +58,11 @@ def test_attacker_br_decoy_columns():
     br = attacker_br_lp([1.0], a_prime[None], DECOY[None])
     assert br.v2_star[0] == pytest.approx(5.0, abs=1e-9)
     assert np.allclose(br.y_star[0], [1.0, 0.0], atol=1e-9)
-    assert np.all(br.w_star >= -1e-12)
 
 
 def test_attacker_br_zero_payoffs():
     a_prime = np.array([[0.2], [0.8]])
-    _, z = victim_br_lp(a_prime[None])
+    _, z, _ = victim_br_lp(a_prime[None])
     br = attacker_br_lp(z, a_prime[None], np.zeros((1, 2, 3)))
     assert br.v2_star[0] == pytest.approx(0.0, abs=1e-9)
     assert abs(br.y_star[0].sum() - 1.0) <= 1e-9
@@ -90,7 +89,7 @@ def test_attacker_lp_splits_alpha_into_a_column_and_its_negation(monkeypatch):
     monkeypatch.setattr(stage, "solve_lp", recorded)
     rng = np.random.default_rng(88)
     cols, b = rng.uniform(-1.0, 1.0, (2, 4, 3, 3))
-    _, z = victim_br_lp(cols)
+    _, z, _ = victim_br_lp(cols)
     programs.clear()
     br = attacker_br_lp(z, cols, b)
     (prog,) = programs
@@ -100,7 +99,7 @@ def test_attacker_lp_splits_alpha_into_a_column_and_its_negation(monkeypatch):
         assert np.array_equal(np.abs(last), np.abs(alpha))
         assert np.array_equal(np.signbit(last), ~np.signbit(alpha))
     assert np.signbit(prog.a_ub[:, -1, -1]).all() and (prog.a_ub[:, -1, -1] == 0.0).all()
-    assert br.alpha_star.shape == (4,)
+    assert br.v2_star.shape == (4,)
 
 
 def test_best_response_chain_composes_both_solves():
@@ -175,7 +174,7 @@ def test_vertices_satisfy_value_floor_on_random_stages():
         n, m, k = (int(rng.integers(1, 4)) for _ in range(3))
         rows, a, _ = _random_stage(rng, n, m, k)
         a_prime = a @ rows.T
-        _, (z,) = victim_br_lp(a_prime[None])
+        _, (z,), _ = victim_br_lp(a_prime[None])
         for v in victim_br_vertices(a_prime, z):
             assert float((a_prime.T @ v).min()) >= z - 1e-8
 
@@ -188,8 +187,8 @@ def test_smaller_beliefs_never_hurt_the_victim():
         k_full = int(rng.integers(2, 5))
         a_full = rng.uniform(-1.0, 1.0, (n, k_full))
         k_sub = int(rng.integers(1, k_full))
-        _, (z_sub,) = victim_br_lp(a_full[None, :, :k_sub])
-        _, (z_full,) = victim_br_lp(a_full[None])
+        _, (z_sub,), _ = victim_br_lp(a_full[None, :, :k_sub])
+        _, (z_full,), _ = victim_br_lp(a_full[None])
         assert z_sub >= z_full - 1e-9
 
 
@@ -227,15 +226,20 @@ def test_singleton_closed_form_matches_lp_chain(monkeypatch):
         br = nf_attacker_best_response(rows, a, b)
         assert len(maximins) - before == ties
         tied += ties
-        _, z = victim_br_lp(col[None, :, None])
+        _, z, _ = victim_br_lp(col[None, :, None])
         ref = attacker_br_lp(z, col[None, :, None], b[None])
         scale = max(1.0, np.abs(a).max(), np.abs(b).max())
         assert abs(br.z_star - z[0]) <= 1e-9 * scale
         assert abs(br.v2_star - ref.v2_star[0]) <= 1e-9 * scale
-        # (y*, w*, alpha*) is feasible for attacker_br_lp's program, whose
-        # row i reads col_i w - alpha <= (b y)_i; residuals are relative to
-        # the largest term
-        y, w, alpha = br.y_star, br.w_star[0], br.alpha_star
+        # a dual certificate: w* is the least dual weight that keeps every
+        # row i below the maximum feasible in attacker_br_lp's program,
+        # col_i w - alpha <= (b y*)_i with alpha = z* w - v2*, that is
+        # w >= (v2* - (b y*)_i) / (z* - col_i); (y*, w*, alpha*) is then
+        # feasible, with residuals relative to the largest term
+        y = br.y_star
+        below = col < br.z_star
+        w = float(((br.v2_star - (b @ y)[below]) / (br.z_star - col[below])).max(initial=0.0))
+        alpha = br.z_star * w - br.v2_star
         if not ties:
             assert np.array_equal(y, np.eye(m)[np.argmax(y)])
         assert np.all(y >= -1e-12) and abs(y.sum() - 1.0) <= 1e-12 and w >= 0.0
@@ -322,7 +326,7 @@ def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
                 assert cells.tied[s, j] == (np.count_nonzero(col == col.max()) > 1)
                 if cells.tied[s, j]:
                     tied += 1
-                    (y,), (v2,) = victim_br_lp(q2[s][col == col.max()].T[None])
+                    (y,), (v2,), _ = victim_br_lp(q2[s][col == col.max()].T[None])
                     assert np.array_equal(tied_y.pop((s, j)), br.y_star)
                     assert np.array_equal(y, br.y_star)
                     assert cells.v2[s, j].tobytes() == np.float64(v2).tobytes()
@@ -334,27 +338,108 @@ def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
     assert tied > 0 and unique > 0
 
 
+def _tied_victim_rows(cols, stages):
+    """cols with victim rows 0 and 1 equal, and above every other row, at
+    the given stages: their victim LPs have a segment of optima, so the
+    attacker LP solves them."""
+    cols = cols.copy()
+    cols[stages, :2] = cols[stages].max(axis=1)[:, None] + 0.5
+    return cols
+
+
+def _injected_failures(monkeypatch, victim_vars, victim_at, attacker_at):
+    """Make the engine fail the members victim_at of every victim LP batch
+    (the programs with victim_vars variables) and attacker_at of every
+    attacker LP batch, each with the pivot-limit LpError."""
+    real = stage.solve_lp
+
+    def solve(prog):
+        out = real(prog)
+        for p in (victim_at if prog.objective.shape[1] == victim_vars else attacker_at):
+            if p < len(out):
+                out[p] = stage.LpError("pivot limit exceeded; simplex did not converge")
+        return out
+
+    monkeypatch.setattr(stage, "solve_lp", solve)
+
+
 def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
-    # the engine fails the victim LP of stage 5 and the attacker LP of
-    # stage 3 (and of 6, past the victim failure): stage by stage, stage 3's
+    # every stage's victim optimum is a segment, so every stage runs the
+    # attacker LP, and a member's index in its batch is its stage.  The
+    # engine fails the victim LP of stage 5 and the attacker LP of stage 3
+    # (and of 6, past the victim failure): stage by stage, stage 3's
     # attacker LP fails first; with the two swapped, stage 3's victim LP.
     # The victim LP has n = 3 variables, the attacker LP m + K + 1 = 7
-    real = stage.solve_lp
     rng = np.random.default_rng(87)
     cols, b = rng.uniform(-1.0, 1.0, (2, 8, 3, 3))
-
-    def injected(victim_at, attacker_at):
-        def solve(prog):
-            out = real(prog)
-            n_vars = prog.objective.shape[1]
-            for p in (victim_at if n_vars == 3 else attacker_at):
-                if p < len(out):
-                    out[p] = stage.LpError("pivot limit exceeded; simplex did not converge")
-            return out
-        return solve
-
+    cols = _tied_victim_rows(cols, np.arange(8))
+    assert not victim_br_lp(cols)[2].any()
     for victim_at, attacker_at, message in (((5,), (3, 6), "stage 3: attacker"),
                                              ((3,), (5,), "stage 3: victim")):
-        monkeypatch.setattr(stage, "solve_lp", injected(victim_at, attacker_at))
+        _injected_failures(monkeypatch, 3, victim_at, attacker_at)
         with pytest.raises(stage.LpError, match=f"^{message} best-response LP: pivot limit"):
             stage._lp_chain(cols, b)
+
+
+def test_mixed_layer_failure_names_the_stage_in_the_layer(monkeypatch):
+    # stages 1, 4 and 6 fall back to the attacker LP, the others take the
+    # closed form; member 1 of the attacker batch is stage 4, and the error
+    # names stage 4, below a victim failure at stage 5 and above one at 3
+    rng = np.random.default_rng(90)
+    cols, b = rng.uniform(-1.0, 1.0, (2, 8, 3, 3))
+    cols = _tied_victim_rows(cols, [1, 4, 6])
+    assert np.flatnonzero(~victim_br_lp(cols)[2]).tolist() == [1, 4, 6]
+    for victim_at, message in (((), "stage 4: attacker"), ((5,), "stage 4: attacker"),
+                               ((3,), "stage 3: victim")):
+        _injected_failures(monkeypatch, 3, victim_at, (1,))
+        pattern = f"^{message} best-response LP: pivot limit"
+        with pytest.raises(stage.LpError, match=pattern) as info:
+            stage._lp_chain(cols, b)
+        assert info.value.stage == int(message.split()[1][:-1])
+    # a z* the victim cannot reach fails the fallback stage by its index
+    # in the layer, with the StageSolveError of the attacker LP
+    monkeypatch.undo()
+    x, z, unique = victim_br_lp(cols)
+    monkeypatch.setattr(stage, "victim_br_lp", lambda c: (x, z + 1.0, unique))
+    with pytest.raises(StageSolveError, match="^stage 1: attacker best-response LP returned "
+                                              "LpStatus.UNBOUNDED"):
+        stage._lp_chain(cols, b)
+
+
+def test_lp_chain_takes_the_closed_form_where_the_victim_optimum_is_unique(monkeypatch):
+    # unique stages get y* = e_k*, k* the lowest-index argmax of x*'B, and
+    # v2* = (x*'B)_k*, within rounding of the attacker LP's value and with
+    # the same bits in any batch; only the other stages reach the attacker
+    # LP, as one batch, to the bits of that LP on exactly those stages
+    rng = np.random.default_rng(89)
+    cols = rng.uniform(-1.0, 1.0, (8, 4, 3))
+    b = rng.uniform(-1.0, 1.0, (8, 4, 5))
+    b[2, :, 1] = b[2, :, 3] = b[2].max(axis=1) + 0.1  # a tie in x*'B: the lower index wins
+    cols = _tied_victim_rows(cols, [1, 4, 6])
+    x, z, unique = victim_br_lp(cols)
+    assert np.flatnonzero(~unique).tolist() == [1, 4, 6]
+    batches = []
+    real = stage.attacker_br_lp
+
+    def recorded(z_star, c, bb):
+        batches.append(c)
+        return real(z_star, c, bb)
+
+    monkeypatch.setattr(stage, "attacker_br_lp", recorded)
+    br = stage._lp_chain(cols, b)
+    (fallback,) = batches
+    assert fallback.tobytes() == cols[[1, 4, 6]].tobytes()
+    ref = real(z[[1, 4, 6]], cols[[1, 4, 6]], b[[1, 4, 6]])
+    assert br.y_star[[1, 4, 6]].tobytes() == ref.y_star.tobytes()
+    assert br.v2_star[[1, 4, 6]].tobytes() == ref.v2_star.tobytes()
+    assert br.z_star.tobytes() == z.tobytes()
+    assert np.array_equal(br.y_star[2], np.eye(5)[1])
+    lp_all = real(z, cols, b)
+    for p in np.flatnonzero(unique):
+        payoff = x[p] @ b[p]
+        k = int(np.flatnonzero(payoff == payoff.max())[0])
+        assert np.array_equal(br.y_star[p], np.eye(5)[k])
+        assert abs(br.v2_star[p] - payoff[k]) <= 1e-14
+        assert abs(br.v2_star[p] - lp_all.v2_star[p]) <= 1e-12
+        alone = stage._lp_chain(cols[p:p + 1], b[p:p + 1])
+        assert alone.v2_star.tobytes() == br.v2_star[p:p + 1].tobytes()
