@@ -15,7 +15,7 @@ from .model import (
     evaluate_policy,
     validate_game,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import LinearProgram, LpBatch, LpSolution, LpStatus, solve_lp
 from .stage import StageBR, StageSolveError, nf_attacker_best_response
 from .solver import (
     BRSolveReport,
@@ -46,7 +46,7 @@ from .rollout import RolloutStats, simulate
 __all__ = [
     "BeliefSet", "InvalidGameError", "MarkovGame", "MarkovPolicy",
     "ValidationReport", "ValueTables", "evaluate_policy", "validate_game",
-    "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
+    "LinearProgram", "LpBatch", "LpSolution", "LpStatus", "solve_lp",
     "StageBR", "StageSolveError", "nf_attacker_best_response", "victim_br_vertices",
     "BRSolveReport", "QMatrices", "markov_attacker_best_response", "q_from_v",
     "secure_belief",

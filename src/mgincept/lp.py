@@ -4,13 +4,20 @@ A `LinearProgram` is given in canonical form: maximize c'v subject to
 A v <= b and v >= 0, with b >= 0.  Its arrays may carry one leading batch
 axis: B programs of one shape, solved together.  Since b >= 0, v = 0 is
 feasible and the engine is a one-phase tableau simplex from a feasible
-basis, with Bland's anti-cycling rule, which makes the solver fully
-deterministic: identical inputs produce identical outputs, pivot for pivot.
-Each row gets one slack variable and starts on its lowest-index +1 unit
-column (its slack, or a structural column that is a +1 unit vector).  A
-caller with a free variable writes it as a column and its negation (see
+basis.  Each row gets one slack variable and starts on its lowest-index +1
+unit column (its slack, or a structural column that is a +1 unit vector).
+A caller with a free variable writes it as a column and its negation (see
 `mgincept.stage.attacker_br_lp`); the stage LPs of `mgincept.stage` are
 written at a best pure strategy to take this form.
+
+Pricing.  For its first _BLAND_AFTER pivots a program's entering column is
+the largest reduced cost above PIVOT_TOL, the lowest index among equal ones
+(Dantzig's rule); after them it is the lowest index whose reduced cost is
+above PIVOT_TOL (Bland's rule, Bland 1977), which cannot cycle, so a
+degenerate cycle under Dantzig's rule ends there.  The leaving row is the
+least ratio over the eligible rows, the lowest basis index among ties.
+The solver is fully deterministic: identical inputs produce identical
+outputs, pivot for pivot.
 
 Unique optima.  An OPTIMAL solution is flagged `unique` when every nonbasic
 entry of its final cost row is below -PIVOT_TOL: moving any nonbasic
@@ -18,47 +25,47 @@ variable off zero then loses value (Mangasarian, "Uniqueness of solution in
 linear programming", 1979).  The flag reads the final tableau only.
 
 Lockstep batches.  The B tableaux are one (B, rows, cols) stack, and every
-step pivots each unfinished member once: its entering column is the first
-reduced cost above the tolerance, its leaving row the least ratio over the
-eligible rows, the lowest basis index among ties.  A member that is optimal
-or unbounded, or hits the pivot limit, leaves the stack (the stack is
-compacted), so finished members are never updated through a mask.
-`solve_lp` splits a batch into runs of at most BATCH_ELEMENTS tableau
-elements (at least one program each), which bounds the stack's memory.
+step pivots each unfinished member once, so step s is every live member's
+s-th pivot and the switch of pricing rule falls on each member's own pivot
+count.  A member that is optimal or unbounded, or hits the pivot limit,
+leaves the stack (the stack is compacted), so finished members are never
+updated through a mask.  `solve_lp` splits a batch into runs of at most
+BATCH_ELEMENTS tableau elements (at least one program each), which bounds
+the stack's memory, and returns the batch's outcomes as one `LpBatch` of
+arrays: status, v, value and the uniqueness flag, one entry per program.
 
 Why a member's results do not depend on its batch: every tableau entry is
 computed by the same floating-point operations, in the same order, as in a
-program solved alone.  A pivot does one division, product and difference
-per entry, and no column feeds into another.  The cost row is priced out
-row by row, skipping the members whose basic cost is zero, as a lone
-program skips them: an update by 0 * row would turn a -0.0 into +0.0.
-Ratios are kept only where the column entry is eligible, a solution's
-value is the same dot product objective'v, and its uniqueness flag reads
-its own cost row.  Each member's outcome is its own: a member that hits
-the pivot limit is returned as its `LpError`, and solving one unbatched
-program raises it.
+program solved alone.  A pivot does one division per pivot-row entry and
+one product and difference per entry, and no column feeds into another.
+The cost row is priced out row by row, skipping the members whose basic
+cost is zero, as a lone program skips them: an update by 0 * row would
+turn a -0.0 into +0.0.  Ratios are kept only where the column entry is
+eligible, a solution's value is the same sum of objective * v over its
+own contiguous row, and its uniqueness flag reads its own cost row.  Each
+member's outcome is its own: a member that hits the pivot limit is
+reported STALLED in the batch, and solving one unbatched program raises
+its `LpError`.
 
 All the programs in this package have at most a few dozen variables, so a
 dense tableau is both simpler and faster than anything sparse.  Pivots are
-judged by an absolute tolerance (1e-10), so the solver is not
-scale-invariant: rewards scaled far from unit size can make it misjudge
-pivots (ROADMAP open item 2).
+judged by an absolute tolerance (1e-10), so the solver itself is not
+scale-invariant; the stage LPs map each stage's payoffs onto [0, 1] before
+they are solved.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 PIVOT_TOL = 1e-10
 MAX_PIVOTS = 20000
+_BLAND_AFTER = 50  # lockstep steps of Dantzig's rule before Bland's takes over
 BATCH_ELEMENTS = 1 << 18  # tableau elements of one lockstep run (2 MiB)
-
-# a member's outcome in _run
-_OPTIMAL, _UNBOUNDED, _STALLED = 0, 1, 2
-_STALLED_MESSAGE = "pivot limit exceeded; simplex did not converge"
 
 
 class LpError(RuntimeError):
@@ -66,8 +73,15 @@ class LpError(RuntimeError):
 
 
 class LpStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
+    """A solve's outcome.  STALLED (the pivot limit) is only ever reported
+    in a batch's status array; a lone solve raises LpError instead."""
+
+    OPTIMAL = 0
+    UNBOUNDED = 1
+    STALLED = 2
+
+
+_OPTIMAL, _UNBOUNDED, _STALLED = (s.value for s in LpStatus)
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,29 @@ class LpSolution:
     unique: bool = False
 
 
+class LpBatch(NamedTuple):
+    """The outcomes of a batch of B programs with q variables, as arrays:
+    status (B,) holds LpStatus values, and v (B, q), value (B,) and
+    unique (B,) are an LpSolution's fields where the status is OPTIMAL
+    (elsewhere v and value are NaN and unique is False)."""
+
+    status: np.ndarray
+    v: np.ndarray
+    value: np.ndarray
+    unique: np.ndarray
+
+    def solution(self, k: int) -> LpSolution:
+        """Member k's outcome as a lone solve gives it: its LpSolution, or
+        the LpError of the pivot limit, raised."""
+        status = LpStatus(int(self.status[k]))
+        if status == LpStatus.STALLED:
+            raise LpError("pivot limit exceeded; simplex did not converge")
+        if status == LpStatus.UNBOUNDED:
+            return LpSolution(status)
+        return LpSolution(status, v=self.v[k], value=float(self.value[k]),
+                          unique=bool(self.unique[k]))
+
+
 def _start(a: np.ndarray, b: np.ndarray):
     """The (B, rows + 1, q + rows + 1) tableau stack [A | I | b] of
     A v + s = b (cost row last, still zero) and its feasible starting
@@ -126,58 +163,64 @@ def _start(a: np.ndarray, b: np.ndarray):
     k = np.arange(rows)
     T[:, k, q + k] = 1.0  # one slack per row
     T[:, :rows, -1] = b
-    A = T[:, :rows, :-1]
-    unit = (A == 1.0) & (np.count_nonzero(A, axis=1) == 1)[:, None, :]
-    return T, unit.argmax(axis=2)
+    unit = (a == 1.0) & (np.count_nonzero(a, axis=1) == 1)[:, None, :]
+    return T, np.where(unit.any(axis=2), unit.argmax(axis=2), q + k)
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray,
            column: np.ndarray) -> None:
     """Pivot every member k of the stack T on (row[k], col[k]); column[k] is
-    a copy of T[k, :, col[k]], cost row included, and is used up.
+    a copy of T[k, :, col[k]], cost row included.
 
-    The pivot column needs no writes of its own: the pivot entry divides to
-    exactly 1.0, and every other entry x becomes x - x * 1.0 = +0.0.
+    The pivot row is divided once, used for the update and written back
+    over the updated row.  The pivot column needs no writes of its own: the
+    pivot entry divides to exactly 1.0, and every other entry x becomes
+    x - x * 1.0 = +0.0.
     """
     k = np.arange(T.shape[0])
-    T[k, row] /= column[k, row][:, None]
-    column[k, row] = 0.0
-    T -= column[:, :, None] * T[k, row][:, None, :]
+    pivot_row = T[k, row] / column[k, row][:, None]
+    T -= column[:, :, None] * pivot_row[:, None, :]
+    T[k, row] = pivot_row
     basis[k, row] = col
 
 
 def _run(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Pivot every member to optimality, in lockstep.
 
-    Returns each member's outcome: _OPTIMAL, _UNBOUNDED or _STALLED (the
-    pivot limit).  Finished members leave the working stack t and are
-    written back to T.
+    Returns each member's LpStatus value: OPTIMAL, UNBOUNDED or STALLED
+    (the pivot limit).  Finished members leave the working stack t and are
+    written back to T.  Step s pivots every live member for its s-th time,
+    so the switch from Dantzig's to Bland's entering rule after
+    _BLAND_AFTER steps is each member's own.
     """
     rows = T.shape[1] - 1
-    outcome = np.full(T.shape[0], _STALLED)
-    live = np.arange(T.shape[0])
+    outcome = np.full(T.shape[0], _STALLED, dtype=np.int8)
+    live = k = np.arange(T.shape[0])
     t, tb = T, basis
-    for _ in range(MAX_PIVOTS):
-        k = np.arange(live.size)
-        improving = t[:, -1, :-1] > PIVOT_TOL
-        entering = improving.argmax(axis=1)  # Bland: lowest improving index
-        improves = improving[k, entering]
+    for step in range(MAX_PIVOTS):
+        cost = t[:, -1, :-1]
+        # Dantzig: the largest reduced cost; Bland: the lowest improving index
+        entering = (cost if step < _BLAND_AFTER else cost > PIVOT_TOL).argmax(axis=1)
         column = t[k, :, entering]
         eligible = column[:, :rows] > PIVOT_TOL
+        improves = column[:, -1] > PIVOT_TOL
         go = improves & eligible.any(axis=1)
         if not go.all():
-            done = ~go
-            outcome[live[done]] = np.where(improves[done], _UNBOUNDED, _OPTIMAL)
-            T[live[done]] = t[done]
-            basis[live[done]] = tb[done]
-            live, t, tb = live[go], t[go], tb[go]
-            if live.size == 0:
+            done, keep = (~go).nonzero()[0], go.nonzero()[0]
+            ids = live.take(done)
+            outcome[ids] = np.where(improves.take(done), _UNBOUNDED, _OPTIMAL)
+            T[ids] = t.take(done, axis=0)
+            basis[ids] = tb.take(done, axis=0)
+            if keep.size == 0:
                 return outcome
-            entering, column, eligible = entering[go], column[go], eligible[go]
-        with np.errstate(divide="ignore", invalid="ignore"):  # only where not eligible
-            ratios = np.where(eligible, t[:, :rows, -1] / column[:, :rows], np.inf)
-        best = ratios.min(axis=1)
-        ties = eligible & (ratios <= best[:, None] + 1e-15)
+            live, t, tb = live.take(keep), t.take(keep, axis=0), tb.take(keep, axis=0)
+            k = np.arange(keep.size)
+            entering, column, eligible = (entering.take(keep), column.take(keep, axis=0),
+                                          eligible.take(keep, axis=0))
+        # the rows that are not eligible hold inf, above every finite least ratio
+        ratios = np.full(eligible.shape, np.inf)
+        np.divide(t[:, :rows, -1], column[:, :rows], out=ratios, where=eligible)
+        ties = ratios <= ratios.min(axis=1, keepdims=True) + 1e-15
         leaving = np.where(ties, tb, t.shape[2]).argmin(axis=1)  # Bland: lowest basis index
         _pivot(t, tb, leaving, entering, column)
     T[live] = t
@@ -191,50 +234,47 @@ def _price_out(T: np.ndarray, basis: np.ndarray, c_full: np.ndarray) -> None:
     member's basic cost is nonzero are visited."""
     T[:, -1, :-1] = c_full
     T[:, -1, -1] = 0.0
-    cb = np.take_along_axis(c_full, basis, axis=1)
+    cb = c_full[np.arange(basis.shape[0])[:, None], basis]
     for r in (cb != 0.0).any(axis=0).nonzero()[0]:
         on = (cb[:, r] != 0.0).nonzero()[0]
         T[on, -1] -= cb[on, r, None] * T[on, r]
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution | list:
+def solve_lp(lp: LinearProgram) -> LpSolution | LpBatch:
     """Solve a linear program, or a batch of them in lockstep, deterministically.
 
     An unbatched program gives its LpSolution, and raises LpError where the
-    engine fails on it.  A batch gives a list with one entry per program,
-    its LpSolution or the LpError of the pivot limit, returned so that the
-    caller picks which failure to report.  The batch is solved in runs of
-    at most BATCH_ELEMENTS tableau elements (at least one program each).
+    engine fails on it.  A batch gives one LpBatch of arrays, whose status
+    reports the pivot limit as STALLED, so that the caller picks which
+    failure to report.  The batch is solved in runs of at most
+    BATCH_ELEMENTS tableau elements (at least one program each).
 
     On OPTIMAL, `v` is a vertex of the feasible region, `value` equals
-    objective'v and `unique` flags an optimum that no other point attains.
-    Where it is not unique any optimal vertex may be returned; callers must
-    then depend only on the value and feasibility.
+    sum(objective * v) and `unique` flags an optimum that no other point
+    attains.  Where it is not unique any optimal vertex may be returned;
+    callers must then depend only on the value and feasibility.
     """
     c, a, b = (x if lp.objective.ndim == 2 else x[None]
                for x in (lp.objective, lp.a_ub, lp.b_ub))
     count, rows, q = a.shape
     step = max(1, BATCH_ELEMENTS // ((rows + 1) * (q + rows + 1)))
-    out = []
+    status = np.empty(count, dtype=np.int8)
+    x = np.zeros((count, q + rows))
+    unique = np.empty(count, dtype=bool)
     for i in range(0, count, step):
         T, basis = _start(a[i:i + step], b[i:i + step])
         B = T.shape[0]
         _price_out(T, basis, np.concatenate([c[i:i + step], np.zeros((B, rows))], axis=1))
-        outcome = _run(T, basis)
-        x = np.zeros((B, q + rows))
-        x[np.arange(B)[:, None], basis] = T[:, :-1, -1]
-        # C order: each row is contiguous, as a lone program's v, whose
-        # strides decide how the dot product objective'v rounds
-        v = np.ascontiguousarray(x[:, :q])
-        nonbasic = np.ones((B, q + rows), dtype=bool)
-        nonbasic[np.arange(B)[:, None], basis] = False
-        unique = ((T[:, -1, :-1] < -PIVOT_TOL) | ~nonbasic).all(axis=1)
-        out += [LpSolution(LpStatus.OPTIMAL, v=v[k], value=float(c[i + k] @ v[k]),
-                           unique=bool(unique[k]))
-                if o == _OPTIMAL else LpSolution(LpStatus.UNBOUNDED) if o == _UNBOUNDED
-                else LpError(_STALLED_MESSAGE) for k, o in enumerate(outcome)]
-    if lp.objective.ndim == 2:
-        return out
-    if isinstance(out[0], LpError):
-        raise out[0]
-    return out[0]
+        status[i:i + B] = _run(T, basis)
+        members = np.arange(B)[:, None]
+        x[i + members, basis] = T[:, :-1, -1]
+        basic = np.zeros((B, q + rows), dtype=bool)
+        basic[members, basis] = True
+        unique[i:i + B] = ((T[:, -1, :-1] < -PIVOT_TOL) | basic).all(axis=1)
+    # C order: each row is contiguous, as a lone program's v, whose
+    # strides decide how the sum objective * v rounds
+    v = np.ascontiguousarray(x[:, :q])
+    optimal = status == _OPTIMAL
+    v[~optimal] = np.nan
+    batch = LpBatch(status, v, (c * v).sum(axis=1), unique & optimal)
+    return batch if lp.objective.ndim == 2 else batch.solution(0)

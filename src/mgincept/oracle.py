@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, LpStatus, solve_lp
+from .lp import LinearProgram, solve_lp
 from .model import (
     BeliefSet,
     MarkovGame,
@@ -164,12 +164,12 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     M = np.concatenate([b.mixes.reshape(H * S, m, K), np.ones((H * S, 1, K))], axis=1)
     e = np.concatenate([pi2.entries.reshape(H * S, m), np.ones((H * S, 1))], axis=1)
     sols = solve_lp(LinearProgram(objective=M.sum(axis=1), a_ub=M, b_ub=e))
-    for sol, target in zip(sols, e.sum(axis=1)):
-        if isinstance(sol, LpError):
-            raise sol
-        if sol.status != LpStatus.OPTIMAL or sol.value < target - FEAS_TOL:
-            return False
-    return True
+    # a non-optimal member's value is NaN, which reaches no target
+    outside = np.flatnonzero(~(sols.value >= e.sum(axis=1) - FEAS_TOL))
+    if outside.size == 0:
+        return True
+    sols.solution(int(outside[0]))  # raises the LpError of a stalled stage
+    return False
 
 
 def _check_enum_guard(k: int, cells: int) -> None:

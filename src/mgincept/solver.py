@@ -143,7 +143,10 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
                 raise type(err)(f"step {h}, {err}") from None
             values[0, h] = chain.z_star
             values[1, h] = chain.v2_star
-            pi2[h] = clean_mix(chain.y_star)
+            pi2[h] = chain.y_star  # exact unit vectors where a closed form applied
+            fallback = np.flatnonzero(chain.fallback)
+            if fallback.size:
+                pi2[h, fallback] = clean_mix(chain.y_star[fallback])
     tables = ValueTables(values)
     v1_root, v2_root = tables.root(g.mu)
     return BRSolveReport(

@@ -6,7 +6,9 @@ victim's maximin mixes X*: where that LP's optimum x* is unique (the
 engine's `LpSolution.unique`), X* = {x*} and the attacker's best response is
 a closed form, its best pure reply to x*; elsewhere it is the dualized LP
 over (y, w, alpha).  Chained, they solve a K > 1 belief (`_lp_chain`).  Each
-LP is written at its player's best pure strategy: that strategy's weight is
+LP solves its stage's payoffs mapped affinely onto [0, 1] (`_to_unit`), so
+its pivots and uniqueness flag do not depend on the reward scale, and is
+written at its player's best pure strategy: that strategy's weight is
 eliminated (it holds the rest of the mass) and the value is shifted by its
 guarantee, so every right-hand side is >= 0, the form `lp.LinearProgram`
 takes, the simplex starts feasible at the pure security strategy, and x, z,
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, LpStatus, solve_lp
+from .lp import LinearProgram, LpBatch, LpError, LpStatus, solve_lp
 
 MAX_BELIEF_POLICIES = 64
 
@@ -47,12 +49,14 @@ class StageBR:
     y_star is one optimal attacker mix (any optimal vertex; recorded as
     returned by the deterministic solver, or a pure action from a closed
     form), z_star the victim's worst-case value and v2_star the attacker's
-    worst-case value.
+    worst-case value.  fallback is True where no closed form applied and
+    y_star is an LP vertex, whose entries carry the LP's rounding.
     """
 
     y_star: np.ndarray
     z_star: float | np.ndarray
     v2_star: float | np.ndarray
+    fallback: bool | np.ndarray
 
 
 def _as_finite_matrix(a, name: str) -> np.ndarray:
@@ -64,22 +68,38 @@ def _as_finite_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def _solve_stages(lp: LinearProgram, lp_name: str, hint: str = "") -> list:
+def _solve_stages(lp: LinearProgram, lp_name: str, hint: str = "") -> LpBatch:
     """Solve the batch of stage LPs lp in lockstep and return their
     solutions.  Raises for the lowest failing stage, naming it and the LP,
     with its index as the error's `stage`: StageSolveError for a
     non-optimal status, LpError for the engine's own failures."""
     sols = solve_lp(lp)
-    for p, sol in enumerate(sols):
-        if isinstance(sol, LpError):
-            failure = LpError(f"stage {p}: {lp_name}: {sol}")
-        elif sol.status != LpStatus.OPTIMAL:
-            failure = StageSolveError(f"stage {p}: {lp_name} returned {sol.status}{hint}")
-        else:
-            continue
+    failed = np.flatnonzero(sols.status != LpStatus.OPTIMAL.value)
+    if failed.size:
+        p = int(failed[0])
+        try:
+            status = sols.solution(p).status
+            failure = StageSolveError(f"stage {p}: {lp_name} returned {status}{hint}")
+        except LpError as err:
+            failure = LpError(f"stage {p}: {lp_name}: {err}")
         failure.stage = p
         raise failure
     return sols
+
+
+def _to_unit(a) -> tuple:
+    """Maps each of the P stages of a (P x R x C) affinely onto [0, 1].
+
+    Returns ((a - lo) / span, lo, span), where lo (P,) is a stage's least
+    entry and span (P,) its range, a range of 0 read as 1.  Both stage LPs
+    solve their payoffs in these units, so a stage's pivots, tolerances and
+    uniqueness flag do not depend on the reward scale.
+    """
+    flat = a.reshape(a.shape[0], -1)
+    lo = flat.min(axis=1)
+    span = flat.max(axis=1) - lo
+    span[span == 0.0] = 1.0
+    return (a - lo[:, None, None]) / span[:, None, None], lo, span
 
 
 def _at_best_pure(payoffs) -> tuple:
@@ -87,7 +107,7 @@ def _at_best_pure(payoffs) -> tuple:
     rewritten at each game's best pure row r0 = argmax_r min_c payoffs[p, r, c]
     (lowest index on ties), whose guarantee is g = min_c payoffs[p, r0, c].
 
-    Returns (r0, g, others, gain, room): others (P, R - 1) holds the other
+    Returns (r0, others, gain, room): others (P, R - 1) holds the other
     rows in order, gain (P, C, R - 1) their payoffs minus row r0's,
     payoffs[p, others, c] - payoffs[p, r0, c], per column c, and room (P, C)
     row r0's payoffs minus g, all >= 0.
@@ -95,11 +115,15 @@ def _at_best_pure(payoffs) -> tuple:
     P, R, _ = payoffs.shape
     p = np.arange(P)
     r0 = payoffs.min(axis=2).argmax(axis=1)
-    others = np.arange(R - 1) + (np.arange(R - 1) >= r0[:, None])
+    others = _others(R, r0)
     base = payoffs[p, r0]
-    g = base.min(axis=1)
     gain = (payoffs[p[:, None], others] - base[:, None]).transpose(0, 2, 1)
-    return r0, g, others, gain, base - g[:, None]
+    return r0, others, gain, base - base.min(axis=1, keepdims=True)
+
+
+def _others(R: int, r0) -> np.ndarray:
+    """The indices 0..R-1 without r0[p], in order, for each p (P x R - 1)."""
+    return np.arange(R - 1) + (np.arange(R - 1) >= r0[:, None])
 
 
 def _with_best_pure(v, r0, others) -> np.ndarray:
@@ -122,42 +146,58 @@ def victim_br_lp(cols) -> tuple:
     maximin mix (`lp.LpSolution.unique`).  Raises for the lowest stage
     whose LP fails, naming it.  Trusts its input to be finite.
 
-    Each LP starts at the best pure row r0 = argmax_i min_j A'[i, j] and its
-    guarantee c = min_j A'[r0, j]: the variables are the other rows' weights
-    x_i (i != r0) and z' = z - c >= 0, x_r0 = 1 - sum_{i != r0} x_i, so
+    Each LP is solved on A' mapped onto [0, 1] (`_to_unit`), an exact
+    reparametrisation: the maximin mixes are the same, and the value maps
+    back through the stage's span.  It is written at the best pure row
+    r0 = argmax_i min_j A'[i, j], its guarantee c = min_j A'[r0, j] and
+    the lowest column j0 with A'[r0, j0] = c.  The variables are the other
+    rows' weights x_i (i != r0), x_r0 = 1 - sum_{i != r0} x_i, so column j
+    pays c + room_j + gain_j x, with room_j = A'[r0, j] - c >= 0 and
+    gain_j = (A'[i, j] - A'[r0, j])_{i != r0}; and t >= 0, by which z
+    falls short of column j0's payoff: z = c + gain_j0 x - t.  Then
 
-        max z'  s.t.  z' - sum_{i != r0} x_i (A'[i, j] - A'[r0, j]) <= A'[r0, j] - c
-                      for every j,  sum_{i != r0} x_i <= 1.
+        max gain_j0 x - t  s.t.  (gain_j0 - gain_j) x - t <= room_j  for every j != j0,
+                                 sum_{i != r0} x_i <= 1.
 
     Every right-hand side is >= 0, so the LP starts feasible at x = e_r0,
-    z = c; a stage whose best pure row is optimal needs no pivot and gets
-    z* = c exactly.  x and z = c + z' are mapped back.
+    z = c.  Eliminating z through column j0 saves the degenerate pivot
+    that would enter it there.  A stage whose best pure row is optimal ends
+    at x = e_r0, t = 0 after degenerate pivots only (often none) and gets
+    z* = c exactly, with c read off the unmapped A'.  x and z = c + span *
+    (gain_j0 x - t) are mapped back.
     """
     P, n, K = cols.shape
-    r0, c, others, gain, room = _at_best_pure(cols)
-
-    lp = LinearProgram(
-        objective=np.broadcast_to(np.append(np.zeros(n - 1), 1.0), (P, n)),
-        a_ub=np.concatenate([
-            np.concatenate([-gain, np.ones((P, K, 1))], axis=2),
-            np.broadcast_to(np.append(np.ones(n - 1), 0.0), (P, 1, n))], axis=1),
-        b_ub=np.append(room, np.ones((P, 1)), axis=1),
-    )
-    sols = _solve_stages(lp, "victim best-response LP")
-    v = np.array([sol.v for sol in sols]).reshape(P, n)
-    return (_with_best_pure(v[:, :-1], r0, others),
-            c + np.array([sol.value for sol in sols]),
-            np.array([sol.unique for sol in sols], dtype=bool))
+    unit, _, span = _to_unit(cols)
+    r0, others, gain, room = _at_best_pure(unit)
+    p = np.arange(P)
+    j0 = room.argmin(axis=1)  # the lowest column of room 0
+    rest = _others(K, j0)
+    objective = np.empty((P, n))
+    objective[:, :-1] = gain[p, j0]
+    objective[:, -1] = -1.0
+    a_ub = np.empty((P, K, n))
+    np.subtract(objective[:, None, :-1], gain[p[:, None], rest], out=a_ub[:, :-1, :-1])
+    a_ub[:, :-1, -1] = -1.0
+    a_ub[:, -1, :-1] = 1.0
+    a_ub[:, -1, -1] = 0.0
+    b_ub = np.empty((P, K))
+    b_ub[:, :-1] = room[p[:, None], rest]
+    b_ub[:, -1] = 1.0
+    sols = _solve_stages(LinearProgram(objective, a_ub, b_ub), "victim best-response LP")
+    c = cols[p, r0].min(axis=1)
+    return _with_best_pure(sols.v[:, :-1], r0, others), c + span * sols.value, sols.unique
 
 
 def attacker_br_lp(z_star, cols, b) -> StageBR:
     """Solve the attacker's dual best-response LPs of P stages of a K > 1 belief.
 
     cols (P x n x K) and b (P x n x m) are the stages' believed columns and
-    attacker payoffs, z_star (P,) victim_br_lp's optimal values for the same
+    attacker payoffs, z_star (P,) the victim's optimal values for the same
     cols; a value above one makes that LP unbounded, which is reported as an
     internal inconsistency naming the lowest such stage.  Returns a StageBR
     whose fields have a leading stage axis.  Trusts its inputs to be finite.
+    The LP is solved on cols and z_star mapped onto [0, 1] by cols' map and
+    on b mapped by its own (`_to_unit`), an exact reparametrisation.
 
     The program over (y, w, alpha), alpha free, is
 
@@ -173,30 +213,33 @@ def attacker_br_lp(z_star, cols, b) -> StageBR:
     right-hand side is >= 0, so the LP starts feasible at y = e_k0, w = 0,
     alpha = -d (value d).  The free alpha' is the difference of two columns
     >= 0, alpha's and its negation (signed zeros included), the last column
-    of the program.  y and alpha = alpha' - d are mapped back.
+    of the program.  y is mapped back, and v2* = d + span * (z* sum(w*) -
+    alpha'*), with d read off the unmapped B.
     """
     z_star = np.asarray(z_star, dtype=float)
     P, n, K = cols.shape
     m = b.shape[2]
-    k0, d, others, gain, room = _at_best_pure(b.transpose(0, 2, 1))
+    unit_cols, lo, span = _to_unit(cols)
+    z_unit = (z_star - lo) / span
+    unit_b, _, span_b = _to_unit(b)
+    k0, others, gain, room = _at_best_pure(unit_b.transpose(0, 2, 1))
 
-    objective = np.concatenate([np.zeros((P, m - 1)), np.repeat(z_star[:, None], K, axis=1),
+    objective = np.concatenate([np.zeros((P, m - 1)), np.repeat(z_unit[:, None], K, axis=1),
                                 np.full((P, 1), -1.0)], axis=1)
     a_ub = np.concatenate([
-        np.concatenate([-gain, cols, -np.ones((P, n, 1))], axis=2),
+        np.concatenate([-gain, unit_cols, -np.ones((P, n, 1))], axis=2),
         np.broadcast_to(np.append(np.ones(m - 1), np.zeros(K + 1)), (P, 1, m + K))], axis=1)
     lp = LinearProgram(objective=np.concatenate([objective, -objective[:, -1:]], axis=1),
                        a_ub=np.concatenate([a_ub, -a_ub[:, :, -1:]], axis=2),
                        b_ub=np.append(room, np.ones((P, 1)), axis=1))
-    v = np.array([sol.v for sol in _solve_stages(
-        lp, "attacker best-response LP", "; z_star is not the victim optimum for this a_prime")
-                  ]).reshape(P, m + K + 1)
-    w = v[:, m - 1:-2]
-    alpha = (v[:, -2] - v[:, -1]) - d
+    v = _solve_stages(lp, "attacker best-response LP",
+                      "; z_star is not the victim optimum for this a_prime").v
+    d = b[np.arange(P), :, k0].min(axis=1)
     return StageBR(
         y_star=_with_best_pure(v[:, :m - 1], k0, others),
         z_star=z_star,
-        v2_star=z_star * w.sum(axis=1) - alpha,
+        v2_star=d + span_b * (z_unit * v[:, m - 1:-2].sum(axis=1) - (v[:, -2] - v[:, -1])),
+        fallback=np.ones(P, dtype=bool),
     )
 
 
@@ -209,7 +252,8 @@ def _lp_chain(cols, b) -> StageBR:
     closed form: y* = e_k*, k* the lowest-index argmax of x*'B, and
     v2* = (x*'B)_k*, summed over the rows i in order, so each stage's bits
     do not depend on its batch.  Only the other stages go to the attacker
-    LPs, as one batch.
+    LPs, as one batch, with z* := min_j (x*'A')_j, a value x* attains, so
+    their best-reply polytopes are not empty by rounding.
 
     Returns a StageBR whose fields have a leading stage axis.  Raises what
     solving the stages one by one raises first: the lowest failing stage,
@@ -227,23 +271,30 @@ def _lp_chain(cols, b) -> StageBR:
         # solve does not depend on its batch)
         _lp_chain(cols[:failure.stage], b[:failure.stage])
         raise failure
-    payoff = x[:, 0, None] * b[:, 0]  # x*'B
-    for i in range(1, x.shape[1]):
-        payoff += x[:, i, None] * b[:, i]
+    payoff = _row_mix(x, b)  # x*'B
     k_star = payoff.argmax(axis=1)
     y_star = np.eye(b.shape[2])[k_star]
     v2_star = payoff[np.arange(k_star.size), k_star]
     rest = np.flatnonzero(~unique)
     if rest.size:
         try:
-            br = attacker_br_lp(z_star[rest], cols[rest], b[rest])
+            br = attacker_br_lp(_row_mix(x[rest], cols[rest]).min(axis=1), cols[rest], b[rest])
         except (StageSolveError, LpError) as err:
             p = int(rest[err.stage])  # the stage's index in the layer
             failure = type(err)(f"stage {p}:{str(err).partition(':')[2]}")
             failure.stage = p
             raise failure from None
         y_star[rest], v2_star[rest] = br.y_star, br.v2_star
-    return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star)
+    return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star, fallback=~unique)
+
+
+def _row_mix(x, a) -> np.ndarray:
+    """x[p]'a[p] for every stage p (x is P x R, a P x R x C), summed over
+    the rows in order, so each stage's bits do not depend on its batch."""
+    out = x[:, 0, None] * a[:, 0]
+    for i in range(1, x.shape[1]):
+        out += x[:, i, None] * a[:, i]
+    return out
 
 
 def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
@@ -276,10 +327,13 @@ def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
     a_prime = a @ pi_rows.T
     if K > 1:
         br = _lp_chain(a_prime[None], b[None])
-        return StageBR(br.y_star[0], float(br.z_star[0]), float(br.v2_star[0]))
+        return StageBR(br.y_star[0], float(br.z_star[0]), float(br.v2_star[0]),
+                       bool(br.fallback[0]))
     cell = singleton_stage_solves(a_prime[None], b[None])
-    y = cell.tied_y[0] if cell.tied[0, 0] else np.eye(m)[cell.k_star[0, 0]]
-    return StageBR(y_star=y, z_star=float(cell.z[0, 0]), v2_star=float(cell.v2[0, 0]))
+    tied = bool(cell.tied[0, 0])
+    y = cell.tied_y[0] if tied else np.eye(m)[cell.k_star[0, 0]]
+    return StageBR(y_star=y, z_star=float(cell.z[0, 0]), v2_star=float(cell.v2[0, 0]),
+                   fallback=tied)
 
 
 class SingletonSolves(NamedTuple):

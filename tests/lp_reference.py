@@ -1,22 +1,23 @@
 """The scalar one-phase simplex that `mgincept.lp`'s lockstep engine replaced.
 
 One program, one tableau, one pivot at a time: the reference the batched
-engine must match bit for bit (tests/test_lp.py).  Takes an unbatched
-`LinearProgram`; `LpError`, the tolerances and the pivot limit come from
-the package.
+engine must match bit for bit (tests/test_lp.py).  It takes the engine's
+pricing: the largest reduced cost enters (Dantzig) for the first
+`_BLAND_AFTER` pivots, the lowest improving index (Bland) after them.
+Takes an unbatched `LinearProgram`; `LpError`, the tolerances, the pivot
+limit and the switch step come from the package.
 """
 
 import numpy as np
 
 from mgincept import lp as engine
-from mgincept.lp import PIVOT_TOL, LpError, LpSolution, LpStatus
+from mgincept.lp import PIVOT_TOL, LinearProgram, LpBatch, LpError, LpSolution, LpStatus
 
 
 def pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
+    pivot_row = T[row] / T[row, col]
+    T -= np.outer(T[:, col], pivot_row)
+    T[row] = pivot_row
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -25,10 +26,13 @@ def pivot(T, basis, row, col):
 def run(T, basis, allowed):
     """Pivot to optimality over columns < allowed: 'optimal' or 'unbounded'."""
     rows = T.shape[0] - 1
-    for _ in range(engine.MAX_PIVOTS):  # read at call time, as the engine does
-        improving = T[-1, :allowed] > PIVOT_TOL
-        entering = int(improving.argmax())
-        if not improving[entering]:
+    for step in range(engine.MAX_PIVOTS):  # read at call time, as the engine does
+        cost = T[-1, :allowed]
+        if step < engine._BLAND_AFTER:
+            entering = int(cost.argmax())
+        else:
+            entering = int((cost > PIVOT_TOL).argmax())
+        if not cost[entering] > PIVOT_TOL:
             return "optimal"
         col = T[:rows, entering]
         eligible = (col > PIVOT_TOL).nonzero()[0]
@@ -77,4 +81,21 @@ def solve_lp(lp):
     nonbasic = np.ones(q + rows, dtype=bool)
     nonbasic[basis] = False
     unique = bool((T[-1, :-1][nonbasic] < -PIVOT_TOL).all())
-    return LpSolution(LpStatus.OPTIMAL, v=v, value=float(lp.objective @ v), unique=unique)
+    return LpSolution(LpStatus.OPTIMAL, v=v, value=float((lp.objective * v).sum()), unique=unique)
+
+
+def solve_batch(lp):
+    """The batch record (`mgincept.lp.LpBatch`) of a batched program, every
+    member solved alone."""
+    B, q = lp.objective.shape
+    status = np.full(B, LpStatus.STALLED.value, dtype=np.int8)
+    v, value, unique = np.full((B, q), np.nan), np.full(B, np.nan), np.zeros(B, dtype=bool)
+    for i in range(B):
+        try:
+            sol = solve_lp(LinearProgram(lp.objective[i], lp.a_ub[i], lp.b_ub[i]))
+        except LpError:
+            continue
+        status[i] = sol.status.value
+        if sol.status == LpStatus.OPTIMAL:
+            v[i], value[i], unique[i] = sol.v, sol.value, sol.unique
+    return LpBatch(status, v, value, unique)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -10,7 +11,6 @@ import mgincept.solver as solver
 from conftest import chain_game, list_form_doc, pure_stage_policy, random_policy
 from mgincept import gamefile
 from mgincept.lp import LpError
-from mgincept.stage import StageBR
 
 
 @pytest.fixture
@@ -173,7 +173,7 @@ def test_verify_fails_on_corrupted_solver(decoy_path, capsys, monkeypatch):
 
     def biased(cols, b):
         br = real(cols, b)
-        return StageBR(br.y_star, br.z_star - 0.05, br.v2_star - 0.05)
+        return dataclasses.replace(br, z_star=br.z_star - 0.05, v2_star=br.v2_star - 0.05)
 
     def biased_cells(cols, b):
         cells = real_cells(cols, b)

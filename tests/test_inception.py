@@ -321,8 +321,9 @@ def test_tied_cell_candidate_is_exact_and_lowest_index_wins():
                                               ((2, 2, 3, 3), 43, (1, 0))])
 def test_tied_cell_at_a_pure_rows_guarantee_is_exact(size, seed, cell):
     # a tied cell whose maximin is a pure attacker action's guarantee (here
-    # 1.0) is solved at that action without a pivot, so it equals the
-    # untied candidates it ties with bit for bit and the lowest index wins
+    # 1.0) ends at that action after degenerate pivots only, if any, so its
+    # value is that guarantee exactly: it equals the untied candidates it
+    # ties with bit for bit and the lowest index wins
     result = mg.policy_inception(integer_reward_game(seed, *size))
     cand = result.candidate_values[cell]
     near = np.flatnonzero(cand >= cand.max() - 1e-9)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import lp_reference
 from mgincept import lp, stage
-from mgincept.lp import LinearProgram, LpError, LpStatus, _start, solve_lp
+from mgincept.lp import LinearProgram, LpError, LpSolution, LpStatus, _start, solve_lp
 from mgincept.oracle import FEAS_TOL
 
 
@@ -215,9 +215,9 @@ def test_uniqueness_flag_reads_the_final_cost_row():
     b_ub = [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.5]]
     batch = LinearProgram(np.array(c), np.array(a_ub), np.array(b_ub))
     want = [True, False, False, False, False]
-    assert [sol.unique for sol in solve_lp(batch)] == want
+    assert solve_lp(batch).unique.tolist() == want
     reversed_batch = LinearProgram(*(np.array(x)[::-1] for x in (c, a_ub, b_ub)))
-    assert [sol.unique for sol in solve_lp(reversed_batch)] == want[::-1]
+    assert solve_lp(reversed_batch).unique.tolist() == want[::-1]
     for i, flag in enumerate(want):
         member = _member(batch, i)
         assert solve_lp(member).unique == lp_reference.solve_lp(member).unique == flag
@@ -405,6 +405,15 @@ def _member(prog, i):
     return LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i])
 
 
+def _outcome(batch, i):
+    """Member i of a batch record as a lone solve gives it, its LpError
+    returned rather than raised."""
+    try:
+        return batch.solution(i)
+    except LpError as err:
+        return err
+
+
 def _start_basis(prog):
     return tuple(lp_reference.start(prog.a_ub, prog.b_ub)[1])
 
@@ -429,17 +438,18 @@ def test_batches_are_bitwise_the_scalar_engine():
     rng = np.random.default_rng(17)
     statuses, flags, mixed_starts = set(), set(), 0
     for _ in range(150):
-        prog = _mixed_batch(rng, int(rng.integers(1, 12)))
+        size = int(rng.integers(1, 12))
+        prog = _mixed_batch(rng, size)
         got = solve_lp(prog)
-        assert len(got) == prog.objective.shape[0]
-        for i, sol in enumerate(got):
+        assert got.status.shape == (size,)
+        for i in range(size):
             want = _reference(_member(prog, i))
-            assert _same_bits(sol, want)
+            assert _same_bits(_outcome(got, i), want)
             statuses.add(want.status)
             flags.add(want.unique)
-        starts = {_start_basis(_member(prog, i)) for i in range(len(got))}
+        starts = {_start_basis(_member(prog, i)) for i in range(size)}
         mixed_starts += len(starts) > 1
-    assert statuses == set(LpStatus) and flags == {True, False}
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED} and flags == {True, False}
     assert mixed_starts >= 20
 
 
@@ -458,9 +468,10 @@ def test_engine_failures_stay_with_their_member(monkeypatch):
     failed = solved = 0
     for _ in range(60):
         prog = _mixed_batch(rng, 8)
-        for i, sol in enumerate(solve_lp(prog)):
+        got = solve_lp(prog)
+        for i in range(8):
             want = _reference(_member(prog, i))
-            assert _same_bits(sol, want)
+            assert _same_bits(_outcome(got, i), want)
             failed += isinstance(want, LpError)
             solved += not isinstance(want, LpError)
             if isinstance(want, LpError):
@@ -473,13 +484,14 @@ def test_solve_lp_splits_a_batch_at_the_element_bound(monkeypatch):
     # with room for 1 and for 3 tableaux, a mixed batch is solved in that
     # many runs, to the bytes of the whole batch and of the scalar engine,
     # pivot-limit and unbounded members included
-    monkeypatch.setattr(lp, "MAX_PIVOTS", 4)
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 3)
     runs = _counted_runs(monkeypatch)
     default = lp.BATCH_ELEMENTS
     rng = np.random.default_rng(22)
     outcomes = set()
     for _ in range(40):
-        prog = _mixed_batch(rng, int(rng.integers(1, 12)))
+        size = int(rng.integers(1, 12))
+        prog = _mixed_batch(rng, size)
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", default)
         whole = solve_lp(prog)
         rows, q = prog.a_ub.shape[1:]
@@ -487,11 +499,13 @@ def test_solve_lp_splits_a_batch_at_the_element_bound(monkeypatch):
             monkeypatch.setattr(lp, "BATCH_ELEMENTS", per_run * (rows + 1) * (q + rows + 1))
             runs.clear()
             got = solve_lp(prog)
-            assert runs == [min(per_run, len(whole) - i) for i in range(0, len(whole), per_run)]
-            for i, (sol, want) in enumerate(zip(got, whole, strict=True)):
-                assert _same_bits(sol, want) and _same_bits(sol, _reference(_member(prog, i)))
-                outcomes.add(sol.status if isinstance(sol, lp.LpSolution) else "pivot limit")
-    assert outcomes == {*LpStatus, "pivot limit"}
+            assert runs == [min(per_run, size - i) for i in range(0, size, per_run)]
+            for field in ("status", "v", "value", "unique"):
+                assert getattr(got, field).tobytes() == getattr(whole, field).tobytes()
+            for i in range(size):
+                assert _same_bits(_outcome(got, i), _reference(_member(prog, i)))
+            outcomes.update(LpStatus(int(code)) for code in got.status)
+    assert outcomes == set(LpStatus)
 
 
 def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
@@ -509,10 +523,10 @@ def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
     assert np.flatnonzero(~whole[0][2]).tolist() == tied
     runs = _counted_runs(monkeypatch)
     for stages_per_batch in (3, 1):
-        # the victim LP's tableau: K + 1 = 4 rows over n = 4 columns and a
+        # the victim LP's tableau: K = 3 rows over n = 4 columns and a
         # slack per row; the attacker LP's, of n + 1 = 5 rows over
-        # m + K + 1 = 9 columns, is twice as large and runs alone
-        size = (4 + 1) * (4 + 4 + 1)
+        # m + K + 1 = 9 columns, is nearly three times as large and runs alone
+        size = (3 + 1) * (4 + 3 + 1)
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", stages_per_batch * size)
         runs.clear()
         victim, br = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
@@ -545,3 +559,76 @@ def test_price_out_keeps_signed_zeros_bitwise():
             lp_reference.price_out(t, bas, c)
         lp._price_out(T, basis, c_full)
         assert T.tobytes() == want.tobytes()
+
+
+def test_batch_record_fields_match_lone_solves(monkeypatch):
+    # the arrays of a batch record hold, member by member, what a lone
+    # solve gives: its status value, and on OPTIMAL its v, value and
+    # uniqueness flag bit for bit; an unbounded or stalled member (a lone
+    # solve raises at the pivot limit) has NaN v and value and no flag
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 3)
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(60):
+        size = int(rng.integers(1, 9))
+        prog = _mixed_batch(rng, size)
+        got = solve_lp(prog)
+        q = prog.objective.shape[1]
+        assert isinstance(got, lp.LpBatch)
+        assert got.status.dtype == np.int8 and got.unique.dtype == bool
+        assert (got.status.shape, got.v.shape, got.value.shape, got.unique.shape) == (
+            (size,), (size, q), (size,), (size,))
+        for i in range(size):
+            try:
+                lone = solve_lp(_member(prog, i))
+            except LpError:
+                lone = LpSolution(LpStatus.STALLED)
+            assert LpStatus(int(got.status[i])) == lone.status
+            seen.add(lone.status)
+            if lone.status == LpStatus.OPTIMAL:
+                assert got.v[i].tobytes() == lone.v.tobytes()
+                assert got.value[i].tobytes() == np.float64(lone.value).tobytes()
+                assert got.unique[i] == lone.unique
+            else:
+                assert np.isnan(got.v[i]).all() and np.isnan(got.value[i])
+                assert not got.unique[i]
+    assert seen == set(LpStatus)
+
+
+# Chvatal's cycling example (Linear Programming, 1983, ch. 3): with the
+# largest reduced cost entering and the lowest basis index leaving, the
+# simplex pivots through six degenerate bases back to the first.  Its
+# optimum is 1 at v = (1, 0, 1, 0).
+CYCLING = simplex_max([10.0, -57.0, -9.0, -24.0],
+                      a_ub=[[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]],
+                      b_ub=[0.0, 0.0, 1.0])
+
+
+def test_dantzig_pricing_alone_cycles_on_the_degenerate_program(monkeypatch):
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 300)
+    monkeypatch.setattr(lp, "_BLAND_AFTER", 300)
+    with pytest.raises(LpError, match="pivot limit"):
+        solve_lp(CYCLING)
+
+
+@pytest.mark.parametrize("switch", (0, 1, None), ids=("bland-from-0", "bland-from-1", "default"))
+def test_bland_fallback_ends_the_cycle(monkeypatch, switch):
+    # Bland's rule from step 0, from step 1 and from the default step: the
+    # optimum, the scalar reference's bits, and those of the program solved
+    # in a batch whose other members finish first
+    if switch is not None:
+        monkeypatch.setattr(lp, "_BLAND_AFTER", switch)
+    sol = solve_lp(CYCLING)
+    assert sol.status == LpStatus.OPTIMAL and sol.value == 1.0
+    assert sol.v.tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert _same_bits(sol, _reference(CYCLING))
+    easy = dataclasses.replace(CYCLING, objective=np.array([1.0, 0.0, 0.0, 0.0]))
+    batch = LinearProgram(*(np.stack([getattr(p, f) for p in (easy, CYCLING, easy, CYCLING)])
+                            for f in ("objective", "a_ub", "b_ub")))
+    got = solve_lp(batch)
+    for i in (1, 3):
+        assert _same_bits(_outcome(got, i), sol)
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    highs = scipy_optimize.linprog(-CYCLING.objective, A_ub=CYCLING.a_ub, b_ub=CYCLING.b_ub,
+                                   method="highs")
+    assert highs.status == 0 and sol.value == pytest.approx(-highs.fun, abs=1e-12)

@@ -239,9 +239,10 @@ def test_belief_membership_keeps_the_first_failure(monkeypatch, fail_at, outside
 
     def failing(prog):
         out = real(prog)
-        assert len(out) == 6  # one call on all H * S stages
-        out[fail_at] = lp.LpError("pivot limit exceeded; simplex did not converge")
-        return out
+        assert out.status.shape == (6,)  # one call on all H * S stages
+        status, value = out.status.copy(), out.value.copy()
+        status[fail_at], value[fail_at] = lp.LpStatus.STALLED.value, np.nan
+        return out._replace(status=status, value=value)
 
     monkeypatch.setattr(oracle, "solve_lp", failing)
     for elements in (lp.BATCH_ELEMENTS, 1):

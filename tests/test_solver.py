@@ -345,20 +345,6 @@ def test_former_stage_solve_fault_games_match_highs(seed):
             assert abs(report.v.values[1, h, s] - v2) <= tol
 
 
-def _scalar_engine(prog):
-    """solve_lp with every batch member solved alone by the scalar engine."""
-    import lp_reference
-
-    out = []
-    for i in range(prog.objective.shape[0]):
-        member = mg.lp.LinearProgram(prog.objective[i], prog.a_ub[i], prog.b_ub[i])
-        try:
-            out.append(lp_reference.solve_lp(member))
-        except mg.lp.LpError as err:
-            out.append(err)
-    return out
-
-
 def _duplicate_victim_action(g):
     """g with victim action 1 a copy of action 0 in the victim's rewards
     and the transitions: wherever the two are in the victim's maximin
@@ -375,12 +361,14 @@ def test_k_layer_is_bitwise_the_per_state_solves(monkeypatch):
     # batch on the others; the reference solves every (h, s) alone, through
     # the scalar engine, on the report's own Q.  The game with a duplicated
     # victim action mixes both kinds of stage in its layers
+    import lp_reference
+
     g = random_game(np.random.default_rng(30), 4, 6, 4, 5)
     fallback = []
     for game in (g, _duplicate_victim_action(g)):
         belief = random_belief(np.random.default_rng(31), game, 3)
         report = mg.markov_attacker_best_response(game, belief)
-        monkeypatch.setattr(stage, "solve_lp", _scalar_engine)
+        monkeypatch.setattr(stage, "solve_lp", lp_reference.solve_batch)
         q1, q2 = report.q.values
         for h, s in np.ndindex(game.horizon, game.num_states):
             cols = (q1[h, s] @ belief.mixes[h, s])[None]
@@ -461,11 +449,12 @@ def test_k_64_layer_solves_and_matches_highs():
 
 
 # ROADMAP open item 2's stress rows: (H, S, n, m, reward scale) and K.
-STRESS_ROWS = (((3, 5, 4, 4, 1e-6), 4), ((3, 5, 6, 6, 1e3), 8), ((3, 5, 4, 4, 1e4), 4),
-               ((3, 5, 4, 4, 1e6), 4))
+STRESS_ROWS = (((3, 5, 4, 4, 1e-12), 4), ((3, 5, 4, 4, 1e-6), 4), ((3, 5, 6, 6, 1e3), 8),
+               ((3, 5, 4, 4, 1e4), 4), ((3, 5, 4, 4, 1e6), 4), ((3, 5, 4, 4, 1e12), 4))
 
 
-@pytest.mark.parametrize("dims, k", STRESS_ROWS, ids=("1e-6", "1e3", "1e4", "1e6"))
+@pytest.mark.parametrize("dims, k", STRESS_ROWS,
+                         ids=("1e-12", "1e-6", "1e3", "1e4", "1e6", "1e12"))
 def test_stress_rows_raise_nothing(dims, k):
     # seeds 0-39 against the K-policy random belief and the secure belief
     for seed in range(40):
@@ -473,6 +462,25 @@ def test_stress_rows_raise_nothing(dims, k):
             g, belief = _stress_game(dims, seed, belief_k)
             report = mg.markov_attacker_best_response(g, belief)
             assert np.isfinite(report.v.values).all()
+
+
+def test_values_scale_with_the_rewards_at_every_scale():
+    # ROADMAP open item 2's covariance sweep: rewards scaled by 1e-12 to
+    # 1e12 give the scale-1 values times the scale, to a relative error of
+    # at most 1e-12 of the largest |V|, against a K = 4 belief and the
+    # secure belief (each stage's LPs solve its payoffs mapped onto [0, 1])
+    worst = 0.0
+    for seed in range(40):
+        g = random_game(np.random.default_rng(seed), 3, 5, 4, 4)
+        for belief in (random_belief(np.random.default_rng(seed + 1000), g, 4),
+                       mg.secure_belief(g)):
+            base = mg.markov_attacker_best_response(g, belief).v.values
+            for scale in (1e-12, 1e-10, 1e-8, 1e-6, 1e6, 1e12):
+                scaled = mg.MarkovGame(g.horizon, g.num_states, g.n, g.m, g.mu,
+                                       scale * g.rewards, g.transitions)
+                values = mg.markov_attacker_best_response(scaled, belief).v.values
+                worst = max(worst, np.abs(values / scale - base).max() / np.abs(base).max())
+    assert worst <= 1e-12
 
 
 def test_values_are_covariant_under_affine_rewards():

@@ -350,15 +350,16 @@ def _tied_victim_rows(cols, stages):
 def _injected_failures(monkeypatch, victim_vars, victim_at, attacker_at):
     """Make the engine fail the members victim_at of every victim LP batch
     (the programs with victim_vars variables) and attacker_at of every
-    attacker LP batch, each with the pivot-limit LpError."""
+    attacker LP batch, each with the pivot limit: their status is STALLED."""
     real = stage.solve_lp
 
     def solve(prog):
         out = real(prog)
+        status = out.status.copy()
         for p in (victim_at if prog.objective.shape[1] == victim_vars else attacker_at):
-            if p < len(out):
-                out[p] = stage.LpError("pivot limit exceeded; simplex did not converge")
-        return out
+            if p < status.size:
+                status[p] = stage.LpStatus.STALLED.value
+        return out._replace(status=status)
 
     monkeypatch.setattr(stage, "solve_lp", solve)
 
@@ -399,8 +400,8 @@ def test_mixed_layer_failure_names_the_stage_in_the_layer(monkeypatch):
     # a z* the victim cannot reach fails the fallback stage by its index
     # in the layer, with the StageSolveError of the attacker LP
     monkeypatch.undo()
-    x, z, unique = victim_br_lp(cols)
-    monkeypatch.setattr(stage, "victim_br_lp", lambda c: (x, z + 1.0, unique))
+    real = stage.attacker_br_lp
+    monkeypatch.setattr(stage, "attacker_br_lp", lambda z, c, bb: real(z + 1.0, c, bb))
     with pytest.raises(StageSolveError, match="^stage 1: attacker best-response LP returned "
                                               "LpStatus.UNBOUNDED"):
         stage._lp_chain(cols, b)
