@@ -3,10 +3,11 @@
 A `LinearProgram` is given in canonical form: maximize c'v subject to
 A v <= b and v >= 0, with b >= 0.  Its arrays may carry one leading batch
 axis: B programs of one shape, solved together.  Since b >= 0, v = 0 is
-feasible and the engine is a one-phase tableau simplex from a feasible
-basis.  Each row gets one slack variable and starts on its lowest-index +1
-unit column (its slack, or a structural column that is a +1 unit vector).
-A caller with a free variable writes it as a column and its negation (see
+feasible and the engine is a one-phase tableau simplex from the slack
+basis: each row gets one slack variable, basic at b (Chvatal, Linear
+Programming, 1983), so every basic cost is zero and the starting cost row
+is [c | 0 | 0] as written, with no pricing out.  A caller with a free
+variable writes it as a column and its negation (see
 `mgincept.stage.attacker_br_lp`); the stage LPs of `mgincept.stage` are
 written at a best pure strategy to take this form.
 
@@ -38,11 +39,10 @@ Why a member's results do not depend on its batch: every tableau entry is
 computed by the same floating-point operations, in the same order, as in a
 program solved alone.  A pivot does one division per pivot-row entry and
 one product and difference per entry, and no column feeds into another.
-The cost row is priced out row by row, skipping the members whose basic
-cost is zero, as a lone program skips them: an update by 0 * row would
-turn a -0.0 into +0.0.  Ratios are kept only where the column entry is
-eligible, a solution's value is the same sum of objective * v over its
-own contiguous row, and its uniqueness flag reads its own cost row.  Each
+The starting cost row is each member's own [c | 0 | 0], signed zeros
+included.  Ratios are kept only where the column entry is eligible, a
+solution's value is the same sum of objective * v over its own
+contiguous row, and its uniqueness flag reads its own cost row.  Each
 member's outcome is its own: a member that hits the pivot limit is
 reported STALLED in the batch, and solving one unbatched program raises
 its `LpError`.
@@ -152,19 +152,19 @@ class LpBatch(NamedTuple):
                           unique=bool(self.unique[k]))
 
 
-def _start(a: np.ndarray, b: np.ndarray):
+def _start(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The (B, rows + 1, q + rows + 1) tableau stack [A | I | b] of
-    A v + s = b (cost row last, still zero) and its feasible starting
-    basis: each row starts on its lowest-index +1 unit column (its slack,
-    or a structural column that is a +1 unit vector), basic at b >= 0."""
+    A v + s = b over the cost row [c | 0 | 0], and its slack basis, feasible
+    at v = 0 since b >= 0.  With every basic cost zero, the cost row holds
+    the reduced costs as it is."""
     B, rows, q = a.shape
     T = np.zeros((B, rows + 1, q + rows + 1))
     T[:, :rows, :q] = a
     k = np.arange(rows)
     T[:, k, q + k] = 1.0  # one slack per row
     T[:, :rows, -1] = b
-    unit = (a == 1.0) & (np.count_nonzero(a, axis=1) == 1)[:, None, :]
-    return T, np.where(unit.any(axis=2), unit.argmax(axis=2), q + k)
+    T[:, -1, :q] = c
+    return T, np.tile(q + k, (B, 1))
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray,
@@ -228,18 +228,6 @@ def _run(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return outcome
 
 
-def _price_out(T: np.ndarray, basis: np.ndarray, c_full: np.ndarray) -> None:
-    """Set each member's cost row to the reduced costs of its row of c_full;
-    the bottom-right entry becomes -objective.  Only the rows where some
-    member's basic cost is nonzero are visited."""
-    T[:, -1, :-1] = c_full
-    T[:, -1, -1] = 0.0
-    cb = c_full[np.arange(basis.shape[0])[:, None], basis]
-    for r in (cb != 0.0).any(axis=0).nonzero()[0]:
-        on = (cb[:, r] != 0.0).nonzero()[0]
-        T[on, -1] -= cb[on, r, None] * T[on, r]
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution | LpBatch:
     """Solve a linear program, or a batch of them in lockstep, deterministically.
 
@@ -262,9 +250,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution | LpBatch:
     x = np.zeros((count, q + rows))
     unique = np.empty(count, dtype=bool)
     for i in range(0, count, step):
-        T, basis = _start(a[i:i + step], b[i:i + step])
+        T, basis = _start(c[i:i + step], a[i:i + step], b[i:i + step])
         B = T.shape[0]
-        _price_out(T, basis, np.concatenate([c[i:i + step], np.zeros((B, rows))], axis=1))
         status[i:i + B] = _run(T, basis)
         members = np.arange(B)[:, None]
         x[i + members, basis] = T[:, :-1, -1]

@@ -127,13 +127,13 @@ class MarkovPolicy:
         entries = _frozen(self.entries)
         if entries.ndim != 3:
             raise ValueError(f"policy entries must be (H, S, k), got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
+        if not np.isfinite(entries).all():
             raise ValueError("policy entries must be finite")
-        if np.any(entries < 0):
+        if (entries < 0).any():
             h, s, a = np.unravel_index(int(np.argmin(entries)), entries.shape)
             raise ValueError(f"negative action probability at (h={h}, s={s}, a={a})")
         sums = entries.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > PROB_TOL):
+        if (np.abs(sums - 1.0) > PROB_TOL).any():
             h, s = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
             raise ValueError(
                 f"policy row at (h={h}, s={s}) sums to {sums[h, s]!r}, expected 1"
@@ -169,17 +169,18 @@ class MarkovPolicy:
 
     @staticmethod
     def deterministic(player: int, actions, num_actions: int) -> "MarkovPolicy":
-        """Build a deterministic policy from an (H, S) array of action indices."""
-        actions = np.asarray(actions, dtype=int)
+        """Build a deterministic policy from an (H, S) array of action
+        indices: integers, or floats of integral value; booleans and
+        fractions are rejected rather than cast."""
+        actions = np.asarray(actions)
         if actions.ndim != 2:
             raise ValueError("actions must be an (H, S) integer array")
-        if np.any(actions < 0) or np.any(actions >= num_actions):
+        if actions.dtype.kind not in "iuf" or (
+                actions.dtype.kind == "f" and (actions != np.trunc(actions)).any()):
+            raise ValueError("action indices must be integers, not booleans or fractions")
+        if (actions < 0).any() or (actions >= num_actions).any():
             raise ValueError("action index out of range")
-        H, S = actions.shape
-        entries = np.zeros((H, S, num_actions))
-        hh, ss = np.meshgrid(np.arange(H), np.arange(S), indexing="ij")
-        entries[hh, ss, actions] = 1.0
-        return MarkovPolicy(player, entries)
+        return MarkovPolicy(player, (actions[..., None] == np.arange(num_actions)).astype(float))
 
 
 @dataclass(frozen=True)

@@ -201,12 +201,13 @@ def brute_force_inception(g: MarkovGame) -> tuple:
 
     One backward pass over the layers shares work across suffixes.  The
     batch entering layer h holds the values (V1, V2)[h+1] of every fake
-    suffix for layers h+1..H-1; each suffix's stage payoffs come from
-    `solver.q_from_v`, and all (suffix, s, j) cells are solved in one
-    `stage.singleton_stage_solves` call on the columns of Q1, as in
-    `markov_attacker_best_response`.  The m^S choices at layer h then
-    expand the batch to index choice * B + suffix (state 0 most
-    significant), which is the enumeration order.
+    suffix for layers h+1..H-1; one `solver.q_from_v` call per player
+    gives every suffix's stage payoffs from the stacked values, and all
+    (suffix, s, j) cells are solved in one `stage.singleton_stage_solves`
+    call on the columns of Q1, as in `markov_attacker_best_response`.
+    The m^S choices at layer h then expand the batch to index
+    choice * B + suffix (state 0 most significant), which is the
+    enumeration order.
     Every value is bit-identical to `exploit_fixed_fake` on that policy.
 
     Returns (policy, value).
@@ -222,8 +223,8 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     for h in range(H - 1, -1, -1):
         B = v1.shape[0]
         # stage b * S + s: state s after suffix b; cell j: fake action j there
-        q1 = np.concatenate([q_from_v(g, 1, h, v) for v in v1])
-        q2 = np.concatenate([q_from_v(g, 2, h, v) for v in v2])
+        q1 = q_from_v(g, 1, h, v1).reshape(B * S, g.n, m)
+        q2 = q_from_v(g, 2, h, v2).reshape(B * S, g.n, m)
         cells = singleton_stage_solves(q1, q2)
         pick = (np.arange(B)[:, None], np.arange(S), choices[:, None, :])  # (C, B, S)
         v1 = cells.z.reshape(B, S, m)[pick].reshape(-1, S)

@@ -58,19 +58,22 @@ class BRSolveReport:
 
 
 def q_from_v(g: MarkovGame, player: int, h: int, v_next) -> np.ndarray:
-    """Stage payoffs at step h from the next layer's values, shape (S, n, m).
+    """Stage payoffs at step h from next-layer values, shape (..., S, n, m)
+    for v_next of shape (..., S).
 
-    Raises ValueError when they overflow, so the stage solves downstream can
-    trust them to be finite.
+    A stack of value vectors gives the stack of their payoffs from one
+    broadcast matmul, each bit-identical to the payoffs of its vector
+    alone.  Raises ValueError when they overflow, so the stage solves
+    downstream can trust them to be finite.
     """
     i = _player_index(player)
     v_next = np.asarray(v_next, dtype=float)
-    if v_next.shape != (g.num_states,):
-        raise ValueError(f"v_next has shape {v_next.shape}, expected ({g.num_states},)")
+    if v_next.shape[-1:] != (g.num_states,):
+        raise ValueError(f"v_next has shape {v_next.shape}, expected (..., {g.num_states})")
     if not (0 <= h < g.horizon):
         raise ValueError(f"step {h} out of range for horizon {g.horizon}")
-    q = g.rewards[i, h] + g.transitions[h] @ v_next
-    if not np.all(np.isfinite(q)):
+    q = g.rewards[i, h] + (g.transitions[h] @ v_next[..., None, None, :, None])[..., 0]
+    if not np.isfinite(q).all():
         raise ValueError(f"player-{player} stage payoffs at step {h} overflow")
     return q
 

@@ -2,8 +2,9 @@
 
 One program, one tableau, one pivot at a time: the reference the batched
 engine must match bit for bit (tests/test_lp.py).  It takes the engine's
-pricing: the largest reduced cost enters (Dantzig) for the first
-`_BLAND_AFTER` pivots, the lowest improving index (Bland) after them.
+start, the slack basis under the cost row [c | 0 | 0], and its pricing:
+the largest reduced cost enters (Dantzig) for the first `_BLAND_AFTER`
+pivots, the lowest improving index (Bland) after them.
 Takes an unbatched `LinearProgram`; `LpError`, the tolerances, the pivot
 limit and the switch step come from the package.
 """
@@ -23,11 +24,11 @@ def pivot(T, basis, row, col):
     basis[row] = col
 
 
-def run(T, basis, allowed):
-    """Pivot to optimality over columns < allowed: 'optimal' or 'unbounded'."""
+def run(T, basis):
+    """Pivot to optimality: 'optimal' or 'unbounded'."""
     rows = T.shape[0] - 1
     for step in range(engine.MAX_PIVOTS):  # read at call time, as the engine does
-        cost = T[-1, :allowed]
+        cost = T[-1, :-1]
         if step < engine._BLAND_AFTER:
             entering = int(cost.argmax())
         else:
@@ -46,34 +47,22 @@ def run(T, basis, allowed):
     raise LpError("pivot limit exceeded; simplex did not converge")
 
 
-def price_out(T, basis, c_full):
-    rows = T.shape[0] - 1
-    T[-1, :-1] = c_full
-    T[-1, -1] = 0.0
-    for r in range(rows):
-        cb = c_full[basis[r]]
-        if cb != 0.0:
-            T[-1] -= cb * T[r]
-
-
-def start(A, b):
-    """Returns (T, basis): T is [A | I | b] over a zero cost row, and each
-    row starts on its lowest-index +1 unit column."""
+def start(c, A, b):
+    """Returns (T, basis): T is [A | I | b] over the cost row [c | 0 | 0],
+    and every row starts on its slack."""
     rows, q = A.shape
     T = np.zeros((rows + 1, q + rows + 1))
     T[:rows, :q] = A
     T[:rows, q:-1] = np.eye(rows)
     T[:rows, -1] = b
-    full = T[:rows, :-1]
-    unit = (full == 1.0) & (np.count_nonzero(full, axis=0) == 1)
-    return T, unit.argmax(axis=1)
+    T[-1, :q] = c
+    return T, q + np.arange(rows)
 
 
 def solve_lp(lp):
     rows, q = lp.a_ub.shape
-    T, basis = start(lp.a_ub, lp.b_ub)
-    price_out(T, basis, np.append(lp.objective, np.zeros(rows)))
-    if run(T, basis, q + rows) == "unbounded":
+    T, basis = start(lp.objective, lp.a_ub, lp.b_ub)
+    if run(T, basis) == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
     x = np.zeros(q + rows)
     x[basis] = T[:-1, -1]

@@ -226,8 +226,8 @@ def test_uniqueness_flag_reads_the_final_cost_row():
 
 
 def _elementwise_standard_form(prog):
-    """Reference for _start: the tableau [A | I | b] over a zero cost row,
-    built one entry at a time, and each row's lowest-index +1 unit column."""
+    """Reference for _start: the tableau [A | I | b] over the cost row
+    [c | 0 | 0], built one entry at a time, and the slack basis."""
     r, n = prog.a_ub.shape
     T = np.zeros((r + 1, n + r + 1))
     for k in range(r):
@@ -235,24 +235,29 @@ def _elementwise_standard_form(prog):
             T[k, j] = prog.a_ub[k, j]
         T[k, n + k] = 1.0
         T[k, -1] = prog.b_ub[k]
-    basis = [min(j for j in range(n + r) if T[k, j] == 1.0
-                 and all(T[i, j] == 0.0 for i in range(r) if i != k)) for k in range(r)]
-    return T, np.array(basis, dtype=int)
+    for j in range(n):
+        T[r, j] = prog.objective[j]
+    return T, np.arange(n, n + r)
 
 
 def test_standard_form_is_bit_identical_to_elementwise_reference():
     rng = np.random.default_rng(11)
+    negative_zeros = 0
     for _ in range(50):
         n, r = int(rng.integers(1, 5)), int(rng.integers(0, 4))
-        # rounded entries put exact zeros (and so signed zeros) and +1
-        # unit columns in the tableau
+        # rounded entries put exact zeros (and so signed zeros, in the
+        # cost row too) and +1 unit columns in the tableau
         prog = simplex_max(rng.uniform(-1, 1, n).round(),
                            a_ub=rng.uniform(-1, 1, (r, n)).round(rng.integers(0, 2)),
                            b_ub=rng.uniform(0, 1, r))
-        T, basis = _start(prog.a_ub[None], prog.b_ub[None])  # a batch of one
+        T, basis = _start(prog.objective[None], prog.a_ub[None], prog.b_ub[None])  # a batch of one
         want_T, want_basis = _elementwise_standard_form(prog)
         assert T.shape == (1, *want_T.shape) and T.tobytes() == want_T.tobytes()
         assert basis.tolist() == [want_basis.tolist()]
+        negative_zeros += np.signbit(T[0, -1, :n][prog.objective == 0.0]).sum()
+    assert negative_zeros > 0
+
+
 def test_deterministic_repeat_solves():
     rng = np.random.default_rng(5)
     prog = _bounded_random_program(rng, 3, 4)
@@ -318,13 +323,13 @@ def _first_basis(monkeypatch, prog):
     return starts[0], sol
 
 
-def test_structural_unit_columns_start_the_basis(monkeypatch):
-    # x0's column is e_0 and x2's is e_1, so x0 starts row 0 (before the
-    # slack, column 3) and x2 starts row 1 (before the slack, column 4)
+def test_structural_unit_columns_do_not_start_their_rows(monkeypatch):
+    # x0's column is e_0 and x2's is e_1, yet every row starts on its slack
+    # (columns 3 and 4), under the cost row [c | 0 | 0] as written
     prog = simplex_max([1.0, 1.0, 0.0], a_ub=[[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]],
                        b_ub=[2.0, 1.0])
     start, sol = _first_basis(monkeypatch, prog)
-    assert start.tolist() == [0, 2]
+    assert start.tolist() == [3, 4]
     assert sol.status == LpStatus.OPTIMAL
     assert sol.value == pytest.approx(_vertex_oracle_value(prog), abs=1e-12)
     assert np.allclose(sol.v, [3.0, 1.0, 0.0])
@@ -375,7 +380,7 @@ def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     assert runs == [1, 1, 1]  # one run of one member each
     for prog in programs:
         assert np.all(prog.b_ub >= 0.0)
-        T = _start(prog.a_ub, prog.b_ub)[0]
+        T = _start(prog.objective, prog.a_ub, prog.b_ub)[0]
         assert np.array_equal(T[:, :-1, -1], prog.b_ub)
 
 
@@ -414,15 +419,11 @@ def _outcome(batch, i):
         return err
 
 
-def _start_basis(prog):
-    return tuple(lp_reference.start(prog.a_ub, prog.b_ub)[1])
-
-
 def _mixed_batch(rng, size):
     """`size` programs of one random shape: rounded entries (exact zeros and
     ties), right-hand sides >= 0 (some zero), free variables split into
     two columns, and a structural +1 unit column in some members, which
-    starts its row in place of the slack."""
+    does not start its row: every row starts on its slack."""
     n, r = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     free = np.flatnonzero(rng.uniform(size=n) < 0.3)
     digits = int(rng.integers(0, 3))
@@ -436,7 +437,7 @@ def _mixed_batch(rng, size):
 
 def test_batches_are_bitwise_the_scalar_engine():
     rng = np.random.default_rng(17)
-    statuses, flags, mixed_starts = set(), set(), 0
+    statuses, flags = set(), set()
     for _ in range(150):
         size = int(rng.integers(1, 12))
         prog = _mixed_batch(rng, size)
@@ -447,10 +448,7 @@ def test_batches_are_bitwise_the_scalar_engine():
             assert _same_bits(_outcome(got, i), want)
             statuses.add(want.status)
             flags.add(want.unique)
-        starts = {_start_basis(_member(prog, i)) for i in range(size)}
-        mixed_starts += len(starts) > 1
     assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED} and flags == {True, False}
-    assert mixed_starts >= 20
 
 
 def test_unbatched_solve_is_a_batch_of_one():
@@ -542,23 +540,6 @@ def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
         with pytest.raises(stage.StageSolveError, match="^stage 3: attacker best-response LP "
                                                         "returned LpStatus.UNBOUNDED"):
             stage.attacker_br_lp(high, cols, b)
-
-
-def test_price_out_keeps_signed_zeros_bitwise():
-    # costs and tableau rows full of +-0.0: members whose basic cost is zero
-    # are skipped, never updated by 0 * row (which turns -0.0 into +0.0)
-    rng = np.random.default_rng(21)
-    for _ in range(40):
-        B, rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(6, 9))
-        signs = rng.choice([-1.0, 1.0], (B, rows + 1, cols))
-        T = signs * rng.choice([0.0, 0.0, 0.5, 1.25], (B, rows + 1, cols))
-        c_full = rng.choice([-1.0, 1.0], (B, cols - 1)) * rng.choice([0.0, 0.0, 2.0], (B, cols - 1))
-        basis = np.stack([rng.permutation(cols - 1)[:rows] for _ in range(B)])
-        want = T.copy()
-        for t, bas, c in zip(want, basis, c_full):
-            lp_reference.price_out(t, bas, c)
-        lp._price_out(T, basis, c_full)
-        assert T.tobytes() == want.tobytes()
 
 
 def test_batch_record_fields_match_lone_solves(monkeypatch):

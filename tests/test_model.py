@@ -82,6 +82,36 @@ def test_determinism_is_worked_out_once_per_policy():
     assert vars(mixed)["is_deterministic"] is False
 
 
+def _scattered(actions, k):
+    """A deterministic policy's entries written by a meshgrid scatter."""
+    H, S = actions.shape
+    entries = np.zeros((H, S, k))
+    hh, ss = np.meshgrid(np.arange(H), np.arange(S), indexing="ij")
+    entries[hh, ss, actions] = 1.0
+    return entries
+
+
+def test_deterministic_entries_equal_the_scatter_construction_bitwise():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        H, S, k = (int(x) for x in rng.integers(1, 6, 3))
+        actions = rng.integers(0, k, (H, S))
+        for given in (actions, actions.astype(float), actions.tolist()):
+            pol = mg.MarkovPolicy.deterministic(2, given, k)
+            assert pol.entries.tobytes() == _scattered(actions, k).tobytes()
+
+
+def test_deterministic_rejects_fractional_and_boolean_indices():
+    # neither is truncated or cast to an action: [[1.7, 0.2]] used to give
+    # actions [[1, 0]], and booleans actions 1 and 0
+    for actions in ([[1.7, 0.2]], [[1.0, 0.5]], [[np.nan, 0.0]], [[True, False]],
+                    np.zeros((2, 2), dtype=bool), [["1", "0"]]):
+        with pytest.raises(ValueError, match="integers"):
+            mg.MarkovPolicy.deterministic(2, actions, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        mg.MarkovPolicy.deterministic(2, [[np.inf, 0.0]], 2)
+
+
 def test_evaluate_decoy_game_pure_profiles(decoy_game):
     down = pure_stage_policy(1, 1, 2)
     left = pure_stage_policy(2, 0, 2)

@@ -42,10 +42,28 @@ def test_q_matches_dense_recomputation():
                 assert abs(q[s, a1, a2] - direct) <= 1e-12
 
 
+@pytest.mark.parametrize("size", ((3, 4, 3, 2), (2, 6, 5, 4)), ids=("3x2", "5x4"))
+@pytest.mark.parametrize("stack", ((1,), (7,), (2, 3)), ids=("B=1", "B=7", "2x3"))
+def test_stacked_q_equals_the_per_vector_calls_bitwise(size, stack):
+    # one broadcast matmul over a stack of value vectors gives, slice by
+    # slice, the bytes of each vector's own call and of r + P @ v
+    g = random_game(np.random.default_rng(6), *size)
+    v_next = np.random.default_rng(7).uniform(-3.0, 3.0, (*stack, g.num_states))
+    for player, h in itertools.product((1, 2), range(g.horizon)):
+        q = q_from_v(g, player, h, v_next)
+        assert q.shape == (*stack, g.num_states, g.n, g.m)
+        for idx in np.ndindex(*stack):
+            alone = q_from_v(g, player, h, v_next[idx])
+            assert q[idx].tobytes() == alone.tobytes()
+            matvec = g.rewards[player - 1, h] + g.transitions[h] @ v_next[idx]
+            assert alone.tobytes() == matvec.tobytes()
+
+
 def test_q_rejects_bad_inputs():
     g = chain_game(seed=5)
-    with pytest.raises(ValueError):
-        q_from_v(g, 1, 0, np.zeros(3))
+    for wrong in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 1)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="v_next has shape"):
+            q_from_v(g, 1, 0, wrong)
     with pytest.raises(ValueError):
         q_from_v(g, 1, 5, np.zeros(2))
     with pytest.raises(ValueError):
@@ -450,11 +468,13 @@ def test_k_64_layer_solves_and_matches_highs():
 
 # ROADMAP open item 2's stress rows: (H, S, n, m, reward scale) and K.
 STRESS_ROWS = (((3, 5, 4, 4, 1e-12), 4), ((3, 5, 4, 4, 1e-6), 4), ((3, 5, 6, 6, 1e3), 8),
-               ((3, 5, 4, 4, 1e4), 4), ((3, 5, 4, 4, 1e6), 4), ((3, 5, 4, 4, 1e12), 4))
+               ((3, 5, 4, 4, 1e4), 4), ((3, 5, 4, 4, 1e6), 4), ((3, 5, 4, 4, 1e12), 4),
+               ((3, 5, 8, 8, 1e-12), 16), ((3, 5, 8, 8, 1.0), 16), ((3, 5, 8, 8, 1e12), 16))
 
 
 @pytest.mark.parametrize("dims, k", STRESS_ROWS,
-                         ids=("1e-12", "1e-6", "1e3", "1e4", "1e6", "1e12"))
+                         ids=("1e-12", "1e-6", "1e3", "1e4", "1e6", "1e12",
+                              "8x8-1e-12", "8x8-1", "8x8-1e12"))
 def test_stress_rows_raise_nothing(dims, k):
     # seeds 0-39 against the K-policy random belief and the secure belief
     for seed in range(40):
