@@ -16,7 +16,7 @@ from .model import (
     validate_game,
 )
 from .lp import LinearProgram, LpBatch, LpSolution, LpStatus, solve_lp
-from .stage import StageBR, StageSolveError, nf_attacker_best_response
+from .stage import StageBR, StageSolveError
 from .solver import (
     BRSolveReport,
     QMatrices,
@@ -47,7 +47,7 @@ __all__ = [
     "BeliefSet", "InvalidGameError", "MarkovGame", "MarkovPolicy",
     "ValidationReport", "ValueTables", "evaluate_policy", "validate_game",
     "LinearProgram", "LpBatch", "LpSolution", "LpStatus", "solve_lp",
-    "StageBR", "StageSolveError", "nf_attacker_best_response", "victim_br_vertices",
+    "StageBR", "StageSolveError", "victim_br_vertices",
     "BRSolveReport", "QMatrices", "markov_attacker_best_response", "q_from_v",
     "secure_belief",
     "InceptionConfig", "InceptionResult", "check_iota_dominance",

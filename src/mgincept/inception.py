@@ -3,10 +3,10 @@
 The attacker spreads a fake reward function whose dominant strategy pins the
 victim's belief to a single fake policy.  The engine picks the fake policy
 by backward induction: at each step, every (state, candidate fake action)
-cell is one stage game against a singleton belief, and the whole layer is
-solved by one `stage.singleton_stage_solves` call on the columns of Q1; each
-state keeps the candidate with the highest attacker value (lowest action
-index on ties).
+cell is one stage game against a singleton belief, one `solver.q_from_v`
+call gives both players' stage payoffs, and the whole layer is solved by one
+`stage.singleton_stage_solves` call on the columns of Q1; each state keeps
+the candidate with the highest attacker value (lowest action index on ties).
 
 Against a pure fake action j the rational victim replies with the argmax
 row i* of Q1[:, j], so the candidate's value is max_k Q2[i*, k], with no LP;
@@ -70,9 +70,7 @@ def policy_inception(g: MarkovGame) -> InceptionResult:
     actions = np.zeros((H, S), dtype=int)
     states = np.arange(S)
     for h in range(H - 1, -1, -1):
-        q1 = q_from_v(g, 1, h, values[0, h + 1])
-        q2 = q_from_v(g, 2, h, values[1, h + 1])
-        cells = singleton_stage_solves(q1, q2)
+        cells = singleton_stage_solves(*q_from_v(g, h, values[:, h + 1]))
         v1_cand, v2_cand = cells.z, cells.v2  # (S, m): fake action j at state s
         j_star = np.argmax(v2_cand, axis=1)  # lowest index wins ties
         candidates[h] = v2_cand

@@ -32,7 +32,7 @@ from .model import (
     require_valid,
 )
 from .solver import _check_budget, q_from_v
-from .stage import StageSolveError, _as_finite_matrix, singleton_stage_solves
+from .stage import StageSolveError, singleton_stage_solves
 
 ENUM_GUARD = 4096
 GRID_MAX_DIM = 4
@@ -91,6 +91,15 @@ def grid_victim_value(a_prime, spec: GridSpec) -> float:
         raise ValueError(f"grid oracle gated to n <= {GRID_MAX_DIM}, got {n}")
     grid = simplex_grid(n, spec.resolution)
     return float((grid @ a_prime).min(axis=1).max())
+
+
+def _as_finite_matrix(a, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
 
 
 def victim_br_vertices(a_prime, z_star: float) -> list:
@@ -201,8 +210,8 @@ def brute_force_inception(g: MarkovGame) -> tuple:
 
     One backward pass over the layers shares work across suffixes.  The
     batch entering layer h holds the values (V1, V2)[h+1] of every fake
-    suffix for layers h+1..H-1; one `solver.q_from_v` call per player
-    gives every suffix's stage payoffs from the stacked values, and all
+    suffix for layers h+1..H-1; one `solver.q_from_v` call gives both
+    players' stage payoffs of every suffix from the stacked values, and all
     (suffix, s, j) cells are solved in one `stage.singleton_stage_solves`
     call on the columns of Q1, as in `markov_attacker_best_response`.
     The m^S choices at layer h then expand the batch to index
@@ -218,18 +227,14 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     _check_budget(g, 1)  # the size guard of exploiting one fake policy
     # choices[c, s]: the action at state s of the layer's c-th joint choice
     choices = np.indices((m,) * S).reshape(S, -1).T
-    v1 = np.zeros((1, S))  # one row per suffix; the empty suffix at h = H - 1
-    v2 = np.zeros((1, S))
+    v = np.zeros((2, 1, S))  # (V1, V2), one row per suffix; the empty suffix at h = H - 1
     for h in range(H - 1, -1, -1):
-        B = v1.shape[0]
+        B = v.shape[1]
         # stage b * S + s: state s after suffix b; cell j: fake action j there
-        q1 = q_from_v(g, 1, h, v1).reshape(B * S, g.n, m)
-        q2 = q_from_v(g, 2, h, v2).reshape(B * S, g.n, m)
-        cells = singleton_stage_solves(q1, q2)
-        pick = (np.arange(B)[:, None], np.arange(S), choices[:, None, :])  # (C, B, S)
-        v1 = cells.z.reshape(B, S, m)[pick].reshape(-1, S)
-        v2 = cells.v2.reshape(B, S, m)[pick].reshape(-1, S)
-    roots = [float(g.mu @ v) for v in v2]  # one dot per policy, as ValueTables.root
+        cells = singleton_stage_solves(*q_from_v(g, h, v).reshape(2, B * S, g.n, m))
+        pick = (slice(None), np.arange(B)[:, None], np.arange(S), choices[:, None, :])
+        v = np.stack([cells.z, cells.v2]).reshape(2, B, S, m)[pick].reshape(2, -1, S)
+    roots = [float(g.mu @ x) for x in v[1]]  # one dot per policy, as ValueTables.root
     best = int(np.argmax(roots))  # first maximum: lowest-lexicographic policy
     actions = np.reshape(np.unravel_index(best, (m,) * (H * S)), (H, S))
     return MarkovPolicy.deterministic(2, actions, m), roots[best]

@@ -15,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    BeliefSet,
-    MarkovGame,
-    MarkovPolicy,
-    ValueTables,
-    _player_index,
-    require_valid,
-)
+from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, require_valid
 from .lp import LpError
-from .stage import MAX_BELIEF_POLICIES, StageSolveError, _lp_chain, singleton_stage_solves
+from .stage import MAX_BELIEF_POLICIES, StageSolveError, belief_stage_solves
 
 STAGE_BUDGET = 200_000
 
@@ -57,24 +50,25 @@ class BRSolveReport:
     v2_root: float
 
 
-def q_from_v(g: MarkovGame, player: int, h: int, v_next) -> np.ndarray:
-    """Stage payoffs at step h from next-layer values, shape (..., S, n, m)
-    for v_next of shape (..., S).
+def q_from_v(g: MarkovGame, h: int, v_next) -> np.ndarray:
+    """Both players' stage payoffs at step h from next-layer values, shape
+    (2, ..., S, n, m) for v_next of shape (2, ..., S): player i + 1's
+    payoffs from the values v_next[i].
 
     A stack of value vectors gives the stack of their payoffs from one
     broadcast matmul, each bit-identical to the payoffs of its vector
     alone.  Raises ValueError when they overflow, so the stage solves
     downstream can trust them to be finite.
     """
-    i = _player_index(player)
     v_next = np.asarray(v_next, dtype=float)
-    if v_next.shape[-1:] != (g.num_states,):
-        raise ValueError(f"v_next has shape {v_next.shape}, expected (..., {g.num_states})")
+    if v_next.ndim < 2 or v_next.shape[0] != 2 or v_next.shape[-1] != g.num_states:
+        raise ValueError(f"v_next has shape {v_next.shape}, expected (2, ..., {g.num_states})")
     if not (0 <= h < g.horizon):
         raise ValueError(f"step {h} out of range for horizon {g.horizon}")
-    q = g.rewards[i, h] + (g.transitions[h] @ v_next[..., None, None, :, None])[..., 0]
+    rewards = g.rewards[:, h].reshape(2, *(1,) * (v_next.ndim - 2), *g.rewards.shape[2:])
+    q = rewards + (g.transitions[h] @ v_next[..., None, None, :, None])[..., 0]
     if not np.isfinite(q).all():
-        raise ValueError(f"player-{player} stage payoffs at step {h} overflow")
+        raise ValueError(f"stage payoffs at step {h} overflow")
     return q
 
 
@@ -104,18 +98,15 @@ def _check_budget(g: MarkovGame, k: int) -> None:
 def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveReport:
     """Compute an attacker policy that is worst-case optimal against the belief.
 
-    Backward induction over stage games: at each step h build both players'
-    stage payoffs from the next layer's worst-case values and the believed
-    columns Q1[h] @ belief.mixes[h] of every state at once, an (S, n, K)
-    array with one column per base policy.  A singleton belief hands that
-    array as it is to one `stage.singleton_stage_solves` call: closed forms,
-    and a maximin LP over the tied rows only at stages whose best reply row
-    is tied exactly.  A K > 1 belief hands it, with the attacker's stage
-    payoffs, to one `stage._lp_chain` call: the victim LPs of all S stages
-    in one lockstep batch, then the closed-form attacker reply at stages
-    whose victim optimum is unique and one batch of attacker LPs for the
-    others.  A stage-solve failure names the step h and the stage s
-    ("step h, stage s: ...") and which LP broke.
+    Backward induction over stage games: at each step h, one `q_from_v`
+    call builds both players' stage payoffs from the next layer's
+    worst-case values, and one `stage.belief_stage_solves` call solves all
+    S stages from their believed columns Q1[h] @ belief.mixes[h], an
+    (S, n, K) array with one column per base policy: closed forms where
+    they apply, and LPs in lockstep batches elsewhere.  The mixes of the
+    fallback stages, LP vertices, are snapped onto the simplex.  A
+    stage-solve failure names the step h and the stage s ("step h, stage
+    s: ...") and which LP broke.
     """
     require_valid(g)
     if not belief.matches(g):
@@ -129,27 +120,17 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
     qvals = np.zeros((2, H, S, g.n, g.m))
     pi2 = np.zeros((H, S, g.m))
     for h in range(H - 1, -1, -1):
-        qvals[0, h] = q_from_v(g, 1, h, values[0, h + 1])
-        qvals[1, h] = q_from_v(g, 2, h, values[1, h + 1])
-        cols = qvals[0, h] @ belief.mixes[h]  # (S, n, K)
-        if belief.size == 1:
-            cells = singleton_stage_solves(cols, qvals[1, h])
-            values[0, h] = cells.z[:, 0]
-            values[1, h] = cells.v2[:, 0]
-            pi2[h] = np.eye(g.m)[cells.k_star[:, 0]]
-            for s, y in zip(np.flatnonzero(cells.tied), cells.tied_y):
-                pi2[h, s] = clean_mix(y)
-        else:
-            try:
-                chain = _lp_chain(cols, qvals[1, h])
-            except (StageSolveError, LpError) as err:
-                raise type(err)(f"step {h}, {err}") from None
-            values[0, h] = chain.z_star
-            values[1, h] = chain.v2_star
-            pi2[h] = chain.y_star  # exact unit vectors where a closed form applied
-            fallback = np.flatnonzero(chain.fallback)
-            if fallback.size:
-                pi2[h, fallback] = clean_mix(chain.y_star[fallback])
+        qvals[:, h] = q_from_v(g, h, values[:, h + 1])
+        try:
+            br = belief_stage_solves(qvals[0, h] @ belief.mixes[h], qvals[1, h])
+        except (StageSolveError, LpError) as err:
+            raise type(err)(f"step {h}, {err}") from None
+        values[0, h] = br.z_star
+        values[1, h] = br.v2_star
+        pi2[h] = br.y_star  # exact unit vectors where a closed form applied
+        fallback = np.flatnonzero(br.fallback)
+        if fallback.size:
+            pi2[h, fallback] = clean_mix(br.y_star[fallback])
     tables = ValueTables(values)
     v1_root, v2_root = tables.root(g.mu)
     return BRSolveReport(

@@ -1,6 +1,10 @@
 """Stage-game solvers for one normal-form game under a finitely generated belief.
 
-The victim's worst-case best response against K believed attacker mixes is a
+`belief_stage_solves` is the one solve of a backward-induction layer: P
+stages, each with its victim's payoffs against K believed attacker mixes
+(the (P, n, K) believed columns) and its attacker's payoffs.
+
+The victim's worst-case best response against K > 1 believed mixes is a
 small maximin LP over (x, z).  The attacker maximizes its payoff over the
 victim's maximin mixes X*: where that LP's optimum x* is unique (the
 engine's `LpSolution.unique`), X* = {x*} and the attacker's best response is
@@ -43,8 +47,8 @@ class StageSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class StageBR:
-    """Outcome of one stage solve, or of P stage solves with a leading stage
-    axis on every field (from `attacker_br_lp` and `_lp_chain`).
+    """Outcome of the P stage solves of a layer, with a leading stage axis
+    on every field (from `belief_stage_solves`).
 
     y_star is one optimal attacker mix (any optimal vertex; recorded as
     returned by the deterministic solver, or a pure action from a closed
@@ -54,18 +58,9 @@ class StageBR:
     """
 
     y_star: np.ndarray
-    z_star: float | np.ndarray
-    v2_star: float | np.ndarray
-    fallback: bool | np.ndarray
-
-
-def _as_finite_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
+    z_star: np.ndarray
+    v2_star: np.ndarray
+    fallback: np.ndarray
 
 
 def _solve_stages(lp: LinearProgram, lp_name: str, hint: str = "") -> LpBatch:
@@ -85,6 +80,14 @@ def _solve_stages(lp: LinearProgram, lp_name: str, hint: str = "") -> LpBatch:
         failure.stage = p
         raise failure
     return sols
+
+
+def _restaged(err, p: int):
+    """err, raised for a stage of a sub-batch, renamed to stage p of the
+    layer: its message's stage and its `stage`."""
+    failure = type(err)(f"stage {p}:{str(err).partition(':')[2]}")
+    failure.stage = p
+    return failure
 
 
 def _to_unit(a) -> tuple:
@@ -188,14 +191,14 @@ def victim_br_lp(cols) -> tuple:
     return _with_best_pure(sols.v[:, :-1], r0, others), c + span * sols.value, sols.unique
 
 
-def attacker_br_lp(z_star, cols, b) -> StageBR:
+def attacker_br_lp(z_star, cols, b) -> tuple:
     """Solve the attacker's dual best-response LPs of P stages of a K > 1 belief.
 
     cols (P x n x K) and b (P x n x m) are the stages' believed columns and
     attacker payoffs, z_star (P,) the victim's optimal values for the same
     cols; a value above one makes that LP unbounded, which is reported as an
-    internal inconsistency naming the lowest such stage.  Returns a StageBR
-    whose fields have a leading stage axis.  Trusts its inputs to be finite.
+    internal inconsistency naming the lowest such stage.  Returns
+    (y_star (P, m), v2_star (P,)).  Trusts its inputs to be finite.
     The LP is solved on cols and z_star mapped onto [0, 1] by cols' map and
     on b mapped by its own (`_to_unit`), an exact reparametrisation.
 
@@ -235,12 +238,8 @@ def attacker_br_lp(z_star, cols, b) -> StageBR:
     v = _solve_stages(lp, "attacker best-response LP",
                       "; z_star is not the victim optimum for this a_prime").v
     d = b[np.arange(P), :, k0].min(axis=1)
-    return StageBR(
-        y_star=_with_best_pure(v[:, :m - 1], k0, others),
-        z_star=z_star,
-        v2_star=d + span_b * (z_unit * v[:, m - 1:-2].sum(axis=1) - (v[:, -2] - v[:, -1])),
-        fallback=np.ones(P, dtype=bool),
-    )
+    return (_with_best_pure(v[:, :m - 1], k0, others),
+            d + span_b * (z_unit * v[:, m - 1:-2].sum(axis=1) - (v[:, -2] - v[:, -1])))
 
 
 def _lp_chain(cols, b) -> StageBR:
@@ -269,7 +268,8 @@ def _lp_chain(cols, b) -> StageBR:
         # the stages before the failing victim LP, whose attacker LPs come
         # first (their victim LPs solve again to the same bits: a stage's
         # solve does not depend on its batch)
-        _lp_chain(cols[:failure.stage], b[:failure.stage])
+        if failure.stage:
+            _lp_chain(cols[:failure.stage], b[:failure.stage])
         raise failure
     payoff = _row_mix(x, b)  # x*'B
     k_star = payoff.argmax(axis=1)
@@ -278,13 +278,10 @@ def _lp_chain(cols, b) -> StageBR:
     rest = np.flatnonzero(~unique)
     if rest.size:
         try:
-            br = attacker_br_lp(_row_mix(x[rest], cols[rest]).min(axis=1), cols[rest], b[rest])
+            y_star[rest], v2_star[rest] = attacker_br_lp(
+                _row_mix(x[rest], cols[rest]).min(axis=1), cols[rest], b[rest])
         except (StageSolveError, LpError) as err:
-            p = int(rest[err.stage])  # the stage's index in the layer
-            failure = type(err)(f"stage {p}:{str(err).partition(':')[2]}")
-            failure.stage = p
-            raise failure from None
-        y_star[rest], v2_star[rest] = br.y_star, br.v2_star
+            raise _restaged(err, int(rest[err.stage])) from None
     return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star, fallback=~unique)
 
 
@@ -297,43 +294,27 @@ def _row_mix(x, a) -> np.ndarray:
     return out
 
 
-def nf_attacker_best_response(pi_rows, a, b) -> StageBR:
-    """Attacker best response in one normal-form game against belief rows.
+def belief_stage_solves(cols, b) -> StageBR:
+    """The stage solves of one layer: P stages against a belief of K
+    policies, cols (P x n x K) their believed columns and b (P x n x m)
+    their attacker payoffs.
 
-    pi_rows is K x m with each row a believed attacker mix; a and b are the
-    victim / attacker payoff matrices.  Stacks A' = A P' and, for K > 1,
-    solves the stage as `_lp_chain` does: the victim LP for z*, then the
-    closed form or the attacker LP.
-
-    A singleton belief (K = 1) goes through `singleton_stage_solves`, whose
-    z* is max A' exactly.  When one row i* attains it, the attacker plays
-    the lowest-index k* maximizing b[i*, k] and v2* = b[i*, k*] exactly;
-    rows tied exactly (==) at the maximum get the maximin over exactly
-    them.
+    K > 1 goes to `_lp_chain`.  K = 1 goes to `singleton_stage_solves`:
+    z* is the column maximum exactly, and y* the pure action k* against
+    the unique best reply row, or at a tied stage (a `fallback` stage
+    here) the maximin LP's mix over the tied rows.  Returns a StageBR with
+    a leading stage axis.  A failure names the lowest failing stage and
+    the LP.  Trusts its inputs to be finite.
     """
-    pi_rows = _as_finite_matrix(pi_rows, "pi_rows")
-    a = _as_finite_matrix(a, "a")
-    b = _as_finite_matrix(b, "b")
-    K, m = pi_rows.shape
-    if K > MAX_BELIEF_POLICIES:
-        raise ValueError(f"belief size {K} exceeds cap {MAX_BELIEF_POLICIES}")
-    if a.shape != b.shape or a.shape[1] != m:
-        raise ValueError(
-            f"shape mismatch: a {a.shape}, b {b.shape}, pi_rows {pi_rows.shape}"
-        )
-    sums = pi_rows.sum(axis=1)
-    if np.any(pi_rows < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ValueError("pi_rows rows must be distributions")
-    a_prime = a @ pi_rows.T
-    if K > 1:
-        br = _lp_chain(a_prime[None], b[None])
-        return StageBR(br.y_star[0], float(br.z_star[0]), float(br.v2_star[0]),
-                       bool(br.fallback[0]))
-    cell = singleton_stage_solves(a_prime[None], b[None])
-    tied = bool(cell.tied[0, 0])
-    y = cell.tied_y[0] if tied else np.eye(m)[cell.k_star[0, 0]]
-    return StageBR(y_star=y, z_star=float(cell.z[0, 0]), v2_star=float(cell.v2[0, 0]),
-                   fallback=tied)
+    if cols.shape[2] > 1:
+        return _lp_chain(cols, b)
+    cells = singleton_stage_solves(cols, b)
+    y_star = np.eye(b.shape[2])[cells.k_star[:, 0]]
+    fallback = cells.tied[:, 0]
+    if cells.tied_y:
+        y_star[fallback] = cells.tied_y
+    return StageBR(y_star=y_star, z_star=cells.z[:, 0], v2_star=cells.v2[:, 0],
+                   fallback=fallback)
 
 
 class SingletonSolves(NamedTuple):
@@ -366,7 +347,7 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     row attaining z = max cols[p, :, j] exactly (==), so v2 is the maximin
     over exactly those rows, victim_br_lp(b[p][cols[p, :, j] == z].T), and
     cells of a stage with the same tie set get bitwise equal values.
-    Trusts finite inputs.
+    A failing maximin LP names its cell's stage p.  Trusts finite inputs.
     """
     p = np.arange(cols.shape[0])[:, None]
     j = np.arange(cols.shape[2])
@@ -377,7 +358,10 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     v2 = b[p, i_star, k_star]
     tied_y = []
     for c in zip(*np.nonzero(tied)):
-        y, v2_tied, _ = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T[None])
+        try:
+            y, v2_tied, _ = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T[None])
+        except (StageSolveError, LpError) as err:
+            raise _restaged(err, int(c[0])) from None
         tied_y.append(y[0])
         v2[c] = v2_tied[0]
     return SingletonSolves(z, k_star, v2, tied, tuple(tied_y))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,17 @@ def random_policy(rng, player, horizon, states, k):
     entries = rng.uniform(0.05, 1.0, (horizon, states, k))
     entries /= entries.sum(axis=2, keepdims=True)
     return mg.MarkovPolicy(player, entries)
+
+
+def stage_solve(rows, a, b):
+    """One normal-form stage against the belief rows (K x m), with victim
+    payoffs a and attacker payoffs b (n x m), solved as a layer of one stage
+    by `stage.belief_stage_solves`; returns its StageBR without the stage
+    axis."""
+    from mgincept import stage
+
+    br = stage.belief_stage_solves((a @ rows.T)[None], b[None])
+    return stage.StageBR(*(getattr(br, f.name)[0] for f in dataclasses.fields(br)))
 
 
 def watch_tied_cells(monkeypatch, *modules):

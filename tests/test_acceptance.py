@@ -12,7 +12,7 @@ import pytest
 
 import mgincept as mg
 import mgincept.cli as cli
-from conftest import pure_stage_policy, random_policy, single_step_game
+from conftest import pure_stage_policy, random_policy, single_step_game, stage_solve
 from mgincept import gamefile
 from mgincept.oracle import (
     GridSpec,
@@ -24,7 +24,7 @@ from mgincept.oracle import (
     victim_br_vertices,
 )
 from mgincept.rollout import simulate
-from mgincept.stage import nf_attacker_best_response, victim_br_lp
+from mgincept.stage import victim_br_lp
 
 MATCHING = [[0.0, 1.0], [1.0, 0.0]]
 DECOY = [[5.0, 0.0], [0.0, 0.0]]
@@ -89,7 +89,7 @@ def test_criterion_2_lp_matches_grid_oracles():
         dev_v = abs(z - grid_victim_value(a_prime, spec))
         worst_victim = max(worst_victim, dev_v - (lip_v * spec.step + 1e-6))
 
-        br = nf_attacker_best_response(rows, a, b)
+        br = stage_solve(rows, a, b)
         payoff = np.stack(victim_br_vertices(a_prime, z)) @ b
         lip_a = float(np.max(payoff.max(axis=1) - payoff.min(axis=1), initial=0.0))
         dev_a = abs(br.v2_star - grid_attacker_value(a_prime, b, z, spec))
@@ -145,8 +145,7 @@ def test_criterion_4_stage_values_reproducible_from_stored_tables():
         report = mg.markov_attacker_best_response(g, belief)
         for h in range(horizon):
             for s in range(states):
-                br = nf_attacker_best_response(
-                    belief.mixes[h, s].T, *report.q.values[:, h, s])
+                br = stage_solve(belief.mixes[h, s].T, *report.q.values[:, h, s])
                 worst = max(worst,
                             abs(br.z_star - report.v.values[0, h, s]),
                             abs(br.v2_star - report.v.values[1, h, s]))
@@ -253,7 +252,7 @@ def test_criterion_8_property_suite(tmp_path):
         rows = random_mix_rows(rng, k, m)
         a = rng.uniform(-1, 1, (n, m))
         b = rng.uniform(-1, 1, (n, m))
-        br = nf_attacker_best_response(rows, a, b)
+        br = stage_solve(rows, a, b)
         verts = victim_br_vertices(a @ rows.T, br.z_star)
         inner = min(float(v @ b @ br.y_star) for v in verts)
         worst_dual = max(worst_dual, abs(inner - br.v2_star))

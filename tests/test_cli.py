@@ -166,21 +166,15 @@ def test_verify_random_grid(capsys):
 
 def test_verify_fails_on_corrupted_solver(decoy_path, capsys, monkeypatch):
     # negative control: a solver returning biased victim values must trip
-    # the grid cross-check and exit nonzero; the decoy's singleton belief is
-    # solved by the layer kernel, any other belief by the LP chain
-    real = solver._lp_chain
-    real_cells = solver.singleton_stage_solves
+    # the grid cross-check and exit nonzero; every belief's layers, the
+    # decoy's singleton included, go through the one stage entry point
+    real = solver.belief_stage_solves
 
     def biased(cols, b):
         br = real(cols, b)
         return dataclasses.replace(br, z_star=br.z_star - 0.05, v2_star=br.v2_star - 0.05)
 
-    def biased_cells(cols, b):
-        cells = real_cells(cols, b)
-        return cells._replace(z=cells.z - 0.05, v2=cells.v2 - 0.05)
-
-    monkeypatch.setattr(solver, "_lp_chain", biased)
-    monkeypatch.setattr(solver, "singleton_stage_solves", biased_cells)
+    monkeypatch.setattr(solver, "belief_stage_solves", biased)
     assert cli.main(["verify", str(decoy_path), "--mode", "grid"]) == 1
     assert "FAIL" in capsys.readouterr().out
 

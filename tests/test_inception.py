@@ -10,12 +10,12 @@ from conftest import (
     integer_reward_game,
     pure_stage_policy,
     single_step_game,
+    stage_solve,
     watch_tied_cells,
 )
 from mgincept import inception
 from mgincept.oracle import brute_force_inception, random_game
 from mgincept.solver import q_from_v
-from mgincept.stage import nf_attacker_best_response
 
 
 def test_decoy_game_prefers_the_baiting_column(decoy_game):
@@ -275,12 +275,11 @@ def _per_cell_inception(g):
     candidates = np.zeros((H, S, m))
     actions = np.zeros((H, S), dtype=int)
     for h in range(H - 1, -1, -1):
-        q1 = q_from_v(g, 1, h, values[0, h + 1])
-        q2 = q_from_v(g, 2, h, values[1, h + 1])
+        q1, q2 = q_from_v(g, h, values[:, h + 1])
         for s in range(S):
             v1 = np.zeros(m)
             for j in range(m):
-                br = nf_attacker_best_response(np.eye(m)[j:j + 1], q1[s], q2[s])
+                br = stage_solve(np.eye(m)[j:j + 1], q1[s], q2[s])
                 v1[j], candidates[h, s, j] = br.z_star, br.v2_star
             actions[h, s] = j_star = int(np.argmax(candidates[h, s]))
             values[:, h, s] = v1[j_star], candidates[h, s, j_star]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lp_reference
+from conftest import stage_solve
 from mgincept import lp, stage
 from mgincept.lp import LinearProgram, LpError, LpSolution, LpStatus, _start, solve_lp
 from mgincept.oracle import FEAS_TOL
@@ -372,10 +373,10 @@ def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     rng = np.random.default_rng(3)
     a, b = rng.uniform(-1.0, 1.0, (2, 5, 4))
     pi_rows = rng.dirichlet(np.ones(4), 3)
-    stage.nf_attacker_best_response(pi_rows, a, b)
+    stage_solve(pi_rows, a, b)
     assert len(programs) == 1 and runs == [1]  # victim_br_lp alone
     a[:2] = a.max(axis=0) + 0.5
-    stage.nf_attacker_best_response(pi_rows, a, b)
+    stage_solve(pi_rows, a, b)
     assert len(programs) == 3  # then victim_br_lp and attacker_br_lp
     assert runs == [1, 1, 1]  # one run of one member each
     for prog in programs:

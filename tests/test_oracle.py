@@ -3,7 +3,7 @@ import pytest
 
 import mgincept as mg
 from conftest import (chain_game, continuation_tradeoff_game, integer_reward_game,
-                      pure_stage_policy, single_step_game, watch_tied_cells)
+                      pure_stage_policy, single_step_game, stage_solve, watch_tied_cells)
 from mgincept import oracle
 from mgincept.oracle import (
     ENUM_GUARD,
@@ -16,7 +16,7 @@ from mgincept.oracle import (
     random_mix_rows,
     simplex_grid,
 )
-from mgincept.stage import nf_attacker_best_response, victim_br_lp
+from mgincept.stage import victim_br_lp
 
 MATCHING = np.array([[0.0, 1.0], [1.0, 0.0]])
 DECOY = np.array([[5.0, 0.0], [0.0, 0.0]])
@@ -72,7 +72,7 @@ def test_grid_agrees_with_stage_lps_on_random_instances():
         _, (z,), _ = victim_br_lp(a_prime[None])
         col_range = float(np.max(a_prime.max(axis=0) - a_prime.min(axis=0), initial=0.0))
         assert abs(z - grid_victim_value(a_prime, spec)) <= col_range * spec.step + 1e-6
-        br = nf_attacker_best_response(rows, a, b)
+        br = stage_solve(rows, a, b)
         assert abs(br.v2_star - grid_attacker_value(a_prime, b, z, spec)) \
             <= 2.0 * spec.step + 1e-6
 

@@ -6,68 +6,63 @@ import pytest
 
 import mgincept as mg
 from conftest import (chain_game, integer_reward_game, pure_stage_policy, random_policy,
-                      watch_tied_cells)
+                      stage_solve, watch_tied_cells)
 from mgincept.oracle import (GridSpec, belief_membership, grid_attacker_value, grid_victim_value,
                              random_belief, random_game, victim_br_vertices)
 from mgincept import solver, stage
 from mgincept.solver import STAGE_BUDGET, q_from_v
-from mgincept.stage import MAX_BELIEF_POLICIES, nf_attacker_best_response
+from mgincept.stage import MAX_BELIEF_POLICIES
 
 
 def test_q_terminal_layer_equals_stage_rewards():
     g = chain_game(seed=1, horizon=2, states=2)
-    for player in (1, 2):
-        q = q_from_v(g, player, g.horizon - 1, np.zeros(2))
-        assert np.array_equal(q, g.rewards[player - 1, g.horizon - 1])
+    q = q_from_v(g, g.horizon - 1, np.zeros((2, 2)))
+    assert np.array_equal(q, g.rewards[:, g.horizon - 1])
 
 
 def test_q_constant_continuation_shifts_everything():
     g = chain_game(seed=2, horizon=2, states=2)
     c = 3.25
-    q = q_from_v(g, 1, 0, np.full(2, c))
-    assert np.allclose(q, g.rewards[0, 0] + c, atol=1e-12)
+    q = q_from_v(g, 0, np.full((2, 2), c))
+    assert np.allclose(q, g.rewards[:, 0] + c, atol=1e-12)
 
 
 def test_q_matches_dense_recomputation():
     g = chain_game(seed=3, horizon=2, states=2, n=3, m=2)
     rng = np.random.default_rng(4)
-    v_next = rng.uniform(-2.0, 2.0, 2)
-    q = q_from_v(g, 2, 1, v_next)
-    for s in range(2):
-        for a1 in range(3):
-            for a2 in range(2):
-                direct = g.rewards[1, 1, s, a1, a2] + sum(
-                    g.transitions[1, s, a1, a2, t] * v_next[t] for t in range(2)
-                )
-                assert abs(q[s, a1, a2] - direct) <= 1e-12
+    v_next = rng.uniform(-2.0, 2.0, (2, 2))
+    q = q_from_v(g, 1, v_next)
+    for i, s, a1, a2 in np.ndindex(2, 2, 3, 2):
+        direct = g.rewards[i, 1, s, a1, a2] + sum(
+            g.transitions[1, s, a1, a2, t] * v_next[i, t] for t in range(2)
+        )
+        assert abs(q[i, s, a1, a2] - direct) <= 1e-12
 
 
 @pytest.mark.parametrize("size", ((3, 4, 3, 2), (2, 6, 5, 4)), ids=("3x2", "5x4"))
 @pytest.mark.parametrize("stack", ((1,), (7,), (2, 3)), ids=("B=1", "B=7", "2x3"))
 def test_stacked_q_equals_the_per_vector_calls_bitwise(size, stack):
-    # one broadcast matmul over a stack of value vectors gives, slice by
-    # slice, the bytes of each vector's own call and of r + P @ v
+    # one broadcast matmul over both players and a stack of value vectors
+    # gives, slice by slice, the bytes of each player's r + P @ v
     g = random_game(np.random.default_rng(6), *size)
-    v_next = np.random.default_rng(7).uniform(-3.0, 3.0, (*stack, g.num_states))
-    for player, h in itertools.product((1, 2), range(g.horizon)):
-        q = q_from_v(g, player, h, v_next)
-        assert q.shape == (*stack, g.num_states, g.n, g.m)
-        for idx in np.ndindex(*stack):
-            alone = q_from_v(g, player, h, v_next[idx])
-            assert q[idx].tobytes() == alone.tobytes()
-            matvec = g.rewards[player - 1, h] + g.transitions[h] @ v_next[idx]
-            assert alone.tobytes() == matvec.tobytes()
+    v_next = np.random.default_rng(7).uniform(-3.0, 3.0, (2, *stack, g.num_states))
+    for h in range(g.horizon):
+        q = q_from_v(g, h, v_next)
+        assert q.shape == (2, *stack, g.num_states, g.n, g.m)
+        for i, idx in itertools.product(range(2), np.ndindex(*stack)):
+            matvec = g.rewards[i, h] + g.transitions[h] @ v_next[(i, *idx)]
+            assert q[(i, *idx)].tobytes() == matvec.tobytes()
 
 
 def test_q_rejects_bad_inputs():
     g = chain_game(seed=5)
-    for wrong in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 1)), np.float64(0.0)):
+    # (2,) has no player axis and (3, 2) three players
+    for wrong in (np.zeros(2), np.zeros((3, 2)), np.zeros(3), np.zeros((2, 4, 3)),
+                  np.zeros((2, 1)), np.float64(0.0)):
         with pytest.raises(ValueError, match="v_next has shape"):
-            q_from_v(g, 1, 0, wrong)
+            q_from_v(g, 0, wrong)
     with pytest.raises(ValueError):
-        q_from_v(g, 1, 5, np.zeros(2))
-    with pytest.raises(ValueError):
-        q_from_v(g, 3, 0, np.zeros(2))
+        q_from_v(g, 5, np.zeros((2, 2)))
 
 
 def test_single_step_reduces_to_stage_solve(decoy_game, decoy_beliefs):
@@ -121,8 +116,7 @@ def test_stage_resolve_consistency_from_stored_q():
     report = mg.markov_attacker_best_response(g, belief)
     for h in range(g.horizon):
         for s in range(g.num_states):
-            br = mg.nf_attacker_best_response(belief.mixes[h, s].T,
-                                              *report.q.values[:, h, s])
+            br = stage_solve(belief.mixes[h, s].T, *report.q.values[:, h, s])
             assert br.z_star == pytest.approx(report.v.values[0, h, s], abs=1e-9)
             assert br.v2_star == pytest.approx(report.v.values[1, h, s], abs=1e-9)
 
@@ -215,10 +209,9 @@ def _per_stage_best_response(g, belief):
     values = np.zeros((2, H + 1, S))
     pi2 = np.zeros((H, S, g.m))
     for h in range(H - 1, -1, -1):
-        q1 = q_from_v(g, 1, h, values[0, h + 1])
-        q2 = q_from_v(g, 2, h, values[1, h + 1])
+        q1, q2 = q_from_v(g, h, values[:, h + 1])
         for s in range(S):
-            br = nf_attacker_best_response(belief.mixes[h, s].T, q1[s], q2[s])
+            br = stage_solve(belief.mixes[h, s].T, q1[s], q2[s])
             values[:, h, s] = br.z_star, br.v2_star
             pi2[h, s] = solver.clean_mix(br.y_star)
     return values, pi2
@@ -230,7 +223,7 @@ def test_singleton_belief_layers_match_per_stage_reference(monkeypatch):
     # columns, pure ones on integer rewards tie often and take the maximin
     # LP over exactly the tied rows; K = 3 and secure beliefs check the
     # columns the LP chain gets
-    tied = watch_tied_cells(monkeypatch, solver)
+    tied = watch_tied_cells(monkeypatch)
     for seed in range(30):
         rng = np.random.default_rng(seed + 300)
         games = (random_game(np.random.default_rng(seed), 3, 5, 4, 4),
@@ -283,8 +276,7 @@ def test_belief_size_cap_checked_before_any_stage_solve(monkeypatch):
     def no_stage_solve(*args):
         raise AssertionError("stage solve reached")
 
-    monkeypatch.setattr(solver, "singleton_stage_solves", no_stage_solve)
-    monkeypatch.setattr(solver, "_lp_chain", no_stage_solve)
+    monkeypatch.setattr(solver, "belief_stage_solves", no_stage_solve)
     with pytest.raises(ValueError, match="exceeds cap"):
         mg.markov_attacker_best_response(g, belief)
 

@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import integer_reward_game, watch_tied_cells
+from conftest import integer_reward_game, stage_solve, watch_tied_cells
 from mgincept import inception, oracle, solver, stage
 from mgincept.oracle import (GridSpec, brute_force_inception, grid_victim_value, simplex_grid,
                              victim_br_vertices)
-from mgincept.stage import (
-    StageSolveError,
-    attacker_br_lp,
-    nf_attacker_best_response,
-    singleton_stage_solves,
-    victim_br_lp,
-)
+from mgincept.stage import StageSolveError, attacker_br_lp, victim_br_lp
 
 MATCHING = np.array([[0.0, 1.0], [1.0, 0.0]])
 DECOY = np.array([[5.0, 0.0], [0.0, 0.0]])
@@ -42,30 +36,24 @@ def test_victim_br_full_matching_game():
     assert abs(z - grid) <= 1.0 * 1e-3 + 1e-9
 
 
-def test_victim_br_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        nf_attacker_best_response(np.array([[1.0, 0.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
-                                  DECOY)
-
-
 def test_attacker_br_decoy_columns():
     # belief pins the victim to its matching response; the attacker collects
     # 5 only when the victim was baited to row 0
     a_prime = MATCHING @ np.array([[1.0, 0.0]]).T
-    br = attacker_br_lp([1.0], a_prime[None], DECOY[None])
-    assert br.v2_star[0] == pytest.approx(0.0, abs=1e-9)
+    _, (v2,) = attacker_br_lp([1.0], a_prime[None], DECOY[None])
+    assert v2 == pytest.approx(0.0, abs=1e-9)
     a_prime = MATCHING @ np.array([[0.0, 1.0]]).T
-    br = attacker_br_lp([1.0], a_prime[None], DECOY[None])
-    assert br.v2_star[0] == pytest.approx(5.0, abs=1e-9)
-    assert np.allclose(br.y_star[0], [1.0, 0.0], atol=1e-9)
+    (y,), (v2,) = attacker_br_lp([1.0], a_prime[None], DECOY[None])
+    assert v2 == pytest.approx(5.0, abs=1e-9)
+    assert np.allclose(y, [1.0, 0.0], atol=1e-9)
 
 
 def test_attacker_br_zero_payoffs():
     a_prime = np.array([[0.2], [0.8]])
     _, z, _ = victim_br_lp(a_prime[None])
-    br = attacker_br_lp(z, a_prime[None], np.zeros((1, 2, 3)))
-    assert br.v2_star[0] == pytest.approx(0.0, abs=1e-9)
-    assert abs(br.y_star[0].sum() - 1.0) <= 1e-9
+    (y,), (v2,) = attacker_br_lp(z, a_prime[None], np.zeros((1, 2, 3)))
+    assert v2 == pytest.approx(0.0, abs=1e-9)
+    assert abs(y.sum() - 1.0) <= 1e-9
 
 
 def test_attacker_br_flags_inconsistent_victim_value():
@@ -91,7 +79,7 @@ def test_attacker_lp_splits_alpha_into_a_column_and_its_negation(monkeypatch):
     cols, b = rng.uniform(-1.0, 1.0, (2, 4, 3, 3))
     _, z, _ = victim_br_lp(cols)
     programs.clear()
-    br = attacker_br_lp(z, cols, b)
+    _, v2 = attacker_br_lp(z, cols, b)
     (prog,) = programs
     assert prog.a_ub.shape == (4, 3 + 1, 3 + 3 + 1)
     for a in (prog.a_ub, prog.objective[:, None]):
@@ -99,27 +87,18 @@ def test_attacker_lp_splits_alpha_into_a_column_and_its_negation(monkeypatch):
         assert np.array_equal(np.abs(last), np.abs(alpha))
         assert np.array_equal(np.signbit(last), ~np.signbit(alpha))
     assert np.signbit(prog.a_ub[:, -1, -1]).all() and (prog.a_ub[:, -1, -1] == 0.0).all()
-    assert br.v2_star.shape == (4,)
+    assert v2.shape == (4,)
 
 
 def test_best_response_chain_composes_both_solves():
-    br = nf_attacker_best_response(np.array([[1.0, 0.0]]), MATCHING, DECOY)
+    br = stage_solve(np.array([[1.0, 0.0]]), MATCHING, DECOY)
     assert (br.z_star, br.v2_star) == (pytest.approx(1.0, abs=1e-9),
                                        pytest.approx(0.0, abs=1e-9))
-    br = nf_attacker_best_response(np.array([[0.0, 1.0]]), MATCHING, DECOY)
+    br = stage_solve(np.array([[0.0, 1.0]]), MATCHING, DECOY)
     assert br.v2_star == pytest.approx(5.0, abs=1e-9)
     assert np.allclose(br.y_star, [1.0, 0.0], atol=1e-9)
-    br = nf_attacker_best_response(np.array([[0.3, 0.7]]), np.zeros((2, 2)),
-                                   np.zeros((2, 2)))
+    br = stage_solve(np.array([[0.3, 0.7]]), np.zeros((2, 2)), np.zeros((2, 2)))
     assert (br.z_star, br.v2_star) == (0.0, 0.0)
-
-
-def test_best_response_validates_rows_and_cap():
-    with pytest.raises(ValueError):
-        nf_attacker_best_response(np.array([[0.5, 0.4]]), MATCHING, DECOY)
-    rows = np.tile([1.0, 0.0], (65, 1))
-    with pytest.raises(ValueError):
-        nf_attacker_best_response(rows, MATCHING, DECOY)
 
 
 def test_vertices_unique_best_response():
@@ -160,7 +139,7 @@ def test_duality_consistency_on_random_stages():
     for _ in range(50):
         n, m, k = (int(rng.integers(1, 4)) for _ in range(3))
         rows, a, b = _random_stage(rng, n, m, k)
-        br = nf_attacker_best_response(rows, a, b)
+        br = stage_solve(rows, a, b)
         verts = victim_br_vertices(a @ rows.T, br.z_star)
         inner = min(float(v @ b @ br.y_star) for v in verts)
         assert inner == pytest.approx(br.v2_star, abs=1e-7)
@@ -200,7 +179,7 @@ def test_attacker_beats_own_security_value():
     for _ in range(15):
         n, m, k = (int(rng.integers(1, 4)) for _ in range(3))
         rows, a, b = _random_stage(rng, n, m, k)
-        br = nf_attacker_best_response(rows, a, b)
+        br = stage_solve(rows, a, b)
         grid = simplex_grid(m, spec.resolution)
         security = float((grid @ b.T).min(axis=1).max())
         assert br.v2_star >= security - 1e-7
@@ -223,14 +202,14 @@ def test_singleton_closed_form_matches_lp_chain(monkeypatch):
         col = a @ rows[0]
         ties = np.count_nonzero(col == col.max()) > 1
         before = len(maximins)
-        br = nf_attacker_best_response(rows, a, b)
+        br = stage_solve(rows, a, b)
         assert len(maximins) - before == ties
         tied += ties
         _, z, _ = victim_br_lp(col[None, :, None])
-        ref = attacker_br_lp(z, col[None, :, None], b[None])
+        _, (ref_v2,) = attacker_br_lp(z, col[None, :, None], b[None])
         scale = max(1.0, np.abs(a).max(), np.abs(b).max())
         assert abs(br.z_star - z[0]) <= 1e-9 * scale
-        assert abs(br.v2_star - ref.v2_star[0]) <= 1e-9 * scale
+        assert abs(br.v2_star - ref_v2) <= 1e-9 * scale
         # a dual certificate: w* is the least dual weight that keeps every
         # row i below the maximum feasible in attacker_br_lp's program,
         # col_i w - alpha <= (b y*)_i with alpha = z* w - v2*, that is
@@ -254,7 +233,7 @@ def test_singleton_exact_row_tie_keeps_the_lp_maximin():
     # either, so the attacker can guarantee only the even split
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     b = np.array([[5.0, 0.0], [0.0, 5.0]])
-    br = nf_attacker_best_response(np.array([[1.0, 0.0]]), a, b)
+    br = stage_solve(np.array([[1.0, 0.0]]), a, b)
     assert br.z_star == pytest.approx(1.0, abs=1e-9)
     assert br.v2_star == pytest.approx(2.5, abs=1e-9)
     assert np.allclose(br.y_star, [0.5, 0.5], atol=1e-9)
@@ -267,7 +246,7 @@ def test_row_one_ulp_below_a_tie_is_no_best_reply():
     linprog = pytest.importorskip("scipy.optimize").linprog
     a = np.array([[2.0, 0.0, 0.0], [2.0, 1.0, 0.0], [np.nextafter(2.0, 0.0), 3.0, 0.0]])
     b = np.array([[3.0, -1.0, 0.5], [-2.0, 4.0, 1.0], [-6.0, -6.0, -6.0]])
-    br = nf_attacker_best_response(np.array([[1.0, 0.0, 0.0]]), a, b)
+    br = stage_solve(np.array([[1.0, 0.0, 0.0]]), a, b)
     # HiGHS on the exact tie: maximize v subject to v <= (b y)_i, i = 0, 1
     ref = linprog(np.append(np.zeros(3), -1.0), A_ub=np.hstack([-b[:2], np.ones((2, 1))]),
                   b_ub=np.zeros(2), A_eq=[[1.0, 1.0, 1.0, 0.0]], b_eq=[1.0],
@@ -283,7 +262,7 @@ def test_tied_singleton_cells_run_no_attacker_lp(monkeypatch):
     # replies the rows attaining it: the searches and the solver settle
     # tied cells with one maximin LP over exactly the tied rows and never
     # run the attacker LP
-    tied = watch_tied_cells(monkeypatch, inception, oracle, solver)
+    tied = watch_tied_cells(monkeypatch, inception, oracle)
     for seed in range(20):
         g = integer_reward_game(seed)
         fake = mg.policy_inception(g).pi2_dagger
@@ -319,7 +298,7 @@ def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
         for s in range(S):
             for j in range(m):
                 col = q1[s][:, j]
-                br = nf_attacker_best_response(np.eye(m)[j:j + 1], q1[s], q2[s])
+                br = stage_solve(np.eye(m)[j:j + 1], q1[s], q2[s])
                 assert cells.z[s, j].tobytes() == col.max().tobytes()
                 assert cells.z[s, j].tobytes() == np.float64(br.z_star).tobytes()
                 assert cells.v2[s, j].tobytes() == np.float64(br.v2_star).tobytes()
@@ -369,17 +348,41 @@ def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
     # attacker LP, and a member's index in its batch is its stage.  The
     # engine fails the victim LP of stage 5 and the attacker LP of stage 3
     # (and of 6, past the victim failure): stage by stage, stage 3's
-    # attacker LP fails first; with the two swapped, stage 3's victim LP.
+    # attacker LP fails first; with the two swapped, stage 3's victim LP;
+    # a victim LP failing at stage 0 leaves no stage before it to solve.
     # The victim LP has n = 3 variables, the attacker LP m + K + 1 = 7
     rng = np.random.default_rng(87)
     cols, b = rng.uniform(-1.0, 1.0, (2, 8, 3, 3))
     cols = _tied_victim_rows(cols, np.arange(8))
     assert not victim_br_lp(cols)[2].any()
     for victim_at, attacker_at, message in (((5,), (3, 6), "stage 3: attacker"),
-                                             ((3,), (5,), "stage 3: victim")):
+                                             ((3,), (5,), "stage 3: victim"),
+                                             ((0,), (3,), "stage 0: victim")):
         _injected_failures(monkeypatch, 3, victim_at, attacker_at)
         with pytest.raises(stage.LpError, match=f"^{message} best-response LP: pivot limit"):
             stage._lp_chain(cols, b)
+
+
+def test_solver_names_a_victim_lp_failing_at_stage_0(monkeypatch):
+    # a K = 3 belief whose last layer's victim LP fails at stage 0
+    g = integer_reward_game(5)
+    belief = oracle.random_belief(np.random.default_rng(5), g, 3)
+    _injected_failures(monkeypatch, 3, (0,), ())
+    with pytest.raises(stage.LpError,
+                       match="^step 2, stage 0: victim best-response LP: pivot limit"):
+        solver.markov_attacker_best_response(g, belief)
+
+
+def test_solver_names_the_stage_of_a_failing_tied_singleton_cell(monkeypatch):
+    # a singleton belief whose every LP fails: its first tied cell, at
+    # (h=2, s=2), is named by its own stage, not by its place in a batch
+    g = integer_reward_game(5)
+    fake = mg.BeliefSet((mg.policy_inception(g).pi2_dagger,))
+    real = stage.solve_lp
+    monkeypatch.setattr(stage, "solve_lp", lambda prog: real(prog)._replace(
+        status=np.full(prog.objective.shape[0], stage.LpStatus.STALLED.value)))
+    with pytest.raises(stage.LpError, match="^step 2, stage 2: victim best-response LP"):
+        solver.markov_attacker_best_response(g, fake)
 
 
 def test_mixed_layer_failure_names_the_stage_in_the_layer(monkeypatch):
@@ -430,17 +433,17 @@ def test_lp_chain_takes_the_closed_form_where_the_victim_optimum_is_unique(monke
     br = stage._lp_chain(cols, b)
     (fallback,) = batches
     assert fallback.tobytes() == cols[[1, 4, 6]].tobytes()
-    ref = real(z[[1, 4, 6]], cols[[1, 4, 6]], b[[1, 4, 6]])
-    assert br.y_star[[1, 4, 6]].tobytes() == ref.y_star.tobytes()
-    assert br.v2_star[[1, 4, 6]].tobytes() == ref.v2_star.tobytes()
+    ref_y, ref_v2 = real(z[[1, 4, 6]], cols[[1, 4, 6]], b[[1, 4, 6]])
+    assert br.y_star[[1, 4, 6]].tobytes() == ref_y.tobytes()
+    assert br.v2_star[[1, 4, 6]].tobytes() == ref_v2.tobytes()
     assert br.z_star.tobytes() == z.tobytes()
     assert np.array_equal(br.y_star[2], np.eye(5)[1])
-    lp_all = real(z, cols, b)
+    _, lp_v2 = real(z, cols, b)
     for p in np.flatnonzero(unique):
         payoff = x[p] @ b[p]
         k = int(np.flatnonzero(payoff == payoff.max())[0])
         assert np.array_equal(br.y_star[p], np.eye(5)[k])
         assert abs(br.v2_star[p] - payoff[k]) <= 1e-14
-        assert abs(br.v2_star[p] - lp_all.v2_star[p]) <= 1e-12
+        assert abs(br.v2_star[p] - lp_v2[p]) <= 1e-12
         alone = stage._lp_chain(cols[p:p + 1], b[p:p + 1])
         assert alone.v2_star.tobytes() == br.v2_star[p:p + 1].tobytes()
