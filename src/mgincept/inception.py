@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lp import LpError
 from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, require_valid
 from .solver import BRSolveReport, markov_attacker_best_response, q_from_v
-from .stage import singleton_stage_solves
+from .stage import StageSolveError, singleton_stage_solves
 
 DOMINANCE_TOL = 1e-9
 
@@ -62,7 +63,11 @@ class InceptionResult:
 
 
 def policy_inception(g: MarkovGame) -> InceptionResult:
-    """Pick a deterministic fake attacker policy by backward induction."""
+    """Pick a deterministic fake attacker policy by backward induction.
+
+    A failing tied-cell LP is raised naming the step h and the state s
+    ("step h, stage s: ...").
+    """
     require_valid(g)
     H, S, m = g.horizon, g.num_states, g.m
     values = np.zeros((2, H + 1, S))
@@ -70,7 +75,10 @@ def policy_inception(g: MarkovGame) -> InceptionResult:
     actions = np.zeros((H, S), dtype=int)
     states = np.arange(S)
     for h in range(H - 1, -1, -1):
-        cells = singleton_stage_solves(*q_from_v(g, h, values[:, h + 1]))
+        try:
+            cells = singleton_stage_solves(*q_from_v(g, h, values[:, h + 1]))
+        except (StageSolveError, LpError) as err:
+            raise type(err)(f"step {h}, {err}") from None
         v1_cand, v2_cand = cells.z, cells.v2  # (S, m): fake action j at state s
         j_star = np.argmax(v2_cand, axis=1)  # lowest index wins ties
         candidates[h] = v2_cand

@@ -1,15 +1,14 @@
 """Self-contained dense linear-program solver that solves batches in lockstep.
 
-A `LinearProgram` is given in canonical form: maximize c'v subject to
-A v <= b and v >= 0, with b >= 0.  Its arrays may carry one leading batch
-axis: B programs of one shape, solved together.  Since b >= 0, v = 0 is
-feasible and the engine is a one-phase tableau simplex from the slack
-basis: each row gets one slack variable, basic at b (Chvatal, Linear
-Programming, 1983), so every basic cost is zero and the starting cost row
-is [c | 0 | 0] as written, with no pricing out.  A caller with a free
-variable writes it as a column and its negation (see
-`mgincept.stage.attacker_br_lp`); the stage LPs of `mgincept.stage` are
-written at a best pure strategy to take this form.
+A `LinearProgram` is a batch of B programs of one shape, solved together,
+each in canonical form: maximize c'v subject to A v <= b and v >= 0, with
+b >= 0.  Since b >= 0, v = 0 is feasible and the engine is a one-phase
+tableau simplex from the slack basis: each row gets one slack variable,
+basic at b (Chvatal, Linear Programming, 1983), so every basic cost is
+zero and the starting cost row is [c | 0 | 0] as written, with no pricing
+out.  A caller with a free variable writes it as a column and its negation
+(see `mgincept.stage.attacker_br_lp`); the stage LPs of `mgincept.stage`
+are written at a best pure strategy to take this form.
 
 Pricing.  For its first _BLAND_AFTER pivots a program's entering column is
 the largest reduced cost above PIVOT_TOL, the lowest index among equal ones
@@ -37,15 +36,15 @@ arrays: status, v, value and the uniqueness flag, one entry per program.
 
 Why a member's results do not depend on its batch: every tableau entry is
 computed by the same floating-point operations, in the same order, as in a
-program solved alone.  A pivot does one division per pivot-row entry and
+batch of one.  A pivot does one division per pivot-row entry and
 one product and difference per entry, and no column feeds into another.
 The starting cost row is each member's own [c | 0 | 0], signed zeros
 included.  Ratios are kept only where the column entry is eligible, a
 solution's value is the same sum of objective * v over its own
 contiguous row, and its uniqueness flag reads its own cost row.  Each
 member's outcome is its own: a member that hits the pivot limit is
-reported STALLED in the batch, and solving one unbatched program raises
-its `LpError`.
+reported STALLED, like any other status, and the caller decides which
+failure to raise.
 
 All the programs in this package have at most a few dozen variables, so a
 dense tableau is both simpler and faster than anything sparse.  Pivots are
@@ -69,12 +68,13 @@ BATCH_ELEMENTS = 1 << 18  # tableau elements of one lockstep run (2 MiB)
 
 
 class LpError(RuntimeError):
-    """Internal solver failure (malformed input or pivot-limit blowout)."""
+    """Malformed input to the solver, or a program its caller reports as
+    stalled at the pivot limit."""
 
 
 class LpStatus(enum.Enum):
-    """A solve's outcome.  STALLED (the pivot limit) is only ever reported
-    in a batch's status array; a lone solve raises LpError instead."""
+    """One program's outcome in a batch's status array; STALLED is the
+    pivot limit."""
 
     OPTIMAL = 0
     UNBOUNDED = 1
@@ -86,11 +86,10 @@ _OPTIMAL, _UNBOUNDED, _STALLED = (s.value for s in LpStatus)
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective'v  s.t.  a_ub v <= b_ub,  v >= 0,  b_ub >= 0.
+    """B programs max objective'v  s.t.  a_ub v <= b_ub,  v >= 0,  b_ub >= 0.
 
-    Shapes: objective (q,), a_ub (r, q) and b_ub (r,); r may be 0.  A batch
-    of B programs puts a leading axis of length B on all three:
-    objective (B, q), a_ub (B, r, q) and b_ub (B, r).
+    Shapes: objective (B, q), a_ub (B, r, q) and b_ub (B, r); r may be 0.
+    A single program is a batch of one.
     """
 
     objective: np.ndarray
@@ -103,53 +102,28 @@ class LinearProgram:
             if not np.isfinite(a).all():
                 raise LpError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, a)
-        q = self.objective.shape[-1] if self.objective.ndim else 0
-        batch = self.objective.shape[:-1]
-        if q < 1 or len(batch) > 1:
-            raise LpError(f"objective {self.objective.shape} must have shape ([B,] q) "
+        if self.objective.ndim != 2 or self.objective.shape[1] < 1:
+            raise LpError(f"objective {self.objective.shape} must have shape (B, q) "
                           "with q >= 1")
-        a, b = self.a_ub, self.b_ub
-        if (a.ndim != len(batch) + 2 or a.shape[:-2] != batch or a.shape[-1] != q
-                or b.shape != a.shape[:-1]):
+        (B, q), a, b = self.objective.shape, self.a_ub, self.b_ub
+        if a.ndim != 3 or a.shape[0] != B or a.shape[2] != q or b.shape != a.shape[:2]:
             raise LpError(f"constraints {a.shape} and bounds {b.shape} do not "
-                          f"have shapes ({'B, ' * len(batch)}rows, {q}) and "
-                          f"({'B, ' * len(batch)}rows,)")
+                          f"have shapes ({B}, rows, {q}) and ({B}, rows)")
         if (b < 0).any():
             raise LpError("b_ub has negative entries; v = 0 must be feasible")
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    """A solve's outcome; `v`, `value` and a True `unique` (see the module
-    docstring) only on OPTIMAL."""
-
-    status: LpStatus
-    v: np.ndarray | None = None
-    value: float | None = None
-    unique: bool = False
 
 
 class LpBatch(NamedTuple):
     """The outcomes of a batch of B programs with q variables, as arrays:
     status (B,) holds LpStatus values, and v (B, q), value (B,) and
-    unique (B,) are an LpSolution's fields where the status is OPTIMAL
-    (elsewhere v and value are NaN and unique is False)."""
+    unique (B,) hold, where the status is OPTIMAL, a vertex optimum, its
+    value and whether it is the only optimum (see the module docstring);
+    elsewhere v and value are NaN and unique is False."""
 
     status: np.ndarray
     v: np.ndarray
     value: np.ndarray
     unique: np.ndarray
-
-    def solution(self, k: int) -> LpSolution:
-        """Member k's outcome as a lone solve gives it: its LpSolution, or
-        the LpError of the pivot limit, raised."""
-        status = LpStatus(int(self.status[k]))
-        if status == LpStatus.STALLED:
-            raise LpError("pivot limit exceeded; simplex did not converge")
-        if status == LpStatus.UNBOUNDED:
-            return LpSolution(status)
-        return LpSolution(status, v=self.v[k], value=float(self.value[k]),
-                          unique=bool(self.unique[k]))
 
 
 def _start(c: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -228,22 +202,20 @@ def _run(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return outcome
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution | LpBatch:
-    """Solve a linear program, or a batch of them in lockstep, deterministically.
+def solve_lp(lp: LinearProgram) -> LpBatch:
+    """Solve a batch of linear programs in lockstep, deterministically.
 
-    An unbatched program gives its LpSolution, and raises LpError where the
-    engine fails on it.  A batch gives one LpBatch of arrays, whose status
-    reports the pivot limit as STALLED, so that the caller picks which
-    failure to report.  The batch is solved in runs of at most
-    BATCH_ELEMENTS tableau elements (at least one program each).
+    Returns one LpBatch of arrays, whose status reports the pivot limit as
+    STALLED, so that the caller picks which failure to report.  The batch
+    is solved in runs of at most BATCH_ELEMENTS tableau elements (at least
+    one program each).
 
     On OPTIMAL, `v` is a vertex of the feasible region, `value` equals
     sum(objective * v) and `unique` flags an optimum that no other point
     attains.  Where it is not unique any optimal vertex may be returned;
     callers must then depend only on the value and feasibility.
     """
-    c, a, b = (x if lp.objective.ndim == 2 else x[None]
-               for x in (lp.objective, lp.a_ub, lp.b_ub))
+    c, a, b = lp.objective, lp.a_ub, lp.b_ub
     count, rows, q = a.shape
     step = max(1, BATCH_ELEMENTS // ((rows + 1) * (q + rows + 1)))
     status = np.empty(count, dtype=np.int8)
@@ -258,10 +230,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution | LpBatch:
         basic = np.zeros((B, q + rows), dtype=bool)
         basic[members, basis] = True
         unique[i:i + B] = ((T[:, -1, :-1] < -PIVOT_TOL) | basic).all(axis=1)
-    # C order: each row is contiguous, as a lone program's v, whose
-    # strides decide how the sum objective * v rounds
+    # C order: each row is contiguous, so each member's sum objective * v
+    # rounds as in a batch of one
     v = np.ascontiguousarray(x[:, :q])
     optimal = status == _OPTIMAL
     v[~optimal] = np.nan
-    batch = LpBatch(status, v, (c * v).sum(axis=1), unique & optimal)
-    return batch if lp.objective.ndim == 2 else batch.solution(0)
+    return LpBatch(status, v, (c * v).sum(axis=1), unique & optimal)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, LpError, LpStatus, solve_lp
 from .model import (
     BeliefSet,
     MarkovGame,
@@ -163,9 +163,10 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     a 1.  Since e >= 0, that holds iff max 1'M lam s.t. M lam <= e, lam >= 0
     reaches 1'e; a stage is taken as a member when the LP's value is within
     FEAS_TOL of 1'e.  All H * S LPs share one shape and are solved as one
-    lockstep batch.  The answer, and an engine failure raised, are those
-    of checking the stages one by one in (h, s) order up to the first that
-    is not a member.
+    lockstep batch.  The answer, and the LpError raised for a stage whose
+    LP stalls at the pivot limit (naming its (h, s)), are those of checking
+    the stages one by one in (h, s) order up to the first that is not a
+    member.
     """
     if pi2.player != 2 or pi2.entries.shape != b.mixes.shape[:3]:
         raise ValueError("candidate policy does not match belief dimensions")
@@ -177,7 +178,10 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     outside = np.flatnonzero(~(sols.value >= e.sum(axis=1) - FEAS_TOL))
     if outside.size == 0:
         return True
-    sols.solution(int(outside[0]))  # raises the LpError of a stalled stage
+    if sols.status[outside[0]] == LpStatus.STALLED.value:
+        h, s = divmod(int(outside[0]), S)
+        raise LpError(f"belief membership LP at h={h}, s={s}: pivot limit exceeded; "
+                      "simplex did not converge")
     return False
 
 
@@ -213,7 +217,9 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     suffix for layers h+1..H-1; one `solver.q_from_v` call gives both
     players' stage payoffs of every suffix from the stacked values, and all
     (suffix, s, j) cells are solved in one `stage.singleton_stage_solves`
-    call on the columns of Q1, as in `markov_attacker_best_response`.
+    call on the columns of Q1, as in `markov_attacker_best_response`, whose
+    stage index is suffix * S + s; a failure there is raised naming the
+    step h and that stage ("step h, stage suffix * S + s: ...").
     The m^S choices at layer h then expand the batch to index
     choice * B + suffix (state 0 most significant), which is the
     enumeration order.
@@ -231,7 +237,10 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     for h in range(H - 1, -1, -1):
         B = v.shape[1]
         # stage b * S + s: state s after suffix b; cell j: fake action j there
-        cells = singleton_stage_solves(*q_from_v(g, h, v).reshape(2, B * S, g.n, m))
+        try:
+            cells = singleton_stage_solves(*q_from_v(g, h, v).reshape(2, B * S, g.n, m))
+        except (StageSolveError, LpError) as err:
+            raise type(err)(f"step {h}, {err}") from None
         pick = (slice(None), np.arange(B)[:, None], np.arange(S), choices[:, None, :])
         v = np.stack([cells.z, cells.v2]).reshape(2, B, S, m)[pick].reshape(2, -1, S)
     roots = [float(g.mu @ x) for x in v[1]]  # one dot per policy, as ValueTables.root

@@ -7,7 +7,7 @@ stages, each with its victim's payoffs against K believed attacker mixes
 The victim's worst-case best response against K > 1 believed mixes is a
 small maximin LP over (x, z).  The attacker maximizes its payoff over the
 victim's maximin mixes X*: where that LP's optimum x* is unique (the
-engine's `LpSolution.unique`), X* = {x*} and the attacker's best response is
+engine's `LpBatch.unique`), X* = {x*} and the attacker's best response is
 a closed form, its best pure reply to x*; elsewhere it is the dualized LP
 over (y, w, alpha).  Chained, they solve a K > 1 belief (`_lp_chain`).  Each
 LP solves its stage's payoffs mapped affinely onto [0, 1] (`_to_unit`), so
@@ -21,12 +21,15 @@ attacker_br_lp).  Both LPs take a leading stage axis: the P stages of a
 layer share one shape, so each LP's arrays are built once for the whole
 layer and `lp.solve_lp` solves them as one lockstep batch (which it splits
 at `lp.BATCH_ELEMENTS` tableau elements), with results bit-identical to
-solving the stages one by one.  A failure names the lowest failing stage
-(its index p along that axis) and the LP.  A singleton belief needs neither
-LP: the victim's value is the column maximum, its best replies the rows
-attaining it (==).  `singleton_stage_solves` solves a layer of such stages
-from their (P, n, J) believed columns, the layout of Q1 itself (J = m pure
-actions) and of Q1 @ mixes; its docstring states the tie rule.
+solving the stages one by one.  The LPs return their outcomes as status
+arrays, and a layer's solve raises once, for the lowest failing stage (its
+index p along that axis), naming the LP; there the victim LP comes before
+the attacker LP, the order of solving the stages one by one.  A singleton
+belief needs neither LP: the victim's value is the column maximum, its best
+replies the rows attaining it (==).  `singleton_stage_solves` solves a
+layer of such stages from their (P, n, J) believed columns, the layout of
+Q1 itself (J = m pure actions) and of Q1 @ mixes; its docstring states the
+tie rule.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import LinearProgram, LpBatch, LpError, LpStatus, solve_lp
+from .lp import LinearProgram, LpError, LpStatus, solve_lp
 
 MAX_BELIEF_POLICIES = 64
+_OPTIMAL, _STALLED = LpStatus.OPTIMAL.value, LpStatus.STALLED.value
+_VICTIM_LP, _ATTACKER_LP = "victim best-response LP", "attacker best-response LP"
 
 
 class StageSolveError(RuntimeError):
@@ -63,31 +68,14 @@ class StageBR:
     fallback: np.ndarray
 
 
-def _solve_stages(lp: LinearProgram, lp_name: str, hint: str = "") -> LpBatch:
-    """Solve the batch of stage LPs lp in lockstep and return their
-    solutions.  Raises for the lowest failing stage, naming it and the LP,
-    with its index as the error's `stage`: StageSolveError for a
-    non-optimal status, LpError for the engine's own failures."""
-    sols = solve_lp(lp)
-    failed = np.flatnonzero(sols.status != LpStatus.OPTIMAL.value)
-    if failed.size:
-        p = int(failed[0])
-        try:
-            status = sols.solution(p).status
-            failure = StageSolveError(f"stage {p}: {lp_name} returned {status}{hint}")
-        except LpError as err:
-            failure = LpError(f"stage {p}: {lp_name}: {err}")
-        failure.stage = p
-        raise failure
-    return sols
-
-
-def _restaged(err, p: int):
-    """err, raised for a stage of a sub-batch, renamed to stage p of the
-    layer: its message's stage and its `stage`."""
-    failure = type(err)(f"stage {p}:{str(err).partition(':')[2]}")
-    failure.stage = p
-    return failure
+def _stage_error(p: int, lp_name: str, status: int) -> RuntimeError:
+    """The error of stage p, whose LP lp_name ended with the status value
+    status, not OPTIMAL: LpError for the pivot limit (STALLED), and
+    StageSolveError for an outcome the stage solve cannot use."""
+    if status == _STALLED:
+        return LpError(f"stage {p}: {lp_name}: pivot limit exceeded; simplex did not converge")
+    hint = "; z_star is not the victim optimum for this a_prime" if lp_name == _ATTACKER_LP else ""
+    return StageSolveError(f"stage {p}: {lp_name} returned {LpStatus(int(status))}{hint}")
 
 
 def _to_unit(a) -> tuple:
@@ -144,10 +132,11 @@ def victim_br_lp(cols) -> tuple:
 
     cols is P x n x K: stage p's victim payoffs A'_p against K believed
     attacker mixes, or the attacker's payoffs on a tied singleton cell's
-    rows, transposed.  Returns (x_star (P, n), z_star (P,), unique (P,)),
-    where unique[p] is the engine's flag that x_star[p] is the only
-    maximin mix (`lp.LpSolution.unique`).  Raises for the lowest stage
-    whose LP fails, naming it.  Trusts its input to be finite.
+    rows, transposed.  Returns (x_star (P, n), z_star (P,), unique (P,),
+    status (P,)), where unique[p] is the engine's flag that x_star[p] is
+    the only maximin mix (`lp.LpBatch.unique`) and status[p] the LpStatus
+    value of stage p's LP; x_star and z_star are NaN where it is not
+    OPTIMAL.  Trusts its input to be finite.
 
     Each LP is solved on A' mapped onto [0, 1] (`_to_unit`), an exact
     reparametrisation: the maximin mixes are the same, and the value maps
@@ -186,9 +175,10 @@ def victim_br_lp(cols) -> tuple:
     b_ub = np.empty((P, K))
     b_ub[:, :-1] = room[p[:, None], rest]
     b_ub[:, -1] = 1.0
-    sols = _solve_stages(LinearProgram(objective, a_ub, b_ub), "victim best-response LP")
+    sols = solve_lp(LinearProgram(objective, a_ub, b_ub))
     c = cols[p, r0].min(axis=1)
-    return _with_best_pure(sols.v[:, :-1], r0, others), c + span * sols.value, sols.unique
+    return (_with_best_pure(sols.v[:, :-1], r0, others), c + span * sols.value, sols.unique,
+            sols.status)
 
 
 def attacker_br_lp(z_star, cols, b) -> tuple:
@@ -196,9 +186,10 @@ def attacker_br_lp(z_star, cols, b) -> tuple:
 
     cols (P x n x K) and b (P x n x m) are the stages' believed columns and
     attacker payoffs, z_star (P,) the victim's optimal values for the same
-    cols; a value above one makes that LP unbounded, which is reported as an
-    internal inconsistency naming the lowest such stage.  Returns
-    (y_star (P, m), v2_star (P,)).  Trusts its inputs to be finite.
+    cols; a value above one makes that LP unbounded.  Returns
+    (y_star (P, m), v2_star (P,), status (P,)), status[p] the LpStatus
+    value of stage p's LP; y_star and v2_star are NaN where it is not
+    OPTIMAL.  Trusts its inputs to be finite.
     The LP is solved on cols and z_star mapped onto [0, 1] by cols' map and
     on b mapped by its own (`_to_unit`), an exact reparametrisation.
 
@@ -235,11 +226,11 @@ def attacker_br_lp(z_star, cols, b) -> tuple:
     lp = LinearProgram(objective=np.concatenate([objective, -objective[:, -1:]], axis=1),
                        a_ub=np.concatenate([a_ub, -a_ub[:, :, -1:]], axis=2),
                        b_ub=np.append(room, np.ones((P, 1)), axis=1))
-    v = _solve_stages(lp, "attacker best-response LP",
-                      "; z_star is not the victim optimum for this a_prime").v
+    status, v, _, _ = solve_lp(lp)
     d = b[np.arange(P), :, k0].min(axis=1)
     return (_with_best_pure(v[:, :m - 1], k0, others),
-            d + span_b * (z_unit * v[:, m - 1:-2].sum(axis=1) - (v[:, -2] - v[:, -1])))
+            d + span_b * (z_unit * v[:, m - 1:-2].sum(axis=1) - (v[:, -2] - v[:, -1])),
+            status)
 
 
 def _lp_chain(cols, b) -> StageBR:
@@ -252,37 +243,32 @@ def _lp_chain(cols, b) -> StageBR:
     v2* = (x*'B)_k*, summed over the rows i in order, so each stage's bits
     do not depend on its batch.  Only the other stages go to the attacker
     LPs, as one batch, with z* := min_j (x*'A')_j, a value x* attains, so
-    their best-reply polytopes are not empty by rounding.
+    their best-reply polytopes are not empty by rounding.  These fallback
+    stages are those whose victim LP is OPTIMAL but not unique; a failed
+    victim LP leaves its stage NaN, which no LP is given.
 
     Returns a StageBR whose fields have a leading stage axis.  Raises what
     solving the stages one by one raises first: the lowest failing stage,
     and there the victim LP before the attacker LP.  Trusts its inputs to
     be finite.
     """
-    try:
-        x, z_star, unique = victim_br_lp(cols)
-        failure = None
-    except (StageSolveError, LpError) as err:
-        failure = err
-    if failure is not None:
-        # the stages before the failing victim LP, whose attacker LPs come
-        # first (their victim LPs solve again to the same bits: a stage's
-        # solve does not depend on its batch)
-        if failure.stage:
-            _lp_chain(cols[:failure.stage], b[:failure.stage])
-        raise failure
+    x, z_star, unique, victim = victim_br_lp(cols)
     payoff = _row_mix(x, b)  # x*'B
     k_star = payoff.argmax(axis=1)
     y_star = np.eye(b.shape[2])[k_star]
     v2_star = payoff[np.arange(k_star.size), k_star]
-    rest = np.flatnonzero(~unique)
+    fallback = ~unique & (victim == _OPTIMAL)
+    status = np.full((victim.size, 2), _OPTIMAL, dtype=np.int8)  # each stage's victim LP, attacker LP
+    status[:, 0] = victim
+    rest = np.flatnonzero(fallback)
     if rest.size:
-        try:
-            y_star[rest], v2_star[rest] = attacker_br_lp(
-                _row_mix(x[rest], cols[rest]).min(axis=1), cols[rest], b[rest])
-        except (StageSolveError, LpError) as err:
-            raise _restaged(err, int(rest[err.stage])) from None
-    return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star, fallback=~unique)
+        y_star[rest], v2_star[rest], status[rest, 1] = attacker_br_lp(
+            _row_mix(x[rest], cols[rest]).min(axis=1), cols[rest], b[rest])
+    failed = np.flatnonzero(status != _OPTIMAL)
+    if failed.size:
+        p, lp = divmod(int(failed[0]), 2)
+        raise _stage_error(p, (_VICTIM_LP, _ATTACKER_LP)[lp], status[p, lp])
+    return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star, fallback=fallback)
 
 
 def _row_mix(x, a) -> np.ndarray:
@@ -358,10 +344,9 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     v2 = b[p, i_star, k_star]
     tied_y = []
     for c in zip(*np.nonzero(tied)):
-        try:
-            y, v2_tied, _ = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T[None])
-        except (StageSolveError, LpError) as err:
-            raise _restaged(err, int(c[0])) from None
+        y, v2_tied, _, (status,) = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T[None])
+        if status != _OPTIMAL:
+            raise _stage_error(int(c[0]), _VICTIM_LP, status)
         tied_y.append(y[0])
         v2[c] = v2_tied[0]
     return SingletonSolves(z, k_star, v2, tied, tuple(tied_y))

@@ -84,7 +84,7 @@ def test_criterion_2_lp_matches_grid_oracles():
         b = rng.uniform(-1.0, 1.0, (n, m))
         a_prime = a @ rows.T
 
-        _, (z,), _ = victim_br_lp(a_prime[None])
+        _, (z,), _, _ = victim_br_lp(a_prime[None])
         lip_v = float(np.max(a_prime.max(axis=0) - a_prime.min(axis=0), initial=0.0))
         dev_v = abs(z - grid_victim_value(a_prime, spec))
         worst_victim = max(worst_victim, dev_v - (lip_v * spec.step + 1e-6))
@@ -267,8 +267,8 @@ def test_criterion_8_property_suite(tmp_path):
         n = int(rng.integers(1, 4))
         k_full = int(rng.integers(2, 5))
         a_full = rng.uniform(-1, 1, (n, k_full))
-        _, (z_sub,), _ = victim_br_lp(a_full[None, :, : int(rng.integers(1, k_full))])
-        _, (z_full,), _ = victim_br_lp(a_full[None])
+        _, (z_sub,), _, _ = victim_br_lp(a_full[None, :, : int(rng.integers(1, k_full))])
+        _, (z_full,), _, _ = victim_br_lp(a_full[None])
         mono_ok = mono_ok and z_sub >= z_full - 1e-9
     checks["belief-monotonicity"] = mono_ok
 

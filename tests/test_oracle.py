@@ -69,7 +69,7 @@ def test_grid_agrees_with_stage_lps_on_random_instances():
         a = rng.uniform(-1.0, 1.0, (n, m))
         b = rng.uniform(-1.0, 1.0, (n, m))
         a_prime = a @ rows.T
-        _, (z,), _ = victim_br_lp(a_prime[None])
+        _, (z,), _, _ = victim_br_lp(a_prime[None])
         col_range = float(np.max(a_prime.max(axis=0) - a_prime.min(axis=0), initial=0.0))
         assert abs(z - grid_victim_value(a_prime, spec)) <= col_range * spec.step + 1e-6
         br = stage_solve(rows, a, b)
@@ -189,13 +189,13 @@ def _membership_by_stage(belief, pi2):
     """Belief membership as one LP per (h, s), in order, through the scalar
     engine: the reference for the batched check."""
     import lp_reference
-    from mgincept.lp import LinearProgram, LpStatus
+    from mgincept.lp import LpStatus
 
     K = belief.size
     for h, s in np.ndindex(belief.mixes.shape[:2]):
         M = np.vstack([belief.mixes[h, s], np.ones(K)])
         e = np.append(pi2.entries[h, s], 1.0)
-        sol = lp_reference.solve_lp(LinearProgram(M.sum(axis=0), M, e))
+        sol = lp_reference.solve_one(M.sum(axis=0), M, e)
         if sol.status != LpStatus.OPTIMAL or sol.value < e.sum() - oracle.FEAS_TOL:
             return False
     return True
@@ -248,7 +248,7 @@ def test_belief_membership_keeps_the_first_failure(monkeypatch, fail_at, outside
     for elements in (lp.BATCH_ELEMENTS, 1):
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", elements)
         if raises:
-            with pytest.raises(lp.LpError, match="pivot limit"):
+            with pytest.raises(lp.LpError, match=r"h=0, s=1: pivot limit"):
                 oracle.belief_membership(belief, pi2)
         else:
             assert oracle.belief_membership(belief, pi2) is False

@@ -15,3 +15,16 @@ def test_readme_quick_start_runs_as_documented():
         exec(compile(block, str(README), "exec"), namespace)
     assert out.getvalue().split() == ["5.0"]
     assert namespace["ok"] is True
+
+
+def test_star_import_gives_every_public_name():
+    # every name in mgincept.__all__ resolves, so a removed public name
+    # cannot linger there, and `from mgincept import *` binds them all
+    import mgincept
+
+    namespace = {}
+    exec("from mgincept import *", namespace)
+    for name in mgincept.__all__:
+        assert namespace[name] is getattr(mgincept, name)
+    assert len(set(mgincept.__all__)) == len(mgincept.__all__)
+    assert "LpSolution" not in namespace

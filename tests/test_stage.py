@@ -13,23 +13,23 @@ DECOY = np.array([[5.0, 0.0], [0.0, 0.0]])
 
 
 def test_victim_br_single_column_cases():
-    (x,), (z,), _ = victim_br_lp(np.array([[[0.0], [1.0]]]))
+    (x,), (z,), _, _ = victim_br_lp(np.array([[[0.0], [1.0]]]))
     assert z == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(x, [0.0, 1.0], atol=1e-9)
-    (x,), (z,), _ = victim_br_lp(np.array([[[1.0], [0.0]]]))
+    (x,), (z,), _, _ = victim_br_lp(np.array([[[1.0], [0.0]]]))
     assert z == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(x, [1.0, 0.0], atol=1e-9)
 
 
 def test_victim_br_zero_matrix():
-    _, (z,), _ = victim_br_lp(np.zeros((1, 3, 2)))
+    _, (z,), _, _ = victim_br_lp(np.zeros((1, 3, 2)))
     assert z == pytest.approx(0.0, abs=1e-9)
 
 
 def test_victim_br_full_matching_game():
     # both pure columns believed: unique optimum is the even mix at 0.5,
     # cross-checked against the grid oracle
-    (x,), (z,), _ = victim_br_lp(MATCHING[None])
+    (x,), (z,), _, _ = victim_br_lp(MATCHING[None])
     assert z == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(x, [0.5, 0.5], atol=1e-9)
     grid = grid_victim_value(MATCHING, GridSpec(step=1e-3))
@@ -40,28 +40,29 @@ def test_attacker_br_decoy_columns():
     # belief pins the victim to its matching response; the attacker collects
     # 5 only when the victim was baited to row 0
     a_prime = MATCHING @ np.array([[1.0, 0.0]]).T
-    _, (v2,) = attacker_br_lp([1.0], a_prime[None], DECOY[None])
+    _, (v2,), _ = attacker_br_lp([1.0], a_prime[None], DECOY[None])
     assert v2 == pytest.approx(0.0, abs=1e-9)
     a_prime = MATCHING @ np.array([[0.0, 1.0]]).T
-    (y,), (v2,) = attacker_br_lp([1.0], a_prime[None], DECOY[None])
+    (y,), (v2,), _ = attacker_br_lp([1.0], a_prime[None], DECOY[None])
     assert v2 == pytest.approx(5.0, abs=1e-9)
     assert np.allclose(y, [1.0, 0.0], atol=1e-9)
 
 
 def test_attacker_br_zero_payoffs():
     a_prime = np.array([[0.2], [0.8]])
-    _, z, _ = victim_br_lp(a_prime[None])
-    (y,), (v2,) = attacker_br_lp(z, a_prime[None], np.zeros((1, 2, 3)))
+    _, z, _, _ = victim_br_lp(a_prime[None])
+    (y,), (v2,), _ = attacker_br_lp(z, a_prime[None], np.zeros((1, 2, 3)))
     assert v2 == pytest.approx(0.0, abs=1e-9)
     assert abs(y.sum() - 1.0) <= 1e-9
 
 
 def test_attacker_br_flags_inconsistent_victim_value():
     # a z* above the victim's optimum empties the best-response polytope and
-    # the dual program diverges
+    # the dual program diverges: the stage's status is UNBOUNDED
     a_prime = MATCHING @ np.array([[1.0, 0.0]]).T
-    with pytest.raises(StageSolveError):
-        attacker_br_lp([2.0], a_prime[None], DECOY[None])
+    y, v2, status = attacker_br_lp([2.0], a_prime[None], DECOY[None])
+    assert status.tolist() == [stage.LpStatus.UNBOUNDED.value]
+    assert np.isnan(y).all() and np.isnan(v2).all()
 
 
 def test_attacker_lp_splits_alpha_into_a_column_and_its_negation(monkeypatch):
@@ -77,9 +78,9 @@ def test_attacker_lp_splits_alpha_into_a_column_and_its_negation(monkeypatch):
     monkeypatch.setattr(stage, "solve_lp", recorded)
     rng = np.random.default_rng(88)
     cols, b = rng.uniform(-1.0, 1.0, (2, 4, 3, 3))
-    _, z, _ = victim_br_lp(cols)
+    _, z, _, _ = victim_br_lp(cols)
     programs.clear()
-    _, v2 = attacker_br_lp(z, cols, b)
+    _, v2, _ = attacker_br_lp(z, cols, b)
     (prog,) = programs
     assert prog.a_ub.shape == (4, 3 + 1, 3 + 3 + 1)
     for a in (prog.a_ub, prog.objective[:, None]):
@@ -153,7 +154,7 @@ def test_vertices_satisfy_value_floor_on_random_stages():
         n, m, k = (int(rng.integers(1, 4)) for _ in range(3))
         rows, a, _ = _random_stage(rng, n, m, k)
         a_prime = a @ rows.T
-        _, (z,), _ = victim_br_lp(a_prime[None])
+        _, (z,), _, _ = victim_br_lp(a_prime[None])
         for v in victim_br_vertices(a_prime, z):
             assert float((a_prime.T @ v).min()) >= z - 1e-8
 
@@ -166,8 +167,8 @@ def test_smaller_beliefs_never_hurt_the_victim():
         k_full = int(rng.integers(2, 5))
         a_full = rng.uniform(-1.0, 1.0, (n, k_full))
         k_sub = int(rng.integers(1, k_full))
-        _, (z_sub,), _ = victim_br_lp(a_full[None, :, :k_sub])
-        _, (z_full,), _ = victim_br_lp(a_full[None])
+        _, (z_sub,), _, _ = victim_br_lp(a_full[None, :, :k_sub])
+        _, (z_full,), _, _ = victim_br_lp(a_full[None])
         assert z_sub >= z_full - 1e-9
 
 
@@ -205,8 +206,8 @@ def test_singleton_closed_form_matches_lp_chain(monkeypatch):
         br = stage_solve(rows, a, b)
         assert len(maximins) - before == ties
         tied += ties
-        _, z, _ = victim_br_lp(col[None, :, None])
-        _, (ref_v2,) = attacker_br_lp(z, col[None, :, None], b[None])
+        _, z, _, _ = victim_br_lp(col[None, :, None])
+        _, (ref_v2,), _ = attacker_br_lp(z, col[None, :, None], b[None])
         scale = max(1.0, np.abs(a).max(), np.abs(b).max())
         assert abs(br.z_star - z[0]) <= 1e-9 * scale
         assert abs(br.v2_star - ref_v2) <= 1e-9 * scale
@@ -305,7 +306,7 @@ def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
                 assert cells.tied[s, j] == (np.count_nonzero(col == col.max()) > 1)
                 if cells.tied[s, j]:
                     tied += 1
-                    (y,), (v2,), _ = victim_br_lp(q2[s][col == col.max()].T[None])
+                    (y,), (v2,), _, _ = victim_br_lp(q2[s][col == col.max()].T[None])
                     assert np.array_equal(tied_y.pop((s, j)), br.y_star)
                     assert np.array_equal(y, br.y_star)
                     assert cells.v2[s, j].tobytes() == np.float64(v2).tobytes()
@@ -373,16 +374,40 @@ def test_solver_names_a_victim_lp_failing_at_stage_0(monkeypatch):
         solver.markov_attacker_best_response(g, belief)
 
 
+def _stall_every_lp(monkeypatch):
+    """Make the engine report every stage LP STALLED (the pivot limit)."""
+    real = stage.solve_lp
+    monkeypatch.setattr(stage, "solve_lp", lambda prog: real(prog)._replace(
+        status=np.full(prog.objective.shape[0], stage.LpStatus.STALLED.value)))
+
+
 def test_solver_names_the_stage_of_a_failing_tied_singleton_cell(monkeypatch):
     # a singleton belief whose every LP fails: its first tied cell, at
     # (h=2, s=2), is named by its own stage, not by its place in a batch
     g = integer_reward_game(5)
     fake = mg.BeliefSet((mg.policy_inception(g).pi2_dagger,))
-    real = stage.solve_lp
-    monkeypatch.setattr(stage, "solve_lp", lambda prog: real(prog)._replace(
-        status=np.full(prog.objective.shape[0], stage.LpStatus.STALLED.value)))
+    _stall_every_lp(monkeypatch)
     with pytest.raises(stage.LpError, match="^step 2, stage 2: victim best-response LP"):
         solver.markov_attacker_best_response(g, fake)
+
+
+def test_policy_inception_names_the_step_of_a_failing_tied_cell(monkeypatch):
+    # every LP fails: the first tied cell of the last layer, at state 0
+    _stall_every_lp(monkeypatch)
+    with pytest.raises(stage.LpError, match="^step 2, stage 0: victim best-response LP: "
+                                            "pivot limit"):
+        mg.policy_inception(integer_reward_game(5))
+
+
+@pytest.mark.parametrize("seed, message", [(5, "step 1, stage 0"), (0, "step 0, stage 8")])
+def test_brute_force_inception_names_the_step_of_a_failing_tied_cell(monkeypatch, seed,
+                                                                      message):
+    # every LP fails: the first tied cell is named by its step and its
+    # stage suffix * S + s; on game 0 the last layer has no tied cell and
+    # the first is at state 0 after suffix 4 (S = 2)
+    _stall_every_lp(monkeypatch)
+    with pytest.raises(stage.LpError, match=f"^{message}: victim best-response LP: pivot limit"):
+        brute_force_inception(integer_reward_game(seed, 2, 2, 3, 3))
 
 
 def test_mixed_layer_failure_names_the_stage_in_the_layer(monkeypatch):
@@ -397,9 +422,8 @@ def test_mixed_layer_failure_names_the_stage_in_the_layer(monkeypatch):
                                ((3,), "stage 3: victim")):
         _injected_failures(monkeypatch, 3, victim_at, (1,))
         pattern = f"^{message} best-response LP: pivot limit"
-        with pytest.raises(stage.LpError, match=pattern) as info:
+        with pytest.raises(stage.LpError, match=pattern):
             stage._lp_chain(cols, b)
-        assert info.value.stage == int(message.split()[1][:-1])
     # a z* the victim cannot reach fails the fallback stage by its index
     # in the layer, with the StageSolveError of the attacker LP
     monkeypatch.undo()
@@ -420,7 +444,7 @@ def test_lp_chain_takes_the_closed_form_where_the_victim_optimum_is_unique(monke
     b = rng.uniform(-1.0, 1.0, (8, 4, 5))
     b[2, :, 1] = b[2, :, 3] = b[2].max(axis=1) + 0.1  # a tie in x*'B: the lower index wins
     cols = _tied_victim_rows(cols, [1, 4, 6])
-    x, z, unique = victim_br_lp(cols)
+    x, z, unique, _ = victim_br_lp(cols)
     assert np.flatnonzero(~unique).tolist() == [1, 4, 6]
     batches = []
     real = stage.attacker_br_lp
@@ -433,12 +457,12 @@ def test_lp_chain_takes_the_closed_form_where_the_victim_optimum_is_unique(monke
     br = stage._lp_chain(cols, b)
     (fallback,) = batches
     assert fallback.tobytes() == cols[[1, 4, 6]].tobytes()
-    ref_y, ref_v2 = real(z[[1, 4, 6]], cols[[1, 4, 6]], b[[1, 4, 6]])
+    ref_y, ref_v2, _ = real(z[[1, 4, 6]], cols[[1, 4, 6]], b[[1, 4, 6]])
     assert br.y_star[[1, 4, 6]].tobytes() == ref_y.tobytes()
     assert br.v2_star[[1, 4, 6]].tobytes() == ref_v2.tobytes()
     assert br.z_star.tobytes() == z.tobytes()
     assert np.array_equal(br.y_star[2], np.eye(5)[1])
-    _, lp_v2 = real(z, cols, b)
+    _, lp_v2, _ = real(z, cols, b)
     for p in np.flatnonzero(unique):
         payoff = x[p] @ b[p]
         k = int(np.flatnonzero(payoff == payoff.max())[0])
