@@ -1,12 +1,12 @@
 """Dominant-policy inception: choosing the fake policy and designing fake rewards.
 
 The attacker spreads a fake reward function whose dominant strategy pins the
-victim's belief to a single fake policy.  The engine picks the fake policy
-by backward induction: at each step, every (state, candidate fake action)
-cell is one stage game against a singleton belief, one `solver.q_from_v`
-call gives both players' stage payoffs, and the whole layer is solved by one
-`stage.singleton_stage_solves` call on the columns of Q1; each state keeps
-the candidate with the highest attacker value (lowest action index on ties).
+victim's belief to a single fake policy.  Both fake-policy searches run one
+backward pass over rows of fake suffixes (`_suffix_pass`), in which every
+(row, state, candidate fake action) cell is a stage game against a
+singleton belief.  `policy_inception` keeps one row, each state taking the
+candidate with the highest attacker value (lowest action index on ties);
+`oracle.brute_force_inception` keeps every row.
 
 Against a pure fake action j the rational victim replies with the argmax
 row i* of Q1[:, j], so the candidate's value is max_k Q2[i*, k], with no LP;
@@ -62,8 +62,31 @@ class InceptionResult:
     v2_root: float
 
 
+def _suffix_pass(g: MarkovGame, keep) -> np.ndarray:
+    """Both fake-policy searches' backward pass over rows of fake suffixes:
+    row b entering step h holds (V1, V2)[h+1] of one suffix (the empty one
+    first), and every cell (b, s, j), fake action j at state s, is solved by
+    one `singleton_stage_solves` call per step as stage b * S + s, whose
+    failure is raised as "step h, stage b * S + s: ...".  keep(h, z, v2)
+    takes the cells' victim and attacker values, each (B, S, m), and
+    returns the rows entering step h - 1, (2, R, S); each row's values are
+    its suffix's alone.  Returns the rows at step 0.
+    """
+    S, n, m = g.num_states, g.n, g.m
+    v = np.zeros((2, 1, S))
+    for h in range(g.horizon - 1, -1, -1):
+        B = v.shape[1]
+        try:
+            cells = singleton_stage_solves(*q_from_v(g, h, v).reshape(2, B * S, n, m))
+        except (StageSolveError, LpError) as err:
+            raise type(err)(f"step {h}, {err}") from None
+        v = keep(h, cells.z.reshape(B, S, m), cells.v2.reshape(B, S, m))
+    return v
+
+
 def policy_inception(g: MarkovGame) -> InceptionResult:
-    """Pick a deterministic fake attacker policy by backward induction.
+    """Pick a deterministic fake attacker policy by backward induction,
+    keeping one suffix row: the per-state argmax of the attacker value.
 
     A failing tied-cell LP is raised naming the step h and the state s
     ("step h, stage s: ...").
@@ -74,17 +97,17 @@ def policy_inception(g: MarkovGame) -> InceptionResult:
     candidates = np.zeros((H, S, m))
     actions = np.zeros((H, S), dtype=int)
     states = np.arange(S)
-    for h in range(H - 1, -1, -1):
-        try:
-            cells = singleton_stage_solves(*q_from_v(g, h, values[:, h + 1]))
-        except (StageSolveError, LpError) as err:
-            raise type(err)(f"step {h}, {err}") from None
-        v1_cand, v2_cand = cells.z, cells.v2  # (S, m): fake action j at state s
+
+    def keep(h, z, v2):
+        v1_cand, v2_cand = z[0], v2[0]  # (S, m): fake action j at state s
         j_star = np.argmax(v2_cand, axis=1)  # lowest index wins ties
         candidates[h] = v2_cand
         actions[h] = j_star
         values[0, h] = v1_cand[states, j_star]
         values[1, h] = v2_cand[states, j_star]
+        return values[:, h:h + 1]
+
+    _suffix_pass(g, keep)
     tables = ValueTables(values)
     v1_root, v2_root = tables.root(g.mu)
     return InceptionResult(

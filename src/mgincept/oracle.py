@@ -8,9 +8,9 @@ production solve path.
 
 The exhaustive fake-policy search shares work across suffixes: fixing a
 fake policy's layers h+1..H-1 fixes the value vectors entering layer h, so
-one backward pass solves each layer's stages once per distinct suffix (in one
-`stage.singleton_stage_solves` call, the greedy search's stage solve) and
-every choice at layer h reuses them.
+the greedy search's backward pass (`inception._suffix_pass`), keeping every
+row, solves each layer's stages once per distinct suffix and every choice at
+layer h reuses them.
 It performs exactly the arithmetic of exploiting each fake policy on its own,
 so its values are bit-identical to `inception.exploit_fixed_fake`'s.
 """
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inception import _suffix_pass
 from .lp import LinearProgram, LpError, LpStatus, solve_lp
 from .model import (
     BeliefSet,
@@ -31,8 +32,8 @@ from .model import (
     _player_index,
     require_valid,
 )
-from .solver import _check_budget, q_from_v
-from .stage import StageSolveError, singleton_stage_solves
+from .solver import _check_budget
+from .stage import StageSolveError
 
 ENUM_GUARD = 4096
 GRID_MAX_DIM = 4
@@ -212,17 +213,10 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     of the attacker's exploited value.  Lowest-lexicographic winner on ties
     (the order of `enumerate_deterministic_policies`).
 
-    One backward pass over the layers shares work across suffixes.  The
-    batch entering layer h holds the values (V1, V2)[h+1] of every fake
-    suffix for layers h+1..H-1; one `solver.q_from_v` call gives both
-    players' stage payoffs of every suffix from the stacked values, and all
-    (suffix, s, j) cells are solved in one `stage.singleton_stage_solves`
-    call on the columns of Q1, as in `markov_attacker_best_response`, whose
-    stage index is suffix * S + s; a failure there is raised naming the
-    step h and that stage ("step h, stage suffix * S + s: ...").
-    The m^S choices at layer h then expand the batch to index
-    choice * B + suffix (state 0 most significant), which is the
-    enumeration order.
+    `inception._suffix_pass`, keeping every row: the m^S choices at layer h
+    expand the B suffix rows to index choice * B + suffix (state 0 most
+    significant), which is the enumeration order, and a failing stage solve
+    is raised as "step h, stage suffix * S + s: ...".
     Every value is bit-identical to `exploit_fixed_fake` on that policy.
 
     Returns (policy, value).
@@ -233,16 +227,12 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     _check_budget(g, 1)  # the size guard of exploiting one fake policy
     # choices[c, s]: the action at state s of the layer's c-th joint choice
     choices = np.indices((m,) * S).reshape(S, -1).T
-    v = np.zeros((2, 1, S))  # (V1, V2), one row per suffix; the empty suffix at h = H - 1
-    for h in range(H - 1, -1, -1):
-        B = v.shape[1]
-        # stage b * S + s: state s after suffix b; cell j: fake action j there
-        try:
-            cells = singleton_stage_solves(*q_from_v(g, h, v).reshape(2, B * S, g.n, m))
-        except (StageSolveError, LpError) as err:
-            raise type(err)(f"step {h}, {err}") from None
-        pick = (slice(None), np.arange(B)[:, None], np.arange(S), choices[:, None, :])
-        v = np.stack([cells.z, cells.v2]).reshape(2, B, S, m)[pick].reshape(2, -1, S)
+
+    def keep(h, z, v2):
+        pick = (slice(None), np.arange(z.shape[0])[:, None], np.arange(S), choices[:, None, :])
+        return np.stack([z, v2])[pick].reshape(2, -1, S)
+
+    v = _suffix_pass(g, keep)
     roots = [float(g.mu @ x) for x in v[1]]  # one dot per policy, as ValueTables.root
     best = int(np.argmax(roots))  # first maximum: lowest-lexicographic policy
     actions = np.reshape(np.unravel_index(best, (m,) * (H * S)), (H, S))

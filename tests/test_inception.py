@@ -431,3 +431,34 @@ def test_fake_searches_store_each_stage_payoff_once():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, (search.__name__, peak)
+
+
+@pytest.mark.parametrize("size", [(2, 2, 3, 3), (3, 2, 2, 2), (2, 3, 2, 2)],
+                         ids=["H2S2-3x3", "H3S2-2x2", "H2S3-2x2"])
+def test_suffix_rows_keep_their_own_values_whatever_rows_are_dropped(size):
+    # a search that prunes suffix rows relies on each row's values being
+    # those of its own fake policy: drop a random half of the enumerated
+    # rows at every layer, carry each row's action digits alongside, and
+    # exploit every surviving policy on its own
+    H, S, _, m = size
+    choices = np.indices((m,) * S).reshape(S, -1).T  # (m^S, S) joint choices
+    states = np.arange(S)
+    for seed in range(10):
+        g = integer_reward_game(seed, *size)
+        rng = np.random.default_rng(seed)
+        digits = np.zeros((1, 0, S), dtype=int)  # row r plays digits[r, t] at step h + t
+
+        def keep(h, z, v2):
+            nonlocal digits
+            rows = z.shape[0] * len(choices)
+            kept = np.sort(rng.permutation(rows)[:rows // 2])
+            b, c = np.divmod(kept, len(choices))
+            digits = np.concatenate([choices[c][:, None], digits[b]], axis=1)
+            pick = (b[:, None], states, choices[c])
+            return np.array([z[pick], v2[pick]])
+
+        v = inception._suffix_pass(g, keep)
+        assert digits.shape == (v.shape[1], H, S) and v.shape[1] > 0
+        for r, actions in enumerate(digits):
+            report = mg.exploit_fixed_fake(g, mg.MarkovPolicy.deterministic(2, actions, m))
+            assert report.v.values[:, 0].tobytes() == v[:, r].tobytes(), (seed, actions)

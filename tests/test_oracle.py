@@ -4,7 +4,7 @@ import pytest
 import mgincept as mg
 from conftest import (chain_game, continuation_tradeoff_game, integer_reward_game,
                       pure_stage_policy, single_step_game, stage_solve, watch_tied_cells)
-from mgincept import oracle
+from mgincept import inception, oracle
 from mgincept.oracle import (
     ENUM_GUARD,
     GridSpec,
@@ -153,7 +153,7 @@ def test_brute_force_bit_identical_to_per_policy_exploitation(size, monkeypatch)
         assert_matches_per_policy_bits(random_game(np.random.default_rng(seed), *size))
     # integer rewards tie best replies exactly; count the cells the batched
     # pass settles with the maximin LP over exactly the tied rows
-    maximins = watch_tied_cells(monkeypatch, oracle)
+    maximins = watch_tied_cells(monkeypatch, inception)
     tied = 0
     for seed in range(10):
         g = integer_reward_game(seed, *size)
@@ -178,7 +178,7 @@ def test_brute_force_guard_fires_before_any_stage_solve(monkeypatch):
     def fail(cols, b):
         raise AssertionError("stage solve ran before the guard")
 
-    monkeypatch.setattr(oracle, "singleton_stage_solves", fail)
+    monkeypatch.setattr(inception, "singleton_stage_solves", fail)
     past = np.zeros((1, ENUM_GUARD + 1))
     with pytest.raises(ValueError, match=f"^enumeration of {ENUM_GUARD + 1} policies "
                                          f"exceeds guard {ENUM_GUARD}$"):

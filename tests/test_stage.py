@@ -263,7 +263,7 @@ def test_tied_singleton_cells_run_no_attacker_lp(monkeypatch):
     # replies the rows attaining it: the searches and the solver settle
     # tied cells with one maximin LP over exactly the tied rows and never
     # run the attacker LP
-    tied = watch_tied_cells(monkeypatch, inception, oracle)
+    tied = watch_tied_cells(monkeypatch, inception)
     for seed in range(20):
         g = integer_reward_game(seed)
         fake = mg.policy_inception(g).pi2_dagger
