@@ -13,6 +13,7 @@ from .model import (
     ValidationReport,
     ValueTables,
     evaluate_policy,
+    q_from_v,
     validate_game,
 )
 from .lp import LinearProgram, LpBatch, LpStatus, solve_lp
@@ -21,7 +22,6 @@ from .solver import (
     BRSolveReport,
     QMatrices,
     markov_attacker_best_response,
-    q_from_v,
     secure_belief,
 )
 from .inception import (

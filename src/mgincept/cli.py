@@ -19,8 +19,8 @@ from .gamefile import GameFormatError
 from .inception import InceptionConfig, check_iota_dominance, design_dominant_rewards, policy_inception
 from .lp import LpError
 from .model import BeliefSet, InvalidGameError, require_valid, validate_game
-from .oracle import (GridSpec, brute_force_inception, grid_attacker_value, grid_victim_value,
-                     random_game, victim_br_vertices)
+from .oracle import (GridSpec, brute_force_inception, grid_victim_value, random_game,
+                     victim_br_vertices)
 from .rollout import simulate
 from .solver import markov_attacker_best_response, secure_belief
 from .stage import StageSolveError
@@ -117,10 +117,9 @@ def _grid_checks(g, belief, spec):
             col_range = float(np.max(a_prime.max(axis=0) - a_prime.min(axis=0)))
             dev_v = abs(z - grid_victim_value(a_prime, spec))
             yield "victim-stage-vs-grid", dev_v, col_range * spec.step + GRID_SLACK
-            verts = np.stack(victim_br_vertices(a_prime, z))
-            payoff = verts @ q2
+            payoff = np.stack(victim_br_vertices(a_prime, z)) @ q2
             att_range = float(np.max(payoff.max(axis=1) - payoff.min(axis=1)))
-            dev_a = abs(v2 - grid_attacker_value(a_prime, q2, z, spec))
+            dev_a = abs(v2 - grid_victim_value(payoff.T, spec))  # the attacker's grid maximin
             yield "attacker-stage-vs-grid", dev_a, att_range * spec.step + GRID_SLACK
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import LpError
-from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, require_valid
-from .solver import BRSolveReport, markov_attacker_best_response, q_from_v
+from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, q_from_v, require_valid
+from .solver import BRSolveReport, markov_attacker_best_response
 from .stage import StageSolveError, singleton_stage_solves
 
 DOMINANCE_TOL = 1e-9

@@ -1,4 +1,5 @@
-"""Core data model: Markov games, Markov policies, belief sets, value tables.
+"""Core data model: Markov games, Markov policies, belief sets, value tables,
+and the stage payoffs r + P V of a layer (`q_from_v`).
 
 Conventions used throughout the package:
 
@@ -341,8 +342,32 @@ def _check_policy(g: MarkovGame, pi: MarkovPolicy, player: int) -> None:
         )
 
 
+def q_from_v(g: MarkovGame, h: int, v_next) -> np.ndarray:
+    """Both players' stage payoffs at step h from next-layer values, shape
+    (2, ..., S, n, m) for v_next of shape (2, ..., S): player i + 1's
+    payoffs from the values v_next[i].
+
+    A stack of value vectors gives the stack of their payoffs from one
+    broadcast matmul, each bit-identical to the payoffs of its vector
+    alone.  Raises ValueError when they overflow, so the stage solves
+    downstream can trust them to be finite.
+    """
+    v_next = np.asarray(v_next, dtype=float)
+    if v_next.ndim < 2 or v_next.shape[0] != 2 or v_next.shape[-1] != g.num_states:
+        raise ValueError(f"v_next has shape {v_next.shape}, expected (2, ..., {g.num_states})")
+    if not (0 <= h < g.horizon):
+        raise ValueError(f"step {h} out of range for horizon {g.horizon}")
+    rewards = g.rewards[:, h].reshape(2, *(1,) * (v_next.ndim - 2), *g.rewards.shape[2:])
+    q = rewards + (g.transitions[h] @ v_next[..., None, None, :, None])[..., 0]
+    if not np.isfinite(q).all():
+        raise ValueError(f"stage payoffs at step {h} overflow")
+    return q
+
+
 def evaluate_policy(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy) -> ValueTables:
-    """Exact backward-induction evaluation of a fixed policy pair.
+    """Exact backward-induction evaluation of a fixed policy pair, each
+    layer's payoffs from one `q_from_v` call, which raises ValueError
+    where they overflow.
 
     Returns value tables for both players; the scalar root values are
     `result.root(g.mu)`.
@@ -352,8 +377,8 @@ def evaluate_policy(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy) -> Valu
     H, S = g.horizon, g.num_states
     values = np.zeros((2, H + 1, S))
     for h in range(H - 1, -1, -1):
+        q = q_from_v(g, h, values[:, h + 1])
         for i in range(2):
-            q = g.rewards[i, h] + g.transitions[h] @ values[i, h + 1]
-            values[i, h] = np.einsum("sn,snm,sm->s", pi1.entries[h], q, pi2.entries[h])
+            values[i, h] = np.einsum("sn,snm,sm->s", pi1.entries[h], q[i], pi2.entries[h])
     return ValueTables(values)
 

@@ -143,17 +143,14 @@ def grid_attacker_value(a_prime, b, z_star: float, spec: GridSpec) -> float:
 
     The inner minimization over the victim's best-response polytope is exact
     (a linear function attains its minimum at a vertex); only the outer
-    maximization is discretized.
+    maximization is discretized: it is `grid_victim_value` of the vertex
+    payoffs (m x vertices), the attacker's mix being the grid's row player.
     """
-    a_prime = np.asarray(a_prime, dtype=float)
     b = np.asarray(b, dtype=float)
     n, m = b.shape
     if n > GRID_MAX_DIM or m > GRID_MAX_DIM:
         raise ValueError(f"grid oracle gated to n, m <= {GRID_MAX_DIM}")
-    verts = np.stack(victim_br_vertices(a_prime, z_star))
-    payoff = verts @ b  # (num_vertices, m)
-    grid = simplex_grid(m, spec.resolution)
-    return float((grid @ payoff.T).min(axis=1).max())
+    return grid_victim_value((np.stack(victim_br_vertices(a_prime, z_star)) @ b).T, spec)
 
 
 def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:

@@ -3,7 +3,9 @@
 Given a validated game and a finitely generated victim belief, solve one
 stage game per (step, state) from the last layer backwards.  Within a layer
 the per-state solves are independent and run as one batch; layers are
-strictly sequential.
+strictly sequential.  This module holds only that pass and its report: each
+layer's payoffs come from `model.q_from_v` and its stage solves, finished
+attacker mixes included, from `stage.belief_stage_solves`.
 Worst-case values are unique, so the value tables are reproducible
 bit-for-bit through the deterministic LP engine and the closed forms even
 though the returned policy may be any optimal vertex.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, require_valid
+from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, q_from_v, require_valid
 from .lp import LpError
 from .stage import MAX_BELIEF_POLICIES, StageSolveError, belief_stage_solves
 
@@ -24,19 +26,10 @@ STAGE_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class QMatrices:
-    """Per-(player, step, state) stage payoff matrices, shape (2, H, S, n, m)."""
+    """Per-(player, step, state) stage payoff matrices, shape (2, H, S, n, m),
+    read-only and finite (each layer from `q_from_v`)."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 5 or values.shape[0] != 2:
-            raise ValueError(f"q matrices must be (2, H, S, n, m), got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("q matrices must be finite")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -48,43 +41,6 @@ class BRSolveReport:
     q: QMatrices
     v1_root: float
     v2_root: float
-
-
-def q_from_v(g: MarkovGame, h: int, v_next) -> np.ndarray:
-    """Both players' stage payoffs at step h from next-layer values, shape
-    (2, ..., S, n, m) for v_next of shape (2, ..., S): player i + 1's
-    payoffs from the values v_next[i].
-
-    A stack of value vectors gives the stack of their payoffs from one
-    broadcast matmul, each bit-identical to the payoffs of its vector
-    alone.  Raises ValueError when they overflow, so the stage solves
-    downstream can trust them to be finite.
-    """
-    v_next = np.asarray(v_next, dtype=float)
-    if v_next.ndim < 2 or v_next.shape[0] != 2 or v_next.shape[-1] != g.num_states:
-        raise ValueError(f"v_next has shape {v_next.shape}, expected (2, ..., {g.num_states})")
-    if not (0 <= h < g.horizon):
-        raise ValueError(f"step {h} out of range for horizon {g.horizon}")
-    rewards = g.rewards[:, h].reshape(2, *(1,) * (v_next.ndim - 2), *g.rewards.shape[2:])
-    q = rewards + (g.transitions[h] @ v_next[..., None, None, :, None])[..., 0]
-    if not np.isfinite(q).all():
-        raise ValueError(f"stage payoffs at step {h} overflow")
-    return q
-
-
-def clean_mix(y: np.ndarray) -> np.ndarray:
-    """Snap LP-produced mixes, along the last axis, onto the simplex (clip
-    tiny negatives, rescale).
-
-    Solver output satisfies the simplex constraints to ~1e-12 but policy
-    construction validates exactly; the snap changes entries by at most the
-    solver's own rounding error.
-    """
-    y = np.clip(np.asarray(y, dtype=float), 0.0, None)
-    total = y.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0.0):
-        raise ValueError("mix has no positive mass")
-    return y / total
 
 
 def _check_budget(g: MarkovGame, k: int) -> None:
@@ -103,10 +59,10 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
     worst-case values, and one `stage.belief_stage_solves` call solves all
     S stages from their believed columns Q1[h] @ belief.mixes[h], an
     (S, n, K) array with one column per base policy: closed forms where
-    they apply, and LPs in lockstep batches elsewhere.  The mixes of the
-    fallback stages, LP vertices, are snapped onto the simplex.  A
-    stage-solve failure names the step h and the stage s ("step h, stage
-    s: ...") and which LP broke.
+    they apply, and LPs in lockstep batches elsewhere.  The stage solves
+    return finished attacker mixes, so they are the policy's rows as they
+    are.  A stage-solve failure names the step h and the stage s ("step h,
+    stage s: ...") and which LP broke.
     """
     require_valid(g)
     if not belief.matches(g):
@@ -127,10 +83,8 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
             raise type(err)(f"step {h}, {err}") from None
         values[0, h] = br.z_star
         values[1, h] = br.v2_star
-        pi2[h] = br.y_star  # exact unit vectors where a closed form applied
-        fallback = np.flatnonzero(br.fallback)
-        if fallback.size:
-            pi2[h, fallback] = clean_mix(br.y_star[fallback])
+        pi2[h] = br.y_star
+    qvals.flags.writeable = False
     tables = ValueTables(values)
     v1_root, v2_root = tables.root(g.mu)
     return BRSolveReport(

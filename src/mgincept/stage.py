@@ -2,7 +2,9 @@
 
 `belief_stage_solves` is the one solve of a backward-induction layer: P
 stages, each with its victim's payoffs against K believed attacker mixes
-(the (P, n, K) believed columns) and its attacker's payoffs.
+(the (P, n, K) believed columns) and its attacker's payoffs.  Every
+attacker mix it returns is a distribution: LP vertices are snapped onto the
+simplex (`clean_mix`) where they are made.
 
 The victim's worst-case best response against K > 1 believed mixes is a
 small maximin LP over (x, z).  The attacker maximizes its payoff over the
@@ -55,17 +57,31 @@ class StageBR:
     """Outcome of the P stage solves of a layer, with a leading stage axis
     on every field (from `belief_stage_solves`).
 
-    y_star is one optimal attacker mix (any optimal vertex; recorded as
-    returned by the deterministic solver, or a pure action from a closed
-    form), z_star the victim's worst-case value and v2_star the attacker's
-    worst-case value.  fallback is True where no closed form applied and
-    y_star is an LP vertex, whose entries carry the LP's rounding.
+    y_star is one optimal attacker mix, always a distribution: a pure
+    action from a closed form, or an LP vertex of the deterministic solver
+    snapped onto the simplex (`clean_mix`).  z_star is the victim's
+    worst-case value and v2_star the attacker's worst-case value.
     """
 
     y_star: np.ndarray
     z_star: np.ndarray
     v2_star: np.ndarray
-    fallback: np.ndarray
+
+
+def clean_mix(y: np.ndarray) -> np.ndarray:
+    """Snap LP-produced mixes, along the last axis, onto the simplex (clip
+    tiny negatives, rescale).
+
+    Solver output satisfies the simplex constraints to ~1e-12 but policy
+    construction validates exactly; the snap changes entries by at most the
+    solver's own rounding error, and each row's bits do not depend on its
+    batch.
+    """
+    y = np.clip(np.asarray(y, dtype=float), 0.0, None)
+    total = y.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
+        raise ValueError("mix has no positive mass")
+    return y / total
 
 
 def _stage_error(p: int, lp_name: str, status: int) -> RuntimeError:
@@ -245,7 +261,8 @@ def _lp_chain(cols, b) -> StageBR:
     LPs, as one batch, with z* := min_j (x*'A')_j, a value x* attains, so
     their best-reply polytopes are not empty by rounding.  These fallback
     stages are those whose victim LP is OPTIMAL but not unique; a failed
-    victim LP leaves its stage NaN, which no LP is given.
+    victim LP leaves its stage NaN, which no LP is given.  The attacker
+    LPs' vertices are snapped onto the simplex (`clean_mix`).
 
     Returns a StageBR whose fields have a leading stage axis.  Raises what
     solving the stages one by one raises first: the lowest failing stage,
@@ -257,18 +274,19 @@ def _lp_chain(cols, b) -> StageBR:
     k_star = payoff.argmax(axis=1)
     y_star = np.eye(b.shape[2])[k_star]
     v2_star = payoff[np.arange(k_star.size), k_star]
-    fallback = ~unique & (victim == _OPTIMAL)
     status = np.full((victim.size, 2), _OPTIMAL, dtype=np.int8)  # each stage's victim LP, attacker LP
     status[:, 0] = victim
-    rest = np.flatnonzero(fallback)
+    rest = np.flatnonzero(~unique & (victim == _OPTIMAL))
     if rest.size:
-        y_star[rest], v2_star[rest], status[rest, 1] = attacker_br_lp(
+        y_rest, v2_star[rest], status[rest, 1] = attacker_br_lp(
             _row_mix(x[rest], cols[rest]).min(axis=1), cols[rest], b[rest])
     failed = np.flatnonzero(status != _OPTIMAL)
     if failed.size:
         p, lp = divmod(int(failed[0]), 2)
         raise _stage_error(p, (_VICTIM_LP, _ATTACKER_LP)[lp], status[p, lp])
-    return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star, fallback=fallback)
+    if rest.size:
+        y_star[rest] = clean_mix(y_rest)
+    return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star)
 
 
 def _row_mix(x, a) -> np.ndarray:
@@ -287,20 +305,18 @@ def belief_stage_solves(cols, b) -> StageBR:
 
     K > 1 goes to `_lp_chain`.  K = 1 goes to `singleton_stage_solves`:
     z* is the column maximum exactly, and y* the pure action k* against
-    the unique best reply row, or at a tied stage (a `fallback` stage
-    here) the maximin LP's mix over the tied rows.  Returns a StageBR with
-    a leading stage axis.  A failure names the lowest failing stage and
-    the LP.  Trusts its inputs to be finite.
+    the unique best reply row, or at a tied stage the maximin LP's mix over
+    the tied rows, snapped onto the simplex (`clean_mix`).  Returns a
+    StageBR with a leading stage axis.  A failure names the lowest failing
+    stage and the LP.  Trusts its inputs to be finite.
     """
     if cols.shape[2] > 1:
         return _lp_chain(cols, b)
     cells = singleton_stage_solves(cols, b)
     y_star = np.eye(b.shape[2])[cells.k_star[:, 0]]
-    fallback = cells.tied[:, 0]
     if cells.tied_y:
-        y_star[fallback] = cells.tied_y
-    return StageBR(y_star=y_star, z_star=cells.z[:, 0], v2_star=cells.v2[:, 0],
-                   fallback=fallback)
+        y_star[cells.tied[:, 0]] = clean_mix(np.array(cells.tied_y))
+    return StageBR(y_star=y_star, z_star=cells.z[:, 0], v2_star=cells.v2[:, 0])
 
 
 class SingletonSolves(NamedTuple):

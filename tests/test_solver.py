@@ -196,11 +196,11 @@ def test_clean_mix_of_a_layer_is_bitwise_the_per_row_snap():
         P, m = int(rng.integers(1, 9)), int(rng.integers(1, 70))
         y = rng.uniform(-1e-13, 1.0, (P, m)) * (rng.uniform(size=(P, m)) < 0.8)
         y[:, 0] += 1e-3
-        rows = np.array([solver.clean_mix(row) for row in y])
-        assert solver.clean_mix(y).tobytes() == rows.tobytes()
+        rows = np.array([stage.clean_mix(row) for row in y])
+        assert stage.clean_mix(y).tobytes() == rows.tobytes()
     y[-1] = -1e-13
     with pytest.raises(ValueError, match="no positive mass"):
-        solver.clean_mix(y)
+        stage.clean_mix(y)
 
 
 def _per_stage_best_response(g, belief):
@@ -213,7 +213,7 @@ def _per_stage_best_response(g, belief):
         for s in range(S):
             br = stage_solve(belief.mixes[h, s].T, q1[s], q2[s])
             values[:, h, s] = br.z_star, br.v2_star
-            pi2[h, s] = solver.clean_mix(br.y_star)
+            pi2[h, s] = br.y_star
     return values, pi2
 
 
@@ -251,6 +251,11 @@ def test_overflowing_stage_payoffs_are_rejected():
             mg.policy_inception(g)
         with pytest.raises(ValueError, match="overflow"):
             mg.markov_attacker_best_response(g, mg.BeliefSet((pure_stage_policy(2, 0, 2, 2),)))
+        # the evaluation of a fixed pair builds its payoffs the same way:
+        # the victim on row 0 doubles 1e308 at step 0
+        with pytest.raises(ValueError, match="overflow"):
+            mg.evaluate_policy(g, mg.MarkovPolicy.deterministic(1, [[0], [0]], 2),
+                               mg.MarkovPolicy(2, np.full((2, 1, 2), 0.5)))
 
 
 def test_budget_and_dimension_guards():
@@ -386,10 +391,62 @@ def test_k_layer_is_bitwise_the_per_state_solves(monkeypatch):
             fallback.append(not stage.victim_br_lp(cols)[2][0])
             assert report.v.values[0, h, s].tobytes() == br.z_star[0].tobytes()
             assert report.v.values[1, h, s].tobytes() == br.v2_star[0].tobytes()
-            assert (report.pi2_star.entries[h, s].tobytes()
-                    == solver.clean_mix(br.y_star[0]).tobytes())
+            assert report.pi2_star.entries[h, s].tobytes() == br.y_star[0].tobytes()
         monkeypatch.undo()
     assert 0 < sum(fallback) < len(fallback)
+
+
+def test_stage_solves_return_distributions_snapped_where_the_lp_made_them(monkeypatch):
+    # belief_stage_solves hands back finished attacker mixes: every row is
+    # a distribution, the attacker-LP rows of a K > 1 layer are clean_mix of
+    # that LP's vertices and a K = 1 layer's tied rows clean_mix of the
+    # tied cells' maximin mixes, bit for bit
+    made = []
+    real = stage.attacker_br_lp
+
+    def recorded(z_star, cols, b):
+        made.append(real(z_star, cols, b))
+        return made[-1]
+
+    snapped = tied = 0
+    for seed in range(20):
+        g = integer_reward_game(seed)
+        rng = np.random.default_rng(seed)
+        pure = mg.MarkovPolicy.deterministic(2, rng.integers(0, g.m, (g.horizon, g.num_states)),
+                                             g.m)
+        for belief in (mg.BeliefSet((pure,)), random_belief(rng, g, 3), mg.secure_belief(g)):
+            q1, q2 = mg.markov_attacker_best_response(g, belief).q.values
+            for h in range(g.horizon):
+                cols = q1[h] @ belief.mixes[h]
+                monkeypatch.setattr(stage, "attacker_br_lp", recorded)
+                made.clear()
+                br = stage.belief_stage_solves(cols, q2[h])
+                monkeypatch.undo()
+                assert (br.y_star >= 0.0).all()
+                assert (np.abs(br.y_star.sum(axis=1) - 1.0) <= mg.model.PROB_TOL).all()
+                if belief.size == 1:
+                    cells = stage.singleton_stage_solves(cols, q2[h])
+                    rows = cells.tied[:, 0]
+                    want = stage.clean_mix(np.array(cells.tied_y)) if cells.tied_y else ()
+                    tied += len(want)
+                else:
+                    _, _, unique, status = stage.victim_br_lp(cols)
+                    rows = ~unique & (status == mg.LpStatus.OPTIMAL.value)
+                    want = stage.clean_mix(made[0][0]) if made else ()
+                    snapped += len(want)
+                assert len(made) == (belief.size > 1 and rows.any())
+                assert br.y_star[rows].tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert snapped > 0 and tied > 0
+
+
+def test_report_q_is_read_only():
+    # the backward pass hands its Q tables to the report without a copy,
+    # so they must be frozen there
+    g = chain_game(seed=24)
+    report = mg.markov_attacker_best_response(g, mg.secure_belief(g))
+    assert not report.q.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        report.q.values[0, 0, 0, 0, 0] = 1.0
 
 
 def _stress_game(dims, seed, k):
