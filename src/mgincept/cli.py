@@ -19,8 +19,8 @@ from .gamefile import GameFormatError
 from .inception import InceptionConfig, check_iota_dominance, design_dominant_rewards, policy_inception
 from .lp import LpError
 from .model import BeliefSet, InvalidGameError, require_valid, validate_game
-from .oracle import (GridSpec, brute_force_inception, grid_victim_value, random_game,
-                     victim_br_vertices)
+from .oracle import (GRID_MAX_DIM, GridSpec, _check_grid_points, brute_force_inception,
+                     grid_victim_value, random_game, victim_br_vertices)
 from .rollout import simulate
 from .solver import markov_attacker_best_response, secure_belief
 from .stage import StageSolveError
@@ -147,6 +147,14 @@ def cmd_verify(args) -> int:
         games = [doc.game]
         beliefs = [BeliefSet(doc.beliefs) if doc.beliefs else secure_belief(doc.game)]
         source = args.game
+    if args.mode in ("grid", "all"):
+        # the largest of the grids over the victim's n and the attacker's m
+        # actions; a dimension above GRID_MAX_DIM is the oracle's own refusal
+        dims = [d for d in (games[0].n, games[0].m) if d <= GRID_MAX_DIM]
+        try:
+            _check_grid_points(max(dims, default=1), spec)
+        except ValueError as exc:
+            raise GameFormatError(f"--step: {exc}") from exc
     print(f"seed = {args.seed}, games = {len(games)}, source = {source}, mode = {args.mode}")
 
     rows = {}

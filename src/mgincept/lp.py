@@ -29,10 +29,15 @@ step pivots each unfinished member once, so step s is every live member's
 s-th pivot and the switch of pricing rule falls on each member's own pivot
 count.  A member that is optimal or unbounded, or hits the pivot limit,
 leaves the stack (the stack is compacted), so finished members are never
-updated through a mask.  `solve_lp` splits a batch into runs of at most
-BATCH_ELEMENTS tableau elements (at least one program each), which bounds
-the stack's memory, and returns the batch's outcomes as one `LpBatch` of
-arrays: status, v, value and the uniqueness flag, one entry per program.
+updated through a mask.  The engine has one entry, `_solve_started`: it
+takes a stack of started tableaux [A | I | b ; c | 0 | 0] with their slack
+bases, solves them in runs of at most BATCH_ELEMENTS tableau elements (at
+least one program each), and reads the batch's outcomes off the final
+tableaux as one `LpBatch` of arrays: status, v, value and the uniqueness
+flag, one entry per program.  `solve_lp` is `_start` and that entry, one
+run at a time, so it holds at most one run's tableaux; a caller that
+writes its started tableaux itself (`mgincept.stage.victim_br_lp`) hands
+them to the entry directly, after LinearProgram's checks.
 
 Why a member's results do not depend on its batch: every tableau entry is
 computed by the same floating-point operations, in the same order, as in a
@@ -81,7 +86,7 @@ class LpStatus(enum.Enum):
     STALLED = 2
 
 
-_OPTIMAL, _UNBOUNDED, _STALLED = (s.value for s in LpStatus)
+_OPTIMAL, _STALLED = LpStatus.OPTIMAL.value, LpStatus.STALLED.value
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray,
     x - x * 1.0 = +0.0.
     """
     k = np.arange(T.shape[0])
-    pivot_row = T[k, row] / column[k, row][:, None]
+    pivot_row = T[k, row] / column[k, row, None]
     T -= column[:, :, None] * pivot_row[:, None, :]
     T[k, row] = pivot_row
     basis[k, row] = col
@@ -163,52 +168,90 @@ def _run(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
     Returns each member's LpStatus value: OPTIMAL, UNBOUNDED or STALLED
     (the pivot limit).  Finished members leave the working stack t and are
-    written back to T.  Step s pivots every live member for its s-th time,
-    so the switch from Dantzig's to Bland's entering rule after
-    _BLAND_AFTER steps is each member's own.
+    written back to T (until the first member leaves, t is T itself).  Step
+    s pivots every live member for its s-th time, so the switch from
+    Dantzig's to Bland's entering rule after _BLAND_AFTER steps is each
+    member's own.
     """
-    rows = T.shape[1] - 1
+    rows, width = T.shape[1] - 1, T.shape[2]
     outcome = np.full(T.shape[0], _STALLED, dtype=np.int8)
     live = k = np.arange(T.shape[0])
     t, tb = T, basis
+    cost, rhs = t[:, -1, :-1], t[:, :rows, -1]  # views, kept until t is compacted
     for step in range(MAX_PIVOTS):
-        cost = t[:, -1, :-1]
         # Dantzig: the largest reduced cost; Bland: the lowest improving index
         entering = (cost if step < _BLAND_AFTER else cost > PIVOT_TOL).argmax(axis=1)
         column = t[k, :, entering]
-        eligible = column[:, :rows] > PIVOT_TOL
-        improves = column[:, -1] > PIVOT_TOL
-        go = improves & eligible.any(axis=1)
-        if not go.all():
-            done, keep = (~go).nonzero()[0], go.nonzero()[0]
+        positive = column > PIVOT_TOL
+        eligible = positive[:, :rows]
+        go = positive[:, -1] & eligible.any(axis=1)
+        keep = go.nonzero()[0]
+        if keep.size < go.size:
+            done = (~go).nonzero()[0]
             ids = live.take(done)
-            outcome[ids] = np.where(improves.take(done), _UNBOUNDED, _OPTIMAL)
-            T[ids] = t.take(done, axis=0)
-            basis[ids] = tb.take(done, axis=0)
+            # an improving column with no eligible row is UNBOUNDED (value 1), else
+            # the member is OPTIMAL (value 0)
+            outcome[ids] = positive[done, -1]
+            if t is not T:
+                T[ids] = t.take(done, axis=0)
+                basis[ids] = tb.take(done, axis=0)
             if keep.size == 0:
                 return outcome
             live, t, tb = live.take(keep), t.take(keep, axis=0), tb.take(keep, axis=0)
-            k = np.arange(keep.size)
+            k = k[:keep.size]
+            cost, rhs = t[:, -1, :-1], t[:, :rows, -1]
             entering, column, eligible = (entering.take(keep), column.take(keep, axis=0),
                                           eligible.take(keep, axis=0))
         # the rows that are not eligible hold inf, above every finite least ratio
-        ratios = np.full(eligible.shape, np.inf)
-        np.divide(t[:, :rows, -1], column[:, :rows], out=ratios, where=eligible)
+        ratios = np.empty(eligible.shape)
+        ratios.fill(np.inf)
+        np.divide(rhs, column[:, :rows], out=ratios, where=eligible)
         ties = ratios <= ratios.min(axis=1, keepdims=True) + 1e-15
-        leaving = np.where(ties, tb, t.shape[2]).argmin(axis=1)  # Bland: lowest basis index
+        leaving = np.where(ties, tb, width).argmin(axis=1)  # Bland: lowest basis index
         _pivot(t, tb, leaving, entering, column)
     T[live] = t
     basis[live] = tb
     return outcome
 
 
+def _solve_started(T: np.ndarray, basis: np.ndarray) -> LpBatch:
+    """Solve a stack of started tableaux in lockstep: T (B, rows + 1,
+    q + rows + 1) holds each program's [A | I | b] over its cost row
+    [c | 0 | 0] and basis (B, rows) its slack basis, as `_start` writes
+    them.  Both are pivoted in place, in runs of at most BATCH_ELEMENTS
+    tableau elements (at least one program each), and the outcomes are read
+    off the final tableaux as one LpBatch (see `solve_lp`).  Trusts its
+    input to pass LinearProgram's checks.
+    """
+    count, rows = basis.shape
+    q = T.shape[2] - rows - 1
+    c = T[:, -1, :q].copy()
+    step = max(1, BATCH_ELEMENTS // (T.shape[1] * T.shape[2]))
+    status = np.empty(count, dtype=np.int8)
+    for i in range(0, count, step):
+        status[i:i + step] = _run(T[i:i + step], basis[i:i + step])
+    members = np.arange(count)[:, None]
+    x = np.zeros((count, q + rows))
+    x[members, basis] = T[:, :-1, -1]
+    basic = np.zeros((count, q + rows), dtype=bool)
+    basic[members, basis] = True
+    unique = ((T[:, -1, :-1] < -PIVOT_TOL) | basic).all(axis=1)
+    # C order: each row is contiguous, so each member's sum c * v rounds as
+    # in a batch of one
+    v = np.ascontiguousarray(x[:, :q])
+    optimal = status == _OPTIMAL
+    v[~optimal] = np.nan
+    return LpBatch(status, v, (c * v).sum(axis=1), unique & optimal)
+
+
 def solve_lp(lp: LinearProgram) -> LpBatch:
     """Solve a batch of linear programs in lockstep, deterministically.
 
     Returns one LpBatch of arrays, whose status reports the pivot limit as
-    STALLED, so that the caller picks which failure to report.  The batch
-    is solved in runs of at most BATCH_ELEMENTS tableau elements (at least
-    one program each).
+    STALLED, so that the caller picks which failure to report.  Each run of
+    at most BATCH_ELEMENTS tableau elements (at least one program) is
+    started (`_start`) and solved (`_solve_started`) in turn, so no more
+    than one run's tableaux are held at once.
 
     On OPTIMAL, `v` is a vertex of the feasible region, `value` equals
     sum(objective * v) and `unique` flags an optimum that no other point
@@ -218,21 +261,7 @@ def solve_lp(lp: LinearProgram) -> LpBatch:
     c, a, b = lp.objective, lp.a_ub, lp.b_ub
     count, rows, q = a.shape
     step = max(1, BATCH_ELEMENTS // ((rows + 1) * (q + rows + 1)))
-    status = np.empty(count, dtype=np.int8)
-    x = np.zeros((count, q + rows))
-    unique = np.empty(count, dtype=bool)
-    for i in range(0, count, step):
-        T, basis = _start(c[i:i + step], a[i:i + step], b[i:i + step])
-        B = T.shape[0]
-        status[i:i + B] = _run(T, basis)
-        members = np.arange(B)[:, None]
-        x[i + members, basis] = T[:, :-1, -1]
-        basic = np.zeros((B, q + rows), dtype=bool)
-        basic[members, basis] = True
-        unique[i:i + B] = ((T[:, -1, :-1] < -PIVOT_TOL) | basic).all(axis=1)
-    # C order: each row is contiguous, so each member's sum objective * v
-    # rounds as in a batch of one
-    v = np.ascontiguousarray(x[:, :q])
-    optimal = status == _OPTIMAL
-    v[~optimal] = np.nan
-    return LpBatch(status, v, (c * v).sum(axis=1), unique & optimal)
+    # an empty batch is one empty run
+    runs = [_solve_started(*_start(c[i:i + step], a[i:i + step], b[i:i + step]))
+            for i in range(0, max(count, 1), step)]
+    return LpBatch(*map(np.concatenate, zip(*runs)))

@@ -37,6 +37,7 @@ from .stage import StageSolveError
 
 ENUM_GUARD = 4096
 GRID_MAX_DIM = 4
+_GRID_MAX_POINTS = 1_000_000  # 32 MB of float64 points at GRID_MAX_DIM
 VERTEX_MAX_DIM = 6
 VERTEX_INCLUDE_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-8
@@ -74,6 +75,28 @@ def _compositions(dim: int, total: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def _check_grid_points(dim: int, spec: GridSpec) -> None:
+    """Refuse, before it is built, a simplex grid of dim coordinates at
+    spec with more than _GRID_MAX_POINTS points, C(resolution + dim - 1,
+    dim - 1); the ValueError names the count and a coarser step that fits."""
+    points = math.comb(spec.resolution + dim - 1, dim - 1)
+    if points <= _GRID_MAX_POINTS:
+        return
+    fits, too_many = 1, spec.resolution  # the largest resolution that fits, by bisection
+    while too_many - fits > 1:
+        mid = (fits + too_many) // 2
+        if math.comb(mid + dim - 1, dim - 1) <= _GRID_MAX_POINTS:
+            fits = mid
+        else:
+            too_many = mid
+    # 1 / fits rounded up to two significant digits: its resolution is at most fits
+    unit = 10.0 ** (math.floor(math.log10(1.0 / fits)) - 1)
+    coarser = math.ceil(1.0 / fits / unit) * unit
+    raise ValueError(f"a grid over {dim} actions at step {spec.step:g} has {points} points, "
+                     f"above the limit of {_GRID_MAX_POINTS}; use a step of {coarser:.2g} "
+                     "or coarser")
+
+
 def simplex_grid(dim: int, resolution: int) -> np.ndarray:
     """All points of the simplex with coordinates k/resolution, shape (count, dim)."""
     if resolution < 1:
@@ -90,6 +113,7 @@ def grid_victim_value(a_prime, spec: GridSpec) -> float:
     n = a_prime.shape[0]
     if n > GRID_MAX_DIM:
         raise ValueError(f"grid oracle gated to n <= {GRID_MAX_DIM}, got {n}")
+    _check_grid_points(n, spec)
     grid = simplex_grid(n, spec.resolution)
     return float((grid @ a_prime).min(axis=1).max())
 
@@ -230,10 +254,10 @@ def brute_force_inception(g: MarkovGame) -> tuple:
         return np.stack([z, v2])[pick].reshape(2, -1, S)
 
     v = _suffix_pass(g, keep)
-    roots = [float(g.mu @ x) for x in v[1]]  # one dot per policy, as ValueTables.root
+    roots = np.vecdot(v[1], g.mu)  # one float64 dot per policy, as ValueTables.root
     best = int(np.argmax(roots))  # first maximum: lowest-lexicographic policy
     actions = np.reshape(np.unravel_index(best, (m,) * (H * S)), (H, S))
-    return MarkovPolicy.deterministic(2, actions, m), roots[best]
+    return MarkovPolicy.deterministic(2, actions, m), float(roots[best])
 
 
 def random_game(rng: np.random.Generator, horizon: int, num_states: int,

@@ -20,13 +20,15 @@ guarantee, so every right-hand side is >= 0, the form `lp.LinearProgram`
 takes, the simplex starts feasible at the pure security strategy, and x, z,
 y and alpha are mapped back afterwards (see victim_br_lp and
 attacker_br_lp).  Both LPs take a leading stage axis: the P stages of a
-layer share one shape, so each LP's arrays are built once for the whole
-layer and `lp.solve_lp` solves them as one lockstep batch (which it splits
-at `lp.BATCH_ELEMENTS` tableau elements), with results bit-identical to
-solving the stages one by one.  The LPs return their outcomes as status
-arrays, and a layer's solve raises once, for the lowest failing stage (its
-index p along that axis), naming the LP; there the victim LP comes before
-the attacker LP, the order of solving the stages one by one.  A singleton
+layer share one shape, so each LP is built once for the whole layer and
+the engine solves it as one lockstep batch (split at `lp.BATCH_ELEMENTS`
+tableau elements), with results bit-identical to solving the stages one by
+one.  The victim LP, the only LP of most layers, writes its started
+tableau in place and hands it to the engine's entry (`lp._solve_started`);
+the attacker LP goes through `lp.solve_lp`.  The LPs return their outcomes
+as status arrays, and a layer's solve raises once, for the lowest failing
+stage (its index p along that axis), naming the LP; there the victim LP
+comes before the attacker LP, the order of solving the stages one by one.  A singleton
 belief needs neither LP: the victim's value is the column maximum, its best
 replies the rows attaining it (==).  `singleton_stage_solves` solves a
 layer of such stages from their (P, n, J) believed columns, the layout of
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, LpStatus, solve_lp
+from .lp import LinearProgram, LpError, LpStatus, _solve_started, solve_lp
 
 MAX_BELIEF_POLICIES = 64
 _OPTIMAL, _STALLED = LpStatus.OPTIMAL.value, LpStatus.STALLED.value
@@ -173,6 +175,15 @@ def victim_br_lp(cols) -> tuple:
     at x = e_r0, t = 0 after degenerate pivots only (often none) and gets
     z* = c exactly, with c read off the unmapped A'.  x and z = c + span *
     (gain_j0 x - t) are mapped back.
+
+    The program is written straight into its started tableau, the
+    (P, K + 1, n + K + 1) stack [A | I | b] over the cost row [c | 0 | 0]
+    that `lp._start` would build from it: the K - 1 rows j != j0 in order,
+    then the sum row, over the columns x, t, one slack per row and the
+    right-hand side, every entry by the float operations that build the
+    program's arrays.  LinearProgram's two checks run on it (every entry
+    finite, every right-hand side >= 0), raising its LpError, before the
+    tableau and its slack basis go to `lp._solve_started`.
     """
     P, n, K = cols.shape
     unit, _, span = _to_unit(cols)
@@ -180,18 +191,20 @@ def victim_br_lp(cols) -> tuple:
     p = np.arange(P)
     j0 = room.argmin(axis=1)  # the lowest column of room 0
     rest = _others(K, j0)
-    objective = np.empty((P, n))
-    objective[:, :-1] = gain[p, j0]
-    objective[:, -1] = -1.0
-    a_ub = np.empty((P, K, n))
-    np.subtract(objective[:, None, :-1], gain[p[:, None], rest], out=a_ub[:, :-1, :-1])
-    a_ub[:, :-1, -1] = -1.0
-    a_ub[:, -1, :-1] = 1.0
-    a_ub[:, -1, -1] = 0.0
-    b_ub = np.empty((P, K))
-    b_ub[:, :-1] = room[p[:, None], rest]
-    b_ub[:, -1] = 1.0
-    sols = solve_lp(LinearProgram(objective, a_ub, b_ub))
+    T = np.zeros((P, K + 1, n + K + 1))
+    T[:, -1, :n - 1] = gain[p, j0]
+    T[:, -1, n - 1] = -1.0
+    np.subtract(T[:, -1:, :n - 1], gain[p[:, None], rest], out=T[:, :K - 1, :n - 1])
+    T[:, :K - 1, n - 1] = -1.0
+    T[:, K - 1, :n - 1] = 1.0
+    T.reshape(P, -1)[:, n:K * (n + K + 2):n + K + 2] = 1.0  # the slack of row r at n + r
+    T[:, :K - 1, -1] = room[p[:, None], rest]
+    T[:, K - 1, -1] = 1.0
+    if not np.isfinite(T).all() or (T[:, :-1, -1] < 0.0).any():
+        LinearProgram(T[:, -1, :n], T[:, :-1, :n], T[:, :-1, -1])  # raises its LpError
+    basis = np.empty((P, K), dtype=np.intp)
+    basis[:] = np.arange(n, n + K)
+    sols = _solve_started(T, basis)
     c = cols[p, r0].min(axis=1)
     return (_with_best_pure(sols.v[:, :-1], r0, others), c + span * sols.value, sols.unique,
             sols.status)
@@ -291,11 +304,9 @@ def _lp_chain(cols, b) -> StageBR:
 
 def _row_mix(x, a) -> np.ndarray:
     """x[p]'a[p] for every stage p (x is P x R, a P x R x C), summed over
-    the rows in order, so each stage's bits do not depend on its batch."""
-    out = x[:, 0, None] * a[:, 0]
-    for i in range(1, x.shape[1]):
-        out += x[:, i, None] * a[:, i]
-    return out
+    the rows in order (a running sum, one add per row), so each stage's
+    bits do not depend on its batch."""
+    return np.add.accumulate(x[:, :, None] * a, axis=1)[:, -1]
 
 
 def belief_stage_solves(cols, b) -> StageBR:
@@ -314,8 +325,8 @@ def belief_stage_solves(cols, b) -> StageBR:
         return _lp_chain(cols, b)
     cells = singleton_stage_solves(cols, b)
     y_star = np.eye(b.shape[2])[cells.k_star[:, 0]]
-    if cells.tied_y:
-        y_star[cells.tied[:, 0]] = clean_mix(np.array(cells.tied_y))
+    if cells.tied_y.size:
+        y_star[cells.tied[:, 0]] = clean_mix(cells.tied_y)
     return StageBR(y_star=y_star, z_star=cells.z[:, 0], v2_star=cells.v2[:, 0])
 
 
@@ -324,17 +335,17 @@ class SingletonSolves(NamedTuple):
 
     z is the victim's value (the column maximum) and v2 the attacker's
     value.  tied marks the cells whose maximum more than one row attains
-    exactly (==); tied_y holds their attacker mixes, in np.nonzero(tied)
-    order.  k_star, the attacker's lowest-index best action against the
-    lowest-index best reply row, is the attacker's stage policy of the
-    untied cells only.
+    exactly (==); tied_y (T, m) holds their attacker mixes, in
+    np.nonzero(tied) order.  k_star, the attacker's lowest-index best action
+    against the lowest-index best reply row, is the attacker's stage policy
+    of the untied cells only.
     """
 
     z: np.ndarray
     k_star: np.ndarray
     v2: np.ndarray
     tied: np.ndarray
-    tied_y: tuple
+    tied_y: np.ndarray
 
 
 def singleton_stage_solves(cols, b) -> SingletonSolves:
@@ -348,21 +359,36 @@ def singleton_stage_solves(cols, b) -> SingletonSolves:
     and argmax alone, v2 = b[p, i*, k*].  A tied cell's victim may play any
     row attaining z = max cols[p, :, j] exactly (==), so v2 is the maximin
     over exactly those rows, victim_br_lp(b[p][cols[p, :, j] == z].T), and
-    cells of a stage with the same tie set get bitwise equal values.
-    A failing maximin LP names its cell's stage p.  Trusts finite inputs.
+    cells of a stage with the same tie set get bitwise equal values.  The
+    tied cells with the same number of tied rows are solved as one
+    victim_br_lp batch, each cell's bits its own, and a layer with no tied
+    cell runs none.  A failing maximin LP names the stage p of the lowest
+    failing cell in np.nonzero(tied) order, as solving the cells one by one
+    does.  Trusts finite inputs.
     """
     p = np.arange(cols.shape[0])[:, None]
     j = np.arange(cols.shape[2])
     i_star = cols.argmax(axis=1)  # lowest index on ties
     z = cols[p, i_star, j]
-    tied = np.count_nonzero(cols == z[:, None], axis=1) > 1
+    best = cols == z[:, None]
+    ties = best.sum(axis=1)
+    tied = ties > 1
     k_star = b.argmax(axis=2)[p, i_star]  # lowest index on ties, per reply row
     v2 = b[p, i_star, k_star]
-    tied_y = []
-    for c in zip(*np.nonzero(tied)):
-        y, v2_tied, _, (status,) = victim_br_lp(b[c[0]][cols[c[0], :, c[1]] == z[c]].T[None])
-        if status != _OPTIMAL:
-            raise _stage_error(int(c[0]), _VICTIM_LP, status)
-        tied_y.append(y[0])
-        v2[c] = v2_tied[0]
-    return SingletonSolves(z, k_star, v2, tied, tuple(tied_y))
+    if not tied.any():
+        return SingletonSolves(z, k_star, v2, tied, np.empty((0, b.shape[2])))
+    # one maximin LP batch per tie size; each cell's bits are its own
+    cells = np.nonzero(tied)
+    sizes = ties[cells]
+    tied_y = np.empty((sizes.size, b.shape[2]))
+    status = np.empty(sizes.size, dtype=np.int8)
+    for size in np.unique(sizes):
+        at = np.flatnonzero(sizes == size)
+        ps, js = cells[0][at], cells[1][at]
+        rows = best[ps, :, js].nonzero()[1].reshape(at.size, size)  # ascending, per cell
+        tied_y[at], v2[ps, js], _, status[at] = victim_br_lp(
+            b[ps[:, None], rows].transpose(0, 2, 1))
+    failed = np.flatnonzero(status != _OPTIMAL)
+    if failed.size:
+        raise _stage_error(int(cells[0][failed[0]]), _VICTIM_LP, status[failed[0]])
+    return SingletonSolves(z, k_star, v2, tied, tied_y)

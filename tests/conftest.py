@@ -113,10 +113,11 @@ def stage_solve(rows, a, b):
 def watch_tied_cells(monkeypatch, *modules):
     """Check every `singleton_stage_solves` call made through the modules
     (`stage` is always watched): z is the exact column maximum, the attacker
-    LP never runs, and each cell whose maximum more than one row attains
-    (==) runs one `victim_br_lp` whose one stage is exactly b[p][col == z].T,
-    in np.nonzero order.  Returns the list of those matrices, which grows
-    with every checked call."""
+    LP never runs, and the cells whose maximum more than one row attains
+    (==) run one `victim_br_lp` batch per number of tied rows, smallest
+    first, whose stages are exactly b[p][col == z].T of those cells, in
+    np.nonzero order.  Returns the list of those matrices, one per tied
+    cell, which grows with every checked call."""
     from mgincept import stage
 
     real_kernel = stage.singleton_stage_solves
@@ -136,10 +137,12 @@ def watch_tied_cells(monkeypatch, *modules):
         assert cells.z.tobytes() == z.tobytes()
         tied = np.count_nonzero(cols == z[:, None], axis=1) > 1
         expected = [b[p][cols[p, :, j] == z[p, j]].T for p, j in zip(*np.nonzero(tied))]
+        sizes = sorted({matrix.shape[1] for matrix in expected})
         ran = lps[start:]
-        assert [name for name, _ in ran] == ["victim_br_lp"] * len(expected)
-        for (_, (matrix,)), want in zip(ran, expected):
-            assert matrix.shape == (1, *want.shape) and matrix.tobytes() == want.tobytes()
+        assert [name for name, _ in ran] == ["victim_br_lp"] * len(sizes)
+        for (_, (batch,)), size in zip(ran, sizes):
+            want = np.stack([matrix for matrix in expected if matrix.shape[1] == size])
+            assert batch.shape == want.shape and batch.tobytes() == want.tobytes()
         seen.extend(expected)
         return cells
 

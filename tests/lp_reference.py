@@ -6,7 +6,9 @@ start, the slack basis under the cost row [c | 0 | 0], and its pricing:
 the largest reduced cost enters (Dantzig) for the first `_BLAND_AFTER`
 pivots, the lowest improving index (Bland) after them.
 `solve_one` takes one program's arrays and returns its own record,
-`Outcome`; `solve_batch` solves a `LinearProgram` batch member by member.
+`Outcome`; `solve_batch` solves a `LinearProgram` batch member by member,
+and `solve_started` a stack of started tableaux (the input of
+`mgincept.lp._solve_started`).
 The tolerances, the pivot limit and the switch step come from the package.
 """
 
@@ -71,10 +73,10 @@ def start(c, A, b):
     return T, q + np.arange(rows)
 
 
-def solve_one(c, A, b) -> Outcome:
-    """The outcome of max c'v s.t. A v <= b, v >= 0, one program."""
-    rows, q = A.shape
-    T, basis = start(c, A, b)
+def finish(T, basis, c) -> Outcome:
+    """The outcome of one started tableau T with its basis, pivoted here to
+    the end; c is its objective."""
+    rows, q = basis.size, c.size
     status = run(T, basis)
     if status != LpStatus.OPTIMAL:
         return Outcome(status)
@@ -87,15 +89,32 @@ def solve_one(c, A, b) -> Outcome:
     return Outcome(LpStatus.OPTIMAL, v=v, value=float((c * v).sum()), unique=unique)
 
 
-def solve_batch(lp):
-    """The batch record (`mgincept.lp.LpBatch`) of a batched program, every
-    member solved alone."""
-    B, q = lp.objective.shape
+def solve_one(c, A, b) -> Outcome:
+    """The outcome of max c'v s.t. A v <= b, v >= 0, one program."""
+    return finish(*start(c, A, b), np.asarray(c, dtype=float))
+
+
+def _record(outcomes, q):
+    """The batch record (`mgincept.lp.LpBatch`) of one Outcome per member."""
+    B = len(outcomes)
     status = np.empty(B, dtype=np.int8)
     v, value, unique = np.full((B, q), np.nan), np.full(B, np.nan), np.zeros(B, dtype=bool)
-    for i in range(B):
-        sol = solve_one(lp.objective[i], lp.a_ub[i], lp.b_ub[i])
+    for i, sol in enumerate(outcomes):
         status[i] = sol.status.value
         if sol.status == LpStatus.OPTIMAL:
             v[i], value[i], unique[i] = sol.v, sol.value, sol.unique
     return LpBatch(status, v, value, unique)
+
+
+def solve_batch(lp):
+    """The batch record of a batched program, every member solved alone."""
+    return _record([solve_one(lp.objective[i], lp.a_ub[i], lp.b_ub[i])
+                    for i in range(lp.objective.shape[0])], lp.objective.shape[1])
+
+
+def solve_started(T, basis):
+    """The batch record of a stack of started tableaux, the input of
+    `mgincept.lp._solve_started`, every member pivoted alone on a copy."""
+    q = T.shape[2] - basis.shape[1] - 1
+    return _record([finish(T[i].copy(), basis[i].copy(), T[i, -1, :q].copy())
+                    for i in range(T.shape[0])], q)

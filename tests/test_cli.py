@@ -208,6 +208,24 @@ def test_verify_rejects_a_bad_step_before_any_work(mode, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_verify_refuses_an_oversized_grid_before_any_work(capsys, monkeypatch):
+    # random 2,4,3,2 games at the default step: the attacker's grid over 4
+    # actions would hold C(1003, 3) points, 5.4 GB; the step is refused up
+    # front, with no header, no solve and no grid built
+    def unreachable(*args):
+        raise AssertionError("worked before the grid size was checked")
+
+    monkeypatch.setattr(cli, "markov_attacker_best_response", unreachable)
+    monkeypatch.setattr(mg.oracle, "_compositions", unreachable)
+    assert cli.main(["verify", "--mode", "grid", "--random", "2,4,3,2", "--seed", "4",
+                     "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --step: a grid over 4 actions at step 0.001 has 167668501 "
+                            "points, above the limit of 1000000; use a step of 0.0056 or "
+                            "coarser\n")
+
+
 def _count_validations(monkeypatch):
     """Record every game the underlying validity check runs on."""
     calls = []

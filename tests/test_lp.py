@@ -385,31 +385,40 @@ def test_matches_oracle_with_free_variables():
 
 def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     # both stage LPs are written at their best pure strategy: every
-    # right-hand side is >= 0, so each starts at a feasible basis and is
-    # solved by one simplex run.  A unique victim optimum needs no attacker
-    # LP; with victim rows 0 and 1 equal and above the others it is a
-    # segment, and the attacker LP runs too
-    programs = []
+    # right-hand side is >= 0, so each starts at a feasible basis, the
+    # slack basis, and is solved by one simplex run.  The victim LP hands
+    # its started tableau to the engine, the attacker LP its program.  A
+    # unique victim optimum needs no attacker LP; with victim rows 0 and 1
+    # equal and above the others it is a segment, and the attacker LP runs
+    # too
+    tableaux = []
 
     def recorded(prog):
-        programs.append(prog)
+        T, basis = _start(prog.objective, prog.a_ub, prog.b_ub)
+        assert np.array_equal(T[:, :-1, -1], prog.b_ub)
+        tableaux.append((T, basis))
         return solve_lp(prog)
 
+    def started(T, basis):
+        tableaux.append((T.copy(), basis.copy()))
+        return lp._solve_started(T, basis)
+
     monkeypatch.setattr(stage, "solve_lp", recorded)
+    monkeypatch.setattr(stage, "_solve_started", started)
     runs = _counted_runs(monkeypatch)
     rng = np.random.default_rng(3)
     a, b = rng.uniform(-1.0, 1.0, (2, 5, 4))
     pi_rows = rng.dirichlet(np.ones(4), 3)
     stage_solve(pi_rows, a, b)
-    assert len(programs) == 1 and runs == [1]  # victim_br_lp alone
+    assert len(tableaux) == 1 and runs == [1]  # victim_br_lp alone
     a[:2] = a.max(axis=0) + 0.5
     stage_solve(pi_rows, a, b)
-    assert len(programs) == 3  # then victim_br_lp and attacker_br_lp
+    assert len(tableaux) == 3  # then victim_br_lp and attacker_br_lp
     assert runs == [1, 1, 1]  # one run of one member each
-    for prog in programs:
-        assert np.all(prog.b_ub >= 0.0)
-        T = _start(prog.objective, prog.a_ub, prog.b_ub)[0]
-        assert np.array_equal(T[:, :-1, -1], prog.b_ub)
+    for T, basis in tableaux:
+        assert np.all(T[:, :-1, -1] >= 0.0)
+        rows = basis.shape[1]
+        assert basis.tolist() == [list(range(T.shape[2] - rows - 1, T.shape[2] - 1))]
 
 
 # ---- the lockstep engine against the scalar reference (tests/lp_reference.py)
@@ -516,9 +525,11 @@ def test_solve_lp_splits_a_batch_at_the_element_bound(monkeypatch):
 def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
     # a layer of stage LPs split into batches of 3 stages (and of 1): the
     # victim values and uniqueness flags, the attacker solves and the
-    # first-failure rule do not depend on where the split falls.  Victim
-    # rows 0 and 1 are equal and above the others at stages 1, 2, 4 and 6,
-    # whose victim optima are segments, so those four go to the attacker LP
+    # first-failure rule do not depend on where the split falls.  The
+    # victim LP's started tableaux are split by the engine entry they are
+    # handed to, the attacker LP's programs by solve_lp.  Victim rows 0 and
+    # 1 are equal and above the others at stages 1, 2, 4 and 6, whose victim
+    # optima are segments, so those four go to the attacker LP
     rng = np.random.default_rng(20)
     cols = rng.uniform(-1, 1, (7, 4, 3))
     b = rng.uniform(-1, 1, (7, 4, 5))
@@ -535,7 +546,8 @@ def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", stages_per_batch * size)
         runs.clear()
         victim, br = stage.victim_br_lp(cols), stage._lp_chain(cols, b)
-        assert len(runs) == 2 * -(-7 // stages_per_batch) + len(tied)
+        victim_runs = [min(stages_per_batch, 7 - i) for i in range(0, 7, stages_per_batch)]
+        assert runs == victim_runs * 2 + [1] * len(tied)
         for got, want in zip(victim, whole[0], strict=True):
             assert got.tobytes() == want.tobytes()
         for field in ("y_star", "z_star", "v2_star"):

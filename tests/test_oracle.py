@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,31 @@ def test_grid_spec_validation():
         GridSpec(step=0.6)
     assert GridSpec(step=1e-3).resolution == 1000
     assert GridSpec(step=0.3).resolution == 4  # spacing never coarser than step
+
+
+@pytest.mark.parametrize("dim, step, points, coarser", [(4, 1e-3, 167668501, "0.0056"),
+                                                        (3, 1e-4, 50015001, "0.00071"),
+                                                        (2, 1e-7, 10000001, "1.1e-06")])
+def test_grid_point_bound_refuses_before_building(monkeypatch, dim, step, points, coarser):
+    # a grid over 4 actions at step 1e-3 would hold C(1003, 3) points,
+    # 5.4 GB: it is refused, naming its count and a coarser step, before
+    # any composition is made, and the coarser step fits
+    def unreachable(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(oracle, "_compositions", unreachable)
+    with pytest.raises(ValueError, match=f"^a grid over {dim} actions at step {step:g} has "
+                                         f"{points} points, above the limit of 1000000; use a "
+                                         f"step of {coarser} or coarser$"):
+        grid_victim_value(np.zeros((dim, 2)), GridSpec(step=step))
+    fits = GridSpec(step=float(coarser)).resolution
+    assert math.comb(fits + dim - 1, dim - 1) <= oracle._GRID_MAX_POINTS
+
+
+def test_grid_point_bound_admits_three_actions_at_the_default_step():
+    # the console smoke test's 3-action grids at step 1e-3: 501501 points
+    value = grid_victim_value(np.array([[0.0, 1.0], [1.0, 0.0], [0.25, 0.25]]), GridSpec(1e-3))
+    assert value == 0.5
 
 
 def test_simplex_grid_counts_and_coverage():
@@ -162,6 +189,36 @@ def test_brute_force_bit_identical_to_per_policy_exploitation(size, monkeypatch)
         tied += len(maximins) - before
         assert_matches_per_policy_bits(g)
     assert tied
+
+
+def test_brute_force_roots_are_bitwise_one_dot_per_policy(monkeypatch):
+    # the roots read off the exhaustive pass's rows in one vectorized dot
+    # are, bit for bit, one mu @ x per policy (ValueTables.root's dot):
+    # the returned value is the first maximum of those dots and the policy
+    # its row, on the enum pool (H = S = 2, 2x2, seeds 0-499) and on the
+    # integer-reward sizes
+    rows = []
+    real = oracle._suffix_pass
+
+    def recorded(g, keep):
+        rows.append(real(g, keep))
+        return rows[-1]
+
+    monkeypatch.setattr(oracle, "_suffix_pass", recorded)
+    games = [random_game(np.random.default_rng(seed), 2, 2, 2, 2) for seed in range(500)]
+    games += [integer_reward_game(seed, *size) for seed in range(20)
+              for size in ((3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 3))]
+    for g in games:
+        rows.clear()
+        policy, value = brute_force_inception(g)
+        (v,) = rows
+        dots = [float(g.mu @ x) for x in v[1]]
+        assert np.vecdot(v[1], g.mu).tobytes() == np.array(dots).tobytes()
+        best = int(np.argmax(dots))
+        assert type(value) is float and np.float64(value).tobytes() == np.float64(
+            dots[best]).tobytes()
+        want = np.unravel_index(best, (g.m,) * (g.horizon * g.num_states))
+        assert np.array_equal(np.argmax(policy.entries, axis=2).ravel(), want)
 
 
 def test_brute_force_finds_the_continuation_tradeoff():

@@ -374,9 +374,14 @@ def test_k_layer_is_bitwise_the_per_state_solves(monkeypatch):
     # each layer of a K > 1 solve is one victim LP batch, the closed form
     # on the stages whose victim optimum is unique and one attacker LP
     # batch on the others; the reference solves every (h, s) alone, through
-    # the scalar engine, on the report's own Q.  The game with a duplicated
-    # victim action mixes both kinds of stage in its layers
+    # the scalar engine, on the report's own Q: the victim LP's started
+    # tableau and the attacker LP's program alike, and the lockstep engine
+    # is not reached.  The game with a duplicated victim action mixes both
+    # kinds of stage in its layers
     import lp_reference
+
+    def unreachable(*args):
+        raise AssertionError("a stage LP reached the lockstep engine")
 
     g = random_game(np.random.default_rng(30), 4, 6, 4, 5)
     fallback = []
@@ -384,6 +389,8 @@ def test_k_layer_is_bitwise_the_per_state_solves(monkeypatch):
         belief = random_belief(np.random.default_rng(31), game, 3)
         report = mg.markov_attacker_best_response(game, belief)
         monkeypatch.setattr(stage, "solve_lp", lp_reference.solve_batch)
+        monkeypatch.setattr(stage, "_solve_started", lp_reference.solve_started)
+        monkeypatch.setattr(mg.lp, "_run", unreachable)
         q1, q2 = report.q.values
         for h, s in np.ndindex(game.horizon, game.num_states):
             cols = (q1[h, s] @ belief.mixes[h, s])[None]
@@ -427,7 +434,7 @@ def test_stage_solves_return_distributions_snapped_where_the_lp_made_them(monkey
                 if belief.size == 1:
                     cells = stage.singleton_stage_solves(cols, q2[h])
                     rows = cells.tied[:, 0]
-                    want = stage.clean_mix(np.array(cells.tied_y)) if cells.tied_y else ()
+                    want = stage.clean_mix(cells.tied_y)
                     tied += len(want)
                 else:
                     _, _, unique, status = stage.victim_br_lp(cols)

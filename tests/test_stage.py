@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,68 @@ def test_victim_br_single_column_cases():
 def test_victim_br_zero_matrix():
     _, (z,), _, _ = victim_br_lp(np.zeros((1, 3, 2)))
     assert z == pytest.approx(0.0, abs=1e-9)
+
+
+def _victim_program(cols):
+    """The program documented in victim_br_lp, built as objective, a_ub and
+    b_ub arrays: the reference for the tableau victim_br_lp writes."""
+    P, n, K = cols.shape
+    unit, _, _ = stage._to_unit(cols)
+    _, _, gain, room = stage._at_best_pure(unit)
+    p = np.arange(P)
+    j0 = room.argmin(axis=1)
+    rest = stage._others(K, j0)
+    objective = np.empty((P, n))
+    objective[:, :-1] = gain[p, j0]
+    objective[:, -1] = -1.0
+    a_ub = np.empty((P, K, n))
+    np.subtract(objective[:, None, :-1], gain[p[:, None], rest], out=a_ub[:, :-1, :-1])
+    a_ub[:, :-1, -1] = -1.0
+    a_ub[:, -1, :-1] = 1.0
+    a_ub[:, -1, -1] = 0.0
+    b_ub = np.empty((P, K))
+    b_ub[:, :-1] = room[p[:, None], rest]
+    b_ub[:, -1] = 1.0
+    return mg.LinearProgram(objective, a_ub, b_ub)
+
+
+def test_victim_tableau_is_bitwise_the_started_program(monkeypatch):
+    # the tableau and slack basis victim_br_lp hands to the engine are
+    # `lp._start` of its program written as arrays, every bit, signed zeros
+    # included: on uniform and integer payoffs (exact ties in the best pure
+    # row and column), one victim action (no mix weight), one believed
+    # column (the sum row alone), and the tied singleton cells' batches of
+    # the fake-policy search, one per tie size
+    handed = []  # [cols, T, basis] per call
+    real_lp, real_entry = stage.victim_br_lp, stage._solve_started
+
+    def victim(cols):
+        handed.append([cols])
+        return real_lp(cols)
+
+    def entry(T, basis):
+        handed[-1] += [T.copy(), basis.copy()]
+        return real_entry(T, basis)
+
+    monkeypatch.setattr(stage, "victim_br_lp", victim)
+    monkeypatch.setattr(stage, "_solve_started", entry)
+    rng = np.random.default_rng(91)
+    for trial in range(60):
+        shape = rng.integers(1, 6, 3)
+        cols = rng.uniform(-1.0, 1.0, shape)
+        stage.victim_br_lp(cols if trial % 2 else cols.round())
+    tie_sizes = set()
+    for seed in range(5):
+        before = len(handed)
+        mg.policy_inception(integer_reward_game(seed))
+        tie_sizes |= {cols.shape[2] for cols, *_ in handed[before:]}
+    assert tie_sizes == {2, 3}
+    assert any(cols.shape[1] == 1 for cols, *_ in handed)  # one victim action
+    assert any(cols.shape[2] == 1 for cols, *_ in handed)  # one believed column
+    for cols, T, basis in handed:
+        want_T, want_basis = mg.lp._start(*dataclasses.astuple(_victim_program(cols)))
+        assert T.shape == want_T.shape and T.tobytes() == want_T.tobytes()
+        assert basis.tolist() == want_basis.tolist()
 
 
 def test_victim_br_full_matching_game():
@@ -318,6 +382,30 @@ def test_singleton_stage_solves_match_per_cell_solves(monkeypatch):
     assert tied > 0 and unique > 0
 
 
+def test_tied_cells_batched_by_tie_size_are_bitwise_the_per_cell_solves():
+    # singleton_stage_solves solves its tied cells in one victim_br_lp batch
+    # per number of tied rows; each cell's mix and value are those of its
+    # own victim_br_lp call, bit for bit, on every layer of integer-reward
+    # games (J = m pure fake actions per stage), some of whose layers tie
+    # cells on 2 rows and on 3
+    mixed = 0
+    for seed in range(20):
+        g = integer_reward_game(seed)
+        fake = mg.BeliefSet((mg.policy_inception(g).pi2_dagger,))
+        q1, q2 = mg.markov_attacker_best_response(g, fake).q.values
+        for h in range(g.horizon):
+            cells = stage.singleton_stage_solves(q1[h], q2[h])
+            sizes = set()
+            for (s, j), y in zip(zip(*np.nonzero(cells.tied)), cells.tied_y, strict=True):
+                rows = q1[h, s, :, j] == cells.z[s, j]
+                sizes.add(int(rows.sum()))
+                (want_y,), (want_v2,), _, _ = victim_br_lp(q2[h, s][rows].T[None])
+                assert y.tobytes() == want_y.tobytes()
+                assert cells.v2[s, j].tobytes() == want_v2.tobytes()
+            mixed += len(sizes) > 1
+    assert mixed > 0
+
+
 def _tied_victim_rows(cols, stages):
     """cols with victim rows 0 and 1 equal, and above every other row, at
     the given stages: their victim LPs have a segment of optima, so the
@@ -327,21 +415,26 @@ def _tied_victim_rows(cols, stages):
     return cols
 
 
-def _injected_failures(monkeypatch, victim_vars, victim_at, attacker_at):
-    """Make the engine fail the members victim_at of every victim LP batch
-    (the programs with victim_vars variables) and attacker_at of every
-    attacker LP batch, each with the pivot limit: their status is STALLED."""
-    real = stage.solve_lp
-
-    def solve(prog):
-        out = real(prog)
+def _stalling(real, at=None):
+    """The engine entry real, reporting the members at of every batch it
+    solves (every member for None) STALLED, the pivot limit."""
+    def solve(*args):
+        out = real(*args)
         status = out.status.copy()
-        for p in (victim_at if prog.objective.shape[1] == victim_vars else attacker_at):
-            if p < status.size:
-                status[p] = stage.LpStatus.STALLED.value
+        status[slice(None) if at is None else [p for p in at if p < status.size]] = (
+            stage.LpStatus.STALLED.value)
         return out._replace(status=status)
 
-    monkeypatch.setattr(stage, "solve_lp", solve)
+    return solve
+
+
+def _injected_failures(monkeypatch, victim_at, attacker_at):
+    """Make the engine fail the members victim_at of every victim LP batch
+    (the tableaux victim_br_lp hands to `stage._solve_started`) and
+    attacker_at of every attacker LP batch (`stage.solve_lp`), each with
+    the pivot limit: their status is STALLED."""
+    monkeypatch.setattr(stage, "_solve_started", _stalling(stage._solve_started, victim_at))
+    monkeypatch.setattr(stage, "solve_lp", _stalling(stage.solve_lp, attacker_at))
 
 
 def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
@@ -350,8 +443,7 @@ def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
     # engine fails the victim LP of stage 5 and the attacker LP of stage 3
     # (and of 6, past the victim failure): stage by stage, stage 3's
     # attacker LP fails first; with the two swapped, stage 3's victim LP;
-    # a victim LP failing at stage 0 leaves no stage before it to solve.
-    # The victim LP has n = 3 variables, the attacker LP m + K + 1 = 7
+    # a victim LP failing at stage 0 leaves no stage before it to solve
     rng = np.random.default_rng(87)
     cols, b = rng.uniform(-1.0, 1.0, (2, 8, 3, 3))
     cols = _tied_victim_rows(cols, np.arange(8))
@@ -359,7 +451,7 @@ def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
     for victim_at, attacker_at, message in (((5,), (3, 6), "stage 3: attacker"),
                                              ((3,), (5,), "stage 3: victim"),
                                              ((0,), (3,), "stage 0: victim")):
-        _injected_failures(monkeypatch, 3, victim_at, attacker_at)
+        _injected_failures(monkeypatch, victim_at, attacker_at)
         with pytest.raises(stage.LpError, match=f"^{message} best-response LP: pivot limit"):
             stage._lp_chain(cols, b)
 
@@ -368,7 +460,7 @@ def test_solver_names_a_victim_lp_failing_at_stage_0(monkeypatch):
     # a K = 3 belief whose last layer's victim LP fails at stage 0
     g = integer_reward_game(5)
     belief = oracle.random_belief(np.random.default_rng(5), g, 3)
-    _injected_failures(monkeypatch, 3, (0,), ())
+    _injected_failures(monkeypatch, (0,), ())
     with pytest.raises(stage.LpError,
                        match="^step 2, stage 0: victim best-response LP: pivot limit"):
         solver.markov_attacker_best_response(g, belief)
@@ -376,9 +468,30 @@ def test_solver_names_a_victim_lp_failing_at_stage_0(monkeypatch):
 
 def _stall_every_lp(monkeypatch):
     """Make the engine report every stage LP STALLED (the pivot limit)."""
-    real = stage.solve_lp
-    monkeypatch.setattr(stage, "solve_lp", lambda prog: real(prog)._replace(
-        status=np.full(prog.objective.shape[0], stage.LpStatus.STALLED.value)))
+    for name in ("_solve_started", "solve_lp"):
+        monkeypatch.setattr(stage, name, _stalling(getattr(stage, name)))
+
+
+@pytest.mark.parametrize("failing, message", [((2,), "stage 1"), ((3,), "stage 0"),
+                                              ((2, 3), "stage 0")])
+def test_the_lowest_failing_tied_cell_is_raised_across_tie_sizes(monkeypatch, failing, message):
+    # stage 0's cell ties on 3 rows and stage 1's on 2, so they are solved
+    # in two victim LP batches, 2 rows first; the engine fails the batches
+    # of the tie sizes failing, and the error names the lowest failing
+    # stage, as solving the cells one by one in order does
+    cols = np.array([[[1.0], [1.0], [1.0]], [[1.0], [1.0], [0.0]]])
+    b = np.random.default_rng(92).uniform(-1.0, 1.0, (2, 3, 4))
+    real = stage._solve_started
+
+    def solve(T, basis):
+        out = real(T, basis)
+        if basis.shape[1] in failing:  # one row per tied row
+            return out._replace(status=np.full(out.status.size, stage.LpStatus.STALLED.value))
+        return out
+
+    monkeypatch.setattr(stage, "_solve_started", solve)
+    with pytest.raises(stage.LpError, match=f"^{message}: victim best-response LP: pivot limit"):
+        stage.singleton_stage_solves(cols, b)
 
 
 def test_solver_names_the_stage_of_a_failing_tied_singleton_cell(monkeypatch):
@@ -420,7 +533,7 @@ def test_mixed_layer_failure_names_the_stage_in_the_layer(monkeypatch):
     assert np.flatnonzero(~victim_br_lp(cols)[2]).tolist() == [1, 4, 6]
     for victim_at, message in (((), "stage 4: attacker"), ((5,), "stage 4: attacker"),
                                ((3,), "stage 3: victim")):
-        _injected_failures(monkeypatch, 3, victim_at, (1,))
+        _injected_failures(monkeypatch, victim_at, (1,))
         pattern = f"^{message} best-response LP: pivot limit"
         with pytest.raises(stage.LpError, match=pattern):
             stage._lp_chain(cols, b)
