@@ -16,7 +16,20 @@ entries `np.cumsum` is nondecreasing in floating point, so that count is
 min(#{j : c_j <= u}, k - 1), the index at which u falls in the cumulative
 distribution.  Hence a one-hot row always yields its hot index and
 deterministic instances have zero variance.  The game is validated first,
-because a negative or NaN transition entry would break that equality.
+because a negative or NaN transition entry would break that equality.  The
+two policies' tables are stacked into one `(2, k - 1, H S)` table, k the
+larger action count, so one gather draws both actions of a step; the smaller
+table is padded with +inf, a cut point no uniform reaches, which leaves its
+counts unchanged.
+
+Episodes run in blocks of `_BLOCK` (the last block may be shorter).  Each
+block fills an episode-major `(b, 1 + 3H)` buffer from the generator, so
+consecutive blocks consume exactly the stream of a single `(E, 1 + 3H)`
+draw, copies it into a `(1 + 3H, b)` twin with one contiguous row per draw,
+records the flat (h, s, a1, a2) index of every step, and gathers both
+players' rewards with one `take` over those indices.  The three buffers are
+allocated once per call, so working memory is O(_BLOCK H + E) rather than
+O(E H): only the `(2, E)` returns grow with the episode count.
 """
 
 from __future__ import annotations
@@ -26,6 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MarkovGame, MarkovPolicy, _check_policy, require_valid
+
+_BLOCK = 2048  # episodes per block of uniforms
 
 
 @dataclass(frozen=True)
@@ -41,18 +56,22 @@ class RolloutStats:
 def _cut_table(p: np.ndarray) -> np.ndarray:
     """The `(k - 1, rows)` cut table of the distributions along p's last axis."""
     k = p.shape[-1]
-    cdf = np.cumsum(p, axis=-1).reshape(p.size // k, k)
-    return np.ascontiguousarray(cdf[:, :-1].T)
+    rows = p.size // k
+    table = np.empty((k - 1, rows))
+    np.cumsum(p.reshape(rows, k)[:, :-1], axis=1, out=table.T)
+    return table
 
 
 def _sample(cuts: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: episode i gets #{j : cuts[j, rows[i]] <= u[i]}.
+    """Inverse-CDF draw: episode i gets #{j : cuts[..., j, rows[i]] <= u[..., i]}.
 
-    The bool rows of the comparison are added as bytes into the smallest
-    unsigned count type that holds k - 1 (no cast at all while k <= 256).
+    `cuts` is a cut table or a stack of them along leading axes, with `u`
+    broadcast against the `(..., k - 1, len(rows))` gather.  The bool rows
+    of the comparison are added as bytes into the smallest unsigned count
+    type that holds k - 1 (no cast at all while k <= 256).
     """
-    hits = cuts.take(rows, axis=1) <= u
-    return hits.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(cuts.shape[0]))
+    hits = cuts.take(rows, axis=-1) <= u
+    return hits.view(np.uint8).sum(axis=-2, dtype=np.min_scalar_type(cuts.shape[-2]))
 
 
 def simulate(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy,
@@ -65,35 +84,44 @@ def simulate(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy,
         raise ValueError("episodes must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     H, S, n, m = g.horizon, g.num_states, g.n, g.m
-    u = rng.random((episodes, 1 + 3 * H)).T.copy()  # one contiguous row per draw
 
     mu_cuts = _cut_table(g.mu)                      # (S - 1, 1)
-    cuts1 = _cut_table(pi1.entries)                 # (n - 1, H S)
-    cuts2 = _cut_table(pi2.entries)                 # (m - 1, H S)
+    cuts12 = np.full((2, max(n, m) - 1, H * S), np.inf)   # +inf pads the smaller one
+    cuts12[0, :n - 1] = _cut_table(pi1.entries)     # (n - 1, H S)
+    cuts12[1, :m - 1] = _cut_table(pi2.entries)     # (m - 1, H S)
     cutst = _cut_table(g.transitions)               # (S - 1, H S n m)
-    rewards = np.moveaxis(g.rewards, 0, -1).reshape(-1, 2)   # (H S n m, 2)
+    rewards = g.rewards.reshape(2, -1)              # (2, H S n m)
 
-    step_rewards = np.empty((H, episodes, 2))
-    state = _sample(mu_cuts, np.zeros(episodes, dtype=np.intp), u[0])
-    for h in range(H):
-        hs = state.astype(np.intp) + h * S
-        a1 = _sample(cuts1, hs, u[1 + 3 * h])
-        a2 = _sample(cuts2, hs, u[2 + 3 * h])
-        flat = (hs * n + a1) * m + a2
-        rewards.take(flat, axis=0, out=step_rewards[h])
-        if h + 1 < H:
-            state = _sample(cutst, flat, u[3 + 3 * h])
-
-    # sum steps in backward order, matching the exact evaluator's grouping so
-    # deterministic instances reproduce its values bit-for-bit
-    returns = step_rewards[H - 1]
-    for h in range(H - 2, -1, -1):
-        returns += step_rewards[h]
+    block = min(_BLOCK, episodes)
+    draws = np.empty((block, 1 + 3 * H))            # one row of uniforms per episode
+    u = np.empty((1 + 3 * H, block))                # one contiguous row per draw
+    flat = np.empty((H, block), dtype=np.intp)      # flat (h, s, a1, a2) per step
+    first = np.zeros(block, dtype=np.intp)          # every episode reads mu's one row
+    returns = np.empty((2, episodes))
+    for lo in range(0, episodes, block):
+        b = min(block, episodes - lo)
+        rng.random(out=draws[:b])
+        ub, fb = u[:, :b], flat[:, :b]
+        ub[...] = draws[:b].T
+        state = _sample(mu_cuts, first[:b], ub[0])
+        for h in range(H):
+            hs = state.astype(np.intp) + h * S
+            a1, a2 = _sample(cuts12, hs, ub[1 + 3 * h:3 + 3 * h, None])
+            np.add((hs * n + a1) * m, a2, out=fb[h])
+            if h + 1 < H:
+                state = _sample(cutst, fb[h], ub[3 + 3 * h])
+        # sum steps in backward order, matching the exact evaluator's
+        # grouping so deterministic instances reproduce its values bit-for-bit
+        step_rewards = rewards.take(fb, axis=1)     # (2, H, b)
+        total = returns[:, lo:lo + b]
+        total[...] = step_rewards[:, H - 1]
+        for h in range(H - 2, -1, -1):
+            total += step_rewards[:, h]
 
     mean = np.empty(2)
     se = np.zeros(2)
     for i in range(2):
-        col = returns[:, i]
+        col = returns[i]
         if np.all(col == col[0]):  # zero-variance: the mean is exact
             mean[i] = col[0]
         else:

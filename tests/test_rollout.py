@@ -1,4 +1,6 @@
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import mgincept as mg
 import rollout_reference
 from conftest import chain_game, pure_stage_policy, random_policy
+from mgincept import rollout
 from mgincept.gamefile import load_game, load_policy
 from mgincept.model import PROB_TOL
 from mgincept.rollout import _cut_table, _sample, simulate
@@ -127,6 +130,15 @@ def test_list_form_files_replay_pinned_values():
                            ["0x1.92de5fbe1f77ap-6", "0x1.9e699111655abp-6"])
 
 
+def test_list_form_files_replay_pinned_values_across_blocks():
+    # 5000 episodes span three blocks; the values of a single block of 5000
+    g = load_game(DATA / "list_form_game.json").game
+    stats = simulate(g, load_policy(DATA / "list_form_p1.json"),
+                     load_policy(DATA / "list_form_p2.json"), episodes=5000, seed=0)
+    assert _hex(stats) == (["-0x1.e7361b1f02213p-2", "0x1.184abc8c0e05ap-4"],
+                           ["0x1.6114977183611p-7", "0x1.725cdf8807662p-7"])
+
+
 def test_random_instances_replay_pinned_values():
     g = chain_game(seed=80, horizon=4, states=3, n=2, m=3)
     rng = np.random.default_rng(81)
@@ -180,6 +192,7 @@ def _assert_matches_reference(g, p1, p2, episodes, seed):
     want = rollout_reference.simulate(g, p1, p2, episodes, seed)
     assert got.mean_returns.tobytes() == want.mean_returns.tobytes()
     assert got.std_errors.tobytes() == want.std_errors.tobytes()
+    return got
 
 
 WIDTHS = (127, 128, 255, 256, 257)
@@ -196,6 +209,8 @@ WIDTHS = (127, 128, 255, 256, 257)
     ((3, 4, 2, 3), "spread", 1),
     *[((2, w, 2, 2), "top", 500) for w in WIDTHS],    # wide state rows
     *[((2, 2, w, w), "top", 500) for w in WIDTHS],    # wide action rows
+    ((2, 2, 2, 257), "top", 500),       # stacked action tables of unequal widths
+    ((2, 3, 300, 1), "sparse", 500),
 ])
 def test_cut_tables_match_count_and_clamp(size, kind, episodes):
     g, p1, p2 = _instance(sum(size) + episodes, *size, kind)
@@ -225,3 +240,44 @@ def test_draws_above_the_last_cut_point_clamp_to_the_last_index():
         want = rollout_reference.sample(cdf[rows], u)
         assert np.array_equal(got, want)
         assert got[1] == k - 1
+
+
+# ---- episode blocks: the same draws and returns as one block of every episode
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.tuples(*[st.integers(1, 5)] * 4),
+       kind=st.sampled_from(["spread", "top", "sparse", "onehot", "tol"]))
+def test_small_blocks_match_reference_at_every_episode_count(seed, size, kind):
+    g, p1, p2 = _instance(seed, *size, kind)
+    with mock.patch.object(rollout, "_BLOCK", 7):
+        for episodes in range(1, 31):
+            _assert_matches_reference(g, p1, p2, episodes, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_small_blocks_keep_one_hot_instances_exact(seed):
+    g, p1, p2 = _instance(seed, 3, 4, 3, 2, "onehot")
+    with mock.patch.object(rollout, "_BLOCK", 7):
+        for episodes in range(1, 31):
+            stats = _assert_matches_reference(g, p1, p2, episodes, seed)
+            assert np.all(stats.std_errors == 0.0)
+
+
+def test_episode_counts_around_the_block_size_match_reference():
+    g, p1, p2 = _instance(87, 3, 4, 3, 2, "sparse")
+    b = rollout._BLOCK
+    for episodes in (b - 1, b, b + 1, 2 * b + 3):
+        _assert_matches_reference(g, p1, p2, episodes, seed=88)
+
+
+def test_working_memory_does_not_grow_with_episodes_times_horizon():
+    # O(E H) working memory would be about 190 MiB here: the E (1 + 3H)
+    # uniforms twice, plus an (H, E, 2) reward buffer
+    g, p1, p2 = _instance(89, 20, 20, 4, 4, "spread")
+    tracemalloc.start()
+    try:
+        simulate(g, p1, p2, episodes=200_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
