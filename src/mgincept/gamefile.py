@@ -25,17 +25,19 @@ both:
   earlier versions hold them.  Python writes floats as their shortest
   round-trip repr, so these load bit-exact too.
 
-Error split, mirrored by the CLI exit codes: structural problems (bad JSON,
-missing keys, jagged or non-numeric arrays, a malformed encoded array, a
-game array whose shape disagrees with "horizon", "states" and "actions")
-raise GameFormatError; value-level problems (invalid distributions,
-non-finite rewards) surface through game validation or policy construction
-as ValueError.
+Error split, mirrored by the CLI exit codes: structural problems (a file
+that is not UTF-8 JSON, missing keys, jagged arrays, list leaves that are
+not JSON numbers or are integers beyond float64's range, a malformed
+encoded array, a game array whose shape disagrees with "horizon", "states"
+and "actions") raise GameFormatError; value-level problems (invalid
+distributions, non-finite rewards) surface through game validation or
+policy construction as ValueError.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import sys
@@ -64,7 +66,7 @@ def _parse_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -120,8 +122,16 @@ def _array(doc, key: str) -> np.ndarray:
         return _decode(src, key)
     try:
         arr = np.asarray(src, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GameFormatError(f"field {key!r} is not a numeric array: {exc}") from exc
+    # asarray also takes numeric strings, booleans and null; JSON numbers
+    # load as exact int or float
+    leaves = [src] if arr.ndim == 0 else src
+    for _ in range(arr.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    for leaf in leaves:
+        if type(leaf) not in (int, float):
+            raise GameFormatError(f"field {key!r} holds {leaf!r}, not a JSON number")
     return arr
 
 

@@ -11,16 +11,19 @@ two policies and the transitions becomes a cut table once per call: a
 C-contiguous `(k - 1, rows)` array whose column r holds the first k - 1
 entries of `np.cumsum` of distribution row r (rows are the flat (h, s) or
 (h, s, a1, a2) index; the last cumulative sum is never compared).  A draw
-counts the cut points at or below its uniform u.  For a row of nonnegative
-entries `np.cumsum` is nondecreasing in floating point, so that count is
-min(#{j : c_j <= u}, k - 1), the index at which u falls in the cumulative
-distribution.  Hence a one-hot row always yields its hot index and
-deterministic instances have zero variance.  The game is validated first,
-because a negative or NaN transition entry would break that equality.  The
-two policies' tables are stacked into one `(2, k - 1, H S)` table, k the
-larger action count, so one gather draws both actions of a step; the smaller
-table is padded with +inf, a cut point no uniform reaches, which leaves its
-counts unchanged.
+takes the number of cut points at or below its uniform u.  For a row of
+nonnegative entries `np.cumsum` is nondecreasing in floating point, so that
+number is min(#{j : c_j <= u}, k - 1), the index at which u falls in the
+cumulative distribution, and it is also the first j with c_j > u (k - 1 if
+none), which a bisection finds in bit_length(k - 1) probes.  `_sample`
+counts rows of at most `_COUNT_MAX` cut points, where one gather of the
+whole row is cheaper, and bisects wider ones; both give the same index.
+Hence a one-hot row always yields its hot index and deterministic instances
+have zero variance.  The game is validated first, because a negative or NaN
+transition entry would break that equality.  The two policies' tables sit
+side by side in one `(k - 1, 2 H S)` table, k the larger action count, so
+one gather draws both actions of a step; the smaller table is padded with
++inf, a cut point no uniform reaches, which leaves its draws unchanged.
 
 Episodes run in blocks of `_BLOCK` (the last block may be shorter).  Each
 block fills an episode-major `(b, 1 + 3H)` buffer from the generator, so
@@ -41,6 +44,7 @@ import numpy as np
 from .model import MarkovGame, MarkovPolicy, _check_policy, require_valid
 
 _BLOCK = 2048  # episodes per block of uniforms
+_COUNT_MAX = 11  # widest cut rows `_sample` counts (< 256: counts are bytes); wider bisect
 
 
 @dataclass(frozen=True)
@@ -63,15 +67,39 @@ def _cut_table(p: np.ndarray) -> np.ndarray:
 
 
 def _sample(cuts: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: episode i gets #{j : cuts[..., j, rows[i]] <= u[..., i]}.
+    """Inverse-CDF draw: episode i gets #{j : cuts[j, rows[i]] <= u[i]}.
 
-    `cuts` is a cut table or a stack of them along leading axes, with `u`
-    broadcast against the `(..., k - 1, len(rows))` gather.  The bool rows
-    of the comparison are added as bytes into the smallest unsigned count
-    type that holds k - 1 (no cast at all while k <= 256).
+    `rows` and `u` share one shape, which the result takes.  A row of at most
+    `_COUNT_MAX` cut points is counted: one gather of all of them, whose bool
+    rows are added as bytes.  A wider row is bisected.  Its cut points are
+    nondecreasing, so one probe of cut point j tells whether the count
+    exceeds j.  With p = bit_length(k - 1), the first probe, at
+    j = 2**(p - 1) - 1, leaves the count in [0, 2**(p - 1) - 1] or in
+    [k - 2**(p - 1), k - 1], both 2**(p - 1) wide, and each later probe halves
+    that range without leaving the row: p one-value gathers per episode
+    instead of k - 1.  Per draw of 2048 episodes (2 vCPU, numpy 2.4), the
+    policies' 3 cut points take 18 µs counted against 29 µs bisected, the
+    20-state transitions' 19 take 39 µs bisected against 63 µs counted, and
+    the two draws tie at 11 cut points.
     """
-    hits = cuts.take(rows, axis=-1) <= u
-    return hits.view(np.uint8).sum(axis=-2, dtype=np.min_scalar_type(cuts.shape[-2]))
+    width, size = cuts.shape
+    if width <= _COUNT_MAX:
+        hits = cuts.take(rows, axis=1) <= u
+        return hits.view(np.uint8).sum(axis=0, dtype=np.uint8)
+    flat = cuts.reshape(-1)
+    pos = rows.astype(np.intp)                      # j * size + row, j the count so far
+    hit = np.empty(rows.shape, dtype=bool)
+    inc = np.empty(rows.shape, dtype=np.intp)
+    step = 1 << (width.bit_length() - 1)
+    jump = width + 1 - step                         # the first probe's, on a hit
+    while step:
+        np.less_equal(flat[(step - 1) * size:].take(pos), u, out=hit)
+        pos += np.multiply(hit, jump * size, out=inc)
+        step >>= 1
+        jump = step
+    pos -= rows
+    pos //= size
+    return pos
 
 
 def simulate(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy,
@@ -86,11 +114,13 @@ def simulate(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy,
     H, S, n, m = g.horizon, g.num_states, g.n, g.m
 
     mu_cuts = _cut_table(g.mu)                      # (S - 1, 1)
-    cuts12 = np.full((2, max(n, m) - 1, H * S), np.inf)   # +inf pads the smaller one
-    cuts12[0, :n - 1] = _cut_table(pi1.entries)     # (n - 1, H S)
-    cuts12[1, :m - 1] = _cut_table(pi2.entries)     # (m - 1, H S)
+    cuts12 = np.full((max(n, m) - 1, 2 * H * S), np.inf)  # +inf pads the smaller one
+    cuts12[:n - 1, :H * S] = _cut_table(pi1.entries)      # (n - 1, H S)
+    cuts12[:m - 1, H * S:] = _cut_table(pi2.entries)      # (m - 1, H S)
     cutst = _cut_table(g.transitions)               # (S - 1, H S n m)
     rewards = g.rewards.reshape(2, -1)              # (2, H S n m)
+    # the rows of (h, s) in cuts12: h S + s for pi1, (H + h) S + s for pi2
+    rows12 = (np.arange(H)[:, None, None] + [[0], [H]]) * S   # (H, 2, 1)
 
     block = min(_BLOCK, episodes)
     draws = np.empty((block, 1 + 3 * H))            # one row of uniforms per episode
@@ -105,9 +135,9 @@ def simulate(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy,
         ub[...] = draws[:b].T
         state = _sample(mu_cuts, first[:b], ub[0])
         for h in range(H):
-            hs = state.astype(np.intp) + h * S
-            a1, a2 = _sample(cuts12, hs, ub[1 + 3 * h:3 + 3 * h, None])
-            np.add((hs * n + a1) * m, a2, out=fb[h])
+            hs = state + rows12[h]                  # (2, b)
+            a1, a2 = _sample(cuts12, hs, ub[1 + 3 * h:3 + 3 * h])
+            np.add((hs[0] * n + a1) * m, a2, out=fb[h])
             if h + 1 < H:
                 state = _sample(cutst, fb[h], ub[3 + 3 * h])
         # sum steps in backward order, matching the exact evaluator's

@@ -37,6 +37,21 @@ def test_validate_exit_2_on_parse_error(tmp_path, capsys):
     assert cli.main(["validate", str(path)]) == 2
 
 
+def test_validate_exit_2_on_non_utf8_text_and_non_number_leaves(tmp_path, decoy_game, capsys):
+    # both loaded as values before: a UnicodeDecodeError is a ValueError
+    # (exit 1), and numpy reads JSON true as 1.0 ("game ok")
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"horizon": "\xff"}')
+    doc = list_form_doc(decoy_game)
+    doc["mu"][0] = True
+    bool_leaf = tmp_path / "bool.json"
+    bool_leaf.write_text(json.dumps(doc))
+    for path in (not_utf8, bool_leaf):
+        assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'utf-8' codec" in err and "field 'mu' holds True, not a JSON number" in err
+
+
 def test_validate_exit_1_with_coordinates(tmp_path, decoy_game, capsys):
     path = tmp_path / "bad.json"
     doc = list_form_doc(decoy_game)

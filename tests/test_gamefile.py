@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -278,3 +279,54 @@ def test_both_belief_readers_name_the_bad_belief(bad, error, match, tmp_path):
         with pytest.raises(error, match=match) as info:
             load(path)
         assert isinstance(info.value, GameFormatError) == (error is GameFormatError)
+
+
+READERS = {
+    "game": (gamefile.load_game, lambda: list_form_doc(chain_game(seed=69, horizon=1, states=1))),
+    "policy": (gamefile.load_policy, lambda: {"player": 1, "entries": [[[1.0, 0.0]]]}),
+    "beliefs": (gamefile.load_beliefs, lambda: {"beliefs": [{"entries": [[[1.0, 0.0]]]}]}),
+    "fake rewards": (gamefile.load_fake_rewards,
+                     lambda: {"iota": 1.0, "rewards_p2": [[[[0.0]]]]}),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_non_utf8_file_is_a_format_error(reader, tmp_path):
+    # UnicodeDecodeError is a ValueError, the value-level exit code's type
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"iota": "\xff"}')
+    with pytest.raises(GameFormatError, match="cannot read .*'utf-8' codec"):
+        READERS[reader][0](path)
+
+
+@pytest.mark.parametrize("reader, field, leaf", [
+    ("game", "mu", "1.0"), ("game", "rewards.p1", True), ("game", "transitions", None),
+    ("policy", "entries", False), ("beliefs", "entries", "0"),
+    ("fake rewards", "rewards_p2", True)])
+def test_list_leaves_must_be_json_numbers(reader, field, leaf, tmp_path):
+    # numpy turns "1.0", true and null into floats; a JSON number is an int
+    # or a float, and JSON true loads as a bool
+    load, make = READERS[reader]
+    doc = make()
+    src = doc["beliefs"][0] if reader == "beliefs" else doc
+    *parents, last = field.split(".")
+    for part in parents:
+        src = src[part]
+    row = src[last]
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = leaf
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    message = f"field {field!r} holds {leaf!r}, not a JSON number"
+    with pytest.raises(GameFormatError, match=re.escape(message)):
+        load(path)
+
+
+def test_integers_beyond_float64_are_a_format_error(tmp_path):
+    doc = list_form_doc(chain_game(seed=69, horizon=1, states=1))
+    doc["rewards"]["p1"][0][0][0][0] = 10 ** 400
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GameFormatError, match="field 'rewards.p1' is not a numeric array"):
+        gamefile.load_game(path)

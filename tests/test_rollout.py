@@ -242,6 +242,65 @@ def test_draws_above_the_last_cut_point_clamp_to_the_last_index():
         assert got[1] == k - 1
 
 
+# every width at which bit_length(k - 1), the bisection's probe count, changes
+BISECT_WIDTHS = (0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 255, 256, 257)
+
+
+def _edge_rows(rng, k):
+    """Distribution rows of k entries: leading zeros, trailing zeros, one-hot
+    at the first, a middle and the last index, and spread and sparse rows
+    scaled to sum to 1 - PROB_TOL / 2, whose last cut point lies below
+    nextafter(1, 0)."""
+    rows = [np.eye(k)[0], np.eye(k)[k // 2], np.eye(k)[k - 1]]
+    for zeros in (slice(0, k // 2), slice(k - k // 2, k)):
+        w = rng.uniform(0.05, 1.0, k)
+        w[zeros] = 0.0
+        rows.append(w / w.sum())
+    for kind in ("spread", "sparse"):
+        rows.append(_distributions(rng, (k,), kind) * (1.0 - 0.5 * PROB_TOL))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("width, count_max", [
+    *[pytest.param(w, 0, id=f"bisect-{w}") for w in BISECT_WIDTHS],
+    *[pytest.param(w, 255, id=f"count-{w}") for w in BISECT_WIDTHS if w <= 255]])
+def test_both_draws_match_count_and_clamp_at_every_probe_count(width, count_max):
+    # _COUNT_MAX = 0 bisects every row with a cut point, 255 counts every
+    # row whose counts fit a byte; uniforms at 0, at each cut point and one
+    # ulp either side of it, midway between cut points, and at the largest
+    # double below 1
+    p = _edge_rows(np.random.default_rng(width), width + 1)
+    cdf = np.cumsum(p, axis=-1)
+    rows, u = [], []
+    for r, c in enumerate(cdf):
+        cut = c[:-1]
+        mid = (cut[:-1] + cut[1:]) / 2
+        ur = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cut, mid,
+                             np.nextafter(cut, 0.0), np.nextafter(cut, 1.0)])
+        ur = ur[(ur >= 0.0) & (ur < 1.0)]
+        rows.append(np.full(ur.size, r))
+        u.append(ur)
+    rows, u = np.concatenate(rows), np.concatenate(u)
+    with mock.patch.object(rollout, "_COUNT_MAX", count_max):
+        got = _sample(_cut_table(p), rows, u)
+    want = rollout_reference.sample(cdf[rows], u)
+    assert np.array_equal(got, want)
+    # a uniform above the last cut point of a row summing below 1 clamps to
+    # the last index
+    above = (u == np.nextafter(1.0, 0.0)) & (rows >= len(p) - 2)
+    assert np.count_nonzero(above) == 2 and np.all(got[above] == width)
+
+
+def test_wide_state_rows_replay_pinned_values():
+    # 32 cut points per next-state row, drawn in 6 bisection probes, over
+    # 3000 episodes in two blocks; the values recorded with the counting draw
+    g, p1, p2 = _instance(90, 3, 33, 3, 5, "sparse")
+    assert g.num_states - 1 > rollout._COUNT_MAX
+    stats = simulate(g, p1, p2, episodes=3000, seed=91)
+    assert _hex(stats) == (["0x1.97c1ef4af03b9p-4", "0x1.1724035b5122ap-3"],
+                           ["0x1.32c60a7796335p-6", "0x1.2e3f43ca4dc11p-6"])
+
+
 # ---- episode blocks: the same draws and returns as one block of every episode
 
 @settings(max_examples=25, deadline=None)
