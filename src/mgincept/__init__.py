@@ -16,7 +16,7 @@ from .model import (
     q_from_v,
     validate_game,
 )
-from .lp import LinearProgram, LpBatch, LpStatus, solve_lp
+from .lp import LpBatch, LpStatus
 from .stage import StageBR, StageSolveError
 from .solver import (
     BRSolveReport,
@@ -46,7 +46,7 @@ from .rollout import RolloutStats, simulate
 __all__ = [
     "BeliefSet", "InvalidGameError", "MarkovGame", "MarkovPolicy",
     "ValidationReport", "ValueTables", "evaluate_policy", "validate_game",
-    "LinearProgram", "LpBatch", "LpStatus", "solve_lp",
+    "LpBatch", "LpStatus",
     "StageBR", "StageSolveError", "victim_br_vertices",
     "BRSolveReport", "QMatrices", "markov_attacker_best_response", "q_from_v",
     "secure_belief",

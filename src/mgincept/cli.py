@@ -124,6 +124,8 @@ def _grid_checks(g, belief, spec):
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise GameFormatError(f"--seed must be >= 0, got {args.seed}")
     try:
         spec = GridSpec(step=args.step)
     except ValueError as exc:
@@ -182,6 +184,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise GameFormatError(f"--seed must be >= 0, got {args.seed}")
     doc = gamefile.load_game(args.game)
     pi1 = gamefile.load_policy(args.p1)
     pi2 = gamefile.load_policy(args.p2)

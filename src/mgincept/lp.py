@@ -1,14 +1,17 @@
 """Self-contained dense linear-program solver that solves batches in lockstep.
 
-A `LinearProgram` is a batch of B programs of one shape, solved together,
-each in canonical form: maximize c'v subject to A v <= b and v >= 0, with
-b >= 0.  Since b >= 0, v = 0 is feasible and the engine is a one-phase
-tableau simplex from the slack basis: each row gets one slack variable,
-basic at b (Chvatal, Linear Programming, 1983), so every basic cost is
-zero and the starting cost row is [c | 0 | 0] as written, with no pricing
-out.  A caller with a free variable writes it as a column and its negation
-(see `mgincept.stage.attacker_br_lp`); the stage LPs of `mgincept.stage`
-are written at a best pure strategy to take this form.
+Every program is in canonical form: maximize c'v subject to A v <= b and
+v >= 0, with b >= 0, written by its caller straight into a started
+tableau [A | I | b ; c | 0 | 0], one per program, B programs of one shape
+in one (B, rows + 1, q + rows + 1) stack.  `tableaux` hands out the stack
+with its slack identity; the caller fills A, b and c.  Since b >= 0, v = 0
+is feasible and the engine is a one-phase tableau simplex from the slack
+basis: each row gets one slack variable, basic at b (Chvatal, Linear
+Programming, 1983), so every basic cost is zero and the starting cost row
+is [c | 0 | 0] as written, with no pricing out.  A caller with a free
+variable writes it as a column and its negation (see
+`mgincept.stage.attacker_br_lp`); the stage LPs of `mgincept.stage` are
+written at a best pure strategy to take this form.
 
 Pricing.  For its first _BLAND_AFTER pivots a program's entering column is
 the largest reduced cost above PIVOT_TOL, the lowest index among equal ones
@@ -29,15 +32,12 @@ step pivots each unfinished member once, so step s is every live member's
 s-th pivot and the switch of pricing rule falls on each member's own pivot
 count.  A member that is optimal or unbounded, or hits the pivot limit,
 leaves the stack (the stack is compacted), so finished members are never
-updated through a mask.  The engine has one entry, `_solve_started`: it
-takes a stack of started tableaux [A | I | b ; c | 0 | 0] with their slack
-bases, solves them in runs of at most BATCH_ELEMENTS tableau elements (at
-least one program each), and reads the batch's outcomes off the final
-tableaux as one `LpBatch` of arrays: status, v, value and the uniqueness
-flag, one entry per program.  `solve_lp` is `_start` and that entry, one
-run at a time, so it holds at most one run's tableaux; a caller that
-writes its started tableaux itself (`mgincept.stage.victim_br_lp`) hands
-them to the entry directly, after LinearProgram's checks.
+updated through a mask.  The engine has one entry, `solve_tableaux`: it
+checks a stack of started tableaux (every entry finite, every right-hand
+side >= 0), starts each on its slack basis, solves them in runs of at most
+BATCH_ELEMENTS tableau elements (at least one program each), and reads the
+batch's outcomes off the final tableaux as one `LpBatch` of arrays:
+status, v, value and the uniqueness flag, one entry per program.
 
 Why a member's results do not depend on its batch: every tableau entry is
 computed by the same floating-point operations, in the same order, as in a
@@ -61,7 +61,6 @@ they are solved.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -89,35 +88,6 @@ class LpStatus(enum.Enum):
 _OPTIMAL, _STALLED = LpStatus.OPTIMAL.value, LpStatus.STALLED.value
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """B programs max objective'v  s.t.  a_ub v <= b_ub,  v >= 0,  b_ub >= 0.
-
-    Shapes: objective (B, q), a_ub (B, r, q) and b_ub (B, r); r may be 0.
-    A single program is a batch of one.
-    """
-
-    objective: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-
-    def __post_init__(self):
-        for name in ("objective", "a_ub", "b_ub"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if not np.isfinite(a).all():
-                raise LpError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, a)
-        if self.objective.ndim != 2 or self.objective.shape[1] < 1:
-            raise LpError(f"objective {self.objective.shape} must have shape (B, q) "
-                          "with q >= 1")
-        (B, q), a, b = self.objective.shape, self.a_ub, self.b_ub
-        if a.ndim != 3 or a.shape[0] != B or a.shape[2] != q or b.shape != a.shape[:2]:
-            raise LpError(f"constraints {a.shape} and bounds {b.shape} do not "
-                          f"have shapes ({B}, rows, {q}) and ({B}, rows)")
-        if (b < 0).any():
-            raise LpError("b_ub has negative entries; v = 0 must be feasible")
-
-
 class LpBatch(NamedTuple):
     """The outcomes of a batch of B programs with q variables, as arrays:
     status (B,) holds LpStatus values, and v (B, q), value (B,) and
@@ -131,19 +101,15 @@ class LpBatch(NamedTuple):
     unique: np.ndarray
 
 
-def _start(c: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """The (B, rows + 1, q + rows + 1) tableau stack [A | I | b] of
-    A v + s = b over the cost row [c | 0 | 0], and its slack basis, feasible
-    at v = 0 since b >= 0.  With every basic cost zero, the cost row holds
-    the reduced costs as it is."""
-    B, rows, q = a.shape
+def tableaux(B: int, rows: int, q: int) -> np.ndarray:
+    """A zeroed stack of B started tableaux of programs with q variables and
+    rows constraints, (B, rows + 1, q + rows + 1), with each row's slack
+    written: row r holds 1.0 at column q + r.  The caller writes A into
+    [:, :rows, :q], b into [:, :rows, -1] and c into [:, -1, :q]."""
     T = np.zeros((B, rows + 1, q + rows + 1))
-    T[:, :rows, :q] = a
-    k = np.arange(rows)
-    T[:, k, q + k] = 1.0  # one slack per row
-    T[:, :rows, -1] = b
-    T[:, -1, :q] = c
-    return T, np.tile(q + k, (B, 1))
+    stride = q + rows + 2  # flat step from one row's slack to the next
+    T.reshape(B, (rows + 1) * (q + rows + 1))[:, q:rows * stride:stride] = 1.0
+    return T
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray,
@@ -214,19 +180,32 @@ def _run(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return outcome
 
 
-def _solve_started(T: np.ndarray, basis: np.ndarray) -> LpBatch:
-    """Solve a stack of started tableaux in lockstep: T (B, rows + 1,
-    q + rows + 1) holds each program's [A | I | b] over its cost row
-    [c | 0 | 0] and basis (B, rows) its slack basis, as `_start` writes
-    them.  Both are pivoted in place, in runs of at most BATCH_ELEMENTS
-    tableau elements (at least one program each), and the outcomes are read
-    off the final tableaux as one LpBatch (see `solve_lp`).  Trusts its
-    input to pass LinearProgram's checks.
+def solve_tableaux(T: np.ndarray) -> LpBatch:
+    """Solve a stack of started tableaux in lockstep, deterministically.
+
+    T (B, rows + 1, q + rows + 1), from `tableaux`, holds each program's
+    [A | I | b] over its cost row [c | 0 | 0].  Raises LpError unless every
+    entry is finite and every right-hand side b is >= 0.  Each program
+    starts on its slack basis, and T is pivoted in place, in runs of at most
+    BATCH_ELEMENTS tableau elements (at least one program each).
+
+    Returns one LpBatch of arrays, whose status reports the pivot limit as
+    STALLED, so that the caller picks which failure to report.  On OPTIMAL,
+    `v` is a vertex of the feasible region, `value` equals sum(c * v) and
+    `unique` flags an optimum that no other point attains.  Where it is not
+    unique any optimal vertex may be returned; callers must then depend
+    only on the value and feasibility.
     """
-    count, rows = basis.shape
-    q = T.shape[2] - rows - 1
+    if not np.isfinite(T).all():
+        raise LpError("tableau contains non-finite entries")
+    if (T[:, :-1, -1] < 0.0).any():
+        raise LpError("a right-hand side is negative; v = 0 must be feasible")
+    count, height, width = T.shape
+    rows, q = height - 1, width - height
+    basis = np.empty((count, rows), dtype=np.intp)
+    basis[:] = np.arange(q, q + rows)
     c = T[:, -1, :q].copy()
-    step = max(1, BATCH_ELEMENTS // (T.shape[1] * T.shape[2]))
+    step = max(1, BATCH_ELEMENTS // (height * width))
     status = np.empty(count, dtype=np.int8)
     for i in range(0, count, step):
         status[i:i + step] = _run(T[i:i + step], basis[i:i + step])
@@ -242,26 +221,3 @@ def _solve_started(T: np.ndarray, basis: np.ndarray) -> LpBatch:
     optimal = status == _OPTIMAL
     v[~optimal] = np.nan
     return LpBatch(status, v, (c * v).sum(axis=1), unique & optimal)
-
-
-def solve_lp(lp: LinearProgram) -> LpBatch:
-    """Solve a batch of linear programs in lockstep, deterministically.
-
-    Returns one LpBatch of arrays, whose status reports the pivot limit as
-    STALLED, so that the caller picks which failure to report.  Each run of
-    at most BATCH_ELEMENTS tableau elements (at least one program) is
-    started (`_start`) and solved (`_solve_started`) in turn, so no more
-    than one run's tableaux are held at once.
-
-    On OPTIMAL, `v` is a vertex of the feasible region, `value` equals
-    sum(objective * v) and `unique` flags an optimum that no other point
-    attains.  Where it is not unique any optimal vertex may be returned;
-    callers must then depend only on the value and feasibility.
-    """
-    c, a, b = lp.objective, lp.a_ub, lp.b_ub
-    count, rows, q = a.shape
-    step = max(1, BATCH_ELEMENTS // ((rows + 1) * (q + rows + 1)))
-    # an empty batch is one empty run
-    runs = [_solve_started(*_start(c[i:i + step], a[i:i + step], b[i:i + step]))
-            for i in range(0, max(count, 1), step)]
-    return LpBatch(*map(np.concatenate, zip(*runs)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inception import _suffix_pass
-from .lp import LinearProgram, LpError, LpStatus, solve_lp
+from .lp import LpError, LpStatus, solve_tableaux, tableaux
 from .model import (
     BeliefSet,
     MarkovGame,
@@ -195,7 +195,11 @@ def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
     H, S, m, K = b.mixes.shape
     M = np.concatenate([b.mixes.reshape(H * S, m, K), np.ones((H * S, 1, K))], axis=1)
     e = np.concatenate([pi2.entries.reshape(H * S, m), np.ones((H * S, 1))], axis=1)
-    sols = solve_lp(LinearProgram(objective=M.sum(axis=1), a_ub=M, b_ub=e))
+    T = tableaux(H * S, m + 1, K)  # [M | I | e ; 1'M | 0 | 0]
+    T[:, :-1, :K] = M
+    T[:, :-1, -1] = e
+    T[:, -1, :K] = M.sum(axis=1)
+    sols = solve_tableaux(T)
     # a non-optimal member's value is NaN, which reaches no target
     outside = np.flatnonzero(~(sols.value >= e.sum(axis=1) - FEAS_TOL))
     if outside.size == 0:

@@ -16,24 +16,23 @@ LP solves its stage's payoffs mapped affinely onto [0, 1] (`_to_unit`), so
 its pivots and uniqueness flag do not depend on the reward scale, and is
 written at its player's best pure strategy: that strategy's weight is
 eliminated (it holds the rest of the mass) and the value is shifted by its
-guarantee, so every right-hand side is >= 0, the form `lp.LinearProgram`
-takes, the simplex starts feasible at the pure security strategy, and x, z,
-y and alpha are mapped back afterwards (see victim_br_lp and
+guarantee, so every right-hand side is >= 0, the canonical form of
+`mgincept.lp`, the simplex starts feasible at the pure security strategy,
+and x, z, y and alpha are mapped back afterwards (see victim_br_lp and
 attacker_br_lp).  Both LPs take a leading stage axis: the P stages of a
-layer share one shape, so each LP is built once for the whole layer and
-the engine solves it as one lockstep batch (split at `lp.BATCH_ELEMENTS`
-tableau elements), with results bit-identical to solving the stages one by
-one.  The victim LP, the only LP of most layers, writes its started
-tableau in place and hands it to the engine's entry (`lp._solve_started`);
-the attacker LP goes through `lp.solve_lp`.  The LPs return their outcomes
-as status arrays, and a layer's solve raises once, for the lowest failing
-stage (its index p along that axis), naming the LP; there the victim LP
-comes before the attacker LP, the order of solving the stages one by one.  A singleton
-belief needs neither LP: the victim's value is the column maximum, its best
-replies the rows attaining it (==).  `singleton_stage_solves` solves a
-layer of such stages from their (P, n, J) believed columns, the layout of
-Q1 itself (J = m pure actions) and of Q1 @ mixes; its docstring states the
-tie rule.
+layer share one shape, so each LP writes the whole layer's started
+tableaux in place, into one `lp.tableaux` stack, and hands them to the
+engine's one entry, `lp.solve_tableaux`, which solves them as one lockstep
+batch (split at `lp.BATCH_ELEMENTS` tableau elements), with results
+bit-identical to solving the stages one by one.  The LPs return their
+outcomes as status arrays, and a layer's solve raises once, for the lowest
+failing stage (its index p along that axis), naming the LP; there the
+victim LP comes before the attacker LP, the order of solving the stages one
+by one.  A singleton belief needs neither LP: the victim's value is the
+column maximum, its best replies the rows attaining it (==).
+`singleton_stage_solves` solves a layer of such stages from their
+(P, n, J) believed columns, the layout of Q1 itself (J = m pure actions)
+and of Q1 @ mixes; its docstring states the tie rule.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, LpStatus, _solve_started, solve_lp
+from .lp import LpError, LpStatus, solve_tableaux, tableaux
 
 MAX_BELIEF_POLICIES = 64
 _OPTIMAL, _STALLED = LpStatus.OPTIMAL.value, LpStatus.STALLED.value
@@ -176,14 +175,10 @@ def victim_br_lp(cols) -> tuple:
     z* = c exactly, with c read off the unmapped A'.  x and z = c + span *
     (gain_j0 x - t) are mapped back.
 
-    The program is written straight into its started tableau, the
-    (P, K + 1, n + K + 1) stack [A | I | b] over the cost row [c | 0 | 0]
-    that `lp._start` would build from it: the K - 1 rows j != j0 in order,
+    The program is written straight into its started tableau from
+    `lp.tableaux`, (P, K + 1, n + K + 1): the K - 1 rows j != j0 in order,
     then the sum row, over the columns x, t, one slack per row and the
-    right-hand side, every entry by the float operations that build the
-    program's arrays.  LinearProgram's two checks run on it (every entry
-    finite, every right-hand side >= 0), raising its LpError, before the
-    tableau and its slack basis go to `lp._solve_started`.
+    right-hand side, and the cost row, then handed to `lp.solve_tableaux`.
     """
     P, n, K = cols.shape
     unit, _, span = _to_unit(cols)
@@ -191,20 +186,15 @@ def victim_br_lp(cols) -> tuple:
     p = np.arange(P)
     j0 = room.argmin(axis=1)  # the lowest column of room 0
     rest = _others(K, j0)
-    T = np.zeros((P, K + 1, n + K + 1))
+    T = tableaux(P, K, n)
     T[:, -1, :n - 1] = gain[p, j0]
     T[:, -1, n - 1] = -1.0
     np.subtract(T[:, -1:, :n - 1], gain[p[:, None], rest], out=T[:, :K - 1, :n - 1])
     T[:, :K - 1, n - 1] = -1.0
     T[:, K - 1, :n - 1] = 1.0
-    T.reshape(P, -1)[:, n:K * (n + K + 2):n + K + 2] = 1.0  # the slack of row r at n + r
     T[:, :K - 1, -1] = room[p[:, None], rest]
     T[:, K - 1, -1] = 1.0
-    if not np.isfinite(T).all() or (T[:, :-1, -1] < 0.0).any():
-        LinearProgram(T[:, -1, :n], T[:, :-1, :n], T[:, :-1, -1])  # raises its LpError
-    basis = np.empty((P, K), dtype=np.intp)
-    basis[:] = np.arange(n, n + K)
-    sols = _solve_started(T, basis)
+    sols = solve_tableaux(T)
     c = cols[p, r0].min(axis=1)
     return (_with_best_pure(sols.v[:, :-1], r0, others), c + span * sols.value, sols.unique,
             sols.status)
@@ -238,6 +228,10 @@ def attacker_br_lp(z_star, cols, b) -> tuple:
     >= 0, alpha's and its negation (signed zeros included), the last column
     of the program.  y is mapped back, and v2* = d + span * (z* sum(w*) -
     alpha'*), with d read off the unmapped B.
+
+    It is written straight into its `lp.tableaux` stack, (P, n + 2,
+    m + K + 1 + n + 2): the rows i, the sum row and the cost row over y, w,
+    alpha', its negation, the slacks and the right-hand side.
     """
     z_star = np.asarray(z_star, dtype=float)
     P, n, K = cols.shape
@@ -246,16 +240,19 @@ def attacker_br_lp(z_star, cols, b) -> tuple:
     z_unit = (z_star - lo) / span
     unit_b, _, span_b = _to_unit(b)
     k0, others, gain, room = _at_best_pure(unit_b.transpose(0, 2, 1))
-
-    objective = np.concatenate([np.zeros((P, m - 1)), np.repeat(z_unit[:, None], K, axis=1),
-                                np.full((P, 1), -1.0)], axis=1)
-    a_ub = np.concatenate([
-        np.concatenate([-gain, unit_cols, -np.ones((P, n, 1))], axis=2),
-        np.broadcast_to(np.append(np.ones(m - 1), np.zeros(K + 1)), (P, 1, m + K))], axis=1)
-    lp = LinearProgram(objective=np.concatenate([objective, -objective[:, -1:]], axis=1),
-                       a_ub=np.concatenate([a_ub, -a_ub[:, :, -1:]], axis=2),
-                       b_ub=np.append(room, np.ones((P, 1)), axis=1))
-    status, v, _, _ = solve_lp(lp)
+    T = tableaux(P, n + 1, m + K + 1)
+    np.negative(gain, out=T[:, :n, :m - 1])
+    T[:, :n, m - 1:m + K - 1] = unit_cols
+    T[:, :n, m + K - 1] = -1.0
+    T[:, :n, m + K] = 1.0
+    T[:, n, :m - 1] = 1.0
+    T[:, n, m + K] = -0.0  # the negation of alpha's 0.0
+    T[:, :n, -1] = room
+    T[:, n, -1] = 1.0
+    T[:, -1, m - 1:m + K - 1] = z_unit[:, None]
+    T[:, -1, m + K - 1] = -1.0
+    T[:, -1, m + K] = 1.0
+    status, v, _, _ = solve_tableaux(T)
     d = b[np.arange(P), :, k0].min(axis=1)
     return (_with_best_pure(v[:, :m - 1], k0, others),
             d + span_b * (z_unit * v[:, m - 1:-2].sum(axis=1) - (v[:, -2] - v[:, -1])),

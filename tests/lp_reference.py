@@ -1,23 +1,80 @@
-"""The scalar one-phase simplex that `mgincept.lp`'s lockstep engine replaced.
+"""References for `mgincept.lp`: a program writer and the scalar simplex.
 
-One program, one tableau, one pivot at a time: the reference the batched
-engine must match bit for bit (tests/test_lp.py).  It takes the engine's
-start, the slack basis under the cost row [c | 0 | 0], and its pricing:
-the largest reduced cost enters (Dantzig) for the first `_BLAND_AFTER`
-pivots, the lowest improving index (Bland) after them.
-`solve_one` takes one program's arrays and returns its own record,
-`Outcome`; `solve_batch` solves a `LinearProgram` batch member by member,
-and `solve_started` a stack of started tableaux (the input of
-`mgincept.lp._solve_started`).
+The program writer: a `LinearProgram` holds a batch of programs as
+objective, constraint and bound arrays, with their shape, finiteness and
+sign checks; `_start` writes it into the started tableaux, one entry at a
+time by array, that the engine's writers (`mgincept.stage`,
+`mgincept.oracle`) must reproduce bit for bit; and `solve_lp` hands them to
+the engine's one entry, `mgincept.lp.solve_tableaux`.
+
+The scalar one-phase simplex that the lockstep engine replaced: one
+program, one tableau, one pivot at a time, the reference the batched engine
+must match bit for bit (tests/test_lp.py).  It takes the engine's start,
+the slack basis under the cost row [c | 0 | 0], and its pricing: the
+largest reduced cost enters (Dantzig) for the first `_BLAND_AFTER` pivots,
+the lowest improving index (Bland) after them.  `solve_one` takes one
+program's arrays and returns its own record, `Outcome`, and
+`solve_started` a stack of started tableaux (the input of
+`mgincept.lp.solve_tableaux`).
 The tolerances, the pivot limit and the switch step come from the package.
 """
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from mgincept import lp as engine
-from mgincept.lp import PIVOT_TOL, LpBatch, LpStatus
+from mgincept.lp import PIVOT_TOL, LpBatch, LpError, LpStatus
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """B programs max objective'v  s.t.  a_ub v <= b_ub,  v >= 0,  b_ub >= 0.
+
+    Shapes: objective (B, q), a_ub (B, r, q) and b_ub (B, r); r may be 0.
+    A single program is a batch of one.
+    """
+
+    objective: np.ndarray
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+
+    def __post_init__(self):
+        for name in ("objective", "a_ub", "b_ub"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(a).all():
+                raise LpError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, a)
+        if self.objective.ndim != 2 or self.objective.shape[1] < 1:
+            raise LpError(f"objective {self.objective.shape} must have shape (B, q) "
+                          "with q >= 1")
+        (B, q), a, b = self.objective.shape, self.a_ub, self.b_ub
+        if a.ndim != 3 or a.shape[0] != B or a.shape[2] != q or b.shape != a.shape[:2]:
+            raise LpError(f"constraints {a.shape} and bounds {b.shape} do not "
+                          f"have shapes ({B}, rows, {q}) and ({B}, rows)")
+        if (b < 0).any():
+            raise LpError("b_ub has negative entries; v = 0 must be feasible")
+
+
+def _start(c, a, b):
+    """The (B, rows + 1, q + rows + 1) tableau stack [A | I | b] of
+    A v + s = b over the cost row [c | 0 | 0], and its slack basis, feasible
+    at v = 0 since b >= 0."""
+    B, rows, q = a.shape
+    T = np.zeros((B, rows + 1, q + rows + 1))
+    T[:, :rows, :q] = a
+    k = np.arange(rows)
+    T[:, k, q + k] = 1.0  # one slack per row
+    T[:, :rows, -1] = b
+    T[:, -1, :q] = c
+    return T, np.tile(q + k, (B, 1))
+
+
+def solve_lp(lp: LinearProgram) -> LpBatch:
+    """The engine's outcomes of a batch of programs: its started tableaux
+    (`_start`) solved by `mgincept.lp.solve_tableaux`."""
+    return engine.solve_tableaux(_start(lp.objective, lp.a_ub, lp.b_ub)[0])
 
 
 class Outcome(NamedTuple):
@@ -106,15 +163,11 @@ def _record(outcomes, q):
     return LpBatch(status, v, value, unique)
 
 
-def solve_batch(lp):
-    """The batch record of a batched program, every member solved alone."""
-    return _record([solve_one(lp.objective[i], lp.a_ub[i], lp.b_ub[i])
-                    for i in range(lp.objective.shape[0])], lp.objective.shape[1])
-
-
-def solve_started(T, basis):
+def solve_started(T):
     """The batch record of a stack of started tableaux, the input of
-    `mgincept.lp._solve_started`, every member pivoted alone on a copy."""
-    q = T.shape[2] - basis.shape[1] - 1
-    return _record([finish(T[i].copy(), basis[i].copy(), T[i, -1, :q].copy())
+    `mgincept.lp.solve_tableaux`, every member pivoted alone on a copy from
+    its slack basis."""
+    rows = T.shape[1] - 1
+    q = T.shape[2] - rows - 1
+    return _record([finish(T[i].copy(), np.arange(q, q + rows), T[i, -1, :q].copy())
                     for i in range(T.shape[0])], q)

@@ -208,6 +208,21 @@ def test_verify_rejects_trial_counts_below_one(mode, trials, capsys):
     assert "result:" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "grid", "--random", "2,2,2,2"],
+    ["simulate", "{game}", "--p1", "missing_p1.json", "--p2", "missing_p2.json",
+     "--episodes", "10"],
+], ids=["verify", "simulate"])
+def test_negative_seed_is_refused_up_front(argv, decoy_path, capsys):
+    # numpy would refuse it with a bare "expected non-negative integer" and
+    # exit 1; it is a parse failure, exit 2, before any file is read
+    argv = [a.format(game=decoy_path) for a in argv] + ["--seed", "-1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: --seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mode", ["grid", "enum"])
 def test_verify_rejects_a_bad_step_before_any_work(mode, capsys, monkeypatch):
     # the grid step is checked once, up front, in every mode: no header,

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import chain_game, list_form_doc, random_policy
-from mgincept import cli, gamefile
+from conftest import chain_game, integer_reward_game, list_form_doc, random_policy
+from mgincept import cli, gamefile, stage
 from mgincept.gamefile import GameFormatError
 
 DATA = Path(__file__).parent / "data"
@@ -125,6 +125,28 @@ def test_list_form_files_load_bit_exact():
         loaded = gamefile.load_policy(DATA / f"list_form_{name}.json")
         assert loaded.player == pol.player
         assert same_bits(loaded.entries, pol.entries)
+
+
+def test_tied_game_file_loads_bit_exact_and_runs_the_attacker_lp(monkeypatch):
+    # the game CI's console smoke step verifies on a grid: integer_reward_game(0),
+    # 3 steps, 4 states, 3 x 3, with no inline belief, so verify solves it
+    # against the secure belief, where tied victim optima send stages to
+    # the attacker LP
+    g = integer_reward_game(0)
+    doc = gamefile.load_game(DATA / "tied_game.json")
+    assert (doc.game.horizon, doc.game.num_states, doc.game.n, doc.game.m) == (3, 4, 3, 3)
+    for name in ("mu", "rewards", "transitions"):
+        assert same_bits(getattr(doc.game, name), getattr(g, name)), name
+    assert doc.beliefs == ()
+    stages, real = [], stage.attacker_br_lp
+
+    def counted(z_star, cols, b):
+        stages.append(cols.shape[0])
+        return real(z_star, cols, b)
+
+    monkeypatch.setattr(stage, "attacker_br_lp", counted)
+    mg.markov_attacker_best_response(doc.game, mg.secure_belief(doc.game))
+    assert sum(stages) >= 1
 
 
 def test_simulate_prints_the_same_for_list_and_encoded_files(tmp_path, capsys):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import lp_reference
 from conftest import stage_solve
+from lp_reference import LinearProgram, _start, solve_lp
 from mgincept import lp, stage
-from mgincept.lp import LinearProgram, LpError, LpStatus, _start, solve_lp
+from mgincept.lp import LpError, LpStatus
 from mgincept.oracle import FEAS_TOL
 
 
@@ -272,6 +273,11 @@ def test_standard_form_is_bit_identical_to_elementwise_reference():
         want_T, want_basis = _elementwise_standard_form(prog)
         assert T.shape == (1, *want_T.shape) and T.tobytes() == want_T.tobytes()
         assert basis.tolist() == [want_basis.tolist()]
+        # the engine's stack, with the program's A, b and c written into it
+        stack = lp.tableaux(1, r, n)
+        stack[0, :r, :n], stack[0, :r, -1], stack[0, -1, :n] = (
+            prog.a_ub[0], prog.b_ub[0], prog.objective[0])
+        assert stack.tobytes() == want_T.tobytes()
         negative_zeros += np.signbit(T[0, -1, :n][prog.objective[0] == 0.0]).sum()
     assert negative_zeros > 0
 
@@ -323,6 +329,30 @@ def test_negative_right_hand_side_rejected():
     with pytest.raises(LpError, match="negative"):
         LinearProgram(np.ones((2, 1)), np.ones((2, 1, 1)), [[1.0], [-1.0]])
     LinearProgram(np.ones((2, 1)), np.ones((2, 1, 1)), [[1.0], [-0.0]])
+
+
+def test_entry_rejects_non_finite_entries_and_negative_right_hand_sides():
+    # the engine's one entry checks the tableaux it is handed: a non-finite
+    # entry anywhere (constraint, right-hand side, cost row) or a negative
+    # right-hand side in any member is refused before any pivot; -0.0 is not
+    # negative
+    good = lp.tableaux(2, 1, 2)
+    good[:, 0, :2], good[:, 0, -1], good[:, -1, :2] = 1.0, 1.0, [1.0, 2.0]
+    lp.solve_tableaux(good.copy())
+    for at, bad in (((0, 0, 0), np.nan), ((1, 0, 1), np.inf), ((0, 0, -1), np.inf),
+                    ((1, 0, -1), np.nan), ((0, -1, 0), np.nan), ((1, -1, 1), -np.inf)):
+        T = good.copy()
+        T[at] = bad
+        with pytest.raises(LpError, match="non-finite"):
+            lp.solve_tableaux(T)
+    for at, bad in (((0, 0, -1), -1e-300), ((1, 0, -1), -1.0)):
+        T = good.copy()
+        T[at] = bad
+        with pytest.raises(LpError, match="negative"):
+            lp.solve_tableaux(T)
+    T = good.copy()
+    T[1, 0, -1] = -0.0
+    assert lp.solve_tableaux(T).status.tolist() == [LpStatus.OPTIMAL.value] * 2
 
 
 def _counted_runs(monkeypatch):
@@ -386,26 +416,24 @@ def test_matches_oracle_with_free_variables():
 def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     # both stage LPs are written at their best pure strategy: every
     # right-hand side is >= 0, so each starts at a feasible basis, the
-    # slack basis, and is solved by one simplex run.  The victim LP hands
-    # its started tableau to the engine, the attacker LP its program.  A
-    # unique victim optimum needs no attacker LP; with victim rows 0 and 1
-    # equal and above the others it is a segment, and the attacker LP runs
-    # too
-    tableaux = []
-
-    def recorded(prog):
-        T, basis = _start(prog.objective, prog.a_ub, prog.b_ub)
-        assert np.array_equal(T[:, :-1, -1], prog.b_ub)
-        tableaux.append((T, basis))
-        return solve_lp(prog)
-
-    def started(T, basis):
-        tableaux.append((T.copy(), basis.copy()))
-        return lp._solve_started(T, basis)
-
-    monkeypatch.setattr(stage, "solve_lp", recorded)
-    monkeypatch.setattr(stage, "_solve_started", started)
+    # slack basis, and is solved by one simplex run.  Each LP hands its
+    # started tableau to the engine's one entry.  A unique victim optimum
+    # needs no attacker LP; with victim rows 0 and 1 equal and above the
+    # others it is a segment, and the attacker LP runs too
+    tableaux, bases = [], []
     runs = _counted_runs(monkeypatch)
+    real_run = lp._run
+
+    def started(T):
+        tableaux.append(T.copy())
+        return lp.solve_tableaux(T)
+
+    def run(T, basis):
+        bases.append(basis.copy())
+        return real_run(T, basis)
+
+    monkeypatch.setattr(stage, "solve_tableaux", started)
+    monkeypatch.setattr(lp, "_run", run)
     rng = np.random.default_rng(3)
     a, b = rng.uniform(-1.0, 1.0, (2, 5, 4))
     pi_rows = rng.dirichlet(np.ones(4), 3)
@@ -415,7 +443,7 @@ def test_stage_lps_start_feasible_without_artificials(monkeypatch):
     stage_solve(pi_rows, a, b)
     assert len(tableaux) == 3  # then victim_br_lp and attacker_br_lp
     assert runs == [1, 1, 1]  # one run of one member each
-    for T, basis in tableaux:
+    for T, basis in zip(tableaux, bases, strict=True):
         assert np.all(T[:, :-1, -1] >= 0.0)
         rows = basis.shape[1]
         assert basis.tolist() == [list(range(T.shape[2] - rows - 1, T.shape[2] - 1))]
@@ -525,9 +553,9 @@ def test_solve_lp_splits_a_batch_at_the_element_bound(monkeypatch):
 def test_a_batch_split_at_the_element_bound_keeps_every_bit(monkeypatch):
     # a layer of stage LPs split into batches of 3 stages (and of 1): the
     # victim values and uniqueness flags, the attacker solves and the
-    # first-failure rule do not depend on where the split falls.  The
-    # victim LP's started tableaux are split by the engine entry they are
-    # handed to, the attacker LP's programs by solve_lp.  Victim rows 0 and
+    # first-failure rule do not depend on where the split falls.  Both
+    # LPs' started tableaux are split by the engine entry they are handed
+    # to.  Victim rows 0 and
     # 1 are equal and above the others at stages 1, 2, 4 and 6, whose victim
     # optima are segments, so those four go to the attacker LP
     rng = np.random.default_rng(20)

@@ -279,6 +279,43 @@ def test_belief_membership_is_the_per_stage_check():
     assert answers == {True, False}
 
 
+def test_membership_tableau_is_bitwise_the_started_program(monkeypatch):
+    # the tableau belief_membership hands to the engine is `_start` of its
+    # program written as arrays, max 1'M lam s.t. M lam <= e, every bit: on
+    # random beliefs of 1 to 3 policies and on the secure belief of the
+    # integer-reward games, with members and non-members
+    from lp_reference import _start
+
+    handed, real = [], oracle.solve_tableaux
+
+    def entry(T):
+        handed.append(T.copy())
+        return real(T)
+
+    monkeypatch.setattr(oracle, "solve_tableaux", entry)
+    rng = np.random.default_rng(61)
+    cases = []
+    for trial in range(20):
+        H, S, m, K = (int(rng.integers(1, 4)) for _ in range(4))
+        belief = oracle.random_belief(rng, random_game(rng, H, S, 2, m), K)
+        cases.append((belief, mg.MarkovPolicy(2, rng.dirichlet(np.ones(m), (H, S)))))
+    for seed in range(3):
+        g = integer_reward_game(seed)
+        secure = mg.secure_belief(g)
+        cases.append((secure, mg.markov_attacker_best_response(g, secure).pi2_star))
+    answers = set()
+    for belief, pi2 in cases:
+        handed.clear()
+        answers.add(oracle.belief_membership(belief, pi2))
+        H, S, m, K = belief.mixes.shape
+        M = np.concatenate([belief.mixes.reshape(H * S, m, K), np.ones((H * S, 1, K))], axis=1)
+        e = np.concatenate([pi2.entries.reshape(H * S, m), np.ones((H * S, 1))], axis=1)
+        want_T, _ = _start(M.sum(axis=1), M, e)
+        (T,) = handed
+        assert T.shape == want_T.shape and T.tobytes() == want_T.tobytes()
+    assert answers == {True, False}
+
+
 @pytest.mark.parametrize("fail_at, outside_at, raises", [(1, 3, True), (3, 1, False)])
 def test_belief_membership_keeps_the_first_failure(monkeypatch, fail_at, outside_at, raises):
     # stage fail_at of 2 x 3 makes the engine fail, stage outside_at is no
@@ -292,16 +329,16 @@ def test_belief_membership_keeps_the_first_failure(monkeypatch, fail_at, outside
     entries[..., :2] = 0.5
     entries[np.unravel_index(outside_at, (2, 3))] = [0.0, 0.0, 1.0]
     pi2 = mg.MarkovPolicy(2, entries)
-    real = oracle.solve_lp
+    real = oracle.solve_tableaux
 
-    def failing(prog):
-        out = real(prog)
+    def failing(T):
+        out = real(T)
         assert out.status.shape == (6,)  # one call on all H * S stages
         status, value = out.status.copy(), out.value.copy()
         status[fail_at], value[fail_at] = lp.LpStatus.STALLED.value, np.nan
         return out._replace(status=status, value=value)
 
-    monkeypatch.setattr(oracle, "solve_lp", failing)
+    monkeypatch.setattr(oracle, "solve_tableaux", failing)
     for elements in (lp.BATCH_ELEMENTS, 1):
         monkeypatch.setattr(lp, "BATCH_ELEMENTS", elements)
         if raises:

@@ -27,4 +27,5 @@ def test_star_import_gives_every_public_name():
     for name in mgincept.__all__:
         assert namespace[name] is getattr(mgincept, name)
     assert len(set(mgincept.__all__)) == len(mgincept.__all__)
-    assert "LpSolution" not in namespace
+    for gone in ("LpSolution", "LinearProgram", "solve_lp"):
+        assert gone not in namespace

@@ -374,9 +374,9 @@ def test_k_layer_is_bitwise_the_per_state_solves(monkeypatch):
     # each layer of a K > 1 solve is one victim LP batch, the closed form
     # on the stages whose victim optimum is unique and one attacker LP
     # batch on the others; the reference solves every (h, s) alone, through
-    # the scalar engine, on the report's own Q: the victim LP's started
-    # tableau and the attacker LP's program alike, and the lockstep engine
-    # is not reached.  The game with a duplicated victim action mixes both
+    # the scalar engine, on the report's own Q: the started tableaux both
+    # LPs hand to the engine's one entry, and the lockstep engine is not
+    # reached.  The game with a duplicated victim action mixes both
     # kinds of stage in its layers
     import lp_reference
 
@@ -388,8 +388,7 @@ def test_k_layer_is_bitwise_the_per_state_solves(monkeypatch):
     for game in (g, _duplicate_victim_action(g)):
         belief = random_belief(np.random.default_rng(31), game, 3)
         report = mg.markov_attacker_best_response(game, belief)
-        monkeypatch.setattr(stage, "solve_lp", lp_reference.solve_batch)
-        monkeypatch.setattr(stage, "_solve_started", lp_reference.solve_started)
+        monkeypatch.setattr(stage, "solve_tableaux", lp_reference.solve_started)
         monkeypatch.setattr(mg.lp, "_run", unreachable)
         q1, q2 = report.q.values
         for h, s in np.ndindex(game.horizon, game.num_states):

@@ -1,10 +1,12 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 import mgincept as mg
 from conftest import integer_reward_game, stage_solve, watch_tied_cells
+from lp_reference import LinearProgram, _start
 from mgincept import inception, oracle, solver, stage
 from mgincept.oracle import (GridSpec, brute_force_inception, grid_victim_value, simplex_grid,
                              victim_br_vertices)
@@ -48,29 +50,37 @@ def _victim_program(cols):
     b_ub = np.empty((P, K))
     b_ub[:, :-1] = room[p[:, None], rest]
     b_ub[:, -1] = 1.0
-    return mg.LinearProgram(objective, a_ub, b_ub)
+    return LinearProgram(objective, a_ub, b_ub)
+
+
+def _handed_tableaux(monkeypatch, module, writer):
+    """Record, for every call of the LP writer module.writer, its arguments
+    followed by a copy of the started tableau it hands to the engine."""
+    handed = []  # [*args, T] per call
+    real_writer, real_entry = getattr(module, writer), module.solve_tableaux
+
+    def recorded(*args):
+        handed.append(list(args))
+        return real_writer(*args)
+
+    def entry(T):
+        if sys._getframe(1).f_code.co_name == writer:
+            handed[-1].append(T.copy())
+        return real_entry(T)
+
+    monkeypatch.setattr(module, writer, recorded)
+    monkeypatch.setattr(module, "solve_tableaux", entry)
+    return handed
 
 
 def test_victim_tableau_is_bitwise_the_started_program(monkeypatch):
-    # the tableau and slack basis victim_br_lp hands to the engine are
-    # `lp._start` of its program written as arrays, every bit, signed zeros
-    # included: on uniform and integer payoffs (exact ties in the best pure
-    # row and column), one victim action (no mix weight), one believed
-    # column (the sum row alone), and the tied singleton cells' batches of
-    # the fake-policy search, one per tie size
-    handed = []  # [cols, T, basis] per call
-    real_lp, real_entry = stage.victim_br_lp, stage._solve_started
-
-    def victim(cols):
-        handed.append([cols])
-        return real_lp(cols)
-
-    def entry(T, basis):
-        handed[-1] += [T.copy(), basis.copy()]
-        return real_entry(T, basis)
-
-    monkeypatch.setattr(stage, "victim_br_lp", victim)
-    monkeypatch.setattr(stage, "_solve_started", entry)
+    # the tableau victim_br_lp hands to the engine is `_start` of its
+    # program written as arrays, every bit, signed zeros included: on
+    # uniform and integer payoffs (exact ties in the best pure row and
+    # column), one victim action (no mix weight), one believed column (the
+    # sum row alone), and the tied singleton cells' batches of the
+    # fake-policy search, one per tie size
+    handed = _handed_tableaux(monkeypatch, stage, "victim_br_lp")
     rng = np.random.default_rng(91)
     for trial in range(60):
         shape = rng.integers(1, 6, 3)
@@ -84,10 +94,50 @@ def test_victim_tableau_is_bitwise_the_started_program(monkeypatch):
     assert tie_sizes == {2, 3}
     assert any(cols.shape[1] == 1 for cols, *_ in handed)  # one victim action
     assert any(cols.shape[2] == 1 for cols, *_ in handed)  # one believed column
-    for cols, T, basis in handed:
-        want_T, want_basis = mg.lp._start(*dataclasses.astuple(_victim_program(cols)))
+    for cols, T in handed:
+        want_T, _ = _start(*dataclasses.astuple(_victim_program(cols)))
         assert T.shape == want_T.shape and T.tobytes() == want_T.tobytes()
-        assert basis.tolist() == want_basis.tolist()
+
+
+def _attacker_program(z_star, cols, b):
+    """The program documented in attacker_br_lp, built as objective, a_ub
+    and b_ub arrays, alpha' split into a column and its negation: the
+    reference for the tableau attacker_br_lp writes."""
+    P, n, K = cols.shape
+    m = b.shape[2]
+    unit_cols, lo, span = stage._to_unit(cols)
+    z_unit = (np.asarray(z_star, dtype=float) - lo) / span
+    unit_b, _, _ = stage._to_unit(b)
+    _, _, gain, room = stage._at_best_pure(unit_b.transpose(0, 2, 1))
+    objective = np.concatenate([np.zeros((P, m - 1)), np.repeat(z_unit[:, None], K, axis=1),
+                                np.full((P, 1), -1.0)], axis=1)
+    a_ub = np.concatenate([
+        np.concatenate([-gain, unit_cols, -np.ones((P, n, 1))], axis=2),
+        np.broadcast_to(np.append(np.ones(m - 1), np.zeros(K + 1)), (P, 1, m + K))], axis=1)
+    return LinearProgram(np.concatenate([objective, -objective[:, -1:]], axis=1),
+                         np.concatenate([a_ub, -a_ub[:, :, -1:]], axis=2),
+                         np.append(room, np.ones((P, 1)), axis=1))
+
+
+def test_attacker_tableau_is_bitwise_the_started_program(monkeypatch):
+    # the tableau attacker_br_lp hands to the engine is `_start` of its
+    # program written as arrays, every bit, signed zeros included (the
+    # negated gain block, and the sum row's -0.0 under alpha's negation):
+    # on the integer-reward games against the secure belief and a K = 3
+    # belief, whose tied victim optima send stages to the attacker LP
+    handed = _handed_tableaux(monkeypatch, stage, "attacker_br_lp")
+    for seed in range(8):
+        g = integer_reward_game(seed)
+        for belief in (solver.secure_belief(g), oracle.random_belief(
+                np.random.default_rng(seed + 1000), g, 3)):
+            solver.markov_attacker_best_response(g, belief)
+    assert len(handed) >= 8
+    negative_zeros = 0
+    for z_star, cols, b, T in handed:
+        want_T, _ = _start(*dataclasses.astuple(_attacker_program(z_star, cols, b)))
+        assert T.shape == want_T.shape and T.tobytes() == want_T.tobytes()
+        negative_zeros += np.signbit(T[T == 0.0]).sum()
+    assert negative_zeros > 0
 
 
 def test_victim_br_full_matching_game():
@@ -132,26 +182,22 @@ def test_attacker_br_flags_inconsistent_victim_value():
 def test_attacker_lp_splits_alpha_into_a_column_and_its_negation(monkeypatch):
     # the free alpha' = alpha+ - alpha-: the program's last column is the
     # bitwise negation of alpha's, signed zeros included (the sum row's 0.0
-    # becomes -0.0), in the constraints and in the objective
-    programs, real = [], stage.solve_lp
-
-    def recorded(prog):
-        programs.append(prog)
-        return real(prog)
-
-    monkeypatch.setattr(stage, "solve_lp", recorded)
+    # becomes -0.0), in the constraints and in the objective, read off the
+    # started tableau the LP hands to the engine
     rng = np.random.default_rng(88)
     cols, b = rng.uniform(-1.0, 1.0, (2, 4, 3, 3))
     _, z, _, _ = victim_br_lp(cols)
-    programs.clear()
-    _, v2, _ = attacker_br_lp(z, cols, b)
-    (prog,) = programs
-    assert prog.a_ub.shape == (4, 3 + 1, 3 + 3 + 1)
-    for a in (prog.a_ub, prog.objective[:, None]):
+    handed = _handed_tableaux(monkeypatch, stage, "attacker_br_lp")
+    _, v2, _ = stage.attacker_br_lp(z, cols, b)
+    ((*_, T),) = handed
+    q = 3 + 3 + 1
+    a_ub, objective = T[:, :-1, :q], T[:, -1, :q]
+    assert a_ub.shape == (4, 3 + 1, q)
+    for a in (a_ub, objective[:, None]):
         alpha, last = a[..., -2], a[..., -1]
         assert np.array_equal(np.abs(last), np.abs(alpha))
         assert np.array_equal(np.signbit(last), ~np.signbit(alpha))
-    assert np.signbit(prog.a_ub[:, -1, -1]).all() and (prog.a_ub[:, -1, -1] == 0.0).all()
+    assert np.signbit(a_ub[:, -1, -1]).all() and (a_ub[:, -1, -1] == 0.0).all()
     assert v2.shape == (4,)
 
 
@@ -416,13 +462,18 @@ def _tied_victim_rows(cols, stages):
 
 
 def _stalling(real, at=None):
-    """The engine entry real, reporting the members at of every batch it
-    solves (every member for None) STALLED, the pivot limit."""
-    def solve(*args):
-        out = real(*args)
+    """The engine entry real, reporting STALLED, the pivot limit, for the
+    members at[writer] of every batch the LP writer named writer hands it
+    (every member of every batch for None)."""
+    def solve(T):
+        out = real(T)
+        if at is None:
+            members = slice(None)
+        else:
+            writer = sys._getframe(1).f_code.co_name
+            members = [p for p in at.get(writer, ()) if p < out.status.size]
         status = out.status.copy()
-        status[slice(None) if at is None else [p for p in at if p < status.size]] = (
-            stage.LpStatus.STALLED.value)
+        status[members] = stage.LpStatus.STALLED.value
         return out._replace(status=status)
 
     return solve
@@ -430,11 +481,11 @@ def _stalling(real, at=None):
 
 def _injected_failures(monkeypatch, victim_at, attacker_at):
     """Make the engine fail the members victim_at of every victim LP batch
-    (the tableaux victim_br_lp hands to `stage._solve_started`) and
-    attacker_at of every attacker LP batch (`stage.solve_lp`), each with
-    the pivot limit: their status is STALLED."""
-    monkeypatch.setattr(stage, "_solve_started", _stalling(stage._solve_started, victim_at))
-    monkeypatch.setattr(stage, "solve_lp", _stalling(stage.solve_lp, attacker_at))
+    and attacker_at of every attacker LP batch, each with the pivot limit:
+    their status is STALLED.  The one entry, `stage.solve_tableaux`, tells
+    the batches apart by the writer that hands them over."""
+    monkeypatch.setattr(stage, "solve_tableaux", _stalling(
+        stage.solve_tableaux, {"victim_br_lp": victim_at, "attacker_br_lp": attacker_at}))
 
 
 def test_lp_chain_reports_the_first_failure_stage_by_stage(monkeypatch):
@@ -468,8 +519,7 @@ def test_solver_names_a_victim_lp_failing_at_stage_0(monkeypatch):
 
 def _stall_every_lp(monkeypatch):
     """Make the engine report every stage LP STALLED (the pivot limit)."""
-    for name in ("_solve_started", "solve_lp"):
-        monkeypatch.setattr(stage, name, _stalling(getattr(stage, name)))
+    monkeypatch.setattr(stage, "solve_tableaux", _stalling(stage.solve_tableaux))
 
 
 @pytest.mark.parametrize("failing, message", [((2,), "stage 1"), ((3,), "stage 0"),
@@ -481,15 +531,15 @@ def test_the_lowest_failing_tied_cell_is_raised_across_tie_sizes(monkeypatch, fa
     # stage, as solving the cells one by one in order does
     cols = np.array([[[1.0], [1.0], [1.0]], [[1.0], [1.0], [0.0]]])
     b = np.random.default_rng(92).uniform(-1.0, 1.0, (2, 3, 4))
-    real = stage._solve_started
+    real = stage.solve_tableaux
 
-    def solve(T, basis):
-        out = real(T, basis)
-        if basis.shape[1] in failing:  # one row per tied row
+    def solve(T):
+        out = real(T)
+        if T.shape[1] - 1 in failing:  # one row per tied row
             return out._replace(status=np.full(out.status.size, stage.LpStatus.STALLED.value))
         return out
 
-    monkeypatch.setattr(stage, "_solve_started", solve)
+    monkeypatch.setattr(stage, "solve_tableaux", solve)
     with pytest.raises(stage.LpError, match=f"^{message}: victim best-response LP: pivot limit"):
         stage.singleton_stage_solves(cols, b)
 
