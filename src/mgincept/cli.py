@@ -106,7 +106,8 @@ def cmd_incept(args) -> int:
 
 
 def _grid_checks(g, belief, spec):
-    """Per-stage LP values vs grid oracle; yields (deviation, tolerance) pairs."""
+    """Per-stage LP values vs grid oracle; yields (name, deviation, tolerance)
+    triples."""
     report = markov_attacker_best_response(g, belief)
     for h in range(g.horizon):
         for s in range(g.num_states):
@@ -135,36 +136,40 @@ def cmd_verify(args) -> int:
             n, m, states, horizon = (int(p) for p in args.random.split(","))
         except ValueError as exc:
             raise GameFormatError(f"--random expects n,m,S,H: {exc}") from exc
+        if min(n, m, states, horizon) < 1:
+            raise GameFormatError(f"--random expects positive n,m,S,H, got {args.random}")
         if args.trials < 1:
             raise GameFormatError(f"--trials must be at least 1, got {args.trials}")
         rng = np.random.default_rng(args.seed)
-        games = [random_game(rng, horizon, states, n, m) for _ in range(args.trials)]
-        beliefs = [secure_belief(g) for g in games]
-        source = f"random {args.random}"
+        # each game is drawn when it is checked, so one game is held at a time
+        draws = (random_game(rng, horizon, states, n, m) for _ in range(args.trials))
+        games = ((g, secure_belief(g)) for g in draws)
+        count, source = args.trials, f"random {args.random}"
     else:
         if not args.game:
             raise GameFormatError("verify needs a game file or --random SPEC")
         doc = gamefile.load_game(args.game)
-        require_valid(doc.game)  # before any output
-        games = [doc.game]
-        beliefs = [BeliefSet(doc.beliefs) if doc.beliefs else secure_belief(doc.game)]
-        source = args.game
+        g = doc.game
+        require_valid(g)  # before any output
+        n, m = g.n, g.m
+        games = [(g, BeliefSet(doc.beliefs) if doc.beliefs else secure_belief(g))]
+        count, source = 1, args.game
     if args.mode in ("grid", "all"):
         # the largest of the grids over the victim's n and the attacker's m
         # actions; a dimension above GRID_MAX_DIM is the oracle's own refusal
-        dims = [d for d in (games[0].n, games[0].m) if d <= GRID_MAX_DIM]
+        dims = [d for d in (n, m) if d <= GRID_MAX_DIM]
         try:
             _check_grid_points(max(dims, default=1), spec)
         except ValueError as exc:
             raise GameFormatError(f"--step: {exc}") from exc
-    print(f"seed = {args.seed}, games = {len(games)}, source = {source}, mode = {args.mode}")
+    print(f"seed = {args.seed}, games = {count}, source = {source}, mode = {args.mode}")
 
     rows = {}
     def record(name, dev, tol):
         cases, worst_dev, worst_margin = rows.get(name, (0, 0.0, -np.inf))
         rows[name] = (cases + 1, max(worst_dev, dev), max(worst_margin, dev - tol))
 
-    for g, belief in zip(games, beliefs):
+    for g, belief in games:
         if args.mode in ("grid", "all"):
             for name, dev, tol in _grid_checks(g, belief, spec):
                 record(name, dev, tol)
@@ -186,6 +191,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise GameFormatError(f"--seed must be >= 0, got {args.seed}")
+    if args.episodes < 1:
+        raise GameFormatError(f"--episodes must be at least 1, got {args.episodes}")
     doc = gamefile.load_game(args.game)
     pi1 = gamefile.load_policy(args.p1)
     pi2 = gamefile.load_policy(args.p2)

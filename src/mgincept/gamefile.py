@@ -28,10 +28,11 @@ both:
 Error split, mirrored by the CLI exit codes: structural problems (a file
 that is not UTF-8 JSON, missing keys, jagged arrays, list leaves that are
 not JSON numbers or are integers beyond float64's range, a malformed
-encoded array, a game array whose shape disagrees with "horizon", "states"
-and "actions") raise GameFormatError; value-level problems (invalid
-distributions, non-finite rewards) surface through game validation or
-policy construction as ValueError.
+encoded array, a "horizon", "states" or "actions" entry that is not a
+positive integer, a game array whose shape disagrees with them) raise
+GameFormatError; value-level problems (invalid distributions, non-finite
+rewards) surface through game validation or policy construction as
+ValueError.
 """
 
 from __future__ import annotations
@@ -135,12 +136,16 @@ def _array(doc, key: str) -> np.ndarray:
     return arr
 
 
-def _int_field(doc: dict, key: str) -> int:
+def _is_dimension(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _dimension_field(doc: dict, key: str) -> int:
     if key not in doc:
         raise GameFormatError(f"missing field {key!r}")
     v = doc[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise GameFormatError(f"field {key!r} must be an integer, got {v!r}")
+    if not _is_dimension(v):
+        raise GameFormatError(f"field {key!r} must be a positive integer, got {v!r}")
     return v
 
 
@@ -182,12 +187,12 @@ def _belief_policies(objs: list) -> tuple:
 def load_game(path) -> GameDocument:
     """Load a game document; beliefs are returned alongside when present."""
     doc = _read_json(path)
-    horizon = _int_field(doc, "horizon")
-    states = _int_field(doc, "states")
+    horizon = _dimension_field(doc, "horizon")
+    states = _dimension_field(doc, "states")
     actions = doc.get("actions")
-    if (not isinstance(actions, (list, tuple)) or len(actions) != 2
-            or not all(isinstance(a, int) and not isinstance(a, bool) for a in actions)):
-        raise GameFormatError('field "actions" must be a pair of integers [n, m]')
+    if not isinstance(actions, list) or len(actions) != 2 or not all(map(_is_dimension, actions)):
+        raise GameFormatError('field "actions" must be a pair of positive integers [n, m], '
+                              f"got {actions!r}")
     n, m = actions
     stage = (horizon, states, n, m)
     mu, r1, r2, transitions = (

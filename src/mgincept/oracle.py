@@ -1,10 +1,8 @@
 """Brute-force oracles that certify solver results on small instances.
 
 Everything here is exponential or grid-based and gated behind hard size
-guards, except belief membership (one LP per stage whose value reaches a
-known target exactly when the stage is a member, all solved as one lockstep
-batch); oracles certify the algorithms on small instances, never the
-production solve path.
+guards, and none of it solves an LP of its own; oracles certify the
+algorithms on small instances, never the production solve path.
 
 The exhaustive fake-policy search shares work across suffixes: fixing a
 fake policy's layers h+1..H-1 fixes the value vectors entering layer h, so
@@ -24,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inception import _suffix_pass
-from .lp import LpError, LpStatus, solve_tableaux, tableaux
-from .model import (
-    BeliefSet,
-    MarkovGame,
-    MarkovPolicy,
-    _player_index,
-    require_valid,
-)
+from .model import BeliefSet, MarkovGame, MarkovPolicy, require_valid
 from .solver import _check_budget
 from .stage import StageSolveError
 
@@ -41,7 +32,6 @@ _GRID_MAX_POINTS = 1_000_000  # 32 MB of float64 points at GRID_MAX_DIM
 VERTEX_MAX_DIM = 6
 VERTEX_INCLUDE_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-8
-FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -177,59 +167,24 @@ def grid_attacker_value(a_prime, b, z_star: float, spec: GridSpec) -> float:
     return grid_victim_value((np.stack(victim_br_vertices(a_prime, z_star)) @ b).T, spec)
 
 
-def belief_membership(b: BeliefSet, pi2: MarkovPolicy) -> bool:
-    """True iff pi2 is a per-stage convex mixture of the belief's base policies.
-
-    Stage (h, s) is a member iff M lam = e has a solution lam >= 0, where M
-    stacks the base mixes over a row of ones and e is pi2(h, s) followed by
-    a 1.  Since e >= 0, that holds iff max 1'M lam s.t. M lam <= e, lam >= 0
-    reaches 1'e; a stage is taken as a member when the LP's value is within
-    FEAS_TOL of 1'e.  All H * S LPs share one shape and are solved as one
-    lockstep batch.  The answer, and the LpError raised for a stage whose
-    LP stalls at the pivot limit (naming its (h, s)), are those of checking
-    the stages one by one in (h, s) order up to the first that is not a
-    member.
-    """
-    if pi2.player != 2 or pi2.entries.shape != b.mixes.shape[:3]:
-        raise ValueError("candidate policy does not match belief dimensions")
-    H, S, m, K = b.mixes.shape
-    M = np.concatenate([b.mixes.reshape(H * S, m, K), np.ones((H * S, 1, K))], axis=1)
-    e = np.concatenate([pi2.entries.reshape(H * S, m), np.ones((H * S, 1))], axis=1)
-    T = tableaux(H * S, m + 1, K)  # [M | I | e ; 1'M | 0 | 0]
-    T[:, :-1, :K] = M
-    T[:, :-1, -1] = e
-    T[:, -1, :K] = M.sum(axis=1)
-    sols = solve_tableaux(T)
-    # a non-optimal member's value is NaN, which reaches no target
-    outside = np.flatnonzero(~(sols.value >= e.sum(axis=1) - FEAS_TOL))
-    if outside.size == 0:
-        return True
-    if sols.status[outside[0]] == LpStatus.STALLED.value:
-        h, s = divmod(int(outside[0]), S)
-        raise LpError(f"belief membership LP at h={h}, s={s}: pivot limit exceeded; "
-                      "simplex did not converge")
-    return False
-
-
-def _check_enum_guard(k: int, cells: int) -> None:
-    count = k ** cells
+def _check_enum_guard(g: MarkovGame) -> None:
+    count = g.m ** (g.horizon * g.num_states)
     if count > ENUM_GUARD:
         raise ValueError(f"enumeration of {count} policies exceeds guard {ENUM_GUARD}")
 
 
-def enumerate_deterministic_policies(g: MarkovGame, player: int = 2):
-    """An iterator over every deterministic policy of a player, each once.
+def enumerate_deterministic_policies(g: MarkovGame):
+    """An iterator over every deterministic attacker policy, each once.
 
     Lexicographic over (step, state) cells with step most significant; the
     first policy plays action 0 everywhere.  Gated to at most ENUM_GUARD
-    policies; the guard and the player are checked at call time.
+    policies; the guard is checked at call time.
     """
-    k = g.m if _player_index(player) == 1 else g.n
-    H, S = g.horizon, g.num_states
-    _check_enum_guard(k, H * S)
+    H, S, m = g.horizon, g.num_states, g.m
+    _check_enum_guard(g)
     return (
-        MarkovPolicy.deterministic(player, np.reshape(assignment, (H, S)), k)
-        for assignment in itertools.product(range(k), repeat=H * S)
+        MarkovPolicy.deterministic(2, np.reshape(assignment, (H, S)), m)
+        for assignment in itertools.product(range(m), repeat=H * S)
     )
 
 
@@ -247,7 +202,7 @@ def brute_force_inception(g: MarkovGame) -> tuple:
     Returns (policy, value).
     """
     H, S, m = g.horizon, g.num_states, g.m
-    _check_enum_guard(m, H * S)
+    _check_enum_guard(g)
     require_valid(g)
     _check_budget(g, 1)  # the size guard of exploiting one fake policy
     # choices[c, s]: the action at state s of the layer's c-th joint choice
@@ -273,12 +228,6 @@ def random_game(rng: np.random.Generator, horizon: int, num_states: int,
     mu = rng.uniform(0.1, 1.0, num_states)
     mu /= mu.sum()
     return MarkovGame(horizon, num_states, n, m, mu, rewards, transitions)
-
-
-def random_mix_rows(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
-    """K random stage mixes (rows of a belief's stage matrix)."""
-    rows = rng.uniform(0.05, 1.0, (k, m))
-    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def random_belief(rng: np.random.Generator, g: MarkovGame, k: int):

@@ -99,6 +99,12 @@ def random_policy(rng, player, horizon, states, k):
     return mg.MarkovPolicy(player, entries)
 
 
+def random_mix_rows(rng, k, m):
+    """K random stage mixes (rows of a belief's stage matrix)."""
+    rows = rng.uniform(0.05, 1.0, (k, m))
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 def stage_solve(rows, a, b):
     """One normal-form stage against the belief rows (K x m), with victim
     payoffs a and attacker payoffs b (n x m), solved as a layer of one stage

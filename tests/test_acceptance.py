@@ -12,7 +12,8 @@ import pytest
 
 import mgincept as mg
 import mgincept.cli as cli
-from conftest import pure_stage_policy, random_policy, single_step_game, stage_solve
+from conftest import (pure_stage_policy, random_mix_rows, random_policy, single_step_game,
+                      stage_solve)
 from mgincept import gamefile
 from mgincept.oracle import (
     GridSpec,
@@ -20,7 +21,6 @@ from mgincept.oracle import (
     grid_attacker_value,
     grid_victim_value,
     random_game,
-    random_mix_rows,
     victim_br_vertices,
 )
 from mgincept.rollout import simulate

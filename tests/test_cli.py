@@ -76,6 +76,28 @@ def test_header_disagreeing_with_arrays_is_a_format_error(field, value, named, t
     assert f"field {named!r} has shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("horizon", 0, "field 'horizon' must be a positive integer, got 0"),
+    ("states", 0, "field 'states' must be a positive integer, got 0"),
+    ("actions", [0, 2], 'field "actions" must be a pair of positive integers [n, m], got [0, 2]'),
+    ("actions", [2, 0], 'field "actions" must be a pair of positive integers [n, m], got [2, 0]'),
+], ids=["horizon", "states", "n", "m"])
+def test_header_with_a_nonpositive_dimension_is_a_format_error(field, value, error, tmp_path,
+                                                               capsys):
+    # encoded arrays of the shapes the header names, empty where it names a
+    # 0, so they agree with it and only the dimension itself is wrong
+    doc = {"horizon": 1, "states": 1, "actions": [2, 2], field: value}
+    H, S, (n, m) = doc["horizon"], doc["states"], doc["actions"]
+    stage = gamefile._encode(np.zeros((H, S, n, m)))
+    doc.update(mu=gamefile._encode(np.zeros(S)), rewards={"p1": stage, "p2": stage},
+               transitions=gamefile._encode(np.zeros((H, S, n, m, S))))
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and captured.out == ""
+
+
 def test_solve_br_with_inline_beliefs(decoy_path, capsys):
     assert cli.main(["solve-br", str(decoy_path)]) == 0
     out = capsys.readouterr().out
@@ -223,6 +245,23 @@ def test_negative_seed_is_refused_up_front(argv, decoy_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--mode", "enum", "--random", "2,2,2,-1"],
+     "--random expects positive n,m,S,H, got 2,2,2,-1"),
+    (["verify", "--mode", "grid", "--random", "2,2,2,0"],
+     "--random expects positive n,m,S,H, got 2,2,2,0"),
+    (["simulate", "{game}", "--p1", "missing_p1.json", "--p2", "missing_p2.json",
+      "--episodes", "0", "--seed", "0"], "--episodes must be at least 1, got 0"),
+], ids=["verify-negative", "verify-zero", "simulate"])
+def test_flag_values_below_one_are_refused_up_front(argv, error, decoy_path, capsys):
+    # numpy or the library would refuse them with exit 1, after reading
+    # files; they are parse failures, exit 2, before any file is read
+    assert cli.main([a.format(game=decoy_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mode", ["grid", "enum"])
 def test_verify_rejects_a_bad_step_before_any_work(mode, capsys, monkeypatch):
     # the grid step is checked once, up front, in every mode: no header,
@@ -316,6 +355,26 @@ def test_verify_all_checks_each_random_game_once(capsys, monkeypatch):
     assert cli.main(["verify", "--mode", "all", "--random", "2,2,2,1", "--trials", "3",
                      "--step", "0.05"]) == 0
     assert len(calls) == len({id(g) for g in calls}) == 3
+
+
+def test_verify_random_draws_each_game_when_it_checks_it(capsys, monkeypatch):
+    # one game is held at a time: draw, check, draw, check
+    calls = []
+    real_draw, real_check = cli.random_game, cli.brute_force_inception
+
+    def draw(*args):
+        calls.append("draw")
+        return real_draw(*args)
+
+    def check(g):
+        calls.append("check")
+        return real_check(g)
+
+    monkeypatch.setattr(cli, "random_game", draw)
+    monkeypatch.setattr(cli, "brute_force_inception", check)
+    assert cli.main(["verify", "--mode", "enum", "--random", "2,2,2,1", "--trials", "2"]) == 0
+    assert calls == ["draw", "check", "draw", "check"]
+    assert "games = 2," in capsys.readouterr().out
 
 
 def test_verify_enum_mode_on_random_two_step_games(capsys):

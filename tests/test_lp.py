@@ -11,7 +11,8 @@ from conftest import stage_solve
 from lp_reference import LinearProgram, _start, solve_lp
 from mgincept import lp, stage
 from mgincept.lp import LpError, LpStatus
-from mgincept.oracle import FEAS_TOL
+
+FEAS_TOL = 1e-9  # the largest constraint residual a solution may show
 
 
 def residuals(lp, v, free=()):

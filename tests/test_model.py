@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import mgincept as mg
 from conftest import chain_game, pure_stage_policy, random_policy, single_step_game
-from mgincept.oracle import belief_membership
 
 
 def test_validate_accepts_well_formed_game(decoy_game):
@@ -211,40 +210,6 @@ def test_belief_mixes_examples(decoy_beliefs, decoy_game):
     assert secure.mixes.shape == (1, 1, 2, 2) and secure.mixes is secure.mixes
     with pytest.raises(ValueError):
         secure.mixes[0, 0, 0, 0] = 0.5
-
-
-def test_belief_membership_convex_hull_cases():
-    e1 = pure_stage_policy(2, 0, 2)
-    e2 = pure_stage_policy(2, 1, 2)
-    uniform = mg.MarkovPolicy(2, [[[0.5, 0.5]]])
-    assert belief_membership(mg.BeliefSet((e1, e2)), uniform)
-    assert not belief_membership(mg.BeliefSet((e1,)), e2)
-    assert belief_membership(mg.BeliefSet((uniform,)), uniform)
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_belief_membership_holds_for_every_base_policy(seed):
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, 4))
-    bases = tuple(random_policy(rng, 2, 2, 2, 3) for _ in range(k))
-    belief = mg.BeliefSet(bases)
-    for base in bases:
-        assert belief_membership(belief, base)
-
-
-def test_belief_membership_detects_outside_mixtures():
-    rng = np.random.default_rng(42)
-    b1 = random_policy(rng, 2, 1, 1, 3)
-    b2 = random_policy(rng, 2, 1, 1, 3)
-    belief = mg.BeliefSet((b1, b2))
-    mid = mg.MarkovPolicy(2, 0.25 * b1.entries + 0.75 * b2.entries)
-    assert belief_membership(belief, mid)
-    outside = np.array([1.0, 0.0, 0.0])
-    hull = np.stack([b1.entries[0, 0], b2.entries[0, 0]])
-    # a vertex of the simplex is outside the hull of two interior points
-    assert not any(np.allclose(row, outside) for row in hull)
-    assert not belief_membership(belief, mg.MarkovPolicy(2, [[outside]]))
 
 
 def test_value_tables_reject_nonzero_terminal_layer():

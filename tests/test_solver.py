@@ -7,7 +7,7 @@ import pytest
 import mgincept as mg
 from conftest import (chain_game, integer_reward_game, pure_stage_policy, random_policy,
                       stage_solve, watch_tied_cells)
-from mgincept.oracle import (GridSpec, belief_membership, grid_attacker_value, grid_victim_value,
+from mgincept.oracle import (GridSpec, grid_attacker_value, grid_victim_value,
                              random_belief, random_game, victim_br_vertices)
 from mgincept import solver, stage
 from mgincept.solver import STAGE_BUDGET, q_from_v
@@ -91,8 +91,9 @@ def test_secure_belief_spans_every_policy():
     for j, base in enumerate(belief.base):
         assert base.is_deterministic
         assert all(base.action_at(h, s) == j for h in range(2) for s in range(2))
-    rng = np.random.default_rng(7)
-    assert belief_membership(belief, random_policy(rng, 2, 2, 2, 3))
+    # every stage's mixes are the pure actions, so every policy is its own
+    # mixture of the bases
+    assert (belief.mixes == np.eye(3)).all()
     single = mg.secure_belief(chain_game(seed=6, horizon=1, states=1, n=2, m=1))
     assert single.size == 1
 
