@@ -142,9 +142,8 @@ def cmd_verify(args) -> int:
             raise GameFormatError(f"--trials must be at least 1, got {args.trials}")
         rng = np.random.default_rng(args.seed)
         # each game is drawn when it is checked, so one game is held at a time
-        draws = (random_game(rng, horizon, states, n, m) for _ in range(args.trials))
-        games = ((g, secure_belief(g)) for g in draws)
-        count, source = args.trials, f"random {args.random}"
+        games = (random_game(rng, horizon, states, n, m) for _ in range(args.trials))
+        beliefs, count, source = (), args.trials, f"random {args.random}"
     else:
         if not args.game:
             raise GameFormatError("verify needs a game file or --random SPEC")
@@ -152,9 +151,9 @@ def cmd_verify(args) -> int:
         g = doc.game
         require_valid(g)  # before any output
         n, m = g.n, g.m
-        games = [(g, BeliefSet(doc.beliefs) if doc.beliefs else secure_belief(g))]
-        count, source = 1, args.game
-    if args.mode in ("grid", "all"):
+        games, beliefs, count, source = [g], doc.beliefs, 1, args.game
+    grid = args.mode in ("grid", "all")
+    if grid:
         # the largest of the grids over the victim's n and the attacker's m
         # actions; a dimension above GRID_MAX_DIM is the oracle's own refusal
         dims = [d for d in (n, m) if d <= GRID_MAX_DIM]
@@ -169,8 +168,9 @@ def cmd_verify(args) -> int:
         cases, worst_dev, worst_margin = rows.get(name, (0, 0.0, -np.inf))
         rows[name] = (cases + 1, max(worst_dev, dev), max(worst_margin, dev - tol))
 
-    for g, belief in games:
-        if args.mode in ("grid", "all"):
+    for g in games:
+        if grid:  # only the grid checks read a belief
+            belief = BeliefSet(beliefs) if beliefs else secure_belief(g)
             for name, dev, tol in _grid_checks(g, belief, spec):
                 record(name, dev, tol)
         if args.mode in ("enum", "all"):

@@ -29,7 +29,8 @@ Error split, mirrored by the CLI exit codes: structural problems (a file
 that is not UTF-8 JSON, missing keys, jagged arrays, list leaves that are
 not JSON numbers or are integers beyond float64's range, a malformed
 encoded array, a "horizon", "states" or "actions" entry that is not a
-positive integer, a game array whose shape disagrees with them) raise
+positive integer, a game array or an inline belief's entries whose shape
+disagrees with them) raise
 GameFormatError; value-level problems (invalid distributions, non-finite
 rewards) surface through game validation or policy construction as
 ValueError.
@@ -157,13 +158,19 @@ def _shaped(doc, key: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def policy_from_object(obj, player: int | None = None) -> MarkovPolicy:
-    """Build a policy from a parsed JSON object {"player"?, "entries"}."""
+def _entries(obj) -> np.ndarray:
+    """The [H][S][k] entries of a parsed policy object."""
     if not isinstance(obj, dict):
         raise GameFormatError("policy object must be a JSON object")
     entries = _array(obj, "entries")
     if entries.ndim != 3:
         raise GameFormatError(f"policy entries must be [H][S][k], got shape {entries.shape}")
+    return entries
+
+
+def policy_from_object(obj, player: int | None = None) -> MarkovPolicy:
+    """Build a policy from a parsed JSON object {"player"?, "entries"}."""
+    entries = _entries(obj)
     if player is None:
         player = obj.get("player", 2)
         if not isinstance(player, int) or isinstance(player, bool) or player not in (1, 2):
@@ -171,21 +178,27 @@ def policy_from_object(obj, player: int | None = None) -> MarkovPolicy:
     return MarkovPolicy(player, entries)
 
 
-def _belief_policies(objs: list) -> tuple:
-    """The attacker policies of a beliefs list.  An error names the bad
-    belief by its index, e.g. ``beliefs[1]: field 'entries' ...``, and keeps
-    its type: GameFormatError for structure, ValueError for values."""
+def _belief_policies(objs: list, shape: tuple | None = None) -> tuple:
+    """The attacker policies of a beliefs list, whose entries must have the
+    shape (H, S, m) when it is given.  An error names the bad belief by its
+    index, e.g. ``beliefs[1]: field 'entries' ...``, and keeps its type:
+    GameFormatError for structure, ValueError for values."""
     policies = []
     for i, obj in enumerate(objs):
         try:
-            policies.append(policy_from_object(obj, player=2))
+            entries = _entries(obj)
+            if shape is not None and entries.shape != shape:
+                raise GameFormatError(f"field 'entries' has shape {entries.shape}, expected "
+                                      f'{shape} from "horizon", "states" and "actions"')
+            policies.append(MarkovPolicy(2, entries))
         except ValueError as exc:
             raise type(exc)(f"beliefs[{i}]: {exc}") from exc
     return tuple(policies)
 
 
 def load_game(path) -> GameDocument:
-    """Load a game document; beliefs are returned alongside when present."""
+    """Load a game document; beliefs, each (H, S, m), are returned alongside
+    when present."""
     doc = _read_json(path)
     horizon = _dimension_field(doc, "horizon")
     states = _dimension_field(doc, "states")
@@ -203,7 +216,7 @@ def load_game(path) -> GameDocument:
     beliefs = doc.get("beliefs", [])
     if not isinstance(beliefs, list):
         raise GameFormatError('field "beliefs" must be a list of policy objects')
-    return GameDocument(game=game, beliefs=_belief_policies(beliefs))
+    return GameDocument(game=game, beliefs=_belief_policies(beliefs, (horizon, states, m)))
 
 
 def save_game(path, g: MarkovGame, beliefs=()) -> None:

@@ -25,7 +25,9 @@ outputs, pivot for pivot.
 Unique optima.  An OPTIMAL solution is flagged `unique` when every nonbasic
 entry of its final cost row is below -PIVOT_TOL: moving any nonbasic
 variable off zero then loses value (Mangasarian, "Uniqueness of solution in
-linear programming", 1979).  The flag reads the final tableau only.
+linear programming", 1979).  Every basic column's entry there is +-0 (see
+`_pivot`), so the flag is a count: exactly q of the cost row's q + rows
+entries are below -PIVOT_TOL.  The flag reads the final tableau only.
 
 Lockstep batches.  The B tableaux are one (B, rows, cols) stack, and every
 step pivots each unfinished member once, so step s is every live member's
@@ -120,7 +122,10 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray,
     The pivot row is divided once, used for the update and written back
     over the updated row.  The pivot column needs no writes of its own: the
     pivot entry divides to exactly 1.0, and every other entry x becomes
-    x - x * 1.0 = +0.0.
+    x - x * 1.0 = +0.0.  A column that stays basic keeps its unit column and
+    its reduced cost of +-0: its pivot-row entry is +-0, so each of its
+    entries y becomes y - x * (+-0), which is y again up to the sign of a
+    zero.
     """
     k = np.arange(T.shape[0])
     pivot_row = T[k, row] / column[k, row, None]
@@ -209,15 +214,14 @@ def solve_tableaux(T: np.ndarray) -> LpBatch:
     status = np.empty(count, dtype=np.int8)
     for i in range(0, count, step):
         status[i:i + step] = _run(T[i:i + step], basis[i:i + step])
-    members = np.arange(count)[:, None]
     x = np.zeros((count, q + rows))
-    x[members, basis] = T[:, :-1, -1]
-    basic = np.zeros((count, q + rows), dtype=bool)
-    basic[members, basis] = True
-    unique = ((T[:, -1, :-1] < -PIVOT_TOL) | basic).all(axis=1)
-    # C order: each row is contiguous, so each member's sum c * v rounds as
-    # in a batch of one
-    v = np.ascontiguousarray(x[:, :q])
+    x[np.arange(count)[:, None], basis] = T[:, :-1, -1]
+    # every basic column's reduced cost is +-0 (see _pivot), so the q nonbasic
+    # ones are all below -PIVOT_TOL exactly when q entries are
+    unique = (T[:, -1, :-1] < -PIVOT_TOL).sum(axis=1) == q
+    v = x[:, :q]
     optimal = status == _OPTIMAL
     v[~optimal] = np.nan
+    # c * v is a new C-order array: each member's row is contiguous, so its
+    # sum rounds as in a batch of one
     return LpBatch(status, v, (c * v).sum(axis=1), unique & optimal)

@@ -19,20 +19,27 @@ eliminated (it holds the rest of the mass) and the value is shifted by its
 guarantee, so every right-hand side is >= 0, the canonical form of
 `mgincept.lp`, the simplex starts feasible at the pure security strategy,
 and x, z, y and alpha are mapped back afterwards (see victim_br_lp and
-attacker_br_lp).  Both LPs take a leading stage axis: the P stages of a
-layer share one shape, so each LP writes the whole layer's started
-tableaux in place, into one `lp.tableaux` stack, and hands them to the
-engine's one entry, `lp.solve_tableaux`, which solves them as one lockstep
-batch (split at `lp.BATCH_ELEMENTS` tableau elements), with results
-bit-identical to solving the stages one by one.  The LPs return their
-outcomes as status arrays, and a layer's solve raises once, for the lowest
-failing stage (its index p along that axis), naming the LP; there the
-victim LP comes before the attacker LP, the order of solving the stages one
-by one.  A singleton belief needs neither LP: the victim's value is the
-column maximum, its best replies the rows attaining it (==).
-`singleton_stage_solves` solves a layer of such stages from their
-(P, n, J) believed columns, the layout of Q1 itself (J = m pure actions)
-and of Q1 @ mixes; its docstring states the tie rule.
+attacker_br_lp).  The best pure strategy is a boolean mask over each
+stage's rows, False at that row alone (`_at_best_pure`), and the victim
+LP's column j0 one over its columns: a mask gathers the other rows, the
+other columns and their rooms in order, a whole layer in one index, and
+the LP's mixes are scattered back through the same mask, x[mask] = v, the
+rest of the mass on the best pure strategy.  The uniqueness flag that
+picks the closed form is counted off the final cost row: exactly q
+reduced costs below -PIVOT_TOL (`lp.LpBatch.unique`).  Both LPs take a
+leading stage axis: the P stages of a layer share one shape, so each LP
+writes the whole layer's started tableaux in place, into one `lp.tableaux`
+stack, and hands them to the engine's one entry, `lp.solve_tableaux`,
+which solves them as one lockstep batch (split at `lp.BATCH_ELEMENTS`
+tableau elements), with results bit-identical to solving the stages one by
+one.  The LPs return their outcomes as status arrays, and a layer's solve
+raises once, for the lowest failing stage (its index p along that axis),
+naming the LP; there the victim LP comes before the attacker LP, the order
+of solving the stages one by one.  A singleton belief needs neither LP:
+the victim's value is the column maximum, its best replies the rows
+attaining it (==).  `singleton_stage_solves` solves a layer of such stages
+from their (P, n, J) believed columns, the layout of Q1 itself (J = m pure
+actions) and of Q1 @ mixes; its docstring states the tie rule.
 """
 
 from __future__ import annotations
@@ -115,33 +122,18 @@ def _at_best_pure(payoffs) -> tuple:
     rewritten at each game's best pure row r0 = argmax_r min_c payoffs[p, r, c]
     (lowest index on ties), whose guarantee is g = min_c payoffs[p, r0, c].
 
-    Returns (r0, others, gain, room): others (P, R - 1) holds the other
-    rows in order, gain (P, C, R - 1) their payoffs minus row r0's,
-    payoffs[p, others, c] - payoffs[p, r0, c], per column c, and room (P, C)
-    row r0's payoffs minus g, all >= 0.
+    Returns (others, gain, room): others (P, R) is the row mask, False at
+    r0 alone, gain (P, C, R - 1) the other rows' payoffs in order minus row
+    r0's, payoffs[p, others[p], c] - payoffs[p, r0, c], per column c, and
+    room (P, C) row r0's payoffs minus g, all >= 0.  Mixes over the other
+    rows, v (P x R - 1), map back to full mixes x (P x R) by x[others] = v
+    and x[~others] = 1 - sum(v): row r0 holds the rest of the mass.
     """
-    P, R, _ = payoffs.shape
-    p = np.arange(P)
-    r0 = payoffs.min(axis=2).argmax(axis=1)
-    others = _others(R, r0)
-    base = payoffs[p, r0]
-    gain = (payoffs[p[:, None], others] - base[:, None]).transpose(0, 2, 1)
-    return r0, others, gain, base - base.min(axis=1, keepdims=True)
-
-
-def _others(R: int, r0) -> np.ndarray:
-    """The indices 0..R-1 without r0[p], in order, for each p (P x R - 1)."""
-    return np.arange(R - 1) + (np.arange(R - 1) >= r0[:, None])
-
-
-def _with_best_pure(v, r0, others) -> np.ndarray:
-    """Maps the other rows' weights v (P x R - 1) back to full mixes (P x R)
-    whose row r0 holds the rest of the mass, 1 - sum(v)."""
-    x = np.empty((v.shape[0], v.shape[1] + 1))
-    p = np.arange(v.shape[0])[:, None]
-    x[p, others] = v
-    x[p[:, 0], r0] = 1.0 - v.sum(axis=1)
-    return x
+    P, R, C = payoffs.shape
+    others = np.arange(R) != payoffs.min(axis=2).argmax(axis=1)[:, None]
+    base = payoffs[~others]
+    gain = (payoffs[others].reshape(P, R - 1, C) - base[:, None]).transpose(0, 2, 1)
+    return others, gain, base - base.min(axis=1, keepdims=True)
 
 
 def victim_br_lp(cols) -> tuple:
@@ -182,22 +174,22 @@ def victim_br_lp(cols) -> tuple:
     """
     P, n, K = cols.shape
     unit, _, span = _to_unit(cols)
-    r0, others, gain, room = _at_best_pure(unit)
-    p = np.arange(P)
-    j0 = room.argmin(axis=1)  # the lowest column of room 0
-    rest = _others(K, j0)
+    others, gain, room = _at_best_pure(unit)
+    rest = np.arange(K) != room.argmin(axis=1)[:, None]  # False at j0, the lowest room 0
     T = tableaux(P, K, n)
-    T[:, -1, :n - 1] = gain[p, j0]
+    T[:, -1, :n - 1] = gain[~rest]
     T[:, -1, n - 1] = -1.0
-    np.subtract(T[:, -1:, :n - 1], gain[p[:, None], rest], out=T[:, :K - 1, :n - 1])
+    np.subtract(T[:, -1:, :n - 1], gain[rest].reshape(P, K - 1, n - 1),
+                out=T[:, :K - 1, :n - 1])
     T[:, :K - 1, n - 1] = -1.0
     T[:, K - 1, :n - 1] = 1.0
-    T[:, :K - 1, -1] = room[p[:, None], rest]
+    T[:, :K - 1, -1] = room[rest].reshape(P, K - 1)
     T[:, K - 1, -1] = 1.0
     sols = solve_tableaux(T)
-    c = cols[p, r0].min(axis=1)
-    return (_with_best_pure(sols.v[:, :-1], r0, others), c + span * sols.value, sols.unique,
-            sols.status)
+    v = sols.v[:, :-1]
+    x = np.empty((P, n))
+    x[others], x[~others] = v.ravel(), 1.0 - v.sum(axis=1)
+    return x, cols[~others].min(axis=1) + span * sols.value, sols.unique, sols.status
 
 
 def attacker_br_lp(z_star, cols, b) -> tuple:
@@ -239,7 +231,7 @@ def attacker_br_lp(z_star, cols, b) -> tuple:
     unit_cols, lo, span = _to_unit(cols)
     z_unit = (z_star - lo) / span
     unit_b, _, span_b = _to_unit(b)
-    k0, others, gain, room = _at_best_pure(unit_b.transpose(0, 2, 1))
+    others, gain, room = _at_best_pure(unit_b.transpose(0, 2, 1))
     T = tableaux(P, n + 1, m + K + 1)
     np.negative(gain, out=T[:, :n, :m - 1])
     T[:, :n, m - 1:m + K - 1] = unit_cols
@@ -253,10 +245,10 @@ def attacker_br_lp(z_star, cols, b) -> tuple:
     T[:, -1, m + K - 1] = -1.0
     T[:, -1, m + K] = 1.0
     status, v, _, _ = solve_tableaux(T)
-    d = b[np.arange(P), :, k0].min(axis=1)
-    return (_with_best_pure(v[:, :m - 1], k0, others),
-            d + span_b * (z_unit * v[:, m - 1:-2].sum(axis=1) - (v[:, -2] - v[:, -1])),
-            status)
+    y = np.empty((P, m))
+    y[others], y[~others] = v[:, :m - 1].ravel(), 1.0 - v[:, :m - 1].sum(axis=1)
+    d = b.transpose(0, 2, 1)[~others].min(axis=1)
+    return y, d + span_b * (z_unit * v[:, m - 1:-2].sum(axis=1) - (v[:, -2] - v[:, -1])), status
 
 
 def _lp_chain(cols, b) -> StageBR:
@@ -281,12 +273,16 @@ def _lp_chain(cols, b) -> StageBR:
     """
     x, z_star, unique, victim = victim_br_lp(cols)
     payoff = _row_mix(x, b)  # x*'B
-    k_star = payoff.argmax(axis=1)
-    y_star = np.eye(b.shape[2])[k_star]
-    v2_star = payoff[np.arange(k_star.size), k_star]
+    p, k_star = np.arange(payoff.shape[0]), payoff.argmax(axis=1)
+    y_star = np.zeros(payoff.shape)
+    y_star[p, k_star] = 1.0
+    v2_star = payoff[p, k_star]
+    optimal = victim == _OPTIMAL
+    if (unique & optimal).all():
+        return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star)
     status = np.full((victim.size, 2), _OPTIMAL, dtype=np.int8)  # each stage's victim LP, attacker LP
     status[:, 0] = victim
-    rest = np.flatnonzero(~unique & (victim == _OPTIMAL))
+    rest = np.flatnonzero(~unique & optimal)
     if rest.size:
         y_rest, v2_star[rest], status[rest, 1] = attacker_br_lp(
             _row_mix(x[rest], cols[rest]).min(axis=1), cols[rest], b[rest])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ import mgincept.solver as solver
 from conftest import chain_game, list_form_doc, pure_stage_policy, random_policy
 from mgincept import gamefile
 from mgincept.lp import LpError
+
+# a 2-step, 2-state, 2x2 game whose one inline belief holds (1, 1, 2) entries
+MISSHAPED_BELIEF_GAME = Path(__file__).parent / "data" / "misshaped_belief_game.json"
 
 
 @pytest.fixture
@@ -375,6 +379,45 @@ def test_verify_random_draws_each_game_when_it_checks_it(capsys, monkeypatch):
     assert cli.main(["verify", "--mode", "enum", "--random", "2,2,2,1", "--trials", "2"]) == 0
     assert calls == ["draw", "check", "draw", "check"]
     assert "games = 2," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve-br"], ["verify", "--mode", "grid"]],
+                         ids=["validate", "solve-br", "verify-grid"])
+def test_a_misshaped_inline_belief_is_a_format_error(command, capsys):
+    # the game loader refuses the belief before any output, naming it and
+    # the shape the game asks for, so every command exits 2
+    assert cli.main([command[0], str(MISSHAPED_BELIEF_GAME), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: beliefs[0]: field 'entries' has shape (1, 1, 2), expected "
+                            '(2, 2, 2) from "horizon", "states" and "actions"\n')
+
+
+def test_verify_enum_mode_builds_no_secure_belief(tmp_path, capsys, monkeypatch):
+    # only the grid checks read a belief, so enum mode builds none, on
+    # random games and on a game file without inline beliefs, and prints
+    # the lines it printed when it built the secure belief of every game
+    def refuse(g):
+        raise AssertionError("enum mode built a secure belief")
+
+    monkeypatch.setattr(cli, "secure_belief", refuse)
+    assert cli.main(["verify", "--mode", "enum", "--random", "2,2,2,2", "--seed", "2",
+                     "--trials", "10"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "seed = 2, games = 10, source = random 2,2,2,2, mode = enum",
+        "check                         cases      max-dev   status",
+        "inception-vs-enumeration         10    1.438e-01     FAIL",
+        "result: FAIL"]
+    doc = json.loads((MISSHAPED_BELIEF_GAME.parent / "list_form_game.json").read_text())
+    del doc["beliefs"]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--mode", "enum", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"seed = 0, games = 1, source = {path}, mode = enum",
+        "check                         cases      max-dev   status",
+        "inception-vs-enumeration          1    0.000e+00     PASS",
+        "result: PASS"]
 
 
 def test_verify_enum_mode_on_random_two_step_games(capsys):

@@ -303,6 +303,20 @@ def test_both_belief_readers_name_the_bad_belief(bad, error, match, tmp_path):
         assert isinstance(info.value, GameFormatError) == (error is GameFormatError)
 
 
+@pytest.mark.parametrize("entries", [[[[1.0, 0.0]]], [[[0.7, 0.7]]]], ids=["valid", "bad-rows"])
+def test_load_game_refuses_inline_beliefs_of_another_shape(entries, tmp_path):
+    # a 2-step, 2-state, 2x2 game takes (2, 2, 2) belief entries; the shape
+    # is checked before the rows, so a belief that is wrong in both is
+    # still a format error
+    doc = list_form_doc(chain_game(seed=70))
+    doc["beliefs"] = [{"entries": np.full((2, 2, 2), 0.5).tolist()}, {"entries": entries}]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GameFormatError, match=re.escape(
+            "beliefs[1]: field 'entries' has shape (1, 1, 2), expected (2, 2, 2) from")):
+        gamefile.load_game(path)
+
+
 READERS = {
     "game": (gamefile.load_game, lambda: list_form_doc(chain_game(seed=69, horizon=1, states=1))),
     "policy": (gamefile.load_policy, lambda: {"player": 1, "entries": [[[1.0, 0.0]]]}),

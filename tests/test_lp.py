@@ -505,6 +505,46 @@ def test_batches_are_bitwise_the_scalar_engine():
     assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED} and flags == {True, False}
 
 
+def test_basic_reduced_costs_are_signed_zeros_and_unique_counts_them(monkeypatch):
+    # on random stacks with unbounded and, at a pivot limit of 3, stalled
+    # members, solved in one run or split into runs of 1 or 3 members: every
+    # basic column's final reduced cost is +-0, and `unique` is the
+    # definition read through the final basis, OPTIMAL with every nonbasic
+    # reduced cost below -PIVOT_TOL
+    bases = []
+    real = lp._run
+
+    def recorded(T, basis):
+        bases.append(basis)  # a view, final once the solve returns
+        return real(T, basis)
+
+    monkeypatch.setattr(lp, "_run", recorded)
+    default = lp.BATCH_ELEMENTS
+    rng = np.random.default_rng(24)
+    outcomes, flags, splits = set(), set(), set()
+    for trial in range(90):
+        size = int(rng.integers(1, 12))
+        prog = _mixed_batch(rng, size)
+        T, _ = _start(prog.objective, prog.a_ub, prog.b_ub)
+        per_run = (None, 1, 3)[trial % 3]
+        monkeypatch.setattr(lp, "MAX_PIVOTS", 3 if trial % 2 else 20000)
+        monkeypatch.setattr(lp, "BATCH_ELEMENTS", per_run * T[0].size if per_run else default)
+        bases.clear()
+        got = lp.solve_tableaux(T)
+        splits.add(len(bases))
+        basis = np.concatenate(bases)
+        cost = T[:, -1, :-1]
+        assert (np.take_along_axis(cost, basis, axis=1) == 0.0).all()
+        nonbasic = np.ones(cost.shape, dtype=bool)
+        np.put_along_axis(nonbasic, basis, False, axis=1)
+        want = ((got.status == LpStatus.OPTIMAL.value)
+                & ((cost < -lp.PIVOT_TOL) | ~nonbasic).all(axis=1))
+        assert got.unique.tolist() == want.tolist()
+        outcomes.update(LpStatus(int(code)) for code in got.status)
+        flags.update(got.unique.tolist())
+    assert outcomes == set(LpStatus) and flags == {True, False} and max(splits) > 1
+
+
 def test_engine_failures_stay_with_their_member(monkeypatch):
     # at a pivot limit of 3 the members that need more pivots are STALLED
     # alone, as in the scalar engine and in a batch of one

@@ -7,7 +7,7 @@ import pytest
 import mgincept as mg
 from conftest import integer_reward_game, stage_solve, watch_tied_cells
 from lp_reference import LinearProgram, _start
-from mgincept import inception, oracle, solver, stage
+from mgincept import inception, lp, oracle, solver, stage
 from mgincept.oracle import (GridSpec, brute_force_inception, grid_victim_value, simplex_grid,
                              victim_br_vertices)
 from mgincept.stage import StageSolveError, attacker_br_lp, victim_br_lp
@@ -30,26 +30,32 @@ def test_victim_br_zero_matrix():
     assert z == pytest.approx(0.0, abs=1e-9)
 
 
+def _unit(a):
+    """One stage's payoffs a mapped affinely onto [0, 1], as the stage LPs
+    solve them, with the least entry and the range (a range of 0 read as 1)."""
+    lo = a.min()
+    span = (a.max() - lo) or 1.0
+    return (a - lo) / span, lo, span
+
+
 def _victim_program(cols):
-    """The program documented in victim_br_lp, built as objective, a_ub and
-    b_ub arrays: the reference for the tableau victim_br_lp writes."""
+    """The program documented in victim_br_lp, built stage by stage as
+    objective, a_ub and b_ub arrays: the reference for the tableau
+    victim_br_lp writes."""
     P, n, K = cols.shape
-    unit, _, _ = stage._to_unit(cols)
-    _, _, gain, room = stage._at_best_pure(unit)
-    p = np.arange(P)
-    j0 = room.argmin(axis=1)
-    rest = stage._others(K, j0)
-    objective = np.empty((P, n))
-    objective[:, :-1] = gain[p, j0]
-    objective[:, -1] = -1.0
-    a_ub = np.empty((P, K, n))
-    np.subtract(objective[:, None, :-1], gain[p[:, None], rest], out=a_ub[:, :-1, :-1])
-    a_ub[:, :-1, -1] = -1.0
-    a_ub[:, -1, :-1] = 1.0
-    a_ub[:, -1, -1] = 0.0
-    b_ub = np.empty((P, K))
-    b_ub[:, :-1] = room[p[:, None], rest]
-    b_ub[:, -1] = 1.0
+    objective, a_ub, b_ub = np.empty((P, n)), np.empty((P, K, n)), np.empty((P, K))
+    for p in range(P):
+        a = _unit(cols[p])[0]
+        r0 = int(a.min(axis=1).argmax())
+        room = a[r0] - a[r0].min()
+        j0 = int(np.flatnonzero(room == 0.0)[0])
+        gain = a[[i for i in range(n) if i != r0]] - a[r0]  # (n - 1, K)
+        objective[p] = np.append(gain[:, j0], -1.0)
+        for row, j in enumerate(j for j in range(K) if j != j0):
+            a_ub[p, row] = np.append(gain[:, j0] - gain[:, j], -1.0)
+            b_ub[p, row] = room[j]
+        a_ub[p, -1] = np.append(np.ones(n - 1), 0.0)
+        b_ub[p, -1] = 1.0
     return LinearProgram(objective, a_ub, b_ub)
 
 
@@ -100,23 +106,24 @@ def test_victim_tableau_is_bitwise_the_started_program(monkeypatch):
 
 
 def _attacker_program(z_star, cols, b):
-    """The program documented in attacker_br_lp, built as objective, a_ub
-    and b_ub arrays, alpha' split into a column and its negation: the
-    reference for the tableau attacker_br_lp writes."""
+    """The program documented in attacker_br_lp, built stage by stage as
+    objective, a_ub and b_ub arrays, alpha' split into a column and its
+    negation: the reference for the tableau attacker_br_lp writes."""
     P, n, K = cols.shape
     m = b.shape[2]
-    unit_cols, lo, span = stage._to_unit(cols)
-    z_unit = (np.asarray(z_star, dtype=float) - lo) / span
-    unit_b, _, _ = stage._to_unit(b)
-    _, _, gain, room = stage._at_best_pure(unit_b.transpose(0, 2, 1))
-    objective = np.concatenate([np.zeros((P, m - 1)), np.repeat(z_unit[:, None], K, axis=1),
-                                np.full((P, 1), -1.0)], axis=1)
-    a_ub = np.concatenate([
-        np.concatenate([-gain, unit_cols, -np.ones((P, n, 1))], axis=2),
-        np.broadcast_to(np.append(np.ones(m - 1), np.zeros(K + 1)), (P, 1, m + K))], axis=1)
-    return LinearProgram(np.concatenate([objective, -objective[:, -1:]], axis=1),
-                         np.concatenate([a_ub, -a_ub[:, :, -1:]], axis=2),
-                         np.append(room, np.ones((P, 1)), axis=1))
+    objective, a_ub, b_ub = [], [], []
+    for p in range(P):
+        unit_cols, lo, span = _unit(cols[p])
+        z = (z_star[p] - lo) / span
+        unit_b = _unit(b[p])[0]
+        k0 = int(unit_b.min(axis=0).argmax())
+        gain = unit_b[:, [k for k in range(m) if k != k0]] - unit_b[:, [k0]]  # (n, m - 1)
+        objective.append(np.concatenate([np.zeros(m - 1), np.full(K, z), [-1.0, 1.0]]))
+        a_ub.append(np.vstack([
+            np.hstack([-gain, unit_cols, np.full((n, 1), -1.0), np.ones((n, 1))]),
+            np.concatenate([np.ones(m - 1), np.zeros(K + 1), [-0.0]])]))
+        b_ub.append(np.append(unit_b[:, k0] - unit_b[:, k0].min(), 1.0))
+    return LinearProgram(*map(np.array, (objective, a_ub, b_ub)))
 
 
 def test_attacker_tableau_is_bitwise_the_started_program(monkeypatch):
@@ -138,6 +145,68 @@ def test_attacker_tableau_is_bitwise_the_started_program(monkeypatch):
         assert T.shape == want_T.shape and T.tobytes() == want_T.tobytes()
         negative_zeros += np.signbit(T[T == 0.0]).sum()
     assert negative_zeros > 0
+
+
+def _index_victim(cols):
+    """victim_br_lp's outputs by per-stage index gathers: the reference
+    program solved by the engine, the other rows' weights placed by index,
+    the rest of the mass at r0, and z mapped back through r0's guarantee."""
+    sols = lp.solve_tableaux(_start(*dataclasses.astuple(_victim_program(cols)))[0])
+    P, n, _ = cols.shape
+    x, z = np.empty((P, n)), np.empty(P)
+    for p in range(P):
+        a, _, span = _unit(cols[p])
+        r0 = int(a.min(axis=1).argmax())
+        x[p, [i for i in range(n) if i != r0]] = sols.v[p, :-1]
+        x[p, r0] = 1.0 - sols.v[p, :-1].sum()
+        z[p] = cols[p, r0].min() + span * sols.value[p]
+    return x, z, sols.unique, sols.status
+
+
+def _index_attacker(z_star, cols, b):
+    """attacker_br_lp's outputs by per-stage index gathers, as _index_victim
+    for the attacker's program over (y, w, alpha')."""
+    sols = lp.solve_tableaux(_start(*dataclasses.astuple(_attacker_program(z_star, cols, b)))[0])
+    P, m = b.shape[0], b.shape[2]
+    y, v2 = np.empty((P, m)), np.empty(P)
+    for p in range(P):
+        _, lo, span = _unit(cols[p])
+        unit_b, _, span_b = _unit(b[p])
+        k0 = int(unit_b.min(axis=0).argmax())
+        v = sols.v[p]
+        y[p, [k for k in range(m) if k != k0]] = v[:m - 1]
+        y[p, k0] = 1.0 - v[:m - 1].sum()
+        z = (z_star[p] - lo) / span
+        v2[p] = b[p, :, k0].min() + span_b * (z * v[m - 1:-2].sum() - (v[-2] - v[-1]))
+    return y, v2, sols.status
+
+
+@pytest.mark.parametrize("n, K", [(1, 3), (4, 2), (1, 2)], ids=["n=1", "K=2", "n=1-K=2"])
+def test_victim_masks_are_bitwise_the_index_gathers(n, K):
+    # one victim action (no mix weight: x = e_r0 from the sum row alone)
+    # and two believed columns (one row j != j0), on real and on rounded
+    # payoffs with exact ties in the best pure row and column
+    rng = np.random.default_rng(94)
+    for cols in (rng.uniform(-1.0, 1.0, (12, n, K)), rng.uniform(-2.0, 2.0, (12, n, K)).round()):
+        got, want = victim_br_lp(cols), _index_victim(cols)
+        for field, other in zip(got, want, strict=True):
+            assert field.tobytes() == other.tobytes()
+    assert n > 1 or (got[0] == 1.0).all()
+
+
+@pytest.mark.parametrize("n, K", [(3, 2), (1, 3), (4, 4)])
+def test_attacker_masks_with_two_actions_are_bitwise_the_index_gathers(n, K):
+    # m = 2: one attacker weight y_k, k != k0, whose best pure action
+    # holds the rest of the mass, at the victim's optimal values
+    rng = np.random.default_rng(95)
+    for rounded in (False, True):
+        cols, b = rng.uniform(-1.0, 1.0, (12, n, K)), rng.uniform(-2.0, 2.0, (12, n, 2))
+        if rounded:
+            cols, b = cols.round(), b.round()
+        z = victim_br_lp(cols)[1]
+        got, want = attacker_br_lp(z, cols, b), _index_attacker(z, cols, b)
+        for field, other in zip(got, want, strict=True):
+            assert field.tobytes() == other.tobytes()
 
 
 def test_victim_br_full_matching_game():
