@@ -51,7 +51,8 @@ def _belief_from_args(args, doc: gamefile.GameDocument) -> BeliefSet:
     if args.secure:
         return secure_belief(doc.game)
     if args.beliefs:
-        return BeliefSet(gamefile.load_beliefs(args.beliefs))
+        g = doc.game
+        return BeliefSet(gamefile.load_beliefs(args.beliefs, (g.horizon, g.num_states, g.m)))
     if doc.beliefs:
         return BeliefSet(doc.beliefs)
     raise GameFormatError(
@@ -63,8 +64,6 @@ def _belief_from_args(args, doc: gamefile.GameDocument) -> BeliefSet:
 def cmd_solve_br(args) -> int:
     doc = gamefile.load_game(args.game)
     belief = _belief_from_args(args, doc)
-    if not belief.matches(doc.game):
-        raise GameFormatError("belief dimensions do not match the game")
     kind = "secure" if args.secure else ("file" if args.beliefs else "inline")
     report = markov_attacker_best_response(doc.game, belief)
     print(f"belief: {kind} (K={belief.size})")

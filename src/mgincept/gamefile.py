@@ -29,8 +29,8 @@ Error split, mirrored by the CLI exit codes: structural problems (a file
 that is not UTF-8 JSON, missing keys, jagged arrays, list leaves that are
 not JSON numbers or are integers beyond float64's range, a malformed
 encoded array, a "horizon", "states" or "actions" entry that is not a
-positive integer, a game array or an inline belief's entries whose shape
-disagrees with them) raise
+positive integer, a game array or a belief's entries, inline or in a
+beliefs file, whose shape disagrees with them) raise
 GameFormatError; value-level problems (invalid distributions, non-finite
 rewards) surface through game validation or policy construction as
 ValueError.
@@ -168,26 +168,16 @@ def _entries(obj) -> np.ndarray:
     return entries
 
 
-def policy_from_object(obj, player: int | None = None) -> MarkovPolicy:
-    """Build a policy from a parsed JSON object {"player"?, "entries"}."""
-    entries = _entries(obj)
-    if player is None:
-        player = obj.get("player", 2)
-        if not isinstance(player, int) or isinstance(player, bool) or player not in (1, 2):
-            raise GameFormatError(f"policy player must be 1 or 2, got {player!r}")
-    return MarkovPolicy(player, entries)
-
-
-def _belief_policies(objs: list, shape: tuple | None = None) -> tuple:
+def _belief_policies(objs: list, shape: tuple) -> tuple:
     """The attacker policies of a beliefs list, whose entries must have the
-    shape (H, S, m) when it is given.  An error names the bad belief by its
-    index, e.g. ``beliefs[1]: field 'entries' ...``, and keeps its type:
+    game's shape (H, S, m).  An error names the bad belief by its index,
+    e.g. ``beliefs[1]: field 'entries' ...``, and keeps its type:
     GameFormatError for structure, ValueError for values."""
     policies = []
     for i, obj in enumerate(objs):
         try:
             entries = _entries(obj)
-            if shape is not None and entries.shape != shape:
+            if entries.shape != shape:
                 raise GameFormatError(f"field 'entries' has shape {entries.shape}, expected "
                                       f'{shape} from "horizon", "states" and "actions"')
             policies.append(MarkovPolicy(2, entries))
@@ -234,21 +224,28 @@ def save_game(path, g: MarkovGame, beliefs=()) -> None:
 
 
 def load_policy(path) -> MarkovPolicy:
-    return policy_from_object(_read_json(path))
+    """A policy file {"player"?, "entries"}; the player defaults to 2."""
+    doc = _read_json(path)
+    entries = _entries(doc)
+    player = doc.get("player", 2)
+    if not isinstance(player, int) or isinstance(player, bool) or player not in (1, 2):
+        raise GameFormatError(f"policy player must be 1 or 2, got {player!r}")
+    return MarkovPolicy(player, entries)
 
 
 def save_policy(path, policy: MarkovPolicy) -> None:
     _write_json(path, {"player": policy.player, "entries": _encode(policy.entries)})
 
 
-def load_beliefs(path) -> tuple:
-    """A beliefs file: either {"beliefs": [...]} or a bare list of policies."""
+def load_beliefs(path, shape: tuple) -> tuple:
+    """A beliefs file: either {"beliefs": [...]} or a bare list of policies,
+    each of the game's shape (H, S, m)."""
     doc = _parse_json(path)
     if isinstance(doc, dict):
         doc = doc.get("beliefs")
     if not isinstance(doc, list) or not doc:
         raise GameFormatError(f"{path}: expected a nonempty list of policy objects")
-    return _belief_policies(doc)
+    return _belief_policies(doc, shape)
 
 
 def load_fake_rewards(path) -> tuple:

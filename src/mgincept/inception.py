@@ -17,8 +17,9 @@ them; values equal only in exact arithmetic may differ in the last bit.
 
 The dominance check, its policy recovery and the reward design are array
 expressions per layer as well.  The greedy backward pass is exact for
-single-step games; for longer horizons the enumeration oracle
-(`oracle.brute_force_inception`) certifies it on small instances.
+single-step games; for longer horizons it can fall short of the best fake
+policy, and the enumeration oracle (`oracle.brute_force_inception`) finds
+where it does on small instances (README, "Known limitation").
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import LpError
-from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, q_from_v, require_valid
+from .model import (BeliefSet, MarkovGame, MarkovPolicy, ValueTables, _check_policy, q_from_v,
+                    require_valid)
 from .solver import BRSolveReport, markov_attacker_best_response
 from .stage import StageSolveError, singleton_stage_solves
 
@@ -122,12 +124,9 @@ def policy_inception(g: MarkovGame) -> InceptionResult:
 def _fake_actions(pi2_dagger: MarkovPolicy, g: MarkovGame, use: str) -> np.ndarray:
     """The (H, S) action indices of a deterministic attacker policy shaped
     like g's attacker; raises ValueError for any other policy."""
-    if pi2_dagger.player != 2 or not pi2_dagger.is_deterministic:
+    _check_policy(g, pi2_dagger, 2)
+    if not pi2_dagger.is_deterministic:
         raise ValueError(f"{use} requires a deterministic attacker policy")
-    if (pi2_dagger.horizon, pi2_dagger.num_states, pi2_dagger.num_actions) != (
-        g.horizon, g.num_states, g.m,
-    ):
-        raise ValueError("policy dimensions do not match game")
     return np.argmax(pi2_dagger.entries, axis=2)
 
 

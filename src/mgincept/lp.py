@@ -4,7 +4,8 @@ Every program is in canonical form: maximize c'v subject to A v <= b and
 v >= 0, with b >= 0, written by its caller straight into a started
 tableau [A | I | b ; c | 0 | 0], one per program, B programs of one shape
 in one (B, rows + 1, q + rows + 1) stack.  `tableaux` hands out the stack
-with its slack identity; the caller fills A, b and c.  Since b >= 0, v = 0
+with its slack identity, and refuses one of more than MAX_STACK_BYTES
+before allocating it; the caller fills A, b and c.  Since b >= 0, v = 0
 is feasible and the engine is a one-phase tableau simplex from the slack
 basis: each row gets one slack variable, basic at b (Chvatal, Linear
 Programming, 1983), so every basic cost is zero and the starting cost row
@@ -71,11 +72,14 @@ PIVOT_TOL = 1e-10
 MAX_PIVOTS = 20000
 _BLAND_AFTER = 50  # lockstep steps of Dantzig's rule before Bland's takes over
 BATCH_ELEMENTS = 1 << 18  # tableau elements of one lockstep run (2 MiB)
+# the largest stack `tableaux` allocates, in bytes (256 MiB); the stage LPs
+# of the tests and benchmarks stay below 1 MiB
+MAX_STACK_BYTES = 1 << 28
 
 
 class LpError(RuntimeError):
-    """Malformed input to the solver, or a program its caller reports as
-    stalled at the pivot limit."""
+    """Malformed input to the solver, a stack too large to allocate, or a
+    program its caller reports as stalled at the pivot limit."""
 
 
 class LpStatus(enum.Enum):
@@ -107,8 +111,14 @@ def tableaux(B: int, rows: int, q: int) -> np.ndarray:
     """A zeroed stack of B started tableaux of programs with q variables and
     rows constraints, (B, rows + 1, q + rows + 1), with each row's slack
     written: row r holds 1.0 at column q + r.  The caller writes A into
-    [:, :rows, :q], b into [:, :rows, -1] and c into [:, -1, :q]."""
-    T = np.zeros((B, rows + 1, q + rows + 1))
+    [:, :rows, :q], b into [:, :rows, -1] and c into [:, -1, :q].  Raises
+    LpError, before allocating, for a stack of more than MAX_STACK_BYTES."""
+    shape = (B, rows + 1, q + rows + 1)
+    nbytes = 8 * B * (rows + 1) * (q + rows + 1)
+    if nbytes > MAX_STACK_BYTES:
+        raise LpError(f"LP stack {shape} needs {nbytes} bytes, above the limit of "
+                      f"{MAX_STACK_BYTES}")
+    T = np.zeros(shape)
     stride = q + rows + 2  # flat step from one row's slack to the next
     T.reshape(B, (rows + 1) * (q + rows + 1))[:, q:rows * stride:stride] = 1.0
     return T

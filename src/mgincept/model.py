@@ -33,8 +33,8 @@ class InvalidGameError(ValueError):
         super().__init__("game failed validation:\n" + "\n".join(report.messages()))
 
 
-def _frozen(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
+def _frozen(a) -> np.ndarray:
+    arr = np.array(a, dtype=float)
     arr.flags.writeable = False
     return arr
 

@@ -277,12 +277,11 @@ def _lp_chain(cols, b) -> StageBR:
     y_star = np.zeros(payoff.shape)
     y_star[p, k_star] = 1.0
     v2_star = payoff[p, k_star]
-    optimal = victim == _OPTIMAL
-    if (unique & optimal).all():
+    if unique.all():  # unique implies OPTIMAL (`lp.LpBatch`)
         return StageBR(y_star=y_star, z_star=z_star, v2_star=v2_star)
     status = np.full((victim.size, 2), _OPTIMAL, dtype=np.int8)  # each stage's victim LP, attacker LP
     status[:, 0] = victim
-    rest = np.flatnonzero(~unique & optimal)
+    rest = np.flatnonzero(~unique & (victim == _OPTIMAL))
     if rest.size:
         y_rest, v2_star[rest], status[rest, 1] = attacker_br_lp(
             _row_mix(x[rest], cols[rest]).min(axis=1), cols[rest], b[rest])

@@ -9,8 +9,8 @@ import pytest
 import mgincept as mg
 import mgincept.cli as cli
 import mgincept.solver as solver
-from conftest import chain_game, list_form_doc, pure_stage_policy, random_policy
-from mgincept import gamefile
+from conftest import chain_game, list_form_doc, pure_stage_policy, random_policy, single_step_game
+from mgincept import gamefile, lp
 from mgincept.lp import LpError
 
 # a 2-step, 2-state, 2x2 game whose one inline belief holds (1, 1, 2) entries
@@ -391,6 +391,43 @@ def test_a_misshaped_inline_belief_is_a_format_error(command, capsys):
     assert captured.out == ""
     assert captured.err == ("error: beliefs[0]: field 'entries' has shape (1, 1, 2), expected "
                             '(2, 2, 2) from "horizon", "states" and "actions"\n')
+
+
+@pytest.mark.parametrize("entries", [[[[1.0, 0.0, 0.0]]], [[[0.7, 0.7, 0.7]]]],
+                         ids=["valid", "bad-rows"])
+def test_a_misshaped_beliefs_file_is_a_format_error(entries, decoy_path, tmp_path, capsys):
+    # the decoy game is one step, one state, 2x2; the loader checks a
+    # --beliefs file against that shape, as it does an inline belief, and
+    # before the rows, so a belief that is wrong in both is a format error
+    beliefs = tmp_path / "beliefs.json"
+    beliefs.write_text(json.dumps([{"entries": entries}]))
+    assert cli.main(["solve-br", str(decoy_path), "--beliefs", str(beliefs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: beliefs[0]: field 'entries' has shape (1, 1, 3), expected "
+                            '(1, 1, 2) from "horizon", "states" and "actions"\n')
+
+
+def test_incept_refuses_an_lp_stack_too_large_to_hold(tmp_path, capsys):
+    # 20000 tied victim rows: each fake action's maximin LP over them would
+    # be a 3.2 GB tableau; the LP engine refuses it, and incept exits 1
+    path = tmp_path / "tied.json"
+    gamefile.save_game(path, single_step_game(np.zeros((20000, 2)), np.ones((20000, 2))))
+    assert cli.main(["incept", str(path), "--iota", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: step 0, LP stack (2, 20001, 20003) needs 6401280048 bytes, "
+                            f"above the limit of {lp.MAX_STACK_BYTES}\n")
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("2,2,x,1", "invalid literal for int() with base 10: 'x'"),
+    ("2,2,2", "not enough values to unpack (expected 4, got 3)")], ids=["not-an-integer", "three"])
+def test_verify_refuses_a_random_spec_of_other_than_four_integers(spec, reason, capsys):
+    assert cli.main(["verify", "--mode", "enum", "--random", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --random expects n,m,S,H: {reason}\n"
 
 
 def test_verify_enum_mode_builds_no_secure_belief(tmp_path, capsys, monkeypatch):

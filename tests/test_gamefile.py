@@ -272,13 +272,14 @@ def test_beliefs_file_accepts_list_or_wrapper(tmp_path):
     bare.write_text(json.dumps([entry]))
     wrapped = tmp_path / "wrapped.json"
     wrapped.write_text(json.dumps({"beliefs": [entry, entry]}))
-    assert len(gamefile.load_beliefs(bare)) == 1
-    assert len(gamefile.load_beliefs(wrapped)) == 2
-    assert all(b.player == 2 for b in gamefile.load_beliefs(wrapped))
+    shape = (1, 1, 2)
+    assert len(gamefile.load_beliefs(bare, shape)) == 1
+    assert len(gamefile.load_beliefs(wrapped, shape)) == 2
+    assert all(b.player == 2 for b in gamefile.load_beliefs(wrapped, shape))
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"beliefs": []}))
     with pytest.raises(GameFormatError):
-        gamefile.load_beliefs(empty)
+        gamefile.load_beliefs(empty, shape)
 
 
 @pytest.mark.parametrize("bad, error, match", [
@@ -297,7 +298,8 @@ def test_both_belief_readers_name_the_bad_belief(bad, error, match, tmp_path):
     game.write_text(json.dumps(doc))
     beliefs = tmp_path / "beliefs.json"
     beliefs.write_text(json.dumps({"beliefs": [good, bad]}))
-    for load, path in ((gamefile.load_game, game), (gamefile.load_beliefs, beliefs)):
+    for load, path in ((gamefile.load_game, game),
+                       (lambda path: gamefile.load_beliefs(path, (1, 1, 2)), beliefs)):
         with pytest.raises(error, match=match) as info:
             load(path)
         assert isinstance(info.value, GameFormatError) == (error is GameFormatError)
@@ -320,7 +322,8 @@ def test_load_game_refuses_inline_beliefs_of_another_shape(entries, tmp_path):
 READERS = {
     "game": (gamefile.load_game, lambda: list_form_doc(chain_game(seed=69, horizon=1, states=1))),
     "policy": (gamefile.load_policy, lambda: {"player": 1, "entries": [[[1.0, 0.0]]]}),
-    "beliefs": (gamefile.load_beliefs, lambda: {"beliefs": [{"entries": [[[1.0, 0.0]]]}]}),
+    "beliefs": (lambda path: gamefile.load_beliefs(path, (1, 1, 2)),
+                lambda: {"beliefs": [{"entries": [[[1.0, 0.0]]]}]}),
     "fake rewards": (gamefile.load_fake_rewards,
                      lambda: {"iota": 1.0, "rewards_p2": [[[[0.0]]]]}),
 }
@@ -366,3 +369,25 @@ def test_integers_beyond_float64_are_a_format_error(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(GameFormatError, match="field 'rewards.p1' is not a numeric array"):
         gamefile.load_game(path)
+
+
+@pytest.mark.parametrize("reader, edit, message", [
+    ("game", lambda doc: [doc], "{path}: top-level JSON value must be an object"),
+    ("game", lambda doc: {**doc, "mu": {"dtype": "<f8", "shape": [1]}},
+     "field 'mu' lacks 'data'"),
+    ("game", lambda doc: {k: v for k, v in doc.items() if k != "horizon"},
+     "missing field 'horizon'"),
+    ("policy", lambda doc: {**doc, "entries": [[1.0, 0.0]]},
+     "policy entries must be [H][S][k], got shape (1, 2)"),
+    ("game", lambda doc: {**doc, "beliefs": {"entries": [[[1.0, 0.0]]]}},
+     'field "beliefs" must be a list of policy objects'),
+    ("fake rewards", lambda doc: {**doc, "rewards_p2": [[[0.0]]]},
+     "rewards_p2 must be [H][S][n][m], got shape (1, 1, 1)"),
+], ids=["top-level-array", "encoded-without-data", "no-horizon", "2-D-policy-entries",
+        "beliefs-not-a-list", "3-D-rewards_p2"])
+def test_structural_refusals_name_what_is_wrong(reader, edit, message, tmp_path):
+    load, make = READERS[reader]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(edit(make())))
+    with pytest.raises(GameFormatError, match=f"^{re.escape(message.format(path=path))}$"):
+        load(path)

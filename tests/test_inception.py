@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -179,7 +180,8 @@ def test_exploit_fixed_fake_reproduces_decoy_outcomes(decoy_game):
         decoy_game, pure_stage_policy(2, 0, 2)).v2_root == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         mg.exploit_fixed_fake(decoy_game, mg.MarkovPolicy(2, [[[0.5, 0.5]]]))
-    with pytest.raises(ValueError, match="policy dimensions do not match game"):
+    with pytest.raises(ValueError, match=re.escape(
+            "policy shape (1, 1, 3) does not match game (1, 1, 2)")):
         mg.exploit_fixed_fake(decoy_game, pure_stage_policy(2, 1, 3))
 
 
@@ -389,9 +391,12 @@ def test_dominance_check_rejects_policies_of_another_shape():
     fake = g.with_attacker_rewards(
         mg.design_dominant_rewards(pol, mg.InceptionConfig(iota=1.0), g))
     assert mg.check_iota_dominance(fake, pol, 1.0) == (True, None)
-    for wrong in (mg.MarkovPolicy.deterministic(2, np.zeros((3, 5), dtype=int), 2),
-                  mg.MarkovPolicy.deterministic(2, np.zeros((2, 2), dtype=int), 3)):
-        with pytest.raises(ValueError, match="dimensions"):
+    for wrong, shape in ((mg.MarkovPolicy.deterministic(2, np.zeros((3, 5), dtype=int), 2),
+                          (3, 5, 2)),
+                         (mg.MarkovPolicy.deterministic(2, np.zeros((2, 2), dtype=int), 3),
+                          (2, 2, 3))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"policy shape {shape} does not match game (2, 2, 2)")):
             mg.check_iota_dominance(fake, wrong, 1.0)
 
 

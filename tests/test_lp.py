@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lp_reference
-from conftest import stage_solve
+from conftest import pure_stage_policy, single_step_game, stage_solve
 from lp_reference import LinearProgram, _start, solve_lp
+import mgincept as mg
 from mgincept import lp, stage
 from mgincept.lp import LpError, LpStatus
 
@@ -354,6 +357,40 @@ def test_entry_rejects_non_finite_entries_and_negative_right_hand_sides():
     T = good.copy()
     T[1, 0, -1] = -0.0
     assert lp.solve_tableaux(T).status.tolist() == [LpStatus.OPTIMAL.value] * 2
+
+
+def test_tableaux_refuses_a_stack_above_the_byte_limit(monkeypatch):
+    # a (1, 2, 3) stack is 48 bytes and a (1, 2, 4) one 64
+    monkeypatch.setattr(lp, "MAX_STACK_BYTES", 48)
+    assert lp.tableaux(1, 1, 1).shape == (1, 2, 3)
+    with pytest.raises(LpError, match=re.escape(
+            "LP stack (1, 2, 4) needs 64 bytes, above the limit of 48")):
+        lp.tableaux(1, 1, 2)
+
+
+# a one-step, one-state 20000 x 2 game whose victim rows all tie: each tied
+# singleton cell's maximin LP over the 20000 rows is a (20001, 20003)
+# tableau, 3.2 GB, and policy_inception writes one per fake action
+TIED_ROWS = 20000
+
+
+@pytest.mark.parametrize("solve, stack", [
+    (mg.policy_inception, (2, TIED_ROWS + 1, TIED_ROWS + 3)),
+    (lambda g: mg.markov_attacker_best_response(
+        g, mg.BeliefSet((pure_stage_policy(2, 0, 2),))), (1, TIED_ROWS + 1, TIED_ROWS + 3))],
+    ids=["policy_inception", "K=1"])
+def test_a_stack_too_large_to_hold_is_refused_before_it_is_allocated(solve, stack):
+    g = single_step_game(np.zeros((TIED_ROWS, 2)), np.ones((TIED_ROWS, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LpError, match=re.escape(
+                f"step 0, LP stack {stack} needs {8 * np.prod(stack)} bytes, above the limit of "
+                f"{lp.MAX_STACK_BYTES}")):
+            solve(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def _counted_runs(monkeypatch):

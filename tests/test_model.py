@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -222,3 +223,37 @@ def test_game_arrays_are_immutable(decoy_game):
         decoy_game.rewards[0, 0, 0, 0, 0] = 3.0
     with pytest.raises(ValueError):
         decoy_game.mu[0] = 0.5
+
+
+def _one_step_game(**change):
+    """A one-step, one-state 2x2 game, with the constructor arguments change
+    in place of its own."""
+    args = dict(horizon=1, num_states=1, n=2, m=2, mu=[1.0], rewards=np.zeros((2, 1, 1, 2, 2)),
+                transitions=np.ones((1, 1, 2, 2, 1)))
+    return mg.MarkovGame(**{**args, **change})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _one_step_game(horizon=0), "horizon must be a positive integer, got 0"),
+    (lambda: _one_step_game(mu=[0.5, 0.5]), "mu has shape (2,), expected (1,)"),
+    (lambda: _one_step_game(rewards=np.zeros((1, 1, 1, 2, 2))),
+     "rewards have shape (1, 1, 1, 2, 2), expected (2, 1, 1, 2, 2)"),
+    (lambda: mg.MarkovPolicy(2, [[1.0, 0.0]]), "policy entries must be (H, S, k), got (1, 2)"),
+    (lambda: mg.MarkovPolicy(2, [[[np.nan, 1.0]]]), "policy entries must be finite"),
+    (lambda: mg.MarkovPolicy.deterministic(2, [0, 1], 2),
+     "actions must be an (H, S) integer array"),
+    (lambda: mg.BeliefSet(()), "belief set needs at least one base policy"),
+    (lambda: mg.BeliefSet((pure_stage_policy(1, 0, 2),)),
+     "belief base policies must be attacker (player 2) policies"),
+    (lambda: mg.BeliefSet((pure_stage_policy(2, 0, 2), pure_stage_policy(2, 0, 3))),
+     "belief base policies must share (H, S, m) dimensions"),
+    (lambda: mg.ValueTables(np.zeros((2, 1, 1))), "value tables must be (2, H+1, S), got (2, 1, 1)"),
+    (lambda: mg.evaluate_policy(_one_step_game(), pure_stage_policy(2, 0, 2),
+                                pure_stage_policy(2, 0, 2)),
+     "expected a player-1 policy, got player 2"),
+], ids=["horizon-0", "mu-shape", "rewards-shape", "2-D-entries", "non-finite-entries",
+        "1-D-actions", "empty-belief", "player-1-belief", "mixed-belief-shapes",
+        "value-tables-shape", "policy-player"])
+def test_constructor_and_policy_refusals_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

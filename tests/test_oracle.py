@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mgincept.oracle import (
     random_game,
     simplex_grid,
 )
-from mgincept.stage import victim_br_lp
+from mgincept.stage import StageSolveError, victim_br_lp
 
 MATCHING = np.array([[0.0, 1.0], [1.0, 0.0]])
 DECOY = np.array([[5.0, 0.0], [0.0, 0.0]])
@@ -238,3 +239,20 @@ def test_brute_force_guard_fires_before_any_stage_solve(monkeypatch):
     with pytest.raises(ValueError, match=f"^enumeration of {ENUM_GUARD + 1} policies "
                                          f"exceeds guard {ENUM_GUARD}$"):
         brute_force_inception(single_step_game(past, past))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: simplex_grid(2, 0), ValueError, "resolution must be >= 1"),
+    (lambda: mg.victim_br_vertices(np.ones(3), 0.0), ValueError,
+     "a_prime must be a 2-D matrix, got shape (3,)"),
+    (lambda: mg.victim_br_vertices([[np.inf, 0.0]], 0.0), ValueError,
+     "a_prime contains non-finite entries"),
+    # the matching game's maximin value is 0.5, so no mix guarantees 1
+    (lambda: mg.victim_br_vertices(MATCHING, 1.0), StageSolveError,
+     "empty best-response polytope; z_star is not optimal"),
+    (lambda: grid_attacker_value(np.zeros((5, 1)), np.zeros((5, 2)), 0.0, GridSpec(step=0.5)),
+     ValueError, "grid oracle gated to n, m <= 4"),
+], ids=["resolution-0", "1-D-a_prime", "non-finite-a_prime", "z_star-too-high", "n-above-gate"])
+def test_oracle_refusals_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

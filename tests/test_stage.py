@@ -533,7 +533,9 @@ def _tied_victim_rows(cols, stages):
 def _stalling(real, at=None):
     """The engine entry real, reporting STALLED, the pivot limit, for the
     members at[writer] of every batch the LP writer named writer hands it
-    (every member of every batch for None)."""
+    (every member of every batch for None).  A marked member reads as the
+    engine reports any member that is not OPTIMAL: not unique, with NaN v
+    and value."""
     def solve(T):
         out = real(T)
         if at is None:
@@ -541,9 +543,11 @@ def _stalling(real, at=None):
         else:
             writer = sys._getframe(1).f_code.co_name
             members = [p for p in at.get(writer, ()) if p < out.status.size]
-        status = out.status.copy()
+        status, v, value, unique = (a.copy() for a in out)
         status[members] = stage.LpStatus.STALLED.value
-        return out._replace(status=status)
+        v[members] = value[members] = np.nan
+        unique[members] = False
+        return lp.LpBatch(status, v, value, unique)
 
     return solve
 
