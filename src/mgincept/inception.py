@@ -149,54 +149,69 @@ def design_dominant_rewards(
     return fake
 
 
+def _check_iota(iota) -> None:
+    if isinstance(iota, (bool, np.bool_)) or not (np.isfinite(iota) and iota >= 0):
+        raise ValueError(f"iota must be finite and nonnegative, got {iota!r}")
+
+
 def check_iota_dominance(g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float) -> tuple:
     """Sound sufficient test that the policy is iota-strictly dominant for g's
     player-2 rewards, Markov-perfectly.
 
     Compares the pessimistic continuation of playing the policy (worst case
     over victim actions) against the optimistic continuation of any deviation
-    (best case over all joint actions).  Returns (ok, witness) where witness
-    is the first violating (h, s, a1, a2) found scanning from the last step
-    backwards, and within a step over (s, a1, a2) in that order, or None.
-    Raises ValueError on non-finite inputs, which certify nothing, and on a
-    boolean iota.
+    (best case over all joint actions).  The optimistic side does not depend
+    on the policy: it is worked out on the game's first check or recovery and
+    kept on the game (`MarkovGame._optimistic_deviations`), whose arrays are
+    read-only copies, so it cannot go stale; a fake game built by
+    `with_attacker_rewards` is a new game with its own table.  Returns (ok,
+    witness) where witness is the first violating (h, s, a1, a2) found
+    scanning from the last step backwards, and within a step over
+    (s, a1, a2) in that order, or None.  Raises ValueError on non-finite
+    inputs, which certify nothing, and on a boolean iota.
     """
-    if isinstance(iota, (bool, np.bool_)) or not (np.isfinite(iota) and iota >= 0):
-        raise ValueError(f"iota must be finite and nonnegative, got {iota!r}")
-    actions = _fake_actions(pi2_dagger, g, "dominance check")
-    if not (np.isfinite(g.rewards[1]).all() and np.isfinite(g.transitions).all()):
-        raise ValueError("player-2 rewards or transitions contain non-finite entries")
+    _check_iota(iota)
+    witness = _dominance_witness(g, _fake_actions(pi2_dagger, g, "dominance check"), iota)
+    return witness is None, witness
+
+
+def _dominance_witness(g: MarkovGame, actions: np.ndarray, iota: float):
+    """The check's per-policy pass, for the policy playing actions[h, s]:
+    the `low` recursion over the policy's own columns, then one comparison
+    over every layer against the game's optimistic table.  Returns the
+    first violating (h, s, a1, a2), or None."""
+    deviate = g._optimistic_deviations  # raises on non-finite inputs
     H, S = g.horizon, g.num_states
-    r2 = g.rewards[1]
     states = np.arange(S)
-    low = np.zeros(S)   # value of following the policy, worst case over victim
-    high = np.zeros(S)  # upper value over all joint actions
+    own = g.rewards[1][np.arange(H)[:, None], states, :, actions]  # (H, S, n)
+    follow = np.empty(own.shape)
+    low = np.zeros(S)  # value of following the policy, worst case over victim
     for h in range(H - 1, -1, -1):
-        cont_low = g.transitions[h] @ low    # (S, n, m)
-        cont_high = g.transitions[h] @ high
-        deviate = r2[h] + cont_high          # (S, n, m)
-        j = actions[h]
-        follow = r2[h][states, :, j] + cont_low[states, :, j]  # (S, n)
-        beaten = follow[:, :, None] < deviate + iota - DOMINANCE_TOL
-        beaten[states, :, j] = False  # playing the policy's own action is no deviation
-        if beaten.any():
-            s, a1, a2 = np.unravel_index(np.argmax(beaten), beaten.shape)
-            return False, (h, int(s), int(a1), int(a2))
-        low = follow.min(axis=1)
-        high = deviate.max(axis=(1, 2))
-    return True, None
+        follow[h] = own[h] + (g.transitions[h] @ low)[states, :, actions[h]]
+        low = follow[h].min(axis=1)
+    beaten = follow[..., None] < deviate + iota - DOMINANCE_TOL
+    beaten &= actions[..., None, None] != np.arange(g.m)  # its own action is no deviation
+    if not beaten.any():
+        return None
+    last_first = beaten[::-1].reshape(-1)
+    t, s, a1, a2 = np.unravel_index(int(np.argmax(last_first)), beaten.shape)
+    return H - 1 - int(t), int(s), int(a1), int(a2)
 
 
 def recover_dominant_policy(g: MarkovGame, iota: float) -> MarkovPolicy | None:
     """Extract the policy a rational victim reads out of fake rewards.
 
     The candidate maximizes the worst-case stage reward per (h, s); it is
-    returned only if it passes the dominance check, else None.
+    returned only if it passes the dominance check, else None.  It runs the
+    check's per-policy pass on the candidate's actions, against the
+    optimistic table kept on g (see `check_iota_dominance`), and builds the
+    policy only when the check passes.
     """
+    _check_iota(iota)
     actions = np.argmax(g.rewards[1].min(axis=2), axis=2)
-    candidate = MarkovPolicy.deterministic(2, actions, g.m)
-    ok, _ = check_iota_dominance(g, candidate, iota)
-    return candidate if ok else None
+    if _dominance_witness(g, actions, iota) is not None:
+        return None
+    return MarkovPolicy.deterministic(2, actions, g.m)
 
 
 def exploit_fixed_fake(g: MarkovGame, pi2_dagger: MarkovPolicy) -> BRSolveReport:

@@ -94,6 +94,12 @@ class MarkovGame:
         # the arrays are read-only copies, so the report cannot go stale
         return _check_game(self)
 
+    @cached_property
+    def _optimistic_deviations(self) -> np.ndarray:
+        # the arrays are read-only copies, so the table cannot go stale; a
+        # game that fails its finiteness check raises on every read instead
+        return _optimistic_deviations(self)
+
     def with_attacker_rewards(self, fake: np.ndarray) -> "MarkovGame":
         """A copy of this game whose player-2 rewards are replaced by `fake`."""
         rewards = np.array(self.rewards)
@@ -322,6 +328,25 @@ def _check_game(g: MarkovGame) -> ValidationReport:
         coords = (("h", int(h)), ("s", int(s)), ("a1", int(a1)), ("a2", int(a2)))
         _check_distribution(g.transitions[h, s, a1, a2], "transition", coords, out)
     return ValidationReport(tuple(out))
+
+
+def _optimistic_deviations(g: MarkovGame) -> np.ndarray:
+    """The optimistic half of `inception.check_iota_dominance`, which no
+    policy changes: the read-only (H, S, n, m) table r2[h] + P[h] @ high,
+    high being the best player-2 value over all joint actions from step
+    h + 1 on (zero after the last step).  Raises ValueError when player-2
+    rewards or transitions are not all finite: they certify nothing.
+    """
+    r2 = g.rewards[1]
+    if not (np.isfinite(r2).all() and np.isfinite(g.transitions).all()):
+        raise ValueError("player-2 rewards or transitions contain non-finite entries")
+    deviate = np.empty(r2.shape)
+    high = np.zeros(g.num_states)
+    for h in range(g.horizon - 1, -1, -1):
+        deviate[h] = r2[h] + g.transitions[h] @ high
+        high = deviate[h].max(axis=(1, 2))
+    deviate.flags.writeable = False
+    return deviate
 
 
 def require_valid(g: MarkovGame) -> None:

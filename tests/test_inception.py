@@ -424,6 +424,69 @@ def test_dominance_check_rejects_inputs_it_cannot_certify():
         mg.check_iota_dominance(bad_moves, fake, 1.0)
 
 
+def _fresh(g):
+    """A new game with g's arrays, so nothing worked out on g is reused."""
+    return mg.MarkovGame(g.horizon, g.num_states, g.n, g.m, g.mu, g.rewards, g.transitions)
+
+
+def test_each_fake_game_keeps_its_own_optimistic_table():
+    # two fake games built from one base game: each is checked against its
+    # own rewards, whichever is checked first and however often
+    g = random_game(np.random.default_rng(0), 3, 4, 3, 3)
+    pol = mg.policy_inception(g).pi2_dagger
+    designed = g.with_attacker_rewards(
+        mg.design_dominant_rewards(pol, mg.InceptionConfig(iota=1.0), g))
+    flat = g.with_attacker_rewards(np.zeros(g.rewards[1].shape))
+    for _ in range(2):
+        assert mg.check_iota_dominance(flat, pol, 1.0) == _loop_check_iota_dominance(flat, pol, 1.0)
+        assert mg.check_iota_dominance(flat, pol, 1.0)[0] is False
+        assert mg.check_iota_dominance(designed, pol, 1.0) == (True, None)
+        assert mg.recover_dominant_policy(flat, 1.0) is None
+        assert np.array_equal(mg.recover_dominant_policy(designed, 1.0).entries, pol.entries)
+    assert mg.check_iota_dominance(g, pol, 1.0) == mg.check_iota_dominance(_fresh(g), pol, 1.0)
+    tables = [game._optimistic_deviations for game in (g, designed, flat)]
+    assert not any(t.flags.writeable for t in tables)
+    assert not np.array_equal(tables[1], tables[2])
+
+
+def test_recovery_before_the_check_matches_fresh_calls():
+    # recovery fills the game's table first; the check that follows on the
+    # same game, at any iota, gives what a check on a fresh copy gives
+    outcomes = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        g = random_game(rng, 3, 3, 2, 3)
+        pol = mg.MarkovPolicy.deterministic(2, rng.integers(0, 3, (3, 3)), 3)
+        fake = mg.design_dominant_rewards(pol, mg.InceptionConfig(iota=1.0), g)
+        game = g.with_attacker_rewards(fake + rng.uniform(-0.6, 0.6, fake.shape))
+        for iota in (0.0, 0.1, 1.0):
+            recovered = mg.recover_dominant_policy(game, iota)
+            got = mg.check_iota_dominance(game, pol, iota)
+            assert got == mg.check_iota_dominance(_fresh(game), pol, iota), (seed, iota)
+            fresh = mg.recover_dominant_policy(_fresh(game), iota)
+            assert (recovered is None) == (fresh is None), (seed, iota)
+            if fresh is not None:
+                assert np.array_equal(recovered.entries, fresh.entries)
+            outcomes.add((got[0], recovered is not None))
+    assert {ok for ok, _ in outcomes} == {found for _, found in outcomes} == {True, False}
+
+
+def test_a_game_that_cannot_be_certified_raises_on_every_call():
+    # the refusal is raised where the table is worked out, so it is never
+    # kept in place of one: every later check or recovery raises again
+    g = random_game(np.random.default_rng(0), 2, 2, 2, 2)
+    pol = mg.MarkovPolicy.deterministic(2, np.zeros((2, 2), dtype=int), 2)
+    rewards = np.array(g.rewards[1])
+    rewards[0, 1, 0, 1] = np.nan
+    bad = g.with_attacker_rewards(rewards)
+    for call in (lambda: mg.check_iota_dominance(bad, pol, 1.0),
+                 lambda: mg.recover_dominant_policy(bad, 1.0)) * 2:
+        with pytest.raises(ValueError, match="^player-2 rewards or transitions contain "
+                                             "non-finite entries$"):
+            call()
+    assert "_optimistic_deviations" not in vars(bad)
+
+
 def test_fake_searches_store_each_stage_payoff_once():
     # one state, one step, 4096 fake actions: 32 KB of payoffs per player;
     # a copy of the attacker's matrix per candidate action would be 128 MB
