@@ -16,10 +16,14 @@ replies have bitwise equal values, and np.argmax picks the lowest index among
 them; values equal only in exact arithmetic may differ in the last bit.
 
 The dominance check, its policy recovery and the reward design are array
-expressions per layer as well.  The greedy backward pass is exact for
-single-step games; for longer horizons it can fall short of the best fake
-policy, and the enumeration oracle (`oracle.brute_force_inception`) finds
-where it does on small instances (README, "Known limitation").
+expressions per layer as well.  The check's optimistic side, which no
+policy changes, is worked out once per game and kept on it, so the check
+and the recovery of one fake game share it.
+
+The greedy backward pass is exact for single-step games; for longer
+horizons it can fall short of the best fake policy, and the enumeration
+oracle (`oracle.brute_force_inception`) finds where it does on small
+instances (README, "Known limitation").
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from .model import (BeliefSet, MarkovGame, MarkovPolicy, ValueTables, _check_pol
                     require_valid)
 from .solver import BRSolveReport, markov_attacker_best_response
 from .stage import StageSolveError, singleton_stage_solves
-
-DOMINANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,15 +162,22 @@ def check_iota_dominance(g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float) -
 
     Compares the pessimistic continuation of playing the policy (worst case
     over victim actions) against the optimistic continuation of any deviation
-    (best case over all joint actions).  The optimistic side does not depend
-    on the policy: it is worked out on the game's first check or recovery and
-    kept on the game (`MarkovGame._optimistic_deviations`), whose arrays are
-    read-only copies, so it cannot go stale; a fake game built by
-    `with_attacker_rewards` is a new game with its own table.  Returns (ok,
-    witness) where witness is the first violating (h, s, a1, a2) found
-    scanning from the last step backwards, and within a step over
-    (s, a1, a2) in that order, or None.  Raises ValueError on non-finite
-    inputs, which certify nothing, and on a boolean iota.
+    (best case over all joint actions): a deviation beats the policy where
+    follow < deviate + iota, less a rounding allowance that scales with the
+    rewards (`model._optimistic_deviations`), while iota stays in reward
+    units.  iota = 0 asks for weak dominance: no deviation does better, up
+    to rounding.
+
+    The optimistic side and the allowance do not depend on the policy: they
+    are worked out on the game's first check or recovery and kept on the
+    game, whose arrays are read-only copies, so they cannot go stale; a fake
+    game built by `with_attacker_rewards` is a new game with its own table.
+
+    Returns (ok, witness) where witness is the first violating
+    (h, s, a1, a2) found scanning from the last step backwards, and within a
+    step over (s, a1, a2) in that order, or None.  Raises ValueError on
+    non-finite inputs, which certify nothing (every call: a refusal is not
+    kept), and on a boolean iota.
     """
     _check_iota(iota)
     witness = _dominance_witness(g, _fake_actions(pi2_dagger, g, "dominance check"), iota)
@@ -177,10 +186,10 @@ def check_iota_dominance(g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float) -
 
 def _dominance_witness(g: MarkovGame, actions: np.ndarray, iota: float):
     """The check's per-policy pass, for the policy playing actions[h, s]:
-    the `low` recursion over the policy's own columns, then one comparison
-    over every layer against the game's optimistic table.  Returns the
-    first violating (h, s, a1, a2), or None."""
-    deviate = g._optimistic_deviations  # raises on non-finite inputs
+    the `low` recursion over the policy's own columns, each layer's product
+    taken over all columns as in the optimistic table, then one comparison
+    over every layer.  Returns the first violating (h, s, a1, a2), or None."""
+    deviate, slack = g._optimistic_deviations  # raises on non-finite inputs
     H, S = g.horizon, g.num_states
     states = np.arange(S)
     own = g.rewards[1][np.arange(H)[:, None], states, :, actions]  # (H, S, n)
@@ -189,7 +198,7 @@ def _dominance_witness(g: MarkovGame, actions: np.ndarray, iota: float):
     for h in range(H - 1, -1, -1):
         follow[h] = own[h] + (g.transitions[h] @ low)[states, :, actions[h]]
         low = follow[h].min(axis=1)
-    beaten = follow[..., None] < deviate + iota - DOMINANCE_TOL
+    beaten = follow[..., None] < deviate + iota - slack[:, None, None, None]
     beaten &= actions[..., None, None] != np.arange(g.m)  # its own action is no deviation
     if not beaten.any():
         return None

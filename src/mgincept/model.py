@@ -95,7 +95,7 @@ class MarkovGame:
         return _check_game(self)
 
     @cached_property
-    def _optimistic_deviations(self) -> np.ndarray:
+    def _optimistic_deviations(self) -> tuple:
         # the arrays are read-only copies, so the table cannot go stale; a
         # game that fails its finiteness check raises on every read instead
         return _optimistic_deviations(self)
@@ -330,23 +330,36 @@ def _check_game(g: MarkovGame) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _optimistic_deviations(g: MarkovGame) -> np.ndarray:
-    """The optimistic half of `inception.check_iota_dominance`, which no
-    policy changes: the read-only (H, S, n, m) table r2[h] + P[h] @ high,
-    high being the best player-2 value over all joint actions from step
-    h + 1 on (zero after the last step).  Raises ValueError when player-2
-    rewards or transitions are not all finite: they certify nothing.
+def _optimistic_deviations(g: MarkovGame) -> tuple:
+    """The half of `inception.check_iota_dominance` that no policy changes:
+    the read-only (H, S, n, m) table r2[h] + P[h] @ high, high being the
+    best player-2 value over all joint actions from step h + 1 on (zero
+    after the last step), and the check's rounding allowance per step, (H,).
+
+    Every sum the check compares at step h adds S + 1 rounded terms per
+    layer over the H - h layers from h on, none of them larger than
+    scale[h], the sum over those layers of the largest |r2|, when the
+    transition rows are distributions.  The allowance bounds the rounding
+    error on both sides of the comparison, 2 (H - h) (S + 1) eps scale[h],
+    so it scales with the rewards.  Raises ValueError when player-2 rewards
+    or transitions are not all finite: they certify nothing.
     """
     r2 = g.rewards[1]
     if not (np.isfinite(r2).all() and np.isfinite(g.transitions).all()):
         raise ValueError("player-2 rewards or transitions contain non-finite entries")
+    H, S = g.horizon, g.num_states
     deviate = np.empty(r2.shape)
-    high = np.zeros(g.num_states)
-    for h in range(g.horizon - 1, -1, -1):
+    slack = np.empty(H)
+    high = np.zeros(S)
+    scale = 0.0
+    for h in range(H - 1, -1, -1):
         deviate[h] = r2[h] + g.transitions[h] @ high
         high = deviate[h].max(axis=(1, 2))
+        scale += np.abs(r2[h]).max()
+        slack[h] = 2 * (H - h) * (S + 1) * np.finfo(float).eps * scale
     deviate.flags.writeable = False
-    return deviate
+    slack.flags.writeable = False
+    return deviate, slack
 
 
 def require_valid(g: MarkovGame) -> None:

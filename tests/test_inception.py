@@ -333,20 +333,26 @@ def test_tied_cell_at_a_pure_rows_guarantee_is_exact(size, seed, cell):
 
 
 def _loop_check_iota_dominance(g, pi2, iota):
-    """Reference dominance check, one (h, s, a1, a2) at a time."""
+    """Reference dominance check, one (h, s, a1, a2) at a time.  A follow
+    beaten by deviate + iota minus the step's rounding allowance is a
+    violation: 2 (H - h) (S + 1) eps times the sum of the largest |r2| over
+    the steps from h on."""
     H, S, n, m = g.horizon, g.num_states, g.n, g.m
     r2 = g.rewards[1]
     low, high = np.zeros(S), np.zeros(S)
+    scale = 0.0
     for h in range(H - 1, -1, -1):
         cont_low = g.transitions[h] @ low
         deviate = r2[h] + g.transitions[h] @ high
+        scale += max(abs(r) for r in r2[h].ravel())
+        slack = 2 * (H - h) * (S + 1) * np.finfo(float).eps * scale
         new_low = np.zeros(S)
         for s in range(S):
             j = pi2.action_at(h, s)
             follow = r2[h, s, :, j] + cont_low[s, :, j]
             for a1 in range(n):
                 for a2 in range(m):
-                    if a2 != j and follow[a1] < deviate[s, a1, a2] + iota - 1e-9:
+                    if a2 != j and follow[a1] < deviate[s, a1, a2] + iota - slack:
                         return False, (h, s, a1, a2)
             new_low[s] = follow.min()
         low, high = new_low, deviate.max(axis=(1, 2))
@@ -383,6 +389,52 @@ def test_dominance_check_and_recovery_match_loop_reference():
                 outcomes.append((got[0], want is not None))
     assert {ok for ok, _ in outcomes} == {True, False}
     assert {found for _, found in outcomes} == {True, False}
+
+
+SCALES = 10.0 ** np.arange(-12, 13, 2)
+
+
+def _outcomes_across_scales(g, pol, iota):
+    """The check's (ok, witness) and the recovered policy on g with its
+    rewards scaled by c, at iota scaled by c, one set entry per outcome."""
+    outcomes = set()
+    for c in SCALES:
+        game = mg.MarkovGame(g.horizon, g.num_states, g.n, g.m, g.mu, c * g.rewards,
+                             g.transitions)
+        recovered = mg.recover_dominant_policy(game, c * iota)
+        outcomes.add((mg.check_iota_dominance(game, pol, c * iota),
+                      None if recovered is None else recovered.entries.tobytes()))
+    return outcomes
+
+
+def test_dominance_verdicts_do_not_depend_on_reward_units():
+    # an absolute rounding allowance of 1e-9 accepted every one of these
+    # policies once rewards and iota were scaled below 1e-10; the allowance
+    # now scales with the rewards, so no outcome moves from 1e-12 to 1e12
+    for seed in range(200):
+        g = random_game(np.random.default_rng(seed), 3, 3, 2, 2)
+        pol = mg.MarkovPolicy.deterministic(
+            2, np.random.default_rng(seed + 500).integers(0, 2, (3, 3)), 2)
+        (((ok, _), _),) = _outcomes_across_scales(g, pol, 0.1)
+        assert not ok, seed
+        designed = g.with_attacker_rewards(
+            mg.design_dominant_rewards(pol, mg.InceptionConfig(iota=0.1), g))
+        assert _outcomes_across_scales(designed, pol, 0.1) == {
+            ((True, None), pol.entries.tobytes())}, seed
+
+
+def test_dominance_verdicts_on_the_incept_pool_do_not_depend_on_reward_units():
+    # the incept benchmark's games: the fake policy is refused on the true
+    # rewards and certified, and read back, on the designed ones, at every scale
+    for seed in range(200):
+        g = random_game(np.random.default_rng(seed), 5, 10, 4, 4)
+        pol = mg.policy_inception(g).pi2_dagger
+        (((ok, _), _),) = _outcomes_across_scales(g, pol, 1.0)
+        assert not ok, seed
+        designed = g.with_attacker_rewards(
+            mg.design_dominant_rewards(pol, mg.InceptionConfig(iota=1.0), g))
+        assert _outcomes_across_scales(designed, pol, 1.0) == {
+            ((True, None), pol.entries.tobytes())}, seed
 
 
 def test_dominance_check_rejects_policies_of_another_shape():
@@ -445,8 +497,8 @@ def test_each_fake_game_keeps_its_own_optimistic_table():
         assert np.array_equal(mg.recover_dominant_policy(designed, 1.0).entries, pol.entries)
     assert mg.check_iota_dominance(g, pol, 1.0) == mg.check_iota_dominance(_fresh(g), pol, 1.0)
     tables = [game._optimistic_deviations for game in (g, designed, flat)]
-    assert not any(t.flags.writeable for t in tables)
-    assert not np.array_equal(tables[1], tables[2])
+    assert not any(a.flags.writeable for table in tables for a in table)
+    assert not np.array_equal(tables[1][0], tables[2][0])
 
 
 def test_recovery_before_the_check_matches_fresh_calls():
