@@ -36,8 +36,6 @@ from .inception import (
 from .oracle import (
     GridSpec,
     brute_force_inception,
-    enumerate_deterministic_policies,
-    grid_attacker_value,
     grid_victim_value,
     victim_br_vertices,
 )
@@ -53,8 +51,8 @@ __all__ = [
     "InceptionConfig", "InceptionResult", "check_iota_dominance",
     "design_dominant_rewards", "exploit_fixed_fake", "policy_inception",
     "recover_dominant_policy",
-    "GridSpec", "brute_force_inception", "enumerate_deterministic_policies",
-    "grid_attacker_value", "grid_victim_value",
+    "GridSpec", "brute_force_inception",
+    "grid_victim_value",
     "RolloutStats", "simulate",
 ]
 

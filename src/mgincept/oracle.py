@@ -152,50 +152,21 @@ def victim_br_vertices(a_prime, z_star: float) -> list:
     return found
 
 
-def grid_attacker_value(a_prime, b, z_star: float, spec: GridSpec) -> float:
-    """Grid maximum over attacker mixes of the worst best-response payoff.
-
-    The inner minimization over the victim's best-response polytope is exact
-    (a linear function attains its minimum at a vertex); only the outer
-    maximization is discretized: it is `grid_victim_value` of the vertex
-    payoffs (m x vertices), the attacker's mix being the grid's row player.
-    """
-    b = np.asarray(b, dtype=float)
-    n, m = b.shape
-    if n > GRID_MAX_DIM or m > GRID_MAX_DIM:
-        raise ValueError(f"grid oracle gated to n, m <= {GRID_MAX_DIM}")
-    return grid_victim_value((np.stack(victim_br_vertices(a_prime, z_star)) @ b).T, spec)
-
-
 def _check_enum_guard(g: MarkovGame) -> None:
     count = g.m ** (g.horizon * g.num_states)
     if count > ENUM_GUARD:
         raise ValueError(f"enumeration of {count} policies exceeds guard {ENUM_GUARD}")
 
 
-def enumerate_deterministic_policies(g: MarkovGame):
-    """An iterator over every deterministic attacker policy, each once.
-
-    Lexicographic over (step, state) cells with step most significant; the
-    first policy plays action 0 everywhere.  Gated to at most ENUM_GUARD
-    policies; the guard is checked at call time.
-    """
-    H, S, m = g.horizon, g.num_states, g.m
-    _check_enum_guard(g)
-    return (
-        MarkovPolicy.deterministic(2, np.reshape(assignment, (H, S)), m)
-        for assignment in itertools.product(range(m), repeat=H * S)
-    )
-
-
 def brute_force_inception(g: MarkovGame) -> tuple:
     """Exhaustively optimal fake policy: argmax over all deterministic fakes
-    of the attacker's exploited value.  Lowest-lexicographic winner on ties
-    (the order of `enumerate_deterministic_policies`).
+    of the attacker's exploited value.  Lowest-lexicographic winner on ties:
+    policies are ordered by their (step, state) actions, step most
+    significant.
 
     `inception._suffix_pass`, keeping every row: the m^S choices at layer h
     expand the B suffix rows to index choice * B + suffix (state 0 most
-    significant), which is the enumeration order, and a failing stage solve
+    significant), which is that order, and a failing stage solve
     is raised as "step h, stage suffix * S + s: ...".
     Every value is bit-identical to `exploit_fixed_fake` on that policy.
 

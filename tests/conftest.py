@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mgincept as mg
+from mgincept.oracle import GRID_MAX_DIM, grid_victim_value, victim_br_vertices
 
 
 def single_step_game(a, b):
@@ -13,6 +14,22 @@ def single_step_game(a, b):
     n, m = a.shape
     transitions = np.ones((1, 1, n, m, 1))
     return mg.MarkovGame(1, 1, n, m, [1.0], [[[a]], [[b]]], transitions)
+
+
+def grid_attacker_value(a_prime, b, z_star, spec):
+    """Grid maximum over attacker mixes of the worst best-response payoff,
+    as `mgincept verify --mode grid` computes it per stage.
+
+    The inner minimization over the victim's best-response polytope is exact
+    (a linear function attains its minimum at a vertex); only the outer
+    maximization is discretized: it is `grid_victim_value` of the vertex
+    payoffs (m x vertices), the attacker's mix being the grid's row player.
+    """
+    b = np.asarray(b, dtype=float)
+    n, m = b.shape
+    if n > GRID_MAX_DIM or m > GRID_MAX_DIM:
+        raise ValueError(f"grid oracle gated to n, m <= {GRID_MAX_DIM}")
+    return grid_victim_value((np.stack(victim_br_vertices(a_prime, z_star)) @ b).T, spec)
 
 
 def list_form_doc(g):

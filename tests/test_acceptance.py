@@ -12,13 +12,12 @@ import pytest
 
 import mgincept as mg
 import mgincept.cli as cli
-from conftest import (pure_stage_policy, random_mix_rows, random_policy, single_step_game,
-                      stage_solve)
+from conftest import (grid_attacker_value, pure_stage_policy, random_mix_rows, random_policy,
+                      single_step_game, stage_solve)
 from mgincept import gamefile
 from mgincept.oracle import (
     GridSpec,
     brute_force_inception,
-    grid_attacker_value,
     grid_victim_value,
     random_game,
     victim_br_vertices,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -5,15 +6,14 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import (chain_game, continuation_tradeoff_game, integer_reward_game,
-                      random_mix_rows, single_step_game, stage_solve, watch_tied_cells)
+from conftest import (chain_game, continuation_tradeoff_game, grid_attacker_value,
+                      integer_reward_game, random_mix_rows, single_step_game, stage_solve,
+                      watch_tied_cells)
 from mgincept import inception, oracle
 from mgincept.oracle import (
     ENUM_GUARD,
     GridSpec,
     brute_force_inception,
-    enumerate_deterministic_policies,
-    grid_attacker_value,
     grid_victim_value,
     random_game,
     simplex_grid,
@@ -102,6 +102,22 @@ def test_grid_agrees_with_stage_lps_on_random_instances():
         br = stage_solve(rows, a, b)
         assert abs(br.v2_star - grid_attacker_value(a_prime, b, z, spec)) \
             <= 2.0 * spec.step + 1e-6
+
+
+def enumerate_deterministic_policies(g):
+    """An iterator over every deterministic attacker policy, each once.
+
+    Lexicographic over (step, state) cells with step most significant; the
+    first policy plays action 0 everywhere.  Gated to at most ENUM_GUARD
+    policies, like `brute_force_inception`; the guard is checked at call
+    time.
+    """
+    H, S, m = g.horizon, g.num_states, g.m
+    oracle._check_enum_guard(g)
+    return (
+        mg.MarkovPolicy.deterministic(2, np.reshape(assignment, (H, S)), m)
+        for assignment in itertools.product(range(m), repeat=H * S)
+    )
 
 
 def test_enumeration_counts_and_order():

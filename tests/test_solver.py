@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import mgincept as mg
-from conftest import (chain_game, integer_reward_game, pure_stage_policy, random_policy,
-                      stage_solve, watch_tied_cells)
-from mgincept.oracle import (GridSpec, grid_attacker_value, grid_victim_value,
-                             random_belief, random_game, victim_br_vertices)
+from conftest import (chain_game, grid_attacker_value, integer_reward_game, pure_stage_policy,
+                      random_policy, stage_solve, watch_tied_cells)
+from mgincept.oracle import (GridSpec, grid_victim_value, random_belief, random_game,
+                             victim_br_vertices)
 from mgincept import solver, stage
 from mgincept.solver import STAGE_BUDGET, q_from_v
 from mgincept.stage import MAX_BELIEF_POLICIES
