@@ -186,17 +186,17 @@ def check_iota_dominance(g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float) -
 
 def _dominance_witness(g: MarkovGame, actions: np.ndarray, iota: float):
     """The check's per-policy pass, for the policy playing actions[h, s]:
-    the `low` recursion over the policy's own columns, each layer's product
-    taken over all columns as in the optimistic table, then one comparison
-    over every layer.  Returns the first violating (h, s, a1, a2), or None."""
+    the `low` recursion over the policy's own columns of rewards and
+    transitions, then one comparison over every layer.  Returns the first
+    violating (h, s, a1, a2), or None."""
     deviate, slack = g._optimistic_deviations  # raises on non-finite inputs
     H, S = g.horizon, g.num_states
-    states = np.arange(S)
-    own = g.rewards[1][np.arange(H)[:, None], states, :, actions]  # (H, S, n)
-    follow = np.empty(own.shape)
+    own = np.arange(H)[:, None], np.arange(S), slice(None), actions  # the policy's columns
+    r2, moves = g.rewards[1][own], g.transitions[own]
+    follow = np.empty(r2.shape)
     low = np.zeros(S)  # value of following the policy, worst case over victim
     for h in range(H - 1, -1, -1):
-        follow[h] = own[h] + (g.transitions[h] @ low)[states, :, actions[h]]
+        follow[h] = r2[h] + moves[h] @ low
         low = follow[h].min(axis=1)
     beaten = follow[..., None] < deviate + iota - slack[:, None, None, None]
     beaten &= actions[..., None, None] != np.arange(g.m)  # its own action is no deviation

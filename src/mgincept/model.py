@@ -349,14 +349,12 @@ def _optimistic_deviations(g: MarkovGame) -> tuple:
         raise ValueError("player-2 rewards or transitions contain non-finite entries")
     H, S = g.horizon, g.num_states
     deviate = np.empty(r2.shape)
-    slack = np.empty(H)
     high = np.zeros(S)
-    scale = 0.0
     for h in range(H - 1, -1, -1):
         deviate[h] = r2[h] + g.transitions[h] @ high
         high = deviate[h].max(axis=(1, 2))
-        scale += np.abs(r2[h]).max()
-        slack[h] = 2 * (H - h) * (S + 1) * np.finfo(float).eps * scale
+    scale = np.cumsum(np.abs(r2).max(axis=(1, 2, 3))[::-1])[::-1]
+    slack = 2 * (S + 1) * np.finfo(float).eps * np.arange(H, 0, -1) * scale
     deviate.flags.writeable = False
     slack.flags.writeable = False
     return deviate, slack
