@@ -349,11 +349,13 @@ def _optimistic_deviations(g: MarkovGame) -> tuple:
         raise ValueError("player-2 rewards or transitions contain non-finite entries")
     H, S = g.horizon, g.num_states
     deviate = np.empty(r2.shape)
+    # one row per (s, a1, a2), so each layer is one matrix-vector product
+    rows, r2, moves = deviate.reshape(H, -1), r2.reshape(H, -1), g.transitions.reshape(H, -1, S)
     high = np.zeros(S)
     for h in range(H - 1, -1, -1):
-        deviate[h] = r2[h] + g.transitions[h] @ high
-        high = deviate[h].max(axis=(1, 2))
-    scale = np.cumsum(np.abs(r2).max(axis=(1, 2, 3))[::-1])[::-1]
+        np.add(r2[h], moves[h] @ high, out=rows[h])
+        high = rows[h].reshape(S, -1).max(axis=1)
+    scale = np.abs(r2).max(axis=1)[::-1].cumsum()[::-1]
     slack = 2 * (S + 1) * np.finfo(float).eps * np.arange(H, 0, -1) * scale
     deviate.flags.writeable = False
     slack.flags.writeable = False
