@@ -51,8 +51,7 @@ __all__ = [
     "InceptionConfig", "InceptionResult", "check_iota_dominance",
     "design_dominant_rewards", "exploit_fixed_fake", "policy_inception",
     "recover_dominant_policy",
-    "GridSpec", "brute_force_inception",
-    "grid_victim_value",
+    "GridSpec", "brute_force_inception", "grid_victim_value",
     "RolloutStats", "simulate",
 ]
 

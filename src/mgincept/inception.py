@@ -211,10 +211,9 @@ def recover_dominant_policy(g: MarkovGame, iota: float) -> MarkovPolicy | None:
     """Extract the policy a rational victim reads out of fake rewards.
 
     The candidate maximizes the worst-case stage reward per (h, s); it is
-    returned only if it passes the dominance check, else None.  It runs the
-    check's per-policy pass on the candidate's actions, against the
-    optimistic table kept on g (see `check_iota_dominance`), and builds the
-    policy only when the check passes.
+    returned only if it passes the dominance check, else None.  It shares
+    the check's optimistic table kept on g (see `check_iota_dominance`) and
+    builds the policy only when the check passes.
     """
     _check_iota(iota)
     actions = np.argmax(g.rewards[1].min(axis=2), axis=2)
