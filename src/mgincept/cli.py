@@ -119,6 +119,8 @@ def _grid_checks(g, belief, spec):
             yield "victim-stage-vs-grid", dev_v, col_range * spec.step + GRID_SLACK
             payoff = np.stack(victim_br_vertices(a_prime, z)) @ q2
             att_range = float(np.max(payoff.max(axis=1) - payoff.min(axis=1)))
+            if g.m > GRID_MAX_DIM:  # the oracle's own refusal would name m as n
+                raise ValueError(f"grid oracle gated to m <= {GRID_MAX_DIM}, got {g.m}")
             dev_a = abs(v2 - grid_victim_value(payoff.T, spec))  # the attacker's grid maximin
             yield "attacker-stage-vs-grid", dev_a, att_range * spec.step + GRID_SLACK
 

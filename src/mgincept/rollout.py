@@ -25,14 +25,17 @@ side by side in one `(k - 1, 2 H S)` table, k the larger action count, so
 one gather draws both actions of a step; the smaller table is padded with
 +inf, a cut point no uniform reaches, which leaves its draws unchanged.
 
-Episodes run in blocks of `_BLOCK` (the last block may be shorter).  Each
-block fills an episode-major `(b, 1 + 3H)` buffer from the generator, so
-consecutive blocks consume exactly the stream of a single `(E, 1 + 3H)`
-draw, copies it into a `(1 + 3H, b)` twin with one contiguous row per draw,
-records the flat (h, s, a1, a2) index of every step, and gathers both
-players' rewards with one `take` over those indices.  The three buffers are
-allocated once per call, so working memory is O(_BLOCK H + E) rather than
-O(E H): only the `(2, E)` returns grow with the episode count.
+Episodes run in blocks of `_BLOCK` (the last block may be shorter).  A
+block draws its uniforms `_DRAW` episodes at a time into a small
+episode-major `(_DRAW, 1 + 3H)` buffer and copies each sub-block into a
+`(1 + 3H, b)` buffer with one contiguous row per draw.  The generator fills
+its output in row-major order, so consecutive sub-blocks and blocks consume
+exactly the stream of a single `(E, 1 + 3H)` draw.  The block records the
+flat (h, s, a1, a2) index of every step, then gathers both players' rewards
+one step at a time in backward order: the last step's straight into the
+returns, each earlier step's into one `(2, b)` buffer added to them.  The
+buffers are allocated once per call, so working memory is O(_BLOCK H + E)
+rather than O(E H): only the `(2, E)` returns grow with the episode count.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 from .model import MarkovGame, MarkovPolicy, _check_policy, require_valid
 
 _BLOCK = 2048  # episodes per block of uniforms
+_DRAW = 256  # episodes per generator call in a block: 125 KB of uniforms at H = 20
 _COUNT_MAX = 11  # widest cut rows `_sample` counts (< 256: counts are bytes); wider bisect
 
 
@@ -60,9 +64,13 @@ class RolloutStats:
 def _cut_table(p: np.ndarray) -> np.ndarray:
     """The `(k - 1, rows)` cut table of the distributions along p's last axis."""
     k = p.shape[-1]
-    rows = p.size // k
-    table = np.empty((k - 1, rows))
-    np.cumsum(p.reshape(rows, k)[:, :-1], axis=1, out=table.T)
+    cols = p.reshape(-1, k)
+    table = np.empty((k - 1, cols.shape[0]))
+    if k > 1:
+        table[0] = cols[:, 0]
+    # running column adds: np.cumsum's own sequential order, so the same bits
+    for j in range(1, k - 1):
+        np.add(table[j - 1], cols[:, j], out=table[j])
     return table
 
 
@@ -123,16 +131,19 @@ def simulate(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy,
     rows12 = (np.arange(H)[:, None, None] + [[0], [H]]) * S   # (H, 2, 1)
 
     block = min(_BLOCK, episodes)
-    draws = np.empty((block, 1 + 3 * H))            # one row of uniforms per episode
+    draws = np.empty((min(_DRAW, block), 1 + 3 * H))  # one row of uniforms per episode
     u = np.empty((1 + 3 * H, block))                # one contiguous row per draw
     flat = np.empty((H, block), dtype=np.intp)      # flat (h, s, a1, a2) per step
     first = np.zeros(block, dtype=np.intp)          # every episode reads mu's one row
+    step = np.empty((2, block))                     # one step's rewards
     returns = np.empty((2, episodes))
     for lo in range(0, episodes, block):
         b = min(block, episodes - lo)
-        rng.random(out=draws[:b])
         ub, fb = u[:, :b], flat[:, :b]
-        ub[...] = draws[:b].T
+        for sub in range(0, b, _DRAW):
+            c = min(_DRAW, b - sub)
+            rng.random(out=draws[:c])
+            ub[:, sub:sub + c] = draws[:c].T
         state = _sample(mu_cuts, first[:b], ub[0])
         for h in range(H):
             hs = state + rows12[h]                  # (2, b)
@@ -141,12 +152,15 @@ def simulate(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy,
             if h + 1 < H:
                 state = _sample(cutst, fb[h], ub[3 + 3 * h])
         # sum steps in backward order, matching the exact evaluator's
-        # grouping so deterministic instances reproduce its values bit-for-bit
-        step_rewards = rewards.take(fb, axis=1)     # (2, H, b)
-        total = returns[:, lo:lo + b]
-        total[...] = step_rewards[:, H - 1]
+        # grouping so deterministic instances reproduce its values bit-for-bit;
+        # with mode="clip" (every index is in range) take writes into `out`,
+        # where the default "raise" goes through a temporary copy of it
+        total, sb = returns[:, lo:lo + b], step[:, :b]
+        for i in range(2):
+            rewards[i].take(fb[H - 1], out=total[i], mode="clip")
         for h in range(H - 2, -1, -1):
-            total += step_rewards[:, h]
+            rewards.take(fb[h], axis=1, out=sb, mode="clip")
+            total += sb
 
     mean = np.empty(2)
     se = np.zeros(2)

@@ -299,6 +299,20 @@ def test_verify_refuses_an_oversized_grid_before_any_work(capsys, monkeypatch):
                             "coarser\n")
 
 
+@pytest.mark.parametrize("spec, refusal", [
+    ("2,5,1,1", "grid oracle gated to m <= 4, got 5"),
+    ("5,2,1,1", "grid oracle gated to n <= 4, got 5"),
+], ids=["attacker-m", "victim-n"])
+def test_grid_refusal_above_the_gate_names_the_player_s_dimension(capsys, spec, refusal):
+    # the up-front step check skips dimensions above the gate and leaves them
+    # to this refusal, after the header, with exit code 1
+    assert cli.main(["verify", "--mode", "grid", "--random", spec, "--seed", "0",
+                     "--trials", "1", "--step", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"seed = 0, games = 1, source = random {spec}, mode = grid\n")
+    assert captured.err == f"error: {refusal}\n"
+
+
 def _count_validations(monkeypatch):
     """Record every game the underlying validity check runs on."""
     calls = []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mgincept as mg
+from mgincept.model import PROB_TOL, _check_distribution
 from conftest import chain_game, pure_stage_policy, random_policy, single_step_game
 
 
@@ -41,6 +42,60 @@ def test_validate_flags_nan_reward(decoy_game):
 def test_validate_flags_bad_mu(decoy_game):
     g = mg.MarkovGame(1, 1, 2, 2, [0.7], decoy_game.rewards, decoy_game.transitions)
     assert any(v.code == "mu-sum" for v in mg.validate_game(g))
+
+
+def _masked_transition_messages(g):
+    """The transition rows' messages from the masked row sums, the reference
+    for the check's plain sums over all-finite nonnegative arrays."""
+    out = []
+    rows = g.transitions.reshape(-1, g.num_states)
+    finite = np.isfinite(rows).all(axis=1)
+    sums = np.where(finite, rows.sum(axis=1, where=np.isfinite(rows)), np.nan)
+    bad_rows = ~finite | (rows < 0).any(axis=1) | (np.abs(sums - 1.0) > PROB_TOL)
+    for flat in np.nonzero(bad_rows)[0][:64]:
+        h, s, a1, a2 = np.unravel_index(flat, (g.horizon, g.num_states, g.n, g.m))
+        coords = (("h", int(h)), ("s", int(s)), ("a1", int(a1)), ("a2", int(a2)))
+        _check_distribution(g.transitions[h, s, a1, a2], "transition", coords, out)
+    return [str(v) for v in out]
+
+
+@pytest.mark.parametrize("entries, count", [
+    ({}, 0),
+    ({0: np.nan}, 2),
+    ({3: np.inf}, 2),
+    ({5: -np.inf}, 2),
+    ({1: -0.25, 2: 0.25}, 2),
+    ({0: 0.9e-12}, 0),
+    ({0: -0.9e-12}, 0),
+    ({0: 1.1e-12}, 2),
+    ({0: -1.1e-12}, 2),
+    ({0: 1e308, 1: 1e308}, 2),              # finite entries whose sum overflows
+], ids=["valid", "nan", "+inf", "-inf", "negative", "sum+0.9e-12", "sum-0.9e-12",
+        "sum+1.1e-12", "sum-1.1e-12", "overflow"])
+def test_validation_fast_path_matches_the_masked_sums(entries, count):
+    # the entries are added to two rows of a game whose transition rows are
+    # 20-state distributions: (h=1, s=4, a1=2, a2=0) and (h=0, s=19, a1=0, a2=1)
+    g = chain_game(seed=93, horizon=2, states=20, n=3, m=2)
+    transitions = np.random.default_rng(92).uniform(0.05, 1.0, g.transitions.shape)
+    transitions /= transitions.sum(axis=-1, keepdims=True)
+    for row in ((1, 4, 2, 0), (0, 19, 0, 1)):
+        for j, x in entries.items():
+            transitions[row + (j,)] += x
+    g = mg.MarkovGame(2, 20, 3, 2, g.mu, g.rewards, transitions)
+    with np.errstate(over="ignore"):        # both sums of the overflow rows are inf
+        messages = mg.validate_game(g).messages()
+        assert messages == _masked_transition_messages(g)
+    assert len(messages) == count
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 20, 33, 127, 128, 129, 300])
+def test_plain_row_sums_equal_the_masked_sums_bitwise(k):
+    # widths around numpy's pairwise-summation blocks of 8 and 128
+    rng = np.random.default_rng(k)
+    w = rng.uniform(0.0, 1.0, (200, k))
+    w[rng.random(w.shape) < 0.3] = 0.0
+    rows = w / np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
+    assert rows.sum(axis=1).tobytes() == rows.sum(axis=1, where=np.isfinite(rows)).tobytes()
 
 
 def test_construction_rejects_shape_mismatch(decoy_game):

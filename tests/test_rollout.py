@@ -313,6 +313,18 @@ def test_small_blocks_match_reference_at_every_episode_count(seed, size, kind):
             _assert_matches_reference(g, p1, p2, episodes, seed)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.tuples(*[st.integers(1, 5)] * 4),
+       kind=st.sampled_from(["spread", "top", "sparse", "onehot", "tol"]))
+def test_partial_draw_sub_blocks_match_reference_at_every_episode_count(seed, size, kind):
+    # blocks of 7 drawn 3 episodes at a time: full and partial sub-blocks in
+    # full and partial blocks
+    g, p1, p2 = _instance(seed, *size, kind)
+    with mock.patch.object(rollout, "_BLOCK", 7), mock.patch.object(rollout, "_DRAW", 3):
+        for episodes in range(1, 31):
+            _assert_matches_reference(g, p1, p2, episodes, seed)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_small_blocks_keep_one_hot_instances_exact(seed):
     g, p1, p2 = _instance(seed, 3, 4, 3, 2, "onehot")
@@ -324,8 +336,8 @@ def test_small_blocks_keep_one_hot_instances_exact(seed):
 
 def test_episode_counts_around_the_block_size_match_reference():
     g, p1, p2 = _instance(87, 3, 4, 3, 2, "sparse")
-    b = rollout._BLOCK
-    for episodes in (b - 1, b, b + 1, 2 * b + 3):
+    b, d = rollout._BLOCK, rollout._DRAW
+    for episodes in (d - 1, d, d + 1, b - 1, b, b + 1, 2 * b + 3):
         _assert_matches_reference(g, p1, p2, episodes, seed=88)
 
 
@@ -340,3 +352,16 @@ def test_working_memory_does_not_grow_with_episodes_times_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_working_memory_at_the_benchmark_size():
+    # 1e4 episodes at H = 20 S = 20 4x4: 4.8 MiB when each block drew its
+    # (2048, 61) uniforms at once and gathered its (2, 20, 2048) rewards
+    g, p1, p2 = _instance(89, 20, 20, 4, 4, "spread")
+    tracemalloc.start()
+    try:
+        simulate(g, p1, p2, episodes=10_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
