@@ -107,6 +107,10 @@ def cmd_incept(args) -> int:
 def _grid_checks(g, belief, spec):
     """Per-stage LP values vs grid oracle; yields (name, deviation, tolerance)
     triples."""
+    for name, dim in (("n", g.n), ("m", g.m)):
+        # before any solve; the oracle would name the attacker's m as its n
+        if dim > GRID_MAX_DIM:
+            raise ValueError(f"grid oracle gated to {name} <= {GRID_MAX_DIM}, got {dim}")
     report = markov_attacker_best_response(g, belief)
     for h in range(g.horizon):
         for s in range(g.num_states):
@@ -119,8 +123,6 @@ def _grid_checks(g, belief, spec):
             yield "victim-stage-vs-grid", dev_v, col_range * spec.step + GRID_SLACK
             payoff = np.stack(victim_br_vertices(a_prime, z)) @ q2
             att_range = float(np.max(payoff.max(axis=1) - payoff.min(axis=1)))
-            if g.m > GRID_MAX_DIM:  # the oracle's own refusal would name m as n
-                raise ValueError(f"grid oracle gated to m <= {GRID_MAX_DIM}, got {g.m}")
             dev_a = abs(v2 - grid_victim_value(payoff.T, spec))  # the attacker's grid maximin
             yield "attacker-stage-vs-grid", dev_a, att_range * spec.step + GRID_SLACK
 
@@ -156,7 +158,7 @@ def cmd_verify(args) -> int:
     grid = args.mode in ("grid", "all")
     if grid:
         # the largest of the grids over the victim's n and the attacker's m
-        # actions; a dimension above GRID_MAX_DIM is the oracle's own refusal
+        # actions; a dimension above GRID_MAX_DIM is refused by _grid_checks
         dims = [d for d in (n, m) if d <= GRID_MAX_DIM]
         try:
             _check_grid_points(max(dims, default=1), spec)

@@ -320,15 +320,13 @@ def _check_game(g: MarkovGame) -> ValidationReport:
                 f"value {g.rewards[i, h, s, a1, a2]!r}",
             ))
     rows = g.transitions.reshape(-1, g.num_states)
-    sums = rows.sum(axis=1)
-    if (rows >= 0).all() and np.isfinite(sums).all():
-        # nonnegative entries with finite row sums are all finite, so these
-        # are the masked sums below, bit for bit
-        bad_rows = np.abs(sums - 1.0) > PROB_TOL
-    else:
-        finite = np.isfinite(rows).all(axis=1)
-        sums = np.where(finite, rows.sum(axis=1, where=np.isfinite(rows)), np.nan)
-        bad_rows = ~finite | (rows < 0).any(axis=1) | (np.abs(sums - 1.0) > PROB_TOL)
+    # a row with a non-finite entry has a non-finite sum (inf - inf is nan)
+    with np.errstate(invalid="ignore"):
+        sums = rows.sum(axis=1)
+    bad_rows = ~np.isfinite(sums) | (np.abs(sums - 1.0) > PROB_TOL)
+    # the rows holding a negative entry, by their flat indices: a fraction of
+    # the cost of a per-row any() when there are few
+    bad_rows[np.flatnonzero(rows < 0) // g.num_states] = True
     for flat in np.nonzero(bad_rows)[0][:64]:
         h, s, a1, a2 = np.unravel_index(flat, (g.horizon, g.num_states, g.n, g.m))
         coords = (("h", int(h)), ("s", int(s)), ("a1", int(a1)), ("a2", int(a2)))

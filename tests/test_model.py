@@ -46,7 +46,7 @@ def test_validate_flags_bad_mu(decoy_game):
 
 def _masked_transition_messages(g):
     """The transition rows' messages from the masked row sums, the reference
-    for the check's plain sums over all-finite nonnegative arrays."""
+    for the check's plain row sums."""
     out = []
     rows = g.transitions.reshape(-1, g.num_states)
     finite = np.isfinite(rows).all(axis=1)
@@ -64,15 +64,16 @@ def _masked_transition_messages(g):
     ({0: np.nan}, 2),
     ({3: np.inf}, 2),
     ({5: -np.inf}, 2),
+    ({3: np.inf, 5: -np.inf}, 2),           # a nan plain sum
     ({1: -0.25, 2: 0.25}, 2),
     ({0: 0.9e-12}, 0),
     ({0: -0.9e-12}, 0),
     ({0: 1.1e-12}, 2),
     ({0: -1.1e-12}, 2),
     ({0: 1e308, 1: 1e308}, 2),              # finite entries whose sum overflows
-], ids=["valid", "nan", "+inf", "-inf", "negative", "sum+0.9e-12", "sum-0.9e-12",
+], ids=["valid", "nan", "+inf", "-inf", "+inf-inf", "negative", "sum+0.9e-12", "sum-0.9e-12",
         "sum+1.1e-12", "sum-1.1e-12", "overflow"])
-def test_validation_fast_path_matches_the_masked_sums(entries, count):
+def test_validation_plain_sums_match_the_masked_sums(entries, count):
     # the entries are added to two rows of a game whose transition rows are
     # 20-state distributions: (h=1, s=4, a1=2, a2=0) and (h=0, s=19, a1=0, a2=1)
     g = chain_game(seed=93, horizon=2, states=20, n=3, m=2)

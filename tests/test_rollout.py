@@ -307,22 +307,13 @@ def test_wide_state_rows_replay_pinned_values():
 @given(seed=st.integers(0, 10_000), size=st.tuples(*[st.integers(1, 5)] * 4),
        kind=st.sampled_from(["spread", "top", "sparse", "onehot", "tol"]))
 def test_small_blocks_match_reference_at_every_episode_count(seed, size, kind):
+    # blocks of 7 drawn whole, then 3 episodes at a time: full and partial
+    # sub-blocks in full and partial blocks
     g, p1, p2 = _instance(seed, *size, kind)
-    with mock.patch.object(rollout, "_BLOCK", 7):
-        for episodes in range(1, 31):
-            _assert_matches_reference(g, p1, p2, episodes, seed)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), size=st.tuples(*[st.integers(1, 5)] * 4),
-       kind=st.sampled_from(["spread", "top", "sparse", "onehot", "tol"]))
-def test_partial_draw_sub_blocks_match_reference_at_every_episode_count(seed, size, kind):
-    # blocks of 7 drawn 3 episodes at a time: full and partial sub-blocks in
-    # full and partial blocks
-    g, p1, p2 = _instance(seed, *size, kind)
-    with mock.patch.object(rollout, "_BLOCK", 7), mock.patch.object(rollout, "_DRAW", 3):
-        for episodes in range(1, 31):
-            _assert_matches_reference(g, p1, p2, episodes, seed)
+    for draw in (rollout._DRAW, 3):
+        with mock.patch.object(rollout, "_BLOCK", 7), mock.patch.object(rollout, "_DRAW", draw):
+            for episodes in range(1, 31):
+                _assert_matches_reference(g, p1, p2, episodes, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
