@@ -43,7 +43,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class GameFormatError(ValueError):
 @dataclass(frozen=True)
 class GameDocument:
     game: MarkovGame
-    beliefs: tuple = field(default_factory=tuple)
+    beliefs: tuple
 
 
 def _parse_json(path):

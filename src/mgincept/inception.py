@@ -50,7 +50,7 @@ class InceptionConfig:
             raise ValueError(f"iota must be strictly positive, got {self.iota!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InceptionResult:
     """The chosen fake policy with its value tables and per-candidate values.
 

@@ -12,12 +12,14 @@ Conventions used throughout the package:
   renormalized: invalid inputs are rejected so downstream math stays exact.
 
 All types are immutable after construction (frozen dataclasses over
-read-only numpy arrays) and safe to share across threads.
+read-only numpy arrays) and safe to share across threads.  The types that
+hold arrays compare by identity: an elementwise array comparison has no
+single truth value, and arrays have no hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +41,7 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovGame:
     """A finite-horizon two-player Markov game.
 
@@ -68,7 +70,7 @@ class MarkovGame:
     def __post_init__(self):
         for name in ("horizon", "num_states", "n", "m"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
             object.__setattr__(self, name, int(v))
         H, S, n, m = self.horizon, self.num_states, self.n, self.m
@@ -101,7 +103,12 @@ class MarkovGame:
         return _optimistic_deviations(self)
 
     def with_attacker_rewards(self, fake: np.ndarray) -> "MarkovGame":
-        """A copy of this game whose player-2 rewards are replaced by `fake`."""
+        """A copy of this game whose player-2 rewards are replaced by `fake`,
+        of the game's (H, S, n, m) shape: no other shape is broadcast."""
+        if np.shape(fake) != self.rewards.shape[1:]:
+            raise ValueError(
+                f"fake rewards have shape {np.shape(fake)}, expected {self.rewards.shape[1:]}"
+            )
         rewards = np.array(self.rewards)
         rewards[1] = fake
         return MarkovGame(
@@ -117,7 +124,7 @@ def _player_index(player: int) -> int:
     return int(player) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovPolicy:
     """A Markov policy: a mixed action distribution per (step, state).
 
@@ -146,14 +153,6 @@ class MarkovPolicy:
                 f"policy row at (h={h}, s={s}) sums to {sums[h, s]!r}, expected 1"
             )
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def horizon(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.entries.shape[1]
 
     @property
     def num_actions(self) -> int:
@@ -190,7 +189,7 @@ class MarkovPolicy:
         return MarkovPolicy(player, (actions[..., None] == np.arange(num_actions)).astype(float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeliefSet:
     """A finitely generated belief over attacker policies.
 
@@ -227,11 +226,8 @@ class BeliefSet:
         mixes.flags.writeable = False
         return mixes
 
-    def matches(self, g: MarkovGame) -> bool:
-        return self.mixes.shape[:3] == (g.horizon, g.num_states, g.m)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueTables:
     """Per-(player, layer, state) values with a zero terminal layer.
 
@@ -267,22 +263,15 @@ class Violation:
         return f"{self.code} at ({where}): {self.detail}" if where else f"{self.code}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple = field(default_factory=tuple)
+class ValidationReport(tuple):
+    """The violations a game check found, in the order found."""
 
     @property
     def ok(self) -> bool:
-        return len(self.violations) == 0
+        return not self
 
     def messages(self) -> list:
-        return [str(v) for v in self.violations]
-
-    def __iter__(self):
-        return iter(self.violations)
-
-    def __len__(self) -> int:
-        return len(self.violations)
+        return [str(v) for v in self]
 
 
 def _check_distribution(vec: np.ndarray, code: str, coords: tuple, out: list) -> None:
@@ -331,7 +320,7 @@ def _check_game(g: MarkovGame) -> ValidationReport:
         h, s, a1, a2 = np.unravel_index(flat, (g.horizon, g.num_states, g.n, g.m))
         coords = (("h", int(h)), ("s", int(s)), ("a1", int(a1)), ("a2", int(a2)))
         _check_distribution(g.transitions[h, s, a1, a2], "transition", coords, out)
-    return ValidationReport(tuple(out))
+    return ValidationReport(out)
 
 
 def _optimistic_deviations(g: MarkovGame) -> tuple:

@@ -50,21 +50,6 @@ class GridSpec:
         return max(1, int(math.ceil(1.0 / self.step - 1e-9)))
 
 
-def _compositions(dim: int, total: int) -> np.ndarray:
-    """All nonnegative integer vectors of length dim summing to total."""
-    if dim == 1:
-        return np.array([[total]], dtype=float)
-    if dim == 2:
-        k = np.arange(total + 1, dtype=float)
-        return np.column_stack([k, total - k])
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(dim - 1, total - first)
-        head = np.full((rest.shape[0], 1), float(first))
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
-
-
 def _check_grid_points(dim: int, spec: GridSpec) -> None:
     """Refuse, before it is built, a simplex grid of dim coordinates at
     spec with more than _GRID_MAX_POINTS points, C(resolution + dim - 1,
@@ -88,10 +73,19 @@ def _check_grid_points(dim: int, spec: GridSpec) -> None:
 
 
 def simplex_grid(dim: int, resolution: int) -> np.ndarray:
-    """All points of the simplex with coordinates k/resolution, shape (count, dim)."""
+    """All points of the simplex with coordinates k/resolution, shape (count, dim),
+    in lexicographic order of their coordinates."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    return _compositions(dim, resolution) / resolution
+    points = np.array([[resolution]])
+    for _ in range(dim - 1):
+        # each point once per value k = 0 .. r of its next coordinate, r
+        # being its last part, which splits into k and r - k
+        counts = points[:, -1] + 1
+        points = np.repeat(points, counts, axis=0)
+        k = np.arange(len(points)) - np.repeat(np.cumsum(counts) - counts, counts)
+        points = np.column_stack([points[:, :-1], k, points[:, -1] - k])
+    return points / resolution
 
 
 def grid_victim_value(a_prime, spec: GridSpec) -> float:

@@ -51,7 +51,7 @@ _DRAW = 256  # episodes per generator call in a block: 125 KB of uniforms at H =
 _COUNT_MAX = 11  # widest cut rows `_sample` counts (< 256: counts are bytes); wider bisect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RolloutStats:
     """Empirical returns: mean and standard error per player, plus the seed."""
 

@@ -17,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BeliefSet, MarkovGame, MarkovPolicy, ValueTables, q_from_v, require_valid
+from .model import (BeliefSet, MarkovGame, MarkovPolicy, ValueTables, _check_policy, q_from_v,
+                    require_valid)
 from .lp import LpError
 from .stage import MAX_BELIEF_POLICIES, StageSolveError, belief_stage_solves
 
 STAGE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QMatrices:
     """Per-(player, step, state) stage payoff matrices, shape (2, H, S, n, m),
     read-only and finite (each layer from `q_from_v`)."""
@@ -32,7 +33,7 @@ class QMatrices:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BRSolveReport:
     """Result of the full backward pass: attacker policy, value and Q tables."""
 
@@ -65,8 +66,7 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
     stage s: ...") and which LP broke.
     """
     require_valid(g)
-    if not belief.matches(g):
-        raise ValueError("belief dimensions do not match game")
+    _check_policy(g, belief.base[0], 2)  # the bases share one shape
     if belief.size > MAX_BELIEF_POLICIES:
         raise ValueError(f"belief size {belief.size} exceeds cap {MAX_BELIEF_POLICIES}")
     _check_budget(g, belief.size)

@@ -60,7 +60,7 @@ class StageSolveError(RuntimeError):
     """An internally inconsistent stage solve (e.g. a non-optimal LP status)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageBR:
     """Outcome of the P stage solves of a layer, with a leading stage axis
     on every field (from `belief_stage_solves`).

@@ -289,7 +289,7 @@ def test_verify_refuses_an_oversized_grid_before_any_work(capsys, monkeypatch):
         raise AssertionError("worked before the grid size was checked")
 
     monkeypatch.setattr(cli, "markov_attacker_best_response", unreachable)
-    monkeypatch.setattr(mg.oracle, "_compositions", unreachable)
+    monkeypatch.setattr(mg.oracle, "simplex_grid", unreachable)
     assert cli.main(["verify", "--mode", "grid", "--random", "2,4,3,2", "--seed", "4",
                      "--trials", "1"]) == 2
     captured = capsys.readouterr()

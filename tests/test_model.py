@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mgincept as mg
 from mgincept.model import PROB_TOL, _check_distribution
+from mgincept.oracle import random_game
 from conftest import chain_game, pure_stage_policy, random_policy, single_step_game
 
 
@@ -291,9 +292,12 @@ def _one_step_game(**change):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: _one_step_game(horizon=0), "horizon must be a positive integer, got 0"),
+    (lambda: _one_step_game(horizon=True), "horizon must be a positive integer, got True"),
     (lambda: _one_step_game(mu=[0.5, 0.5]), "mu has shape (2,), expected (1,)"),
     (lambda: _one_step_game(rewards=np.zeros((1, 1, 1, 2, 2))),
      "rewards have shape (1, 1, 1, 2, 2), expected (2, 1, 1, 2, 2)"),
+    (lambda: _one_step_game(transitions=np.ones((1, 1, 2, 2, 2))),
+     "transitions have shape (1, 1, 2, 2, 2), expected (1, 1, 2, 2, 1)"),
     (lambda: mg.MarkovPolicy(2, [[1.0, 0.0]]), "policy entries must be (H, S, k), got (1, 2)"),
     (lambda: mg.MarkovPolicy(2, [[[np.nan, 1.0]]]), "policy entries must be finite"),
     (lambda: mg.MarkovPolicy.deterministic(2, [0, 1], 2),
@@ -307,9 +311,56 @@ def _one_step_game(**change):
     (lambda: mg.evaluate_policy(_one_step_game(), pure_stage_policy(2, 0, 2),
                                 pure_stage_policy(2, 0, 2)),
      "expected a player-1 policy, got player 2"),
-], ids=["horizon-0", "mu-shape", "rewards-shape", "2-D-entries", "non-finite-entries",
-        "1-D-actions", "empty-belief", "player-1-belief", "mixed-belief-shapes",
-        "value-tables-shape", "policy-player"])
+    (lambda: mg.markov_attacker_best_response(_one_step_game(),
+                                              mg.BeliefSet((pure_stage_policy(2, 0, 3),))),
+     "policy shape (1, 1, 3) does not match game (1, 1, 2)"),
+], ids=["horizon-0", "horizon-bool", "mu-shape", "rewards-shape", "transitions-shape",
+        "2-D-entries", "non-finite-entries", "1-D-actions", "empty-belief", "player-1-belief",
+        "mixed-belief-shapes", "value-tables-shape", "policy-player", "belief-shape"])
 def test_constructor_and_policy_refusals_name_what_is_wrong(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("shape", [(), (4, 4), (1, 1, 4, 4), (10, 4, 4), (5, 10, 4, 1)])
+def test_fake_rewards_of_another_shape_are_refused(shape):
+    # rewards read for another game are not broadcast over this one
+    g = random_game(np.random.default_rng(0), 5, 10, 4, 4)
+    with pytest.raises(ValueError, match=re.escape(
+            f"fake rewards have shape {shape}, expected (5, 10, 4, 4)")):
+        g.with_attacker_rewards(np.zeros(shape))
+
+
+def test_fake_rewards_of_the_game_s_shape_replace_player_2_s():
+    g = random_game(np.random.default_rng(0), 5, 10, 4, 4)
+    fake = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 10, 4, 4))
+    f = g.with_attacker_rewards(fake.tolist())
+    assert f.rewards.tobytes() == np.stack([g.rewards[0], fake]).tobytes()
+    assert f.mu.tobytes() == g.mu.tobytes()
+    assert f.transitions.tobytes() == g.transitions.tobytes()
+
+
+def test_array_holding_types_compare_by_identity():
+    # an elementwise array comparison has no single truth value and arrays
+    # have no hash, so these types compare, hash and look up by identity;
+    # each pair holds equal contents, built apart
+    g = random_game(np.random.default_rng(3), 2, 2, 2, 2)
+    p, q = (mg.MarkovPolicy.deterministic(2, [[0, 1], [1, 0]], 2) for _ in range(2))
+    twins = [
+        (p, q),
+        (g, mg.MarkovGame(g.horizon, g.num_states, g.n, g.m, g.mu, g.rewards, g.transitions)),
+        (mg.BeliefSet((p,)), mg.BeliefSet((p,))),
+        (mg.ValueTables(np.zeros((2, 3, 2))), mg.ValueTables(np.zeros((2, 3, 2)))),
+        tuple(mg.markov_attacker_best_response(g, mg.secure_belief(g)) for _ in range(2)),
+    ]
+    for a, b in twins:
+        name = type(a).__name__
+        assert a == a and a != b, name
+        assert hash(a) == hash(a), name
+        assert len({a, b}) == 2, name
+        assert a in [a] and a not in [b], name
+
+
+def test_deterministic_policy_reads_its_action_count():
+    pi = mg.MarkovPolicy.deterministic(1, np.zeros((2, 3), dtype=int), 4)
+    assert pi.num_actions == 4

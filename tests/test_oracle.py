@@ -39,11 +39,11 @@ def test_grid_spec_validation():
 def test_grid_point_bound_refuses_before_building(monkeypatch, dim, step, points, coarser):
     # a grid over 4 actions at step 1e-3 would hold C(1003, 3) points,
     # 5.4 GB: it is refused, naming its count and a coarser step, before
-    # any composition is made, and the coarser step fits
+    # any point is made, and the coarser step fits
     def unreachable(*args):
         raise AssertionError("the grid was built")
 
-    monkeypatch.setattr(oracle, "_compositions", unreachable)
+    monkeypatch.setattr(oracle, "simplex_grid", unreachable)
     with pytest.raises(ValueError, match=f"^a grid over {dim} actions at step {step:g} has "
                                          f"{points} points, above the limit of 1000000; use a "
                                          f"step of {coarser} or coarser$"):
@@ -64,6 +64,30 @@ def test_simplex_grid_counts_and_coverage():
     assert np.allclose(grid.sum(axis=1), 1.0)
     assert len(np.unique(np.round(grid, 12), axis=0)) == 15
     assert simplex_grid(1, 7).tolist() == [[1.0]]
+
+
+def _recursive_compositions(dim, total):
+    """The grid's former construction, by recursion on the first coordinate."""
+    if dim == 1:
+        return np.array([[total]], dtype=float)
+    if dim == 2:
+        k = np.arange(total + 1, dtype=float)
+        return np.column_stack([k, total - k])
+    blocks = []
+    for first in range(total + 1):
+        rest = _recursive_compositions(dim - 1, total - first)
+        blocks.append(np.hstack([np.full((rest.shape[0], 1), float(first)), rest]))
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_simplex_grid_matches_the_recursive_construction_bitwise(dim):
+    # the same points in the same (lexicographic) order, bit for bit
+    for resolution in [*range(1, 21), 97, 178] + ([1000] if dim < 4 else []):
+        want = _recursive_compositions(dim, resolution) / resolution
+        got = simplex_grid(dim, resolution)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), resolution
 
 
 def test_grid_victim_examples():
