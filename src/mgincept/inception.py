@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import LpError
-from .model import (BeliefSet, MarkovGame, MarkovPolicy, ValueTables, _check_policy, q_from_v,
-                    require_valid)
+from .model import (BeliefSet, MarkovGame, MarkovPolicy, ValueTables, _assemble, _check_policy,
+                    q_from_v, require_valid)
 from .solver import BRSolveReport, markov_attacker_best_response
 from .stage import StageSolveError, singleton_stage_solves
 
@@ -112,7 +112,7 @@ def policy_inception(g: MarkovGame) -> InceptionResult:
         return values[:, h:h + 1]
 
     _suffix_pass(g, keep)
-    tables = ValueTables(values)
+    tables = _assemble(ValueTables, values=values)  # the terminal layer stays zero
     v1_root, v2_root = tables.root(g.mu)
     return InceptionResult(
         pi2_dagger=MarkovPolicy.deterministic(2, actions, m),
@@ -170,7 +170,7 @@ def check_iota_dominance(g: MarkovGame, pi2_dagger: MarkovPolicy, iota: float) -
 
     The optimistic side and the allowance do not depend on the policy: they
     are worked out on the game's first check or recovery and kept on the
-    game, whose arrays are read-only copies, so they cannot go stale; a fake
+    game, whose arrays no caller can write, so they cannot go stale; a fake
     game built by `with_attacker_rewards` is a new game with its own table.
 
     Returns (ok, witness) where witness is the first violating

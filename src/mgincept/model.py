@@ -12,9 +12,13 @@ Conventions used throughout the package:
   renormalized: invalid inputs are rejected so downstream math stays exact.
 
 All types are immutable after construction (frozen dataclasses over
-read-only numpy arrays) and safe to share across threads.  The types that
-hold arrays compare by identity: an elementwise array comparison has no
-single truth value, and arrays have no hash.
+read-only numpy arrays) and safe to share across threads.  No caller can
+write a model type's arrays: each is either copied at construction, or
+built by the library itself and frozen in place (`_assemble`), or shared
+from a game whose own arrays were copied at construction, as
+`MarkovGame.with_attacker_rewards` shares the transitions and `mu`.  The
+types that hold arrays compare by identity: an elementwise array comparison
+has no single truth value, and arrays have no hash.
 """
 
 from __future__ import annotations
@@ -39,6 +43,23 @@ def _frozen(a) -> np.ndarray:
     arr = np.array(a, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _assemble(cls, **fields):
+    """An instance of the frozen model type `cls` holding `fields` as they
+    are, without the copy and checks of its `__post_init__`.
+
+    Only for fields those checks would pass unchanged and that no caller
+    can write: arrays the library has just built, which this freezes in
+    place, and a game's own read-only arrays.  Outside input goes through
+    the constructor.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,27 +114,33 @@ class MarkovGame:
 
     @cached_property
     def _validation(self) -> "ValidationReport":
-        # the arrays are read-only copies, so the report cannot go stale
+        # no caller can write the arrays, so the report cannot go stale
         return _check_game(self)
 
     @cached_property
     def _optimistic_deviations(self) -> tuple:
-        # the arrays are read-only copies, so the table cannot go stale; a
+        # no caller can write the arrays, so the table cannot go stale; a
         # game that fails its finiteness check raises on every read instead
         return _optimistic_deviations(self)
 
     def with_attacker_rewards(self, fake: np.ndarray) -> "MarkovGame":
-        """A copy of this game whose player-2 rewards are replaced by `fake`,
-        of the game's (H, S, n, m) shape: no other shape is broadcast."""
+        """This game with its player-2 rewards replaced by `fake`, of the
+        game's (H, S, n, m) shape: no other shape is broadcast.
+
+        The fake game shares `mu` and `transitions` with this one, read-only
+        arrays copied when this game was built, and holds one fresh copy of
+        the rewards, frozen in place, so no caller can write any of them.
+        It has its own validation report and deviation table.
+        """
         if np.shape(fake) != self.rewards.shape[1:]:
             raise ValueError(
                 f"fake rewards have shape {np.shape(fake)}, expected {self.rewards.shape[1:]}"
             )
         rewards = np.array(self.rewards)
         rewards[1] = fake
-        return MarkovGame(
-            self.horizon, self.num_states, self.n, self.m,
-            self.mu, rewards, self.transitions,
+        return _assemble(
+            MarkovGame, horizon=self.horizon, num_states=self.num_states, n=self.n, m=self.m,
+            mu=self.mu, rewards=rewards, transitions=self.transitions,
         )
 
 
@@ -177,7 +204,11 @@ class MarkovPolicy:
     def deterministic(player: int, actions, num_actions: int) -> "MarkovPolicy":
         """Build a deterministic policy from an (H, S) array of action
         indices: integers, or floats of integral value; booleans and
-        fractions are rejected rather than cast."""
+        fractions are rejected rather than cast.
+
+        The one-hot entries are a fresh array, frozen in place and not run
+        through the constructor's checks, which every one-hot row passes.
+        """
         actions = np.asarray(actions)
         if actions.ndim != 2:
             raise ValueError("actions must be an (H, S) integer array")
@@ -186,7 +217,8 @@ class MarkovPolicy:
             raise ValueError("action indices must be integers, not booleans or fractions")
         if (actions < 0).any() or (actions >= num_actions).any():
             raise ValueError("action index out of range")
-        return MarkovPolicy(player, (actions[..., None] == np.arange(num_actions)).astype(float))
+        return _assemble(MarkovPolicy, player=_player_index(player) + 1,
+                         entries=(actions[..., None] == np.arange(num_actions)).astype(float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +323,7 @@ def validate_game(g: MarkovGame) -> ValidationReport:
     Dimension consistency is enforced at construction, so the report covers
     probability vectors (mu and every transition row) and reward finiteness.
     The check runs once per game: the report is kept on the game, whose
-    arrays are read-only copies, and every later call returns it.
+    arrays no caller can write, and every later call returns it.
     """
     return g._validation
 
@@ -401,8 +433,10 @@ def evaluate_policy(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy) -> Valu
     where they overflow.
 
     Returns value tables for both players; the scalar root values are
-    `result.root(g.mu)`.
+    `result.root(g.mu)`.  Raises InvalidGameError for a game that fails
+    validation.
     """
+    require_valid(g)
     _check_policy(g, pi1, 1)
     _check_policy(g, pi2, 2)
     H, S = g.horizon, g.num_states
@@ -411,5 +445,5 @@ def evaluate_policy(g: MarkovGame, pi1: MarkovPolicy, pi2: MarkovPolicy) -> Valu
         q = q_from_v(g, h, values[:, h + 1])
         for i in range(2):
             values[i, h] = np.einsum("sn,snm,sm->s", pi1.entries[h], q[i], pi2.entries[h])
-    return ValueTables(values)
+    return _assemble(ValueTables, values=values)  # the terminal layer stays zero
 

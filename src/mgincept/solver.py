@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (BeliefSet, MarkovGame, MarkovPolicy, ValueTables, _check_policy, q_from_v,
-                    require_valid)
+from .model import (BeliefSet, MarkovGame, MarkovPolicy, ValueTables, _assemble, _check_policy,
+                    q_from_v, require_valid)
 from .lp import LpError
 from .stage import MAX_BELIEF_POLICIES, StageSolveError, belief_stage_solves
 
@@ -85,7 +85,7 @@ def markov_attacker_best_response(g: MarkovGame, belief: BeliefSet) -> BRSolveRe
         values[1, h] = br.v2_star
         pi2[h] = br.y_star
     qvals.flags.writeable = False
-    tables = ValueTables(values)
+    tables = _assemble(ValueTables, values=values)  # the terminal layer stays zero
     v1_root, v2_root = tables.root(g.mu)
     return BRSolveReport(
         pi2_star=MarkovPolicy(2, pi2),

@@ -156,6 +156,13 @@ def test_deterministic_entries_equal_the_scatter_construction_bitwise():
         for given in (actions, actions.astype(float), actions.tolist()):
             pol = mg.MarkovPolicy.deterministic(2, given, k)
             assert pol.entries.tobytes() == _scattered(actions, k).tobytes()
+            # built without the constructor's copy and checks: the entries
+            # are still the policy's own read-only array, and they pass the
+            # checks that were skipped
+            assert not pol.entries.flags.writeable
+            assert not np.shares_memory(pol.entries, np.asarray(given))
+            checked = mg.MarkovPolicy(2, pol.entries)
+            assert checked.entries.tobytes() == pol.entries.tobytes()
 
 
 def test_deterministic_rejects_fractional_and_boolean_indices():
@@ -280,6 +287,8 @@ def test_game_arrays_are_immutable(decoy_game):
         decoy_game.rewards[0, 0, 0, 0, 0] = 3.0
     with pytest.raises(ValueError):
         decoy_game.mu[0] = 0.5
+    with pytest.raises(ValueError):
+        decoy_game.transitions[0, 0, 0, 0, 0] = 0.5
 
 
 def _one_step_game(**change):
@@ -334,10 +343,62 @@ def test_fake_rewards_of_another_shape_are_refused(shape):
 def test_fake_rewards_of_the_game_s_shape_replace_player_2_s():
     g = random_game(np.random.default_rng(0), 5, 10, 4, 4)
     fake = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 10, 4, 4))
-    f = g.with_attacker_rewards(fake.tolist())
-    assert f.rewards.tobytes() == np.stack([g.rewards[0], fake]).tobytes()
-    assert f.mu.tobytes() == g.mu.tobytes()
-    assert f.transitions.tobytes() == g.transitions.tobytes()
+    transitions = np.array(g.transitions)
+    transitions[2, 3, 1, 0] *= 0.5
+    halved = mg.MarkovGame(5, 10, 4, 4, g.mu, g.rewards, transitions)
+    for base in (g, halved):  # a valid game and one with a short transition row
+        before = base.rewards.tobytes()
+        f = base.with_attacker_rewards(fake.tolist())
+        assert f.rewards.tobytes() == np.stack([base.rewards[0], fake]).tobytes()
+        # the fake game shares the base game's read-only mu and transitions
+        # and holds its own read-only rewards
+        assert f.mu is base.mu and f.transitions is base.transitions
+        with pytest.raises(ValueError):
+            f.rewards[1, 0, 0, 0, 0] = 0.0
+        assert base.rewards.tobytes() == before
+        # it reports and tables exactly what a game built from the same
+        # arrays by the constructor does
+        built = mg.MarkovGame(5, 10, 4, 4, base.mu, f.rewards, base.transitions)
+        assert mg.validate_game(f).messages() == mg.validate_game(built).messages()
+        for ours, theirs in zip(f._optimistic_deviations, built._optimistic_deviations):
+            assert ours.tobytes() == theirs.tobytes()
+    assert mg.validate_game(halved).messages() == [
+        "transition-sum at (h=2,s=3,a1=1,a2=0): sums to 0.5, expected 1"]
+
+
+def test_value_tables_of_the_passes_pass_the_constructor_checks():
+    # the backward pass, the fake-policy search and policy evaluation build
+    # their value tables without the constructor's copy and checks
+    g = random_game(np.random.default_rng(4), 3, 4, 3, 3)
+    search = mg.policy_inception(g)
+    report = mg.markov_attacker_best_response(g, mg.secure_belief(g))
+    evaluated = mg.evaluate_policy(g, mg.MarkovPolicy(1, np.full((3, 4, 3), 1 / 3)),
+                                   search.pi2_dagger)
+    for tables in (search.v_hat, report.v, evaluated):
+        assert not tables.values.flags.writeable
+        assert tables.values.shape == (2, 4, 4)
+        assert mg.ValueTables(tables.values).values.tobytes() == tables.values.tobytes()
+
+
+def test_evaluation_refuses_a_game_that_fails_validation():
+    # evaluation validates the game first, as the backward pass does;
+    # otherwise a short transition row evaluates silently and a NaN reward
+    # reads as an overflow of the stage payoffs
+    g = chain_game(seed=3, horizon=2, states=2)
+    rng = np.random.default_rng(5)
+    p1 = random_policy(rng, 1, 2, 2, 2)
+    p2 = random_policy(rng, 2, 2, 2, 2)
+    transitions = np.array(g.transitions)
+    transitions[0, 0, 0, 0] *= 0.5
+    rewards = np.array(g.rewards)
+    rewards[0, 1, 1, 0, 1] = np.nan
+    for bad, violation in (
+            (mg.MarkovGame(2, 2, 2, 2, g.mu, g.rewards, transitions),
+             "transition-sum at (h=0,s=0,a1=0,a2=0): sums to 0.5, expected 1"),
+            (mg.MarkovGame(2, 2, 2, 2, g.mu, rewards, g.transitions),
+             "reward-nonfinite at (player=1,h=1,s=1,a1=0,a2=1)")):
+        with pytest.raises(mg.InvalidGameError, match=re.escape(violation)):
+            mg.evaluate_policy(bad, p1, p2)
 
 
 def test_array_holding_types_compare_by_identity():
